@@ -2,7 +2,7 @@
 
 Subpackages:
     fields      grid, quadrature, spectral calculus, observables
-    coupling    system-bath coupling functions f(x)
+    coupling    smooth profiles: coupling functions f(x) and potentials V(x)
     bath        oscillator bath, memory kernel, noise sampling
     potentials  dissipative/random/measurement/quantum potentials
     evolve      split-operator propagation of the nonlinear wave equation

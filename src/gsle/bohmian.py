@@ -26,7 +26,7 @@ from .fields import (
     integrate_values,
     spectral_derivative,
 )
-from .potentials import tilde_current
+from .potentials import dissipative_kernel
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,6 @@ class PolarField:
     @property
     def grid(self):
         return self.A.grid
-
-    def reconstruct(self) -> WaveFunction:
-        return WaveFunction(
-            self.grid, self.A.values * np.exp(1j * self.S.values / self.hbar)
-        )
 
 
 @dataclass(frozen=True)
@@ -139,35 +134,20 @@ def guiding_momentum(polar: PolarField, params: PhysicalParams) -> RealField:
     return RealField(polar.grid, _with_node_slope(polar, _log_derivative(polar).imag))
 
 
-def tilde_phase(
-    polar: PolarField, f: CouplingFunction, params: PhysicalParams
-) -> RealField:
-    """Coupling-dependent phase, via the current route (m int Jt/|psi|^2 dx).
-
-    Use tilde_phase_forms for both equivalent expressions; they agree up to
-    an additive constant.
-    """
-    return tilde_phase_forms(polar, f, params)[1]
-
-
 def tilde_phase_forms(polar: PolarField, f: CouplingFunction, params: PhysicalParams):
     """(integration-by-parts form, current form) of the coupling phase.
 
     Form 1: f'^2 S - 2 int S f' f'' dx (cumulative from x_min).
-    Form 2: m int Jt / max(|psi|^2, eps) dx, with psi reconstructed from
-    the polar data.
+    Form 2: m int Jt / max(|psi|^2, eps) dx on the source psi, by the
+    propagator's dissipative_kernel with coefficient 1. The two agree up to
+    an additive constant.
     """
     grid = polar.grid
     s = polar.S.values
     fp = f.on_grid(grid, 1)
     fpp = f.on_grid(grid, 2)
     form1 = fp**2 * s - 2.0 * cumulative_integral(grid, s * fp * fpp)
-
-    psi = polar.reconstruct()
-    rho = psi.density()
-    eps = density_floor(rho)
-    jt = tilde_current(psi, f, params).values
-    form2 = params.mass * cumulative_integral(grid, jt / np.maximum(rho, eps))
+    form2, _ = dissipative_kernel(polar.psi.values, fp**2, grid.ik, 1.0, grid, params)
     return RealField(grid, form1), RealField(grid, form2)
 
 

@@ -13,17 +13,16 @@ treated semi-implicitly inside velocity Verlet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bath import BathSpec, NoiseRealization, memory_kernel, sample_bath_noise, white_noise
-from .coupling import CouplingFunction
-from .errors import ConfigError, InvalidField, MemoryBudgetExceeded, NumericalBlowup
+from .bath import BathSpec, memory_kernel, sample_bath_noise
+from .coupling import CouplingFunction, PotentialSpec
+from .errors import ConfigError, MemoryBudgetExceeded, NumericalBlowup
 from .evolve import NoiseSpec
 from .fields import PhysicalParams
-from .potentials import PotentialSpec
 
 
 @dataclass(frozen=True)
@@ -178,10 +177,6 @@ class GleIntegrator:
             # keep indices aligned by padding with a placeholder
             self.history[self.n - self.max_lag - 1] = None
         return self.x, self.v
-
-
-def gle_step(integrator: GleIntegrator, xi_n):
-    return integrator.step(xi_n)
 
 
 def _particle_noise(config: LangevinConfig, seed: int) -> np.ndarray:

@@ -8,7 +8,7 @@ config file (round-trip parseable).
 
 Sections and keys (defaults in parentheses):
 
-  [experiment] mode (gsle) | classical | compare | bohmian-post;
+  [experiment] mode (gsle) | classical | compare;
                seed (0); ensemble_seeds (1); workers (1)
   [grid]       x_min (-20); x_max (20); n_points (512)
   [physics]    hbar (1); mass (1)
@@ -42,7 +42,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -124,7 +124,7 @@ _KEY_TABLE = {
     },
 }
 
-_MODES = ("gsle", "classical", "compare", "bohmian-post")
+_MODES = ("gsle", "classical", "compare")
 
 
 @dataclass(frozen=True)
@@ -436,21 +436,7 @@ def _member_record(args) -> RunRecord:
     import warnings
 
     spec = parse_config(text)
-    sim = SimConfig(
-        grid=spec.sim.grid,
-        params=spec.sim.params,
-        potential=spec.sim.potential,
-        coupling=spec.sim.coupling,
-        friction=spec.sim.friction,
-        noise=spec.sim.noise,
-        kappa=spec.sim.kappa,
-        dt=spec.sim.dt,
-        n_steps=spec.sim.n_steps,
-        seed=member_seed,
-        sign=spec.sim.sign,
-        initial_state=spec.sim.initial_state,
-        snapshot_stride=0,
-    )
+    sim = replace(spec.sim, seed=member_seed, snapshot_stride=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rec = run(sim)

@@ -1,8 +1,9 @@
-"""System-bath coupling functions f(x) and their first two derivatives.
+"""Smooth profiles g(x) with g' and g'': the coupling f(x) and the potential V(x).
 
-Analytic kinds (linear, constant, power, sinusoidal) plus cubic-spline
-tabulated couplings, including the coupling derived from a monotone
-potential, f(x) = integral_0^x sqrt(V'(y)) dy.
+One type serves both: analytic couplings (linear, constant, power,
+sinusoidal), analytic potentials (free, harmonic, linear_ramp, double_well,
+cubic) and cubic-spline tabulated profiles, including the coupling derived
+from a monotone potential, f(x) = integral_0^x sqrt(V'(y)) dy.
 """
 
 from __future__ import annotations
@@ -15,64 +16,80 @@ from .fields import Grid, cumulative_integral
 
 
 class CouplingFunction:
-    """f(x) with f' and f'' evaluable at any grid point.
+    """g(x) with g' and g'' evaluable at any point; call as g(x, order).
 
-    Use the factory classmethods; `kind` records how it was built.
+    Use the factory classmethods. Tabulated profiles carry their `domain`
+    (lo, hi) and reject points outside it.
     """
 
-    def __init__(self, kind, funcs=None, splines=None, domain=None):
-        self.kind = kind
-        self._funcs = funcs          # tuple (f, f', f'') of vectorized callables
-        self._splines = splines      # tuple of splines for tabulated kinds
-        self.domain = domain         # (lo, hi) for tabulated kinds
+    def __init__(self, funcs, domain=None):
+        self._funcs = funcs          # tuple (g, g', g'') of vectorized callables
+        self.domain = domain
 
-    # ---- factories -------------------------------------------------------
+    # ---- coupling factories ----------------------------------------------
 
     @classmethod
     def linear(cls):
-        return cls(
-            "linear",
-            funcs=(
-                lambda x: np.asarray(x, dtype=float),
-                lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            ),
-        )
+        return cls((lambda x: x, np.ones_like, np.zeros_like))
 
     @classmethod
     def constant(cls, c=1.0):
-        return cls(
-            "constant",
-            funcs=(
-                lambda x: np.full_like(np.asarray(x, dtype=float), c),
-                lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            ),
-        )
+        return cls((lambda x: np.full_like(x, c), np.zeros_like, np.zeros_like))
 
     @classmethod
     def power(cls, n):
         n = float(n)
-        return cls(
-            f"power({n:g})",
-            funcs=(
-                lambda x: np.asarray(x, dtype=float) ** n,
-                lambda x: n * np.asarray(x, dtype=float) ** (n - 1),
-                lambda x: n * (n - 1) * np.asarray(x, dtype=float) ** (n - 2),
-            ),
-        )
+        return cls((
+            lambda x: x**n,
+            lambda x: n * x ** (n - 1),
+            lambda x: n * (n - 1) * x ** (n - 2),
+        ))
 
     @classmethod
     def sinusoidal(cls, a=1.0, k=1.0):
         a, k = float(a), float(k)
-        return cls(
-            f"sinusoidal(a={a:g},k={k:g})",
-            funcs=(
-                lambda x: a * np.sin(k * np.asarray(x, dtype=float)),
-                lambda x: a * k * np.cos(k * np.asarray(x, dtype=float)),
-                lambda x: -a * k * k * np.sin(k * np.asarray(x, dtype=float)),
-            ),
-        )
+        return cls((
+            lambda x: a * np.sin(k * x),
+            lambda x: a * k * np.cos(k * x),
+            lambda x: -a * k * k * np.sin(k * x),
+        ))
+
+    # ---- potential factories ---------------------------------------------
+
+    @classmethod
+    def free(cls):
+        return cls((np.zeros_like,) * 3)
+
+    @classmethod
+    def harmonic(cls, omega=1.0, mass=1.0, center=0.0):
+        omega, mass, center = float(omega), float(mass), float(center)
+        k = mass * omega**2
+        return cls((
+            lambda x: 0.5 * k * (x - center) ** 2,
+            lambda x: k * (x - center),
+            lambda x: np.full_like(x, k),
+        ))
+
+    @classmethod
+    def linear_ramp(cls, b=1.0):
+        b = float(b)
+        return cls((lambda x: b * x, lambda x: np.full_like(x, b), np.zeros_like))
+
+    @classmethod
+    def double_well(cls, a=1.0, b=1.0):
+        # V = a x^4 - b x^2
+        a, b = float(a), float(b)
+        return cls((
+            lambda x: a * x**4 - b * x**2,
+            lambda x: 4 * a * x**3 - 2 * b * x,
+            lambda x: 12 * a * x**2 - 2 * b,
+        ))
+
+    @classmethod
+    def cubic(cls, c=1.0):
+        # V = c x^3 / 3, so V' = c x^2 >= 0 for c > 0
+        c = float(c)
+        return cls((lambda x: c * x**3 / 3.0, lambda x: c * x**2, lambda x: 2 * c * x))
 
     @classmethod
     def tabulated(cls, x, f, df=None, d2f=None):
@@ -81,22 +98,11 @@ class CouplingFunction:
         When df/d2f are omitted they come from differentiating the f spline.
         """
         x = np.asarray(x, dtype=float)
-        sp = CubicSpline(x, np.asarray(f, dtype=float), bc_type="not-a-knot")
-        sp1 = (
-            CubicSpline(x, np.asarray(df, dtype=float), bc_type="not-a-knot")
-            if df is not None
-            else sp.derivative(1)
-        )
-        sp2 = (
-            CubicSpline(x, np.asarray(d2f, dtype=float), bc_type="not-a-knot")
-            if d2f is not None
-            else sp.derivative(2)
-        )
-        return cls(
-            "tabulated",
-            splines=(sp, sp1, sp2),
-            domain=(float(x[0]), float(x[-1])),
-        )
+        spline = lambda y: CubicSpline(x, np.asarray(y, dtype=float), bc_type="not-a-knot")
+        sp = spline(f)
+        sp1 = spline(df) if df is not None else sp.derivative(1)
+        sp2 = spline(d2f) if d2f is not None else sp.derivative(2)
+        return cls((sp, sp1, sp2), domain=(float(x[0]), float(x[-1])))
 
     # ---- evaluation ------------------------------------------------------
 
@@ -104,23 +110,22 @@ class CouplingFunction:
         if order not in (0, 1, 2):
             raise UnsupportedOrder(f"derivative order must be 0, 1 or 2, got {order}")
         x = np.asarray(x, dtype=float)
-        if self._splines is not None:
+        if self.domain is not None:
             lo, hi = self.domain
             tol = 1e-9 * max(1.0, abs(hi - lo))
             if np.any(x < lo - tol) or np.any(x > hi + tol):
                 raise OutOfDomain(
                     f"x outside tabulation range [{lo:g}, {hi:g}]"
                 )
-            return self._splines[order](np.clip(x, lo, hi))
+            x = np.clip(x, lo, hi)
         return self._funcs[order](x)
 
     def on_grid(self, grid: Grid, order=0) -> np.ndarray:
         return np.asarray(self(grid.x, order), dtype=float)
 
 
-def eval_coupling(f: CouplingFunction, x, order=0):
-    """Functional form of CouplingFunction.__call__."""
-    return f(x, order)
+# The external potential V(x) is the same kind of profile as f(x).
+PotentialSpec = CouplingFunction
 
 
 def gup_coupling(V, grid: Grid, vprime_floor: float = 1e-8) -> CouplingFunction:
@@ -128,12 +133,9 @@ def gup_coupling(V, grid: Grid, vprime_floor: float = 1e-8) -> CouplingFunction:
 
     f' = sqrt(V'), f'' = V''/(2 sqrt(V')); f'' is set to 0 at isolated zeros
     of V' (removable singularity). V must satisfy V' >= 0 on the grid.
-
-    `V` is any object exposing derivatives via V(x, order), e.g. a
-    PotentialSpec from the potentials module.
     """
     x = grid.x
-    vp = np.asarray(V(x, 1), dtype=float)
+    vp = V.on_grid(grid, 1)
     if np.any(vp < -1e-12 * max(1.0, np.abs(vp).max())):
         raise NonmonotonePotential(
             "V'(x) < 0 on the grid; sqrt(V') coupling undefined"
@@ -143,6 +145,6 @@ def gup_coupling(V, grid: Grid, vprime_floor: float = 1e-8) -> CouplingFunction:
     fv = cumulative_integral(grid, fp)
     # anchor f(0) = 0 (linear interpolation if 0 is off-grid)
     fv -= np.interp(0.0, x, fv)
-    vpp = np.asarray(V(x, 2), dtype=float)
+    vpp = V.on_grid(grid, 2)
     fpp = np.where(vp > vprime_floor, vpp / (2.0 * np.sqrt(np.maximum(vp, vprime_floor))), 0.0)
     return CouplingFunction.tabulated(x, fv, df=fp, d2f=fpp)

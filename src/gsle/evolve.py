@@ -16,13 +16,13 @@ any other source remains visible in the record.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .bath import BathSpec, NoiseRealization, OhmicSpec, discretize_ohmic, sample_bath_noise, white_noise
-from .coupling import CouplingFunction
+from .coupling import CouplingFunction, PotentialSpec
 from .errors import (
     ConfigError,
     InsufficientData,
@@ -30,19 +30,16 @@ from .errors import (
     StabilityWarning,
 )
 from .fields import (
-    ComplexField,
     Grid,
     PhysicalParams,
     RealField,
     WaveFunction,
-    cumulative_integral,
     density_floor,
     integrate_values,
     normalize,
     observables,
-    spectral_derivative,
 )
-from .potentials import PotentialSpec
+from .potentials import dissipative_kernel, tilde_current
 
 BOUNDARY_DENSITY_LIMIT = 1e-6
 
@@ -109,7 +106,6 @@ class SimConfig:
 class SimState:
     t: float
     psi: WaveFunction
-    noise_cursor: int = 0
 
 
 @dataclass
@@ -178,40 +174,27 @@ class _Workspace:
         grid, params = config.grid, config.params
         self.grid = grid
         self.params = params
-        k = grid.k
         self.kin_half = np.exp(
-            -1j * params.hbar * k**2 * config.dt / (4.0 * params.mass)
+            -1j * params.hbar * grid.k**2 * config.dt / (4.0 * params.mass)
         )
-        self.kprime = 1j * k
-        self.kprime[grid.n_points // 2] = 0.0
-        self.V = np.asarray(config.potential(grid.x, 0), dtype=float)
+        self.ik = grid.ik
+        self.V = config.potential.on_grid(grid, 0)
         self.f = config.coupling.on_grid(grid, 0)
         self.fp2 = config.coupling.on_grid(grid, 1) ** 2
-        self.sign = +1.0 if config.sign == "damping" else -1.0
-        self.friction = config.friction
+        sign = +1.0 if config.sign == "damping" else -1.0
+        self.vd_coef = sign * config.friction
         self.kappa = config.kappa
         self.dt = config.dt
         self._warned_stability = False
 
     def real_potential(self, vals: np.ndarray, xi_n: float):
         """(U, W): real potential (V_d - W included) and the gauge constant."""
-        grid, params = self.grid, self.params
         u = self.V - self.f * xi_n
         w = 0.0
-        if self.friction > 0.0:
-            rho = np.abs(vals) ** 2
-            eps = density_floor(rho)
-            dpsi = np.fft.ifft(self.kprime * np.fft.fft(vals))
-            j = (params.hbar / params.mass) * np.imag(np.conj(vals) * dpsi)
-            integrand = self.fp2 * j / np.maximum(rho, eps)
-            vd = (
-                self.sign
-                * params.mass
-                * self.friction
-                * cumulative_integral(grid, integrand)
+        if self.vd_coef != 0.0:
+            vd, w = dissipative_kernel(
+                vals, self.fp2, self.ik, self.vd_coef, self.grid, self.params
             )
-            n2 = integrate_values(grid, rho)
-            w = integrate_values(grid, vd * rho) / n2
             u = u + vd - w
         return u, w
 
@@ -226,6 +209,11 @@ class _Workspace:
             n_before = integrate_values(self.grid, rho)
             shaped = out * factor
             n_after = integrate_values(self.grid, np.abs(shaped) ** 2)
+            if n_after == 0.0:
+                raise NumericalBlowup(
+                    f"measurement kick underflowed every density sample "
+                    f"(kappa*tau = {self.kappa * tau:.3g} too large)"
+                )
             # mean-subtraction constant, evaluated as a step average so the
             # anti-Hermitian term stays exactly traceless over the kick
             out = shaped * np.sqrt(n_before / n_after)
@@ -256,11 +244,7 @@ def step(state: SimState, config: SimConfig, xi_n: float, ws: Optional[_Workspac
         raise NumericalBlowup(
             f"non-finite wavefunction at t = {state.t + dt:.6g}", t=state.t + dt
         )
-    return SimState(
-        t=state.t + dt,
-        psi=WaveFunction(config.grid, vals),
-        noise_cursor=state.noise_cursor + 1,
-    )
+    return SimState(t=state.t + dt, psi=WaveFunction(config.grid, vals))
 
 
 def run(config: SimConfig) -> RunRecord:
@@ -272,7 +256,7 @@ def run(config: SimConfig) -> RunRecord:
     noise = make_noise(config)
     ws = _Workspace(config)
     psi = build_initial_state(config)
-    state = SimState(t=0.0, psi=psi, noise_cursor=0)
+    state = SimState(t=0.0, psi=psi)
 
     n = config.n_steps
     rec = RunRecord(
@@ -316,11 +300,13 @@ def run(config: SimConfig) -> RunRecord:
             state = step(state, config, xi_n, ws)
             record(i + 1, state, noise.values[min(i + 1, n - 1)])
     except NumericalBlowup as exc:
+        if exc.t is None:
+            exc.t = state.t + config.dt
         exc.last_observables = {
-            "t": rec.times[state.noise_cursor],
-            "norm": rec.norm[state.noise_cursor],
-            "mean_x": rec.mean_x[state.noise_cursor],
-            "energy": rec.energy[state.noise_cursor],
+            "t": rec.times[i],
+            "norm": rec.norm[i],
+            "mean_x": rec.mean_x[i],
+            "energy": rec.energy[i],
         }
         raise
     return rec
@@ -333,22 +319,20 @@ def ehrenfest_residual(record: RunRecord, config: SimConfig) -> np.ndarray:
     with the acceleration from central differences of the recorded <x>.
     Returned at interior snapshot indices.
     """
-    from .potentials import tilde_current as _jt
-
     snaps = [(i, psi) for i, psi in record.snapshots if 0 < i < len(record.times) - 1]
     if len(snaps) < 1 or len(record.times) < 3:
         raise InsufficientData("need snapshots at interior steps for the residual")
     m = config.params.mass
     dt = config.dt
     grid = config.grid
-    vp = np.asarray(config.potential(grid.x, 1), dtype=float)
+    vp = config.potential.on_grid(grid, 1)
     fp = config.coupling.on_grid(grid, 1)
     out = np.empty(len(snaps))
     for j, (i, psi) in enumerate(snaps):
         acc = (record.mean_x[i + 1] - 2 * record.mean_x[i] + record.mean_x[i - 1]) / dt**2
         rho = psi.density()
         n2 = integrate_values(grid, rho)
-        jt_int = integrate_values(grid, _jt(psi, config.coupling, config.params).values)
+        jt_int = integrate_values(grid, tilde_current(psi, config.coupling, config.params).values)
         mean_vp = integrate_values(grid, vp * rho) / n2
         mean_fp = integrate_values(grid, fp * rho) / n2
         out[j] = (

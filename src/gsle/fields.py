@@ -61,6 +61,14 @@ class Grid:
         """Angular wavenumbers matching numpy FFT ordering."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
+    @property
+    def ik(self) -> np.ndarray:
+        """Symbol i*k of d/dx, Nyquist mode zeroed (its first derivative is
+        not representable)."""
+        ik = 1j * self.k
+        ik[self.n_points // 2] = 0.0
+        return ik
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -159,25 +167,16 @@ def spectral_derivative(
     """FFT derivative of periodic samples. Complex in, complex out."""
     if order not in (1, 2):
         raise UnsupportedOrder(f"order must be 1 or 2, got {order}")
-    k = grid.k
     fk = np.fft.fft(values)
     if order == 1:
-        # zero the Nyquist mode: its first derivative is not representable
-        ik = 1j * k
-        ik[grid.n_points // 2] = 0.0
-        return np.fft.ifft(ik * fk)
-    return np.fft.ifft(-(k**2) * fk)
+        return np.fft.ifft(grid.ik * fk)
+    return np.fft.ifft(-(grid.k**2) * fk)
 
 
 def differentiate(field: ComplexField, order: int = 1) -> ComplexField:
     return ComplexField(
         field.grid, spectral_derivative(field.grid, field.values, order)
     )
-
-
-def differentiate_real(field: RealField, order: int = 1) -> RealField:
-    d = spectral_derivative(field.grid, field.values.astype(complex), order)
-    return RealField(field.grid, d.real)
 
 
 def norm_squared(psi: WaveFunction) -> float:

@@ -1,6 +1,7 @@
-"""External potential specs and every term entering the nonlinear wave equation.
+"""Every term entering the nonlinear wave equation.
 
-Terms computed here, all as grid fields:
+Terms computed here, all as grid fields (V_d and W also as arrays, by
+`dissipative_kernel`):
 
   J        probability current (hbar/m) Im(psi* dpsi/dx)
   Jt       coupling-weighted current f'(x)^2 J
@@ -18,14 +19,10 @@ anti-damps. Default is `damping`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .coupling import CouplingFunction
-from .errors import InvalidFriction, InvalidResolution, UnsupportedOrder
+from .coupling import CouplingFunction, PotentialSpec, gup_coupling
+from .errors import InvalidFriction, InvalidResolution, NonmonotonePotential
 from .fields import (
     ComplexField,
     Grid,
@@ -39,110 +36,46 @@ from .fields import (
 )
 
 
-class PotentialSpec:
-    """V(x) with analytic derivatives; call as V(x, order) for order 0/1/2."""
-
-    def __init__(self, kind, funcs):
-        self.kind = kind
-        self._funcs = funcs
-
-    @classmethod
-    def free(cls):
-        z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        return cls("free", (z, z, z))
-
-    @classmethod
-    def harmonic(cls, omega=1.0, mass=1.0, center=0.0):
-        omega, mass, center = float(omega), float(mass), float(center)
-        k = mass * omega**2
-        return cls(
-            f"harmonic(omega={omega:g})",
-            (
-                lambda x: 0.5 * k * (np.asarray(x, dtype=float) - center) ** 2,
-                lambda x: k * (np.asarray(x, dtype=float) - center),
-                lambda x: np.full_like(np.asarray(x, dtype=float), k),
-            ),
-        )
-
-    @classmethod
-    def linear_ramp(cls, b=1.0):
-        b = float(b)
-        return cls(
-            f"linear_ramp(b={b:g})",
-            (
-                lambda x: b * np.asarray(x, dtype=float),
-                lambda x: np.full_like(np.asarray(x, dtype=float), b),
-                lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            ),
-        )
-
-    @classmethod
-    def double_well(cls, a=1.0, b=1.0):
-        # V = a x^4 - b x^2
-        a, b = float(a), float(b)
-        return cls(
-            f"double_well(a={a:g},b={b:g})",
-            (
-                lambda x: a * np.asarray(x, dtype=float) ** 4
-                - b * np.asarray(x, dtype=float) ** 2,
-                lambda x: 4 * a * np.asarray(x, dtype=float) ** 3
-                - 2 * b * np.asarray(x, dtype=float),
-                lambda x: 12 * a * np.asarray(x, dtype=float) ** 2 - 2 * b,
-            ),
-        )
-
-    @classmethod
-    def cubic(cls, c=1.0):
-        # V = c x^3 / 3, so V' = c x^2 >= 0 for c > 0
-        c = float(c)
-        return cls(
-            f"cubic(c={c:g})",
-            (
-                lambda x: c * np.asarray(x, dtype=float) ** 3 / 3.0,
-                lambda x: c * np.asarray(x, dtype=float) ** 2,
-                lambda x: 2 * c * np.asarray(x, dtype=float),
-            ),
-        )
-
-    @classmethod
-    def tabulated(cls, x, v):
-        sp = CubicSpline(
-            np.asarray(x, dtype=float), np.asarray(v, dtype=float), bc_type="not-a-knot"
-        )
-        sps = (sp, sp.derivative(1), sp.derivative(2))
-        return cls("tabulated", tuple(lambda x, s=s: s(x) for s in sps))
-
-    def __call__(self, x, order=0):
-        if order not in (0, 1, 2):
-            raise UnsupportedOrder(f"order must be 0, 1 or 2, got {order}")
-        return self._funcs[order](x)
-
-    def on_grid(self, grid: Grid, order=0) -> RealField:
-        return RealField(grid, np.asarray(self(grid.x, order), dtype=float))
+def _current_values(vals: np.ndarray, ik: np.ndarray, params: PhysicalParams):
+    """(hbar/m) Im(psi* dpsi/dx) from samples of psi and the symbol Grid.ik."""
+    dpsi = np.fft.ifft(ik * np.fft.fft(vals))
+    return (params.hbar / params.mass) * np.imag(np.conj(vals) * dpsi)
 
 
-@dataclass(frozen=True)
-class GsleTerms:
-    V_d: RealField
-    W: float
-    V_r: RealField
-    W_kappa: ComplexField
-    Q: RealField
+def dissipative_kernel(
+    vals: np.ndarray,
+    fp2: np.ndarray,
+    ik: np.ndarray,
+    coef: float,
+    grid: Grid,
+    params: PhysicalParams,
+):
+    """(V_d, W) as arrays: the one implementation of the dissipative term.
+
+    V_d(x) = coef * m * int_{x_min}^{x} f'^2 J / max(|psi|^2, eps) dx' and
+    W = <V_d>, for psi samples `vals`, fp2 = f'^2 on the grid, ik = Grid.ik
+    and the signed coefficient coef = s * friction. The propagator, the
+    field wrapper below and the Bohmian current-form phase all call it.
+    """
+    rho = np.abs(vals) ** 2
+    eps = density_floor(rho)
+    integrand = fp2 * _current_values(vals, ik, params) / np.maximum(rho, eps)
+    vd = coef * params.mass * cumulative_integral(grid, integrand)
+    n2 = integrate_values(grid, rho)
+    w = integrate_values(grid, vd * rho) / n2
+    return vd, w
 
 
 def current(psi: WaveFunction, params: PhysicalParams) -> RealField:
     """J = (hbar/m) Im(psi* dpsi/dx); integrates to <p>/m for normalized psi."""
-    dpsi = spectral_derivative(psi.grid, psi.values, 1)
-    j = (params.hbar / params.mass) * np.imag(np.conj(psi.values) * dpsi)
-    return RealField(psi.grid, j)
+    return RealField(psi.grid, _current_values(psi.values, psi.grid.ik, params))
 
 
 def tilde_current(
     psi: WaveFunction, f: CouplingFunction, params: PhysicalParams
 ) -> RealField:
-    fp = f.on_grid(psi.grid, 1)
-    j = current(psi, params)
-    return RealField(psi.grid, fp**2 * j.values)
+    """Jt = f'^2 J, the coupling-weighted current."""
+    return RealField(psi.grid, f.on_grid(psi.grid, 1) ** 2 * current(psi, params).values)
 
 
 def dissipative_potential(
@@ -165,13 +98,9 @@ def dissipative_potential(
     if friction == 0.0:
         zero = RealField(grid, np.zeros(grid.n_points))
         return zero, 0.0
-    rho = psi.density()
-    eps = density_floor(rho)
-    jt = tilde_current(psi, f, params).values
-    integrand = jt / np.maximum(rho, eps)
-    vd = s * params.mass * friction * cumulative_integral(grid, integrand)
-    n2 = integrate_values(grid, rho)
-    w = integrate_values(grid, vd * rho) / n2
+    vd, w = dissipative_kernel(
+        psi.values, f.on_grid(grid, 1) ** 2, grid.ik, s * friction, grid, params
+    )
     return RealField(grid, vd), float(w)
 
 
@@ -214,25 +143,6 @@ def quantum_potential(psi: WaveFunction, params: PhysicalParams) -> RealField:
     return RealField(grid, q)
 
 
-def gsle_terms(
-    psi: WaveFunction,
-    f: CouplingFunction,
-    friction: float,
-    xi: float,
-    kappa: float,
-    params: PhysicalParams,
-    sign: str = "damping",
-) -> GsleTerms:
-    vd, w = dissipative_potential(psi, f, friction, params, sign=sign)
-    return GsleTerms(
-        V_d=vd,
-        W=w,
-        V_r=random_potential(f, xi, psi.grid),
-        W_kappa=measurement_potential(psi, kappa, params),
-        Q=quantum_potential(psi, params),
-    )
-
-
 def gup_damping_closed_form(
     psi: WaveFunction,
     V: PotentialSpec,
@@ -248,14 +158,11 @@ def gup_damping_closed_form(
     from .bohmian import guiding_momentum, polar_decompose
 
     grid = psi.grid
-    vp = np.asarray(V(grid.x, 1), dtype=float)
+    vp = V.on_grid(grid, 1)
     if np.any(vp < -1e-12 * max(1.0, np.abs(vp).max())):
-        from .errors import NonmonotonePotential
-
         raise NonmonotonePotential("closed form requires V' >= 0 on the grid")
     p = guiding_momentum(polar_decompose(psi), params)
-    v = np.asarray(V(grid.x, 0), dtype=float)
-    return RealField(grid, -2.0 * gup_alpha * p.values * v)
+    return RealField(grid, -2.0 * gup_alpha * p.values * V.on_grid(grid, 0))
 
 
 def gup_discrepancy_report(
@@ -270,8 +177,6 @@ def gup_discrepancy_report(
     enters the dynamics). Returns max/rms discrepancy over the bulk of the
     density support.
     """
-    from .coupling import gup_coupling
-
     grid = psi.grid
     f = gup_coupling(V, grid)
     # generic route: -2*gup_alpha*S_tilde, i.e. the literal sign and the

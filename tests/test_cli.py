@@ -71,9 +71,14 @@ class TestParseConfig:
         spec = parse_config(KOSTIN_CFG, seed_override=99)
         assert spec.seed == 99
 
-    def test_bad_mode(self):
+    @pytest.mark.parametrize("mode", ["quantum", "bohmian-post"])
+    def test_bad_mode(self, mode, tmp_path):
+        text = f"[experiment]\nmode = {mode}\n"
         with pytest.raises(ConfigError, match="mode"):
-            parse_config("[experiment]\nmode = quantum\n")
+            parse_config(text)
+        out = tmp_path / "out"
+        assert main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 3
+        assert not (out / "resolved_config.txt").exists()
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -127,6 +132,13 @@ class TestRunCommand:
             "[initial]\nx0 = 3\n"
             "[classical]\nn_particles = 2\n",
         )
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "NumericalBlowup"
+
+    def test_measurement_underflow_exit_code(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[run]\ndt = 0.1\nn_steps = 40\nkappa = 3000\n")
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 2
         err = json.loads((out / "error.json").read_text())

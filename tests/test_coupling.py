@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gsle.coupling import CouplingFunction, eval_coupling, gup_coupling
+from gsle.coupling import CouplingFunction, gup_coupling
 from gsle.errors import NonmonotonePotential, OutOfDomain, UnsupportedOrder
 from gsle.fields import Grid
 from gsle.potentials import PotentialSpec
@@ -12,9 +12,9 @@ from gsle.potentials import PotentialSpec
 class TestEval:
     def test_linear(self):
         f = CouplingFunction.linear()
-        assert eval_coupling(f, 3.7, 0) == pytest.approx(3.7)
-        assert eval_coupling(f, 3.7, 1) == 1.0
-        assert eval_coupling(f, 3.7, 2) == 0.0
+        assert f(3.7, 0) == pytest.approx(3.7)
+        assert f(3.7, 1) == 1.0
+        assert f(3.7, 2) == 0.0
 
     def test_power_two(self):
         f = CouplingFunction.power(2)
@@ -41,6 +41,12 @@ class TestEval:
         f = CouplingFunction.tabulated(x, x**2)
         with pytest.raises(OutOfDomain):
             f(2.0, 0)
+
+    def test_potential_is_the_same_profile_type(self):
+        assert PotentialSpec is CouplingFunction
+        V = PotentialSpec.tabulated(np.linspace(-5, 5, 300), np.linspace(-5, 5, 300) ** 2)
+        with pytest.raises(OutOfDomain):
+            V(6.0, 1)
 
     def test_tabulated_matches_samples(self):
         x = np.linspace(-2, 2, 200)

@@ -2,14 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsle.coupling import CouplingFunction
-from gsle.errors import ConfigError, InsufficientData, StabilityWarning
+from gsle.errors import (
+    ConfigError,
+    InsufficientData,
+    NumericalBlowup,
+    StabilityWarning,
+)
 from gsle.evolve import (
     GaussianPacket,
     HarmonicEigenstate,
     NoiseSpec,
     SimConfig,
+    _Workspace,
     build_initial_state,
     ehrenfest_residual,
     run,
@@ -182,6 +190,51 @@ class TestDeterminismAndDiagnostics:
         cfg = harmonic_config(n_steps=100, snapshot_stride=25)
         rec = run(cfg)
         assert [s for s, _ in rec.snapshots] == [0, 25, 50, 75, 100]
+
+    def test_measurement_underflow_is_blowup(self):
+        """A kappa*dt that underflows every rho*factor^2 raises NumericalBlowup
+        carrying the observables of the last recorded step."""
+        cfg = harmonic_config(
+            dt=0.1, n_steps=40, kappa=3000.0, initial_state=GaussianPacket()
+        )
+        with pytest.raises(NumericalBlowup) as info:
+            run(cfg)
+        assert info.value.last_observables["t"] == 0.2
+
+
+COUPLINGS = {
+    "linear": CouplingFunction.linear(),
+    "sinusoidal": CouplingFunction.sinusoidal(1.0, 1.0),
+    "power2": CouplingFunction.power(2),
+}
+
+
+class TestRealPotentialProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta=st.floats(0.0, 2.0 * np.pi),
+        friction=st.floats(0.01, 2.0),
+        coupling=st.sampled_from(sorted(COUPLINGS)),
+    )
+    def test_global_phase_invariance(self, theta, friction, coupling):
+        """V_d - W and W are unchanged by psi -> exp(i theta) psi.
+
+        With a free potential and zero noise U is exactly V_d - W, so the
+        comparison is relative to the nonlinear term alone.
+        """
+        cfg = harmonic_config(
+            potential=PotentialSpec.free(),
+            friction=friction,
+            coupling=COUPLINGS[coupling],
+            initial_state=GaussianPacket(0.5, 0.9, 1.2),
+        )
+        ws = _Workspace(cfg)
+        vals = build_initial_state(cfg).values
+        u0, w0 = ws.real_potential(vals, 0.0)
+        u1, w1 = ws.real_potential(np.exp(1j * theta) * vals, 0.0)
+        scale = np.abs(u0).max()
+        assert np.abs(u1 - u0).max() <= 1e-10 * scale
+        assert abs(w1 - w0) <= 1e-10 * scale
 
 
 class TestEhrenfestResidual:

@@ -21,7 +21,6 @@ from gsle.potentials import (
     PotentialSpec,
     current,
     dissipative_potential,
-    gsle_terms,
     gup_damping_closed_form,
     gup_discrepancy_report,
     measurement_potential,
@@ -103,11 +102,11 @@ class TestDissipativePotential:
 
     def test_mean_is_subtracted_consistently(self, grid, params):
         psi = gaussian_state(grid, p0=0.9)
-        terms = gsle_terms(
-            psi, CouplingFunction.sinusoidal(1.0, 1.0), 0.2, 0.0, 0.0, params
+        vd, w = dissipative_potential(
+            psi, CouplingFunction.sinusoidal(1.0, 1.0), 0.2, params
         )
-        mean_vd = expectation(psi, terms.V_d)
-        assert abs(mean_vd - terms.W) < 1e-10
+        mean_vd = expectation(psi, vd)
+        assert abs(mean_vd - w) < 1e-10
 
     def test_ehrenfest_identification(self, grid, params):
         """<-dV_d/dx> equals -m*friction*int(f'^2 J) for any state/coupling.
