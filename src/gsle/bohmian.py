@@ -63,14 +63,24 @@ class WeakValueField:
 
 
 def _anchored_unwrap(theta: np.ndarray, anchor: int) -> np.ndarray:
-    """Unwrap phases outward from `anchor`, keeping its principal value."""
-    out = np.array(theta, dtype=float)
-    # rightward
-    for i in range(anchor + 1, out.size):
-        out[i] = out[i] - 2 * np.pi * np.round((out[i] - out[i - 1]) / (2 * np.pi))
-    # leftward
-    for i in range(anchor - 1, -1, -1):
-        out[i] = out[i] - 2 * np.pi * np.round((out[i] - out[i + 1]) / (2 * np.pi))
+    """Unwrap phases outward from `anchor`, keeping its principal value.
+
+    Each side is t[i] - 2 pi k[i], k[i] = round((t[i] - out[i-1]) / 2 pi), taken
+    as the cumulative sum of the rounded steps of t; at the first step of (nearly)
+    pi that rounds the other way against out[i-1], the rest of k is shifted, anew.
+    """
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty_like(theta)
+    for side in (slice(anchor, None), slice(anchor, None, -1)):
+        t = theta[side]
+        k = np.concatenate(([0.0], np.cumsum(np.round(np.diff(t) / (2 * np.pi)))))
+        while True:
+            out[side] = t - 2 * np.pi * k
+            k_seq = np.round((t[1:] - out[side][:-1]) / (2 * np.pi))
+            bad = np.flatnonzero(k_seq != k[1:])
+            if bad.size == 0:
+                break
+            k[bad[0] + 1 :] += k_seq[bad[0]] - k[bad[0] + 1]
     return out
 
 

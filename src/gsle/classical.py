@@ -13,6 +13,7 @@ treated semi-implicitly inside velocity Verlet.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,6 +72,17 @@ class ClassicalEnsemble:
     seed: int = 0
 
 
+@contextmanager
+def _blowup_on_overflow():
+    """Raise NumericalBlowup at the first force that overflows or turns invalid."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalBlowup(f"non-finite classical force: {exc}") from exc
+
+
+@_blowup_on_overflow()
 def langevin_step(x, v, config: LangevinConfig, xi_n):
     """One velocity-Verlet step; x, v, xi_n may be arrays over particles."""
     m = config.params.mass
@@ -148,24 +160,26 @@ class GleIntegrator:
         dt = config.dt
         f, vprime = config.coupling, config.potential
         n = self.n
-
-        fp = np.asarray(f(self.x, 1), dtype=float)
+        # friction sums at t_n and (history part) at t_{n+1}: they read only the
+        # stored history, so they skip the overflow check, which slows numpy ops
         mem = self._memory_sum(n)
-        force = -np.asarray(vprime(self.x, 1), dtype=float) + fp * xi_n - m * fp * mem
-        v_half = self.v + 0.5 * dt * force / m
-        x_new = self.x + dt * v_half
-
-        fp_new = np.asarray(f(x_new, 1), dtype=float)
-        # friction at t_{n+1}: history part plus the implicit w_{n+1} endpoint
         mem_known = self._memory_sum(n + 1, exclude_endpoint=True)
-        force_known = (
-            -np.asarray(vprime(x_new, 1), dtype=float)
-            + fp_new * xi_n
-            - m * fp_new * mem_known
-        )
-        # w_{n+1} = fp_new * v_new enters with trapezoid weight dt/2 * K(0)
-        denom = 1.0 + 0.25 * dt**2 * self.kernel[0] * fp_new**2
-        v_new = (v_half + 0.5 * dt * force_known / m) / denom
+
+        with _blowup_on_overflow():
+            fp = np.asarray(f(self.x, 1), dtype=float)
+            force = -np.asarray(vprime(self.x, 1), dtype=float) + fp * xi_n - m * fp * mem
+            v_half = self.v + 0.5 * dt * force / m
+            x_new = self.x + dt * v_half
+
+            fp_new = np.asarray(f(x_new, 1), dtype=float)
+            force_known = (
+                -np.asarray(vprime(x_new, 1), dtype=float)
+                + fp_new * xi_n
+                - m * fp_new * mem_known
+            )
+            # w_{n+1} = fp_new * v_new enters with trapezoid weight dt/2 * K(0)
+            denom = 1.0 + 0.25 * dt**2 * self.kernel[0] * fp_new**2
+            v_new = (v_half + 0.5 * dt * force_known / m) / denom
         if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
             raise NumericalBlowup("non-finite GLE state")
 

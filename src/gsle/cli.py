@@ -373,29 +373,23 @@ def _header_lines(spec: ExperimentSpec):
     return [f"# seed = {spec.seed}", f"# config_sha256 = {spec.digest}"]
 
 
-def _write_csv(path: Path, spec: ExperimentSpec, columns, rows, extra_comments=()):
-    """Deterministic CSV: fixed float format, '' for masked cells."""
-    lines = _header_lines(spec) + list(extra_comments)
-    lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for v in row:
-            if v is None or (isinstance(v, float) and np.isnan(v)):
-                cells.append("")
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(_FLOAT % v)
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, spec: ExperimentSpec, header, columns, extra_comments=()):
+    """Deterministic CSV of equal-length float columns: '%.17g', '' for NaN."""
+    lines = _header_lines(spec) + list(extra_comments) + [",".join(header)]
+    table = np.column_stack(columns)
+    row_format = ",".join([_FLOAT] * table.shape[1]) + "\n"
+    with path.open("w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        # '%.17g' spells NaN 'nan', and no other number it writes holds those letters
+        fh.writelines((row_format % tuple(row.tolist())).replace("nan", "") for row in table)
 
 
 def _write_observables(path: Path, spec: ExperimentSpec, rec: RunRecord):
     cols = ("t", "norm", "mean_x", "mean_p", "var_x", "energy", "W", "xi")
-    rows = zip(
+    columns = (
         rec.times, rec.norm, rec.mean_x, rec.mean_p, rec.var_x, rec.energy, rec.W, rec.xi
     )
-    _write_csv(path, spec, cols, rows)
+    _write_csv(path, spec, cols, columns)
 
 
 def _write_snapshot(path: Path, spec: ExperimentSpec, psi: WaveFunction):
@@ -404,30 +398,27 @@ def _write_snapshot(path: Path, spec: ExperimentSpec, psi: WaveFunction):
         f"# grid x_min = {_FLOAT % grid.x_min} x_max = {_FLOAT % grid.x_max} "
         f"n_points = {grid.n_points}",
     )
-    rows = zip(grid.x, psi.values.real, psi.values.imag)
-    _write_csv(path, spec, ("x", "re", "im"), rows, extra_comments=meta)
+    columns = (grid.x, psi.values.real, psi.values.imag)
+    _write_csv(path, spec, ("x", "re", "im"), columns, extra_comments=meta)
 
 
-def _write_weak_values(path: Path, spec: ExperimentSpec, psi: WaveFunction, params):
+def _write_weak_values(path: Path, spec: ExperimentSpec, psi: WaveFunction):
+    params = spec.sim.params
     wv = weak_value(polar_decompose(psi, hbar=params.hbar), params)
-    grid = psi.grid
-    rows = [
-        (x, None, None) if masked else (x, re, im)
-        for x, re, im, masked in zip(
-            grid.x, wv.real_part.values, wv.imag_part.values, wv.node_mask
-        )
-    ]
-    _write_csv(path, spec, ("x", "re_p", "im_p"), rows)
+    masked = lambda part: np.where(wv.node_mask, np.nan, part.values)
+    columns = (psi.grid.x, masked(wv.real_part), masked(wv.imag_part))
+    _write_csv(path, spec, ("x", "re_p", "im_p"), columns)
 
 
-def _write_trajectories(path: Path, spec: ExperimentSpec, ensemble):
-    n = ensemble.positions.shape[0]
-    cols = ("t",) + tuple(f"x_{i + 1}" for i in range(n))
-    rows = (
-        (t,) + tuple(ensemble.positions[:, k])
-        for k, t in enumerate(ensemble.times)
+def _write_trajectories(path: Path, spec: ExperimentSpec, snapshots):
+    """Bohmian trajectories through the (step, psi) snapshots."""
+    steps, history = zip(*snapshots)
+    times = spec.sim.dt * np.array(steps, dtype=float)
+    ens = propagate_trajectories(
+        history, times, spec.n_trajectories, spec.seed, spec.sim.params
     )
-    _write_csv(path, spec, cols, rows)
+    cols = ("t",) + tuple(f"x_{i + 1}" for i in range(ens.positions.shape[0]))
+    _write_csv(path, spec, cols, (ens.times, ens.positions.T))
 
 
 def _member_record(args) -> RunRecord:
@@ -487,7 +478,7 @@ def _run_gsle(spec: ExperimentSpec, out: Path) -> int:
             out / "ensemble_summary.csv",
             spec,
             cols,
-            zip(*(stats[c] for c in cols)),
+            [stats[c] for c in cols],
             extra_comments=(f"# ensemble_seeds = {len(seeds)}",),
         )
         return 0
@@ -495,7 +486,6 @@ def _run_gsle(spec: ExperimentSpec, out: Path) -> int:
     if spec.emit_observables:
         _write_observables(out / "observables.csv", spec, rec)
     if rec.snapshots:
-        params = spec.sim.params
         if spec.emit_snapshots:
             snap_dir = out / "snapshots"
             snap_dir.mkdir(exist_ok=True)
@@ -503,25 +493,17 @@ def _run_gsle(spec: ExperimentSpec, out: Path) -> int:
                 _write_snapshot(snap_dir / f"psi_{step}.csv", spec, psi)
         if spec.emit_weak_values:
             for step, psi in rec.snapshots:
-                _write_weak_values(out / f"weak_values_{step}.csv", spec, psi, params)
+                _write_weak_values(out / f"weak_values_{step}.csv", spec, psi)
         if spec.emit_trajectories:
-            times = spec.sim.dt * np.array([s for s, _ in rec.snapshots], dtype=float)
-            ens = propagate_trajectories(
-                [psi for _, psi in rec.snapshots],
-                times,
-                spec.n_trajectories,
-                spec.seed,
-                params,
-            )
-            _write_trajectories(out / "trajectories.csv", spec, ens)
+            _write_trajectories(out / "trajectories.csv", spec, rec.snapshots)
     return 0
 
 
 def _run_classical(spec: ExperimentSpec, out: Path) -> int:
     ens = langevin_ensemble(spec.classical, spec.seed)
     cols = ("t", "mean_x", "mean_p", "var_x", "stderr_x", "stderr_p")
-    rows = zip(ens.times, ens.mean_x, ens.mean_p, ens.var_x, ens.stderr_x, ens.stderr_p)
-    _write_csv(out / "observables.csv", spec, cols, rows)
+    columns = (ens.times, ens.mean_x, ens.mean_p, ens.var_x, ens.stderr_x, ens.stderr_p)
+    _write_csv(out / "observables.csv", spec, cols, columns)
     return 0
 
 
@@ -545,7 +527,7 @@ def _run_compare(spec: ExperimentSpec, out: Path) -> int:
         "mean_p_q", "stderr_p_q", "mean_p_cl", "stderr_p_cl", "score_p",
         "var_x_q", "var_x_cl",
     )
-    rows = zip(
+    columns = (
         q["t"],
         q["mean_x"], q["stderr_x"], cl.mean_x, cl.stderr_x, score_x,
         q["mean_p"], q["stderr_p"], cl.mean_p, cl.stderr_p, score_p,
@@ -555,7 +537,7 @@ def _run_compare(spec: ExperimentSpec, out: Path) -> int:
         out / "comparison.csv",
         spec,
         cols,
-        rows,
+        columns,
         extra_comments=(
             f"# ensemble_seeds = {len(seeds)}",
             f"# n_particles = {spec.classical.n_particles}",
@@ -567,20 +549,26 @@ def _run_compare(spec: ExperimentSpec, out: Path) -> int:
 
 
 def _load_snapshot(path: Path) -> WaveFunction:
-    meta = None
-    data = []
-    for line in path.read_text().splitlines():
-        if line.startswith("# grid"):
-            parts = line.replace("=", " ").split()
-            meta = Grid(float(parts[3]), float(parts[5]), int(parts[7]))
-        elif line.startswith("#") or line.startswith("x,"):
-            continue
-        elif line.strip():
-            _, re_s, im_s = line.split(",")
-            data.append(complex(float(re_s), float(im_s)))
-    if meta is None:
+    """Read a snapshot written by _write_snapshot; malformed files are ConfigError."""
+    lines = path.read_text().splitlines()
+    meta = [ln for ln in lines if ln.startswith("# grid")]
+    if not meta:
         raise ConfigError(f"{path} has no grid metadata line")
-    return WaveFunction(meta, np.array(data))
+    body = [
+        ln.split(",") for ln in lines if ln.strip() and not ln.startswith(("#", "x,"))
+    ]
+    try:
+        parts = meta[0].replace("=", " ").split()
+        grid = Grid(float(parts[3]), float(parts[5]), int(parts[7]))
+        table = np.array(body, dtype=float)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"{path} is malformed: {exc}")
+    if table.shape != (grid.n_points, 3):
+        raise ConfigError(
+            f"{path} holds a {table.shape} table, expected {grid.n_points} rows of x,re,im"
+        )
+    # re and im side by side, viewed as complex: the exact doubles, signed zeros kept
+    return WaveFunction(grid, np.ascontiguousarray(table[:, 1:]).view(complex)[:, 0])
 
 
 def _run_post(run_dir: Path, out: Path, seed_override: Optional[int]) -> int:
@@ -589,20 +577,14 @@ def _run_post(run_dir: Path, out: Path, seed_override: Optional[int]) -> int:
         raise ConfigError(f"no resolved_config.txt in {run_dir}")
     spec = parse_config(cfg_path.read_text(), seed_override=seed_override)
     snap_dir = run_dir / "snapshots"
-    paths = sorted(
-        snap_dir.glob("psi_*.csv"), key=lambda p: int(p.stem.split("_")[1])
-    )
+    paths = sorted((int(p.stem.split("_")[1]), p) for p in snap_dir.glob("psi_*.csv"))
     if not paths:
         raise ConfigError(f"no snapshots found under {snap_dir}")
-    steps = [int(p.stem.split("_")[1]) for p in paths]
-    history = [_load_snapshot(p) for p in paths]
-    times = spec.sim.dt * np.array(steps, dtype=float)
-    ens = propagate_trajectories(
-        history, times, spec.n_trajectories, spec.seed, spec.sim.params
-    )
-    _write_trajectories(out / "trajectories.csv", spec, ens)
-    for step, psi in zip(steps, history):
-        _write_weak_values(out / f"weak_values_{step}.csv", spec, psi, spec.sim.params)
+    snapshots = [(step, _load_snapshot(p)) for step, p in paths]
+    out.mkdir(parents=True, exist_ok=True)
+    _write_trajectories(out / "trajectories.csv", spec, snapshots)
+    for step, psi in snapshots:
+        _write_weak_values(out / f"weak_values_{step}.csv", spec, psi)
     return 0
 
 
@@ -643,7 +625,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "post":
-            return _run_post(Path(args.run_dir), _ensure_out(args.out), args.seed)
+            return _run_post(Path(args.run_dir), Path(args.out), args.seed)
         text = Path(args.config).read_text()
         spec = parse_config(
             text, seed_override=args.seed, workers_override=args.workers
@@ -661,12 +643,6 @@ def main(argv=None) -> int:
         _write_error(args.out, exc, 2)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-
-
-def _ensure_out(out) -> Path:
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 if __name__ == "__main__":

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gaussian_state, plane_wave
 from gsle.bohmian import (
+    _anchored_unwrap,
     equivariance_distance,
     guiding_momentum,
     polar_decompose,
@@ -24,6 +27,40 @@ from gsle.evolve import (
 )
 from gsle.fields import Grid, WaveFunction, spectral_derivative
 from gsle.potentials import PotentialSpec, current, dissipative_potential
+
+
+def _sequential_unwrap(theta, anchor):
+    """Reference: the point-by-point unwrap outward from the anchor."""
+    out = np.array(theta, dtype=float)
+    for i in range(anchor + 1, out.size):
+        out[i] = out[i] - 2 * np.pi * np.round((out[i] - out[i - 1]) / (2 * np.pi))
+    for i in range(anchor - 1, -1, -1):
+        out[i] = out[i] - 2 * np.pi * np.round((out[i] - out[i + 1]) / (2 * np.pi))
+    return out
+
+
+# np.angle's range, plus values whose steps are exactly +-pi or 2 pi apart,
+# where rounding against the shifted neighbour is a tie
+_PHASES = st.one_of(
+    st.floats(-np.pi, np.pi),
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 3.0, -3.0, 3.0 - np.pi, np.pi - 3.0]),
+)
+
+
+class TestAnchoredUnwrap:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_PHASES, min_size=1, max_size=64), st.data())
+    def test_matches_sequential_loop(self, phases, data):
+        theta = np.array(phases)
+        anchor = data.draw(st.integers(0, theta.size - 1))
+        out = _anchored_unwrap(theta, anchor)
+        ref = _sequential_unwrap(theta, anchor)
+        assert np.array_equal(out, ref)
+        # bit for bit, except that an exact zero may carry the other sign
+        nonzero = ref != 0
+        assert out[nonzero].tobytes() == ref[nonzero].tobytes()
+        assert out[anchor] == theta[anchor]
+        assert np.all(np.abs(np.diff(out)) <= np.pi)
 
 
 class TestPolarDecompose:

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsle.cli import main, parse_config
+from conftest import gaussian_state
+from gsle.cli import _load_snapshot, _write_csv, _write_snapshot, main, parse_config
 from gsle.errors import ConfigError
 
 KOSTIN_CFG = """
@@ -173,6 +174,32 @@ class TestRunCommand:
         assert empties
 
 
+class TestCsvFormat:
+    def test_golden_row_format(self, tmp_path):
+        spec = parse_config("")
+        path = tmp_path / "t.csv"
+        columns = (
+            [0.0, -0.0, 1e-300],
+            [np.nan, 1.5, np.inf],
+            [0.1, np.nan, -np.inf],
+        )
+        _write_csv(path, spec, ("a", "b", "c"), columns, extra_comments=("# note",))
+        assert path.read_text() == (
+            f"# seed = 0\n# config_sha256 = {spec.digest}\n# note\na,b,c\n"
+            "0,,0.10000000000000001\n"
+            "-0,1.5,\n"
+            "1e-300,inf,-inf\n"
+        )
+
+    def test_snapshot_round_trip_is_exact(self, tmp_path, grid):
+        psi = gaussian_state(grid, x0=0.5, p0=0.9, sigma=1.2)
+        path = tmp_path / "psi_0.csv"
+        _write_snapshot(path, parse_config(""), psi)
+        back = _load_snapshot(path)
+        assert back.grid == grid
+        assert np.array_equal(back.values, psi.values)
+
+
 class TestCompareCommand:
     CMP = """
 [experiment]
@@ -255,3 +282,26 @@ class TestPostCommand:
         )
         out = tmp_path / "post"
         assert main(["post", str(run_dir), "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("defect", ["short_row", "non_numeric", "missing_row"])
+    def test_malformed_snapshot_is_config_error(self, tmp_path, grid, defect):
+        run_dir = tmp_path / "run"
+        (run_dir / "snapshots").mkdir(parents=True)
+        spec = parse_config("[output]\nn_trajectories = 10\n")
+        (run_dir / "resolved_config.txt").write_text(spec.resolved_text)
+        snap = run_dir / "snapshots" / "psi_0.csv"
+        _write_snapshot(snap, spec, gaussian_state(grid))
+        lines = snap.read_text().splitlines()
+        row = len(lines) // 2
+        if defect == "short_row":
+            lines[row] = lines[row].rsplit(",", 1)[0]
+        elif defect == "non_numeric":
+            lines[row] = lines[row].rsplit(",", 1)[0] + ",abc"
+        else:
+            del lines[row]
+        snap.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "post"
+        assert main(["post", str(run_dir), "--out", str(out)]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigError"
+        assert "psi_0.csv" in err["message"]
