@@ -48,6 +48,11 @@ class BathSpec:
     def n_oscillators(self) -> int:
         return self.masses.size
 
+    @property
+    def kernel_weights(self) -> np.ndarray:
+        """c_i = d_i^2 / (m_i omega_i^2 m), the weights of memory_kernel."""
+        return self.couplings**2 / (self.masses * self.frequencies**2) / self.system_mass
+
 
 @dataclass(frozen=True)
 class OhmicSpec:
@@ -93,12 +98,10 @@ class NoiseRealization:
 
 
 def memory_kernel(bath: BathSpec, t):
-    """kernel(t) = (1/m) sum_i d_i^2/(m_i omega_i^2) cos(omega_i t)."""
+    """kernel(t) = sum_i c_i cos(omega_i t), c = bath.kernel_weights."""
     t = np.asarray(t, dtype=float)
-    weights = bath.couplings**2 / (bath.masses * bath.frequencies**2)
-    vals = (weights[:, None] * np.cos(np.outer(bath.frequencies, np.atleast_1d(t)))).sum(
-        axis=0
-    ) / bath.system_mass
+    cos = np.cos(np.outer(bath.frequencies, np.atleast_1d(t)))
+    vals = (bath.kernel_weights[:, None] * cos).sum(axis=0)
     return vals[0] if t.ndim == 0 else vals
 
 
@@ -142,6 +145,11 @@ def sample_bath_noise(
     return NoiseRealization(times, xi, seed=seed, kind="bath")
 
 
+def white_noise_sigma(alpha: float, temperature: float, system_mass: float, dt: float):
+    """Per-step standard deviation sqrt(2 m alpha T / dt) of the white-noise force."""
+    return np.sqrt(2.0 * system_mass * alpha * temperature / dt)
+
+
 def white_noise(
     alpha: float,
     temperature: float,
@@ -159,7 +167,7 @@ def white_noise(
         raise InvalidField("dt must be > 0")
     times = dt * np.arange(n_steps)
     rng = np.random.default_rng(seed)
-    sigma = np.sqrt(2.0 * system_mass * alpha * temperature / dt)
+    sigma = white_noise_sigma(alpha, temperature, system_mass, dt)
     return NoiseRealization(
         times, sigma * rng.standard_normal(n_steps), seed=seed, kind="white"
     )

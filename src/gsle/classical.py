@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathSpec, memory_kernel, sample_bath_noise
+from .bath import BathSpec, memory_kernel, sample_bath_noise, white_noise_sigma
 from .coupling import CouplingFunction, PotentialSpec
-from .errors import ConfigError, MemoryBudgetExceeded, NumericalBlowup
+from .errors import ConfigError, NumericalBlowup
 from .evolve import NoiseSpec
 from .fields import PhysicalParams
 
@@ -46,7 +46,6 @@ class LangevinConfig:
     n_particles: int = 1
     initial: GaussianCloud = GaussianCloud()
     memory: Optional[BathSpec] = None     # None -> Markovian
-    history_cap: int = 200_000
 
     def __post_init__(self):
         if self.potential is None:
@@ -111,9 +110,17 @@ def langevin_step(x, v, config: LangevinConfig, xi_n):
 class GleIntegrator:
     """Stateful integrator for the memory-kernel equation of motion.
 
-    Keeps the history of w(t) = f'(x(t)) x'(t) and evaluates the friction
-    integral by the trapezoid rule, truncated where the kernel has decayed
-    below 1e-4 of its t=0 value.
+    The friction integral of w(t) = f'(x(t)) x'(t) is the trapezoid rule over
+    the whole history, untruncated. The kernel is a cosine sum,
+    K(t) = sum_i c_i cos(omega_i t), so the history enters only through one
+    complex running sum per oscillator and particle (a Markovian embedding):
+
+        z_i(n) = w_0 / 2 + sum_{j=1..n} exp(-i omega_i t_j) w_j
+        sum_{j=0..n} K(t_{n+1} - t_j) w_j  (w_0 at half weight)
+            = sum_i c_i Re(exp(i omega_i t_{n+1}) z_i(n))
+
+    The endpoint w_{n+1} adds dt/2 K(0) w_{n+1}, taken implicitly in v_{n+1}.
+    The state is (n_osc, n_particles) whatever the run length.
     """
 
     def __init__(self, config: LangevinConfig, x0, v0):
@@ -123,51 +130,28 @@ class GleIntegrator:
         self.x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
         self.v = np.atleast_1d(np.asarray(v0, dtype=float)).copy()
         self.n = 0
-        kern_full = memory_kernel(config.memory, config.dt * np.arange(config.n_steps + 1))
-        k0 = abs(kern_full[0])
-        keep = np.nonzero(np.abs(kern_full) >= 1e-4 * k0)[0]
-        self.max_lag = int(keep[-1]) if keep.size else 0
-        if self.max_lag + 1 > config.history_cap:
-            raise MemoryBudgetExceeded(
-                f"kernel support needs {self.max_lag + 1} history entries, "
-                f"cap is {config.history_cap}"
-            )
-        self.kernel = kern_full[: self.max_lag + 1]
-        fp = np.asarray(config.coupling(self.x, 1), dtype=float)
-        self.history = [fp * self.v]               # w at t_0
-
-    def _memory_sum(self, upto, exclude_endpoint=False):
-        """Trapezoid of K(t_upto - t_j) w_j over the stored (truncated) history."""
-        dt = self.config.dt
-        total = np.zeros_like(self.x)
-        if upto == 0:
-            return total
-        j_lo = max(0, upto - self.max_lag)
-        n_hist = min(upto, len(self.history) - 1)
-        j_hi = min(upto if not exclude_endpoint else upto - 1, n_hist)
-        if j_hi < j_lo:
-            return total
-        for j in range(j_lo, j_hi + 1):
-            weight = dt
-            if j == j_lo or j == upto:
-                weight = 0.5 * dt
-            total = total + weight * self.kernel[upto - j] * self.history[j]
-        return total
+        self.omega = config.memory.frequencies
+        self.weights = config.memory.kernel_weights
+        self.k0 = memory_kernel(config.memory, 0.0)
+        w0 = np.asarray(config.coupling(self.x, 1), dtype=float) * self.v
+        self.z = np.zeros((self.omega.size, self.x.size), dtype=complex) + 0.5 * w0
+        self.mem = np.zeros_like(self.x)    # friction sum at t_n: none at t_0
 
     def step(self, xi_n):
         config = self.config
         m = config.params.mass
         dt = config.dt
         f, vprime = config.coupling, config.potential
-        n = self.n
-        # friction sums at t_n and (history part) at t_{n+1}: they read only the
-        # stored history, so they skip the overflow check, which slows numpy ops
-        mem = self._memory_sum(n)
-        mem_known = self._memory_sum(n + 1, exclude_endpoint=True)
+        # the history part of the friction sum at t_{n+1}: it reads only stored
+        # sums, so it skips the overflow check, which slows numpy ops
+        phase = np.exp(1j * self.omega * (dt * (self.n + 1)))
+        mem_known = dt * ((self.weights * phase)[:, None] * self.z).real.sum(axis=0)
 
         with _blowup_on_overflow():
             fp = np.asarray(f(self.x, 1), dtype=float)
-            force = -np.asarray(vprime(self.x, 1), dtype=float) + fp * xi_n - m * fp * mem
+            force = (
+                -np.asarray(vprime(self.x, 1), dtype=float) + fp * xi_n - m * fp * self.mem
+            )
             v_half = self.v + 0.5 * dt * force / m
             x_new = self.x + dt * v_half
 
@@ -178,18 +162,17 @@ class GleIntegrator:
                 - m * fp_new * mem_known
             )
             # w_{n+1} = fp_new * v_new enters with trapezoid weight dt/2 * K(0)
-            denom = 1.0 + 0.25 * dt**2 * self.kernel[0] * fp_new**2
+            denom = 1.0 + 0.25 * dt**2 * self.k0 * fp_new**2
             v_new = (v_half + 0.5 * dt * force_known / m) / denom
         if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
             raise NumericalBlowup("non-finite GLE state")
 
+        w_new = fp_new * v_new
         self.x, self.v = x_new, v_new
-        self.n = n + 1
-        self.history.append(fp_new * v_new)
-        if len(self.history) > self.max_lag + 2:
-            # entries older than the kernel support never get used again;
-            # keep indices aligned by padding with a placeholder
-            self.history[self.n - self.max_lag - 1] = None
+        self.n += 1
+        # the friction sum at t_{n+1} adds its endpoint term; w_{n+1} joins the sums
+        self.mem = mem_known + 0.5 * dt * self.k0 * w_new
+        self.z += phase.conj()[:, None] * w_new
         return self.x, self.v
 
 
@@ -203,20 +186,14 @@ def _particle_noise(config: LangevinConfig, seed: int) -> np.ndarray:
     out = np.empty((n_steps, n_particles))
     times = config.dt * np.arange(n_steps)
     if spec.kind == "white":
-        sigma = np.sqrt(
-            2.0 * config.params.mass * config.friction * spec.temperature / config.dt
+        sigma = white_noise_sigma(
+            config.friction, spec.temperature, config.params.mass, config.dt
         )
         for p, child in enumerate(children):
             rng = np.random.default_rng(child)
             out[:, p] = sigma * rng.standard_normal(n_steps)
         return out
-    bath = spec.bath
-    if bath is None:
-        if spec.ohmic is None:
-            raise ConfigError("bath noise requires an OhmicSpec or explicit BathSpec")
-        from .bath import discretize_ohmic
-
-        bath = discretize_ohmic(spec.ohmic, config.params.mass)
+    bath = spec.bath_spec(config.params.mass)
     for p, child in enumerate(children):
         out[:, p] = sample_bath_noise(bath, spec.temperature, times, child).values
     return out

@@ -52,7 +52,7 @@ from .bath import OhmicSpec
 from .bohmian import polar_decompose, propagate_trajectories, weak_value
 from .classical import GaussianCloud, LangevinConfig, langevin_ensemble
 from .coupling import CouplingFunction, gup_coupling
-from .errors import ConfigError, GsleError, NumericalBlowup
+from .errors import ConfigError, GsleError, InvalidField, NumericalBlowup
 from .evolve import (
     GaussianPacket,
     HarmonicEigenstate,
@@ -292,18 +292,21 @@ def parse_config(
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 
-    grid = Grid(
-        _getfloat(resolved, "grid", "x_min"),
-        _getfloat(resolved, "grid", "x_max"),
-        _getint(resolved, "grid", "n_points"),
-    )
-    params = PhysicalParams(
-        hbar=_getfloat(resolved, "physics", "hbar"),
-        mass=_getfloat(resolved, "physics", "mass"),
-    )
-    potential = _build_potential(resolved)
-    coupling = _build_coupling(resolved, potential, grid)
-    noise = _build_noise(resolved)
+    try:
+        grid = Grid(
+            _getfloat(resolved, "grid", "x_min"),
+            _getfloat(resolved, "grid", "x_max"),
+            _getint(resolved, "grid", "n_points"),
+        )
+        params = PhysicalParams(
+            hbar=_getfloat(resolved, "physics", "hbar"),
+            mass=_getfloat(resolved, "physics", "mass"),
+        )
+        potential = _build_potential(resolved)
+        coupling = _build_coupling(resolved, potential, grid)
+        noise = _build_noise(resolved)
+    except InvalidField as exc:
+        raise ConfigError(str(exc)) from exc
     initial = _build_initial(resolved)
 
     sim = SimConfig(
@@ -326,14 +329,13 @@ def parse_config(
     if mode in ("classical", "compare"):
         if not isinstance(initial, GaussianPacket):
             raise ConfigError("classical runs need a gaussian initial state")
-        sigma_x_raw = resolved["classical"]["sigma_x"]
-        sigma_p_raw = resolved["classical"]["sigma_p"]
-        sigma_x = float(sigma_x_raw) if sigma_x_raw else initial.sigma
-        sigma_p = (
-            float(sigma_p_raw)
-            if sigma_p_raw
-            else params.hbar / (2.0 * initial.sigma)
-        )
+        sigma_x = initial.sigma
+        if resolved["classical"]["sigma_x"]:
+            sigma_x = _getfloat(resolved, "classical", "sigma_x")
+        if resolved["classical"]["sigma_p"]:
+            sigma_p = _getfloat(resolved, "classical", "sigma_p")
+        else:
+            sigma_p = params.hbar / (2.0 * initial.sigma)
         resolved["classical"]["sigma_x"] = _FLOAT % sigma_x
         resolved["classical"]["sigma_p"] = _FLOAT % sigma_p
         classical = LangevinConfig(
@@ -577,7 +579,13 @@ def _run_post(run_dir: Path, out: Path, seed_override: Optional[int]) -> int:
         raise ConfigError(f"no resolved_config.txt in {run_dir}")
     spec = parse_config(cfg_path.read_text(), seed_override=seed_override)
     snap_dir = run_dir / "snapshots"
-    paths = sorted((int(p.stem.split("_")[1]), p) for p in snap_dir.glob("psi_*.csv"))
+    paths = []
+    for p in snap_dir.glob("psi_*.csv"):
+        step = p.stem[len("psi_"):]
+        if not step.isdecimal():
+            raise ConfigError(f"{p} is not a snapshot name psi_<step>.csv")
+        paths.append((int(step), p))
+    paths.sort()
     if not paths:
         raise ConfigError(f"no snapshots found under {snap_dir}")
     snapshots = [(step, _load_snapshot(p)) for step, p in paths]

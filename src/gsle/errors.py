@@ -54,10 +54,6 @@ class InsufficientData(GsleError):
     """Not enough samples/snapshots for the requested analysis."""
 
 
-class MemoryBudgetExceeded(GsleError):
-    """GLE history buffer grew past its configured cap."""
-
-
 class ConfigError(GsleError):
     """Invalid or unknown configuration content."""
 

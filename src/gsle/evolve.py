@@ -55,6 +55,14 @@ class NoiseSpec:
         if self.kind not in ("zero", "white", "bath"):
             raise ConfigError(f"unknown noise kind '{self.kind}'")
 
+    def bath_spec(self, system_mass: float) -> BathSpec:
+        """The explicit bath, else the Ohmic spectrum discretized for this mass."""
+        if self.bath is not None:
+            return self.bath
+        if self.ohmic is None:
+            raise ConfigError("bath noise requires an OhmicSpec or explicit BathSpec")
+        return discretize_ohmic(self.ohmic, system_mass)
+
 
 @dataclass(frozen=True)
 class GaussianPacket:
@@ -159,11 +167,7 @@ def make_noise(config: SimConfig) -> NoiseRealization:
             config.n_steps,
             config.seed,
         )
-    bath = spec.bath
-    if bath is None:
-        if spec.ohmic is None:
-            raise ConfigError("bath noise requires an OhmicSpec or explicit BathSpec")
-        bath = discretize_ohmic(spec.ohmic, config.params.mass)
+    bath = spec.bath_spec(config.params.mass)
     return sample_bath_noise(bath, spec.temperature, times, config.seed)
 
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsle.bath import BathSpec, OhmicSpec, discretize_ohmic
+from gsle.bath import BathSpec, OhmicSpec, discretize_ohmic, memory_kernel
 from gsle.classical import (
     GaussianCloud,
     GleIntegrator,
@@ -12,8 +14,9 @@ from gsle.classical import (
     langevin_step,
 )
 from gsle.coupling import CouplingFunction
-from gsle.errors import ConfigError, MemoryBudgetExceeded, NumericalBlowup
+from gsle.errors import ConfigError, NumericalBlowup
 from gsle.evolve import NoiseSpec
+from gsle.fields import PhysicalParams
 from gsle.potentials import PotentialSpec
 
 
@@ -178,11 +181,77 @@ class TestGle:
         ens_mk = langevin_ensemble(cfg_mk, 0)
         assert np.abs(ens_mem.mean_x - ens_mk.mean_x).max() < 0.02
 
-    def test_memory_budget(self):
-        bath = discretize_ohmic(OhmicSpec(0.5, 50.0, 500, 0.0), 1.0)
-        cfg = harmonic_cfg(memory=bath, dt=0.001, n_steps=10, history_cap=3)
-        with pytest.raises(MemoryBudgetExceeded):
-            GleIntegrator(cfg, np.array([1.0]), np.array([0.0]))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        oscillators=st.lists(
+            st.tuples(
+                st.floats(0.5, 2.0),                           # m_i
+                st.floats(0.2, 5.0),                           # omega_i
+                st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),  # d_i
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        mass=st.floats(0.5, 2.0),
+        n_particles=st.integers(1, 4),
+        n_steps=st.integers(20, 200),
+        dt=st.sampled_from([0.005, 0.01, 0.02]),
+        coupling=st.sampled_from(["linear", "sinusoidal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_history_trapezoid(
+        self, oscillators, mass, n_particles, n_steps, dt, coupling, seed
+    ):
+        """The running sums give the untruncated O(n^2) trapezoid history sum."""
+        m_i, w_i, d_i = (np.array(a) for a in zip(*oscillators))
+        bath = BathSpec(m_i, w_i, d_i, system_mass=mass)
+        f = {
+            "linear": CouplingFunction.linear(),
+            "sinusoidal": CouplingFunction.sinusoidal(1.3, 0.8),
+        }[coupling]
+        cfg = harmonic_cfg(
+            params=PhysicalParams(mass=mass), coupling=f, memory=bath, dt=dt
+        )
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-2.0, 2.0, n_particles)
+        v0 = rng.uniform(-1.0, 1.0, n_particles)
+        xi = rng.normal(0.0, 0.5, (n_steps, n_particles))
+
+        gle = GleIntegrator(cfg, x0, v0)
+        for xi_n in xi:
+            x, v = gle.step(xi_n)
+
+        # reference: the whole history of w = f'(x) v, re-summed every step
+        kernel = memory_kernel(bath, dt * np.arange(n_steps + 1))
+        xr, vr = x0.copy(), v0.copy()
+        history = [f(xr, 1) * vr]
+
+        def memory_sum(upto, endpoint):
+            total = np.zeros(n_particles)
+            if upto == 0:
+                return total
+            for j in range(upto + 1 if endpoint else upto):
+                weight = 0.5 * dt if j in (0, upto) else dt
+                total = total + weight * kernel[upto - j] * history[j]
+            return total
+
+        vprime = cfg.potential
+        for n, xi_n in enumerate(xi):
+            fp = f(xr, 1)
+            force = -vprime(xr, 1) + fp * xi_n - mass * fp * memory_sum(n, True)
+            v_half = vr + 0.5 * dt * force / mass
+            xr = xr + dt * v_half
+            fp_new = f(xr, 1)
+            force_known = (
+                -vprime(xr, 1) + fp_new * xi_n - mass * fp_new * memory_sum(n + 1, False)
+            )
+            vr = (v_half + 0.5 * dt * force_known / mass) / (
+                1.0 + 0.25 * dt**2 * kernel[0] * fp_new**2
+            )
+            history.append(fp_new * vr)
+
+        np.testing.assert_allclose(x, xr, rtol=1e-12, atol=1e-12 * np.abs(xr).max())
+        np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * np.abs(vr).max())
 
 
 class TestEnsemble:

@@ -116,13 +116,24 @@ class TestRunCommand:
             b / "trajectories.csv"
         ).read_bytes()
 
-    def test_config_error_exit_code(self, tmp_path):
-        cfg = write_cfg(tmp_path, "[run]\ndt = -1\n")
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[run]\ndt = -1\n", "dt"),
+            ("[experiment]\nmode = classical\n[classical]\nsigma_x = abc\n", "sigma_x"),
+            ("[grid]\nn_points = 100\n", "n_points"),
+            ("[physics]\nhbar = -1\n", "hbar"),
+        ],
+        ids=["negative_dt", "sigma_x_not_a_number", "n_points_not_power_of_two", "negative_hbar"],
+    )
+    def test_config_error_exit_code(self, tmp_path, text, named):
+        cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 3
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "ConfigError"
-        assert "dt" in err["message"]
+        assert named in err["message"]
+        assert not (out / "resolved_config.txt").exists()
 
     def test_blowup_exit_code(self, tmp_path):
         cfg = write_cfg(
@@ -283,7 +294,9 @@ class TestPostCommand:
         out = tmp_path / "post"
         assert main(["post", str(run_dir), "--out", str(out)]) == 3
 
-    @pytest.mark.parametrize("defect", ["short_row", "non_numeric", "missing_row"])
+    @pytest.mark.parametrize(
+        "defect", ["short_row", "non_numeric", "missing_row", "stray_name"]
+    )
     def test_malformed_snapshot_is_config_error(self, tmp_path, grid, defect):
         run_dir = tmp_path / "run"
         (run_dir / "snapshots").mkdir(parents=True)
@@ -297,11 +310,13 @@ class TestPostCommand:
             lines[row] = lines[row].rsplit(",", 1)[0]
         elif defect == "non_numeric":
             lines[row] = lines[row].rsplit(",", 1)[0] + ",abc"
-        else:
+        elif defect == "missing_row":
             del lines[row]
+        else:
+            snap = snap.rename(snap.with_name("psi_final.csv"))
         snap.write_text("\n".join(lines) + "\n")
         out = tmp_path / "post"
         assert main(["post", str(run_dir), "--out", str(out)]) == 3
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "ConfigError"
-        assert "psi_0.csv" in err["message"]
+        assert snap.name in err["message"]
