@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathSpec, memory_kernel, sample_bath_noise, white_noise_sigma
+from .bath import BathSpec, memory_kernel, sample_bath_noise_batch, white_noise_sigma
 from .coupling import CouplingFunction, PotentialSpec
 from .errors import ConfigError, NumericalBlowup
 from .evolve import NoiseSpec
@@ -183,20 +183,19 @@ def _particle_noise(config: LangevinConfig, seed: int) -> np.ndarray:
     if spec.kind == "zero":
         return np.zeros((n_steps, n_particles))
     children = np.random.SeedSequence(seed).spawn(n_particles)
-    out = np.empty((n_steps, n_particles))
-    times = config.dt * np.arange(n_steps)
     if spec.kind == "white":
         sigma = white_noise_sigma(
             config.friction, spec.temperature, config.params.mass, config.dt
         )
+        out = np.empty((n_steps, n_particles))
         for p, child in enumerate(children):
             rng = np.random.default_rng(child)
             out[:, p] = sigma * rng.standard_normal(n_steps)
         return out
     bath = spec.bath_spec(config.params.mass)
-    for p, child in enumerate(children):
-        out[:, p] = sample_bath_noise(bath, spec.temperature, times, child).values
-    return out
+    times = config.dt * np.arange(n_steps)
+    xi = sample_bath_noise_batch(bath, spec.temperature, times, children)
+    return np.ascontiguousarray(xi.T)
 
 
 def langevin_ensemble(

@@ -9,7 +9,8 @@ config file (round-trip parseable).
 Sections and keys (defaults in parentheses):
 
   [experiment] mode (gsle) | classical | compare;
-               seed (0); ensemble_seeds (1); workers (1)
+               seed (0); ensemble_seeds (1); workers (1): processes, each
+               stepping one contiguous chunk of the member seeds as a batch
   [grid]       x_min (-20); x_max (20); n_points (512)
   [physics]    hbar (1); mass (1)
   [potential]  kind (harmonic): free|harmonic|linear_ramp|double_well|cubic;
@@ -41,6 +42,7 @@ import configparser
 import hashlib
 import json
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -52,7 +54,7 @@ from .bath import OhmicSpec
 from .bohmian import polar_decompose, propagate_trajectories, weak_value
 from .classical import GaussianCloud, LangevinConfig, langevin_ensemble
 from .coupling import CouplingFunction, gup_coupling
-from .errors import ConfigError, GsleError, InvalidField, NumericalBlowup
+from .errors import ConfigError, GsleError, InvalidField, NonmonotonePotential, NumericalBlowup
 from .evolve import (
     GaussianPacket,
     HarmonicEigenstate,
@@ -223,7 +225,10 @@ def _build_coupling(resolved, potential, grid) -> CouplingFunction:
             _getfloat(resolved, "coupling", "wavenumber"),
         )
     if kind == "gup":
-        return gup_coupling(potential, grid)
+        try:
+            return gup_coupling(potential, grid)
+        except NonmonotonePotential as exc:
+            raise ConfigError(f"[coupling] kind = gup: {exc}") from exc
     raise ConfigError(f"unknown coupling kind '{kind}'")
 
 
@@ -423,29 +428,33 @@ def _write_trajectories(path: Path, spec: ExperimentSpec, snapshots):
     _write_csv(path, spec, cols, (ens.times, ens.positions.T))
 
 
-def _member_record(args) -> RunRecord:
-    """Worker entry point: rebuild the run from text (picklable payload)."""
-    text, member_seed = args
-    import warnings
-
-    spec = parse_config(text)
-    sim = replace(spec.sim, seed=member_seed, snapshot_stride=0)
+def _run_members(sim: SimConfig, seeds) -> list:
+    """Member records of one batch; members' warnings stay silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rec = run(sim)
-    rec.snapshots = []
-    return rec
+        return run(replace(sim, snapshot_stride=0), seeds=seeds)
+
+
+def _run_member_chunk(args) -> list:
+    """Worker entry point: a chunk of seeds under the config text (picklable payload)."""
+    text, seeds = args
+    return _run_members(parse_config(text).sim, seeds)
 
 
 def _run_ensemble(spec: ExperimentSpec, out: Path):
-    """GSLE ensemble: per-member observables plus one merged summary."""
+    """GSLE ensemble: per-member observables plus one merged summary.
+
+    The members are split into `workers` contiguous chunks; each chunk is
+    stepped as one batch, in its own process when there is more than one.
+    """
     member_seeds = [spec.seed + i for i in range(spec.ensemble_seeds)]
-    payload = [(spec.resolved_text, s) for s in member_seeds]
-    if spec.workers > 1 and spec.ensemble_seeds > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            records = list(pool.map(_member_record, payload))
+    chunks = [c.tolist() for c in np.array_split(member_seeds, spec.workers) if c.size]
+    if len(chunks) > 1:
+        payload = [(spec.resolved_text, chunk) for chunk in chunks]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            records = [rec for part in pool.map(_run_member_chunk, payload) for rec in part]
     else:
-        records = [_member_record(p) for p in payload]
+        records = _run_members(spec.sim, member_seeds)
     members_dir = out / "members"
     members_dir.mkdir(exist_ok=True)
     for seed, rec in zip(member_seeds, records):

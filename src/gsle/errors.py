@@ -25,8 +25,8 @@ class NonmonotonePotential(GsleError):
     """V'(x) < 0 somewhere, so the GUP coupling integral is undefined."""
 
 
-class EmptyBath(GsleError):
-    """Bath discretization requested with zero oscillators."""
+class EmptyBath(InvalidField):
+    """Bath or Ohmic spectrum with zero oscillators."""
 
 
 class InvalidFriction(GsleError):

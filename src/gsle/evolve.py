@@ -11,17 +11,21 @@ is exactly the mean-subtraction constant evaluated as a step average
 (the continuous equation conserves the norm; a frozen <ln rho> would not,
 discretely). The state is never renormalized beyond this: norm drift from
 any other source remains visible in the record.
+
+Every operation acts along the last axis, so a (B, N) array of member
+states with a (B, 1) column of noise values takes one step in one call:
+the split-step operators are the same for every row.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .bath import BathSpec, NoiseRealization, OhmicSpec, discretize_ohmic, sample_bath_noise, white_noise
+from .bath import BathSpec, OhmicSpec, discretize_ohmic, sample_bath_noise_batch, white_noise
 from .coupling import CouplingFunction, PotentialSpec
 from .errors import (
     ConfigError,
@@ -152,23 +156,18 @@ def build_initial_state(config: SimConfig) -> WaveFunction:
     return normalize(WaveFunction(grid, vals))
 
 
-def make_noise(config: SimConfig) -> NoiseRealization:
-    """One noise value per step, sampled once up front."""
-    times = config.dt * np.arange(config.n_steps)
-    spec = config.noise
+def make_noise(config: SimConfig, seeds: Sequence[int]) -> np.ndarray:
+    """(len(seeds), n_steps): one noise value per step and seed, sampled up front."""
+    spec, mass, n = config.noise, config.params.mass, config.n_steps
     if spec.kind == "zero":
-        return NoiseRealization.zero(times)
+        return np.zeros((len(seeds), n))
     if spec.kind == "white":
-        return white_noise(
-            config.friction,
-            spec.temperature,
-            config.params.mass,
-            config.dt,
-            config.n_steps,
-            config.seed,
-        )
-    bath = spec.bath_spec(config.params.mass)
-    return sample_bath_noise(bath, spec.temperature, times, config.seed)
+        return np.array([
+            white_noise(config.friction, spec.temperature, mass, config.dt, n, seed).values
+            for seed in seeds
+        ])
+    times = config.dt * np.arange(n)
+    return sample_bath_noise_batch(spec.bath_spec(mass), spec.temperature, times, seeds)
 
 
 class _Workspace:
@@ -191,15 +190,18 @@ class _Workspace:
         self.dt = config.dt
         self._warned_stability = False
 
-    def real_potential(self, vals: np.ndarray, xi_n: float):
-        """(U, W): real potential (V_d - W included) and the gauge constant."""
+    def real_potential(self, vals: np.ndarray, xi_n):
+        """(U, W): real potential (V_d - W included) and the gauge constant.
+
+        For a batch vals (B, N), xi_n is a (B, 1) column and W has shape (B,).
+        """
         u = self.V - self.f * xi_n
         w = 0.0
         if self.vd_coef != 0.0:
             vd, w = dissipative_kernel(
                 vals, self.fp2, self.ik, self.vd_coef, self.grid, self.params
             )
-            u = u + vd - w
+            u = u + vd - w[..., None]
         return u, w
 
     def apply_potential(self, vals: np.ndarray, u: np.ndarray, tau: float):
@@ -213,14 +215,14 @@ class _Workspace:
             n_before = integrate_values(self.grid, rho)
             shaped = out * factor
             n_after = integrate_values(self.grid, np.abs(shaped) ** 2)
-            if n_after == 0.0:
+            if (n_after == 0.0).any():
                 raise NumericalBlowup(
                     f"measurement kick underflowed every density sample "
                     f"(kappa*tau = {self.kappa * tau:.3g} too large)"
                 )
             # mean-subtraction constant, evaluated as a step average so the
             # anti-Hermitian term stays exactly traceless over the kick
-            out = shaped * np.sqrt(n_before / n_after)
+            out = shaped * np.sqrt(n_before / n_after)[..., None]
         return out
 
     def check_stability(self, u: np.ndarray):
@@ -232,8 +234,11 @@ class _Workspace:
             )
 
 
-def step(state: SimState, config: SimConfig, xi_n: float, ws: Optional[_Workspace] = None) -> SimState:
-    """One Strang step with a midpoint predictor for the nonlinear terms."""
+def step(state: SimState, config: SimConfig, xi_n, ws: Optional[_Workspace] = None) -> SimState:
+    """One Strang step with a midpoint predictor for the nonlinear terms.
+
+    state.psi may be a batch (B, N); xi_n is then a (B, 1) column.
+    """
     if ws is None:
         ws = _Workspace(config)
     dt = config.dt
@@ -248,72 +253,85 @@ def step(state: SimState, config: SimConfig, xi_n: float, ws: Optional[_Workspac
         raise NumericalBlowup(
             f"non-finite wavefunction at t = {state.t + dt:.6g}", t=state.t + dt
         )
-    return SimState(t=state.t + dt, psi=WaveFunction(config.grid, vals))
+    return SimState(t=state.t + dt, psi=WaveFunction(config.grid, vals, check_finite=False))
 
 
-def run(config: SimConfig) -> RunRecord:
+def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     """Propagate n_steps, recording observables every step.
 
-    Deterministic for a given (config, seed): the noise realization is
-    generated once up front.
+    Without `seeds`, the one RunRecord of config.seed. With `seeds`, one
+    RunRecord per seed, in order: the members are stepped together as one
+    (B, N) batch, each with its own noise row. A member's last bits may
+    depend on the batch it was stepped in: numpy rounds some elementwise
+    loops by memory alignment, and a batch's bath noise is one matrix product.
+
+    Deterministic for a given (config, seeds): the noise is generated once
+    up front.
     """
-    noise = make_noise(config)
+    batch = [config.seed] if seeds is None else list(seeds)
+    # a single run steps an (N,) state: the bits are those of a (1, N)
+    # batch, and numpy's per-call overhead is lower on 1-D arrays
+    lead = () if seeds is None else (len(batch),)
+    noise = make_noise(config, batch).reshape(lead + (config.n_steps,))
     ws = _Workspace(config)
-    psi = build_initial_state(config)
-    state = SimState(t=0.0, psi=psi)
+    psi = np.broadcast_to(build_initial_state(config).values, lead + (config.grid.n_points,))
+    state = SimState(t=0.0, psi=WaveFunction(config.grid, psi.copy()))
 
     n = config.n_steps
-    rec = RunRecord(
-        times=np.empty(n + 1),
-        norm=np.empty(n + 1),
-        mean_x=np.empty(n + 1),
-        mean_p=np.empty(n + 1),
-        var_x=np.empty(n + 1),
-        energy=np.empty(n + 1),
-        W=np.empty(n + 1),
-        xi=np.empty(n + 1),
-        seed=config.seed,
-    )
+    times = np.empty(n + 1)
+    names = ("norm", "mean_x", "mean_p", "var_x", "energy", "W", "xi")
+    table = {name: np.empty((n + 1,) + lead) for name in names}
+    snapshots = []
+    alerts = [[] for _ in batch]
     v_field = RealField(config.grid, ws.V)
     stride = config.snapshot_stride
 
     def record(i, state, xi_n):
         obs = observables(state.psi, v_field, config.params)
-        rec.times[i] = state.t
-        rec.norm[i] = obs.norm
-        rec.mean_x[i] = obs.mean_x
-        rec.mean_p[i] = obs.mean_p
-        rec.var_x[i] = obs.var_x
-        rec.energy[i] = obs.energy
-        rec.W[i] = ws.real_potential(state.psi.values, xi_n)[1]
-        rec.xi[i] = xi_n
+        times[i] = state.t
+        for name in names[:5]:
+            table[name][i] = getattr(obs, name)
+        table["W"][i] = ws.real_potential(state.psi.values, xi_n)[1]
+        table["xi"][i] = xi_n[..., 0]
         if stride and i % stride == 0:
-            rec.snapshots.append((i, state.psi))
-        if obs.boundary_density > BOUNDARY_DENSITY_LIMIT:
-            msg = (
-                f"boundary density {obs.boundary_density:.2e} > "
-                f"{BOUNDARY_DENSITY_LIMIT:g} at t = {state.t:.6g}"
-            )
-            if not any(w.startswith("BoundaryContamination") for w in rec.warnings):
-                rec.warnings.append(f"BoundaryContamination: {msg}")
+            snapshots.append((i, state.psi.values.reshape(len(batch), -1)))
+        if (obs.boundary_density > BOUNDARY_DENSITY_LIMIT).any():
+            edge = np.reshape(obs.boundary_density, -1)
+            for b in np.flatnonzero(edge > BOUNDARY_DENSITY_LIMIT):
+                if not alerts[b]:
+                    alerts[b].append(
+                        f"BoundaryContamination: boundary density {edge[b]:.2e} > "
+                        f"{BOUNDARY_DENSITY_LIMIT:g} at t = {state.t:.6g}"
+                    )
 
-    record(0, state, noise.values[0] if n > 0 else 0.0)
+    record(0, state, noise[..., 0, None])
     try:
         for i in range(n):
-            xi_n = noise.values[i]
-            state = step(state, config, xi_n, ws)
-            record(i + 1, state, noise.values[min(i + 1, n - 1)])
+            state = step(state, config, noise[..., i, None], ws)
+            record(i + 1, state, noise[..., min(i + 1, n - 1), None])
     except NumericalBlowup as exc:
         if exc.t is None:
             exc.t = state.t + config.dt
         exc.last_observables = {
-            "t": rec.times[i],
-            "norm": rec.norm[i],
-            "mean_x": rec.mean_x[i],
-            "energy": rec.energy[i],
+            "t": times[i], **{name: table[name][i] for name in ("norm", "mean_x", "energy")}
         }
         raise
-    return rec
+    # one contiguous (B, n + 1) block per quantity; member b reads row b
+    rows = {name: table[name].reshape(n + 1, -1).T.copy() for name in names}
+    records = [
+        RunRecord(
+            times=times,
+            **{name: rows[name][b] for name in names},
+            snapshots=[
+                (i, WaveFunction(config.grid, vals[b], check_finite=False))
+                for i, vals in snapshots
+            ],
+            warnings=alerts[b],
+            seed=seed,
+        )
+        for b, seed in enumerate(batch)
+    ]
+    return records if seeds is not None else records[0]
 
 
 def ehrenfest_residual(record: RunRecord, config: SimConfig) -> np.ndarray:

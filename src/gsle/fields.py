@@ -8,7 +8,7 @@ on a periodic grid, both spectrally accurate for smooth periodic data.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -80,12 +80,14 @@ class PhysicalParams:
             raise InvalidField("hbar and mass must be positive")
 
 
-def _check_values(grid: Grid, values: np.ndarray):
-    if values.shape != (grid.n_points,):
+def _check_values(grid: Grid, values: np.ndarray, batched=False, check_finite=True):
+    """Samples of shape (N,), or (..., N) for a batch of fields."""
+    shape = values.shape[-1:] if batched else values.shape
+    if shape != (grid.n_points,):
         raise InvalidField(
             f"field has {values.shape} samples, grid has {grid.n_points} points"
         )
-    if not np.all(np.isfinite(values)):
+    if check_finite and not np.all(np.isfinite(values)):
         raise InvalidField("field contains non-finite samples")
 
 
@@ -103,14 +105,21 @@ class RealField:
 
 @dataclass(frozen=True)
 class ComplexField:
+    """Complex samples of shape (N,), or (..., N) for a batch of fields.
+
+    check_finite=False skips the finiteness scan, for a caller that has
+    already made it (the propagator checks every new state).
+    """
+
     grid: Grid
     values: np.ndarray = field(repr=False)
+    check_finite: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check_finite):
         object.__setattr__(
             self, "values", np.asarray(self.values, dtype=complex)
         )
-        _check_values(self.grid, self.values)
+        _check_values(self.grid, self.values, batched=True, check_finite=check_finite)
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -122,6 +131,8 @@ WaveFunction = ComplexField
 
 @dataclass(frozen=True)
 class ObservableSet:
+    """One value per field; arrays of shape (...) for a batch (..., N)."""
+
     norm: float
     mean_x: float
     mean_p: float
@@ -141,8 +152,9 @@ def integrate(field) -> float:
     return float(np.real_if_close(np.sum(values) * field.grid.dx))
 
 
-def integrate_values(grid: Grid, values: np.ndarray) -> float:
-    return float(np.sum(values) * grid.dx)
+def integrate_values(grid: Grid, values: np.ndarray):
+    """Rectangle rule along the last axis: a float, or one per batch row."""
+    return np.sum(values, axis=-1) * grid.dx
 
 
 def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -151,14 +163,19 @@ def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
     Trapezoid with the Euler-Maclaurin endpoint correction
     (dx^2/12)(h'(a) - h'(x)), h' by local finite differences: O(dx^4) on
     smooth integrands while staying local (no global Gibbs contamination
-    from floored tails).
+    from floored tails). Along the last axis, so a batch (..., N) works.
     """
     dx = grid.dx
     h = np.asarray(values, dtype=float)
     out = np.zeros_like(h)
-    out[1:] = np.cumsum(0.5 * (h[1:] + h[:-1])) * dx
-    hp = np.gradient(h, dx, edge_order=2)
-    return out + (dx**2 / 12.0) * (hp[0] - hp)
+    out[..., 1:] = np.cumsum(0.5 * (h[..., 1:] + h[..., :-1]), axis=-1) * dx
+    # h' as np.gradient(h, dx, axis=-1, edge_order=2) computes it, without
+    # its per-call set-up (this runs three times per propagation step)
+    hp = np.empty_like(h)
+    hp[..., 1:-1] = (h[..., 2:] - h[..., :-2]) / (2.0 * dx)
+    hp[..., 0] = (-1.5 / dx) * h[..., 0] + (2.0 / dx) * h[..., 1] + (-0.5 / dx) * h[..., 2]
+    hp[..., -1] = (0.5 / dx) * h[..., -3] + (-2.0 / dx) * h[..., -2] + (1.5 / dx) * h[..., -1]
+    return out + (dx**2 / 12.0) * (hp[..., :1] - hp)
 
 
 def spectral_derivative(
@@ -206,7 +223,7 @@ def expectation(psi: WaveFunction, observable: RealField) -> float:
 def mean_momentum(psi: WaveFunction, params: PhysicalParams) -> float:
     dpsi = spectral_derivative(psi.grid, psi.values, 1)
     n2 = norm_squared(psi)
-    if n2 <= 0:
+    if (n2 <= 0).any():
         raise DegenerateState("zero-norm state")
     val = integrate_values(
         psi.grid, np.real(np.conj(psi.values) * (-1j * params.hbar) * dpsi)
@@ -224,15 +241,15 @@ def kinetic_energy(psi: WaveFunction, params: PhysicalParams) -> float:
     return val / n2
 
 
-def boundary_density(psi: WaveFunction) -> float:
+def boundary_density(psi: WaveFunction):
     """Max density in the outermost 2% of grid points, relative to max density."""
     rho = psi.density()
-    peak = rho.max()
-    if peak <= 0:
+    peak = rho.max(axis=-1)
+    if (peak <= 0).any():
         raise DegenerateState("zero state")
     n_edge = max(1, int(round(0.02 * psi.grid.n_points)))
-    edge = max(rho[:n_edge].max(), rho[-n_edge:].max())
-    return float(edge / peak)
+    edge = np.maximum(rho[..., :n_edge].max(axis=-1), rho[..., -n_edge:].max(axis=-1))
+    return edge / peak
 
 
 def observables(
@@ -241,22 +258,23 @@ def observables(
     rho = psi.density()
     grid = psi.grid
     n2 = integrate_values(grid, rho)
-    if n2 <= 0 or not np.isfinite(n2):
+    if not ((n2 > 0) & np.isfinite(n2)).all():
         raise DegenerateState("zero-norm state")
     x = grid.x
     mean_x = integrate_values(grid, x * rho) / n2
-    var_x = integrate_values(grid, (x - mean_x) ** 2 * rho) / n2
+    var_x = integrate_values(grid, (x - mean_x[..., None]) ** 2 * rho) / n2
     mean_p = mean_momentum(psi, params)
     energy = kinetic_energy(psi, params) + integrate_values(grid, V.values * rho) / n2
     return ObservableSet(
-        norm=float(n2),
-        mean_x=float(mean_x),
-        mean_p=float(mean_p),
-        var_x=float(var_x),
-        energy=float(energy),
+        norm=n2,
+        mean_x=mean_x,
+        mean_p=mean_p,
+        var_x=var_x,
+        energy=energy,
         boundary_density=boundary_density(psi),
     )
 
 
-def density_floor(rho: np.ndarray) -> float:
-    return DENSITY_FLOOR_REL * float(rho.max())
+def density_floor(rho: np.ndarray) -> np.ndarray:
+    """The floor of each row of rho (..., N), as a column (..., 1)."""
+    return DENSITY_FLOOR_REL * rho.max(axis=-1, keepdims=True)

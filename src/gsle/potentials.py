@@ -56,6 +56,8 @@ def dissipative_kernel(
     W = <V_d>, for psi samples `vals`, fp2 = f'^2 on the grid, ik = Grid.ik
     and the signed coefficient coef = s * friction. The propagator, the
     field wrapper below and the Bohmian current-form phase all call it.
+    A batch `vals` of shape (..., N) gives V_d of that shape and one W per
+    row, each row with its own density floor.
     """
     rho = np.abs(vals) ** 2
     eps = density_floor(rho)

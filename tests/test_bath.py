@@ -10,9 +10,10 @@ from gsle.bath import (
     discretize_ohmic,
     memory_kernel,
     sample_bath_noise,
+    sample_bath_noise_batch,
     white_noise,
 )
-from gsle.errors import EmptyBath
+from gsle.errors import EmptyBath, InvalidField
 
 
 def single_oscillator(omega=1.0, d=1.0):
@@ -70,6 +71,11 @@ class TestDiscretizeOhmic:
         with pytest.raises(EmptyBath):
             discretize_ohmic(OhmicSpec(0.5, 50.0, 0, 0.0), 1.0)
 
+    def test_spec_rejects_no_oscillators(self):
+        """The Ohmic spectrum itself is invalid, before any discretization."""
+        with pytest.raises(InvalidField, match="n_oscillators"):
+            OhmicSpec(0.5, 50.0, 0, 0.0)
+
     def test_frequency_ladder(self):
         bath = discretize_ohmic(OhmicSpec(0.5, 10.0, 10, 0.0), 1.0)
         assert bath.frequencies[0] == pytest.approx(1.0)
@@ -91,6 +97,19 @@ class TestSampleBathNoise:
         # exact three-term recurrence of any sinusoid at frequency omega
         resid = v[2:] + v[:-2] - 2 * np.cos(omega * dt) * v[1:-1]
         assert np.abs(resid).max() < 1e-12 * np.abs(v).max()
+
+    def test_batch_rows_match_one_row_case(self):
+        """Each row draws from its own stream (an int or a SeedSequence);
+        one matrix product for the batch instead of one vector product per
+        row changes only the order of summation."""
+        bath = discretize_ohmic(OhmicSpec(0.5, 50.0, 200, 0.1), 1.0)
+        times = 0.01 * np.arange(300)
+        seeds = [7, 8, np.random.SeedSequence(3)]
+        rows = sample_bath_noise_batch(bath, 0.1, times, seeds)
+        assert rows.shape == (3, 300)
+        for seed, row in zip(seeds, rows):
+            one = sample_bath_noise(bath, 0.1, times, seed).values
+            assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
 
     def test_reproducible(self):
         bath = discretize_ohmic(OhmicSpec(0.5, 50.0, 200, 0.1), 1.0)

@@ -82,6 +82,12 @@ class TestParseConfig:
         assert not (out / "resolved_config.txt").exists()
 
 
+def _csv_table(data: bytes) -> np.ndarray:
+    """Float body of a gsle CSV; empty cells read as NaN."""
+    rows = [ln for ln in data.decode().splitlines() if ln and not ln.startswith(("#", "t,"))]
+    return np.array([[float(c) if c else np.nan for c in ln.split(",")] for ln in rows])
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -123,8 +129,17 @@ class TestRunCommand:
             ("[experiment]\nmode = classical\n[classical]\nsigma_x = abc\n", "sigma_x"),
             ("[grid]\nn_points = 100\n", "n_points"),
             ("[physics]\nhbar = -1\n", "hbar"),
+            ("[coupling]\nkind = gup\n[run]\nn_steps = 2\n", "[coupling] kind"),
+            ("[noise]\nkind = bath\nn_oscillators = 0\n", "n_oscillators"),
         ],
-        ids=["negative_dt", "sigma_x_not_a_number", "n_points_not_power_of_two", "negative_hbar"],
+        ids=[
+            "negative_dt",
+            "sigma_x_not_a_number",
+            "n_points_not_power_of_two",
+            "negative_hbar",
+            "gup_on_nonmonotone_potential",
+            "bath_without_oscillators",
+        ],
     )
     def test_config_error_exit_code(self, tmp_path, text, named):
         cfg = write_cfg(tmp_path, text)
@@ -246,6 +261,31 @@ n_particles = 500
         assert "# max_score_x = " in text
         assert (out / "members" / "seed_3" / "observables.csv").exists()
         assert (out / "members" / "seed_5" / "observables.csv").exists()
+
+    def test_workers_split_the_batch(self, tmp_path):
+        """Reruns are byte-identical for each workers value. Across workers
+        values (one batch of 32 members, or two of 16) the outputs agree to
+        rtol 1e-12, and W, which J/rho amplifies in the floored tails, to
+        1e-9 absolute."""
+        text = self.CMP.replace("ensemble_seeds = 3", "ensemble_seeds = 32")
+        text = text.replace("n_steps = 200", "n_steps = 100")
+        files = ["comparison.csv"] + [f"members/seed_{s}/observables.csv" for s in range(3, 35)]
+        tables = {}
+        for workers in (1, 2):
+            cfg = write_cfg(tmp_path, text.replace("workers = 2", f"workers = {workers}"))
+            runs = []
+            for tag in ("a", "b"):
+                out = tmp_path / f"w{workers}{tag}"
+                assert main(["compare", cfg, "--out", str(out)]) == 0
+                runs.append({f: (out / f).read_bytes() for f in files})
+            assert runs[0] == runs[1], f"workers = {workers} rerun differs"
+            tables[workers] = {f: _csv_table(data) for f, data in runs[0].items()}
+        for name in files:
+            a, b = tables[1][name], tables[2][name]
+            w = [6] if name.startswith("members") else []   # t,norm,...,energy,W,xi
+            rest = [c for c in range(a.shape[1]) if c not in w]
+            np.testing.assert_allclose(a[:, rest], b[:, rest], rtol=1e-12, atol=1e-15, err_msg=name)
+            np.testing.assert_allclose(a[:, w], b[:, w], rtol=0, atol=1e-9, err_msg=name)
 
     def test_compare_requires_compare_mode(self, tmp_path):
         cfg = write_cfg(tmp_path, KOSTIN_CFG)

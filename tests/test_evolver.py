@@ -1,10 +1,13 @@
 """Split-step propagation: accuracy, conservation laws, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsle.bath import OhmicSpec, sample_bath_noise, white_noise
 from gsle.coupling import CouplingFunction
 from gsle.errors import (
     ConfigError,
@@ -17,12 +20,14 @@ from gsle.evolve import (
     HarmonicEigenstate,
     NoiseSpec,
     SimConfig,
+    SimState,
     _Workspace,
     build_initial_state,
     ehrenfest_residual,
     run,
+    step,
 )
-from gsle.fields import Grid, PhysicalParams
+from gsle.fields import Grid, PhysicalParams, RealField, observables
 from gsle.potentials import PotentialSpec
 
 GRID = Grid(-20.0, 20.0, 512)
@@ -263,3 +268,114 @@ class TestEhrenfestResidual:
         rec = run(cfg)
         r = ehrenfest_residual(rec, cfg)
         assert np.abs(r).max() < 1e-3 * 2.0
+
+
+RECORDED = ("norm", "mean_x", "mean_p", "var_x", "energy", "W", "xi")
+# worst |W(batch row) - W(alone)| measured over batches of 2..40 members on
+# the config of test_rows_match_single_runs: 5.4e-11
+W_BOUND = 1e-9
+
+
+def unbatched_run(cfg):
+    """The single-state loop: (N,) states, scalar noise values, 1-D observables."""
+    n, mass = cfg.n_steps, cfg.params.mass
+    if cfg.noise.kind == "white":
+        xi = white_noise(cfg.friction, cfg.noise.temperature, mass, cfg.dt, n, cfg.seed).values
+    elif cfg.noise.kind == "bath":
+        times = cfg.dt * np.arange(n)
+        xi = sample_bath_noise(cfg.noise.bath_spec(mass), cfg.noise.temperature, times, cfg.seed).values
+    else:
+        xi = np.zeros(n)
+    ws = _Workspace(cfg)
+    v_field = RealField(cfg.grid, ws.V)
+    state = SimState(0.0, build_initial_state(cfg))
+    out = {name: np.empty(n + 1) for name in RECORDED}
+    for i in range(n + 1):
+        if i > 0:
+            state = step(state, cfg, xi[i - 1], ws)
+        xi_i = xi[min(i, n - 1)]
+        obs = observables(state.psi, v_field, cfg.params)
+        for name in ("norm", "mean_x", "mean_p", "var_x", "energy"):
+            out[name][i] = getattr(obs, name)
+        out["W"][i] = ws.real_potential(state.psi.values, xi_i)[1]
+        out["xi"][i] = xi_i
+    return out
+
+
+BATH = NoiseSpec(kind="bath", temperature=0.1, ohmic=OhmicSpec(0.1, 50.0, 200, 0.1))
+
+
+class TestBatchedRun:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(friction=0.1, noise=NoiseSpec(kind="white", temperature=0.1),
+                 coupling=CouplingFunction.sinusoidal(1.0, 1.0)),
+            dict(friction=0.1, kappa=0.05, noise=BATH, coupling=CouplingFunction.sinusoidal(1.0, 1.0)),
+            dict(friction=0.2, initial_state=HarmonicEigenstate(1, 1.0)),
+        ],
+        ids=["white", "bath_kappa", "eigenstate_nodes"],
+    )
+    def test_one_member_equals_unbatched_loop(self, kw):
+        """B = 1 through the batch is bit for bit the (N,)-state loop."""
+        cfg = harmonic_config(n_steps=150, seed=21, **kw)
+        (rec,) = run(cfg, seeds=[cfg.seed])
+        ref = unbatched_run(cfg)
+        for name in RECORDED:
+            assert np.array_equal(getattr(rec, name), ref[name]), name
+        single = run(cfg)
+        for name in RECORDED:
+            assert np.array_equal(getattr(single, name), ref[name]), name
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n_members=st.integers(2, 40),
+        first_seed=st.integers(0, 10_000),
+        noise=st.sampled_from(["white", "bath"]),
+        kappa=st.sampled_from([0.0, 0.05]),
+    )
+    def test_rows_match_single_runs(self, n_members, first_seed, noise, kappa):
+        """Each row of a batch is the same seed run alone, up to last bits.
+
+        numpy rounds some elementwise loops by memory alignment, and a batch
+        draws its bath noise in one matrix product, so rows may differ from
+        single runs in the last bits; W amplifies them by J/rho in the
+        floored tails.
+        """
+        spec = NoiseSpec(kind="white", temperature=0.1) if noise == "white" else BATH
+        cfg = SimConfig(
+            grid=Grid(-12.0, 12.0, 256),
+            potential=PotentialSpec.harmonic(1.0),
+            coupling=CouplingFunction.sinusoidal(1.0, 1.0),
+            friction=0.1,
+            kappa=kappa,
+            noise=spec,
+            dt=0.005,
+            n_steps=40,
+            initial_state=GaussianPacket(1.0, 0.0, GROUND_SIGMA),
+        )
+        seeds = range(first_seed, first_seed + n_members)
+        batch = run(cfg, seeds=seeds)
+        for seed, rec in zip(seeds, batch):
+            alone = run(replace(cfg, seed=seed))
+            assert rec.seed == seed
+            for name in ("norm", "mean_x", "mean_p", "var_x", "energy", "xi"):
+                np.testing.assert_allclose(
+                    getattr(rec, name), getattr(alone, name), rtol=1e-12, atol=1e-15,
+                    err_msg=name,
+                )
+            assert np.abs(rec.W - alone.W).max() <= W_BOUND
+
+    def test_boundary_warning_per_member(self):
+        cfg = SimConfig(
+            grid=Grid(-10.0, 10.0, 256),
+            potential=PotentialSpec.free(),
+            dt=0.01,
+            n_steps=800,
+            noise=NoiseSpec(kind="white", temperature=0.1),
+            friction=0.01,
+            initial_state=GaussianPacket(0.0, 8.0, 1.0),
+        )
+        a, b = run(cfg, seeds=[1, 2])
+        assert a.warnings and b.warnings
+        assert a.warnings == run(replace(cfg, seed=1)).warnings

@@ -9,6 +9,7 @@ from gsle.errors import InvalidFriction, InvalidResolution
 from gsle.fields import (
     Grid,
     RealField,
+    observables,
     expectation,
     integrate,
     integrate_values,
@@ -20,6 +21,7 @@ from gsle.fields import (
 from gsle.potentials import (
     PotentialSpec,
     current,
+    dissipative_kernel,
     dissipative_potential,
     gup_damping_closed_form,
     gup_discrepancy_report,
@@ -65,6 +67,23 @@ class TestTildeCurrent:
 
 
 class TestDissipativePotential:
+    def test_batch_rows_equal_single_states(self, grid, params):
+        """A (B, N) batch gives each row's own V_d, W and observables, each
+        row with its own density floor (the rows' peaks differ 1600-fold)."""
+        rows = np.array([
+            gaussian_state(grid, x0=-3.0, p0=1.0, sigma=0.5).values,
+            0.05 * gaussian_state(grid, x0=4.0, p0=-2.0, sigma=2.0).values,
+        ])
+        fp2 = CouplingFunction.sinusoidal(1.0, 1.0).on_grid(grid, 1) ** 2
+        vd, w = dissipative_kernel(rows, fp2, grid.ik, 0.2, grid, params)
+        obs = observables(WaveFunction(grid, rows), RealField(grid, 0.5 * grid.x**2), params)
+        for b, vals in enumerate(rows):
+            vd_b, w_b = dissipative_kernel(vals, fp2, grid.ik, 0.2, grid, params)
+            assert np.array_equal(vd[b], vd_b) and w[b] == w_b
+            one = observables(WaveFunction(grid, vals), RealField(grid, 0.5 * grid.x**2), params)
+            for name in ("norm", "mean_x", "mean_p", "var_x", "energy", "boundary_density"):
+                assert getattr(obs, name)[b] == getattr(one, name), name
+
     def test_zero_friction(self, grid, params):
         psi = gaussian_state(grid, p0=1.0)
         vd, w = dissipative_potential(psi, CouplingFunction.linear(), 0.0, params)
