@@ -17,10 +17,11 @@ limit); `kernel(t)` names the memory function. They are distinct objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyBath, InvalidField
+from .errors import ConfigError, EmptyBath, InvalidField
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,28 @@ class OhmicSpec:
             raise InvalidField("temperature must be >= 0")
         if self.n_oscillators < 1:
             raise EmptyBath("n_oscillators must be >= 1")
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    kind: str = "zero"               # zero | white | bath
+    temperature: float = 0.0
+    ohmic: Optional[OhmicSpec] = None
+    bath: Optional[BathSpec] = None
+
+    def __post_init__(self):
+        if self.kind not in ("zero", "white", "bath"):
+            raise ConfigError(f"unknown noise kind '{self.kind}'")
+        if self.temperature < 0:
+            raise ConfigError("noise temperature must be >= 0")
+
+    def bath_spec(self, system_mass: float) -> BathSpec:
+        """The explicit bath, else the Ohmic spectrum discretized for this mass."""
+        if self.bath is not None:
+            return self.bath
+        if self.ohmic is None:
+            raise ConfigError("bath noise requires an OhmicSpec or explicit BathSpec")
+        return discretize_ohmic(self.ohmic, system_mass)
 
 
 @dataclass(frozen=True)
@@ -176,13 +199,31 @@ def white_noise(
     """i.i.d. Gaussian force, variance 2 m alpha T / dt per step.
 
     Held piecewise-constant over each step, so the discrete autocorrelation
-    approximates 2 m alpha T delta(t - t').
+    approximates 2 m alpha T delta(t - t'). The one-row case of noise_rows.
     """
     if dt <= 0:
         raise InvalidField("dt must be > 0")
-    times = dt * np.arange(n_steps)
-    rng = np.random.default_rng(seed)
-    sigma = white_noise_sigma(alpha, temperature, system_mass, dt)
-    return NoiseRealization(
-        times, sigma * rng.standard_normal(n_steps), seed=seed, kind="white"
-    )
+    spec = NoiseSpec(kind="white", temperature=temperature)
+    xi = noise_rows(spec, alpha, system_mass, dt, n_steps, [seed])[0]
+    return NoiseRealization(dt * np.arange(n_steps), xi, seed=seed, kind="white")
+
+
+def noise_rows(
+    spec: NoiseSpec, friction: float, mass: float, dt: float, n_steps: int, seeds: Sequence
+) -> np.ndarray:
+    """xi at t = 0, dt, ... for each seed (an int or a SeedSequence).
+
+    Shape (len(seeds), n_steps). Row b is zero, or white noise drawn from
+    default_rng(seeds[b]), or the bath noise of sample_bath_noise_batch for
+    that seed: the one seed-to-row layout of the wave ensemble and the
+    classical particles.
+    """
+    if spec.kind == "bath":
+        times = dt * np.arange(n_steps)
+        return sample_bath_noise_batch(spec.bath_spec(mass), spec.temperature, times, seeds)
+    out = np.zeros((len(seeds), n_steps))
+    if spec.kind == "white":
+        sigma = white_noise_sigma(friction, spec.temperature, mass, dt)
+        for row, seed in enumerate(seeds):
+            out[row] = sigma * np.random.default_rng(seed).standard_normal(n_steps)
+    return out

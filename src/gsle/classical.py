@@ -19,10 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathSpec, memory_kernel, sample_bath_noise_batch, white_noise_sigma
+from .bath import BathSpec, NoiseSpec, memory_kernel, noise_rows
 from .coupling import CouplingFunction, PotentialSpec
 from .errors import ConfigError, NumericalBlowup
-from .evolve import NoiseSpec
 from .fields import PhysicalParams
 
 
@@ -176,28 +175,6 @@ class GleIntegrator:
         return self.x, self.v
 
 
-def _particle_noise(config: LangevinConfig, seed: int) -> np.ndarray:
-    """(n_steps, n_particles) noise matrix, one child stream per particle."""
-    n_steps, n_particles = config.n_steps, config.n_particles
-    spec = config.noise
-    if spec.kind == "zero":
-        return np.zeros((n_steps, n_particles))
-    children = np.random.SeedSequence(seed).spawn(n_particles)
-    if spec.kind == "white":
-        sigma = white_noise_sigma(
-            config.friction, spec.temperature, config.params.mass, config.dt
-        )
-        out = np.empty((n_steps, n_particles))
-        for p, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            out[:, p] = sigma * rng.standard_normal(n_steps)
-        return out
-    bath = spec.bath_spec(config.params.mass)
-    times = config.dt * np.arange(n_steps)
-    xi = sample_bath_noise_batch(bath, spec.temperature, times, children)
-    return np.ascontiguousarray(xi.T)
-
-
 def langevin_ensemble(
     config: LangevinConfig, seed: int, keep_particles: bool = False
 ) -> ClassicalEnsemble:
@@ -213,7 +190,12 @@ def langevin_ensemble(
     v = (
         config.initial.p0 + config.initial.sigma_p * init_rng.standard_normal(n_p)
     ) / m
-    noise = _particle_noise(config, seed)
+    # row p of noise_rows drives particle p from its own child stream; the
+    # transposed view gives step i's values as noise[i]
+    noise = noise_rows(
+        config.noise, config.friction, m, config.dt, n_steps,
+        np.random.SeedSequence(seed).spawn(n_p),
+    ).T
 
     times = config.dt * np.arange(n_steps + 1)
     mean_x = np.empty(n_steps + 1)

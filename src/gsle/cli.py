@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import OhmicSpec
+from .bath import NoiseSpec, OhmicSpec
 from .bohmian import polar_decompose, propagate_trajectories, weak_value
 from .classical import GaussianCloud, LangevinConfig, langevin_ensemble
 from .coupling import CouplingFunction, gup_coupling
@@ -58,7 +58,6 @@ from .errors import ConfigError, GsleError, InvalidField, NonmonotonePotential, 
 from .evolve import (
     GaussianPacket,
     HarmonicEigenstate,
-    NoiseSpec,
     RunRecord,
     SimConfig,
     run,

@@ -64,7 +64,3 @@ class BoundaryContamination(UserWarning):
 
 class StabilityWarning(UserWarning):
     """dt * max|U| / hbar exceeds the stability guard."""
-
-
-class NormalizationWarning(UserWarning):
-    """State used where a normalized one was expected."""

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bath import BathSpec, OhmicSpec, discretize_ohmic, sample_bath_noise_batch, white_noise
+from .bath import NoiseSpec, noise_rows
 from .coupling import CouplingFunction, PotentialSpec
 from .errors import (
     ConfigError,
@@ -38,34 +38,14 @@ from .fields import (
     PhysicalParams,
     RealField,
     WaveFunction,
-    density_floor,
     integrate_values,
+    log_density,
     normalize,
     observables,
 )
 from .potentials import dissipative_kernel, tilde_current
 
 BOUNDARY_DENSITY_LIMIT = 1e-6
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    kind: str = "zero"               # zero | white | bath
-    temperature: float = 0.0
-    ohmic: Optional[OhmicSpec] = None
-    bath: Optional[BathSpec] = None
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "white", "bath"):
-            raise ConfigError(f"unknown noise kind '{self.kind}'")
-
-    def bath_spec(self, system_mass: float) -> BathSpec:
-        """The explicit bath, else the Ohmic spectrum discretized for this mass."""
-        if self.bath is not None:
-            return self.bath
-        if self.ohmic is None:
-            raise ConfigError("bath noise requires an OhmicSpec or explicit BathSpec")
-        return discretize_ohmic(self.ohmic, system_mass)
 
 
 @dataclass(frozen=True)
@@ -156,20 +136,6 @@ def build_initial_state(config: SimConfig) -> WaveFunction:
     return normalize(WaveFunction(grid, vals))
 
 
-def make_noise(config: SimConfig, seeds: Sequence[int]) -> np.ndarray:
-    """(len(seeds), n_steps): one noise value per step and seed, sampled up front."""
-    spec, mass, n = config.noise, config.params.mass, config.n_steps
-    if spec.kind == "zero":
-        return np.zeros((len(seeds), n))
-    if spec.kind == "white":
-        return np.array([
-            white_noise(config.friction, spec.temperature, mass, config.dt, n, seed).values
-            for seed in seeds
-        ])
-    times = config.dt * np.arange(n)
-    return sample_bath_noise_batch(spec.bath_spec(mass), spec.temperature, times, seeds)
-
-
 class _Workspace:
     """Per-run precomputed arrays for the stepping kernel."""
 
@@ -210,8 +176,7 @@ class _Workspace:
         if self.kappa > 0.0:
             # localizing sign: d psi/dt gains +kappa (ln rho - <ln rho>) psi
             rho = np.abs(out) ** 2
-            g = np.log(np.maximum(rho, density_floor(rho)))
-            factor = np.exp(self.kappa * tau * g)
+            factor = np.exp(self.kappa * tau * log_density(rho))
             n_before = integrate_values(self.grid, rho)
             shaped = out * factor
             n_after = integrate_values(self.grid, np.abs(shaped) ** 2)
@@ -272,7 +237,9 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     # a single run steps an (N,) state: the bits are those of a (1, N)
     # batch, and numpy's per-call overhead is lower on 1-D arrays
     lead = () if seeds is None else (len(batch),)
-    noise = make_noise(config, batch).reshape(lead + (config.n_steps,))
+    noise = noise_rows(
+        config.noise, config.friction, config.params.mass, config.dt, config.n_steps, batch
+    ).reshape(lead + (config.n_steps,))
     ws = _Workspace(config)
     psi = np.broadcast_to(build_initial_state(config).values, lead + (config.grid.n_points,))
     state = SimState(t=0.0, psi=WaveFunction(config.grid, psi.copy()))

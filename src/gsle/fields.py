@@ -7,17 +7,11 @@ on a periodic grid, both spectrally accurate for smooth periodic data.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateState,
-    InvalidField,
-    NormalizationWarning,
-    UnsupportedOrder,
-)
+from .errors import DegenerateState, InvalidField, UnsupportedOrder
 
 # Density floor used everywhere a |psi|^2 shows up in a denominator or a log,
 # relative to max|psi|^2.
@@ -190,12 +184,6 @@ def spectral_derivative(
     return np.fft.ifft(-(grid.k**2) * fk)
 
 
-def differentiate(field: ComplexField, order: int = 1) -> ComplexField:
-    return ComplexField(
-        field.grid, spectral_derivative(field.grid, field.values, order)
-    )
-
-
 def norm_squared(psi: WaveFunction) -> float:
     return integrate_values(psi.grid, psi.density())
 
@@ -205,19 +193,6 @@ def normalize(psi: WaveFunction) -> WaveFunction:
     if n2 <= 0 or not np.isfinite(n2):
         raise DegenerateState("cannot normalize a zero/non-finite state")
     return ComplexField(psi.grid, psi.values / np.sqrt(n2))
-
-
-def expectation(psi: WaveFunction, observable: RealField) -> float:
-    """Density-weighted mean of a real observable, int O |psi|^2 / int |psi|^2."""
-    rho = psi.density()
-    n2 = integrate_values(psi.grid, rho)
-    if n2 <= 0 or not np.isfinite(n2):
-        raise DegenerateState("zero-norm state has no expectation values")
-    if abs(n2 - 1.0) > 1e-6:
-        warnings.warn(
-            f"state norm^2 = {n2:.3e}, dividing through", NormalizationWarning
-        )
-    return integrate_values(psi.grid, observable.values * rho) / n2
 
 
 def mean_momentum(psi: WaveFunction, params: PhysicalParams) -> float:
@@ -278,3 +253,8 @@ def observables(
 def density_floor(rho: np.ndarray) -> np.ndarray:
     """The floor of each row of rho (..., N), as a column (..., 1)."""
     return DENSITY_FLOOR_REL * rho.max(axis=-1, keepdims=True)
+
+
+def log_density(rho: np.ndarray) -> np.ndarray:
+    """ln rho with each row floored at density_floor: the measurement term's log."""
+    return np.log(np.maximum(rho, density_floor(rho)))

@@ -32,6 +32,7 @@ from .fields import (
     cumulative_integral,
     density_floor,
     integrate_values,
+    log_density,
     spectral_derivative,
 )
 
@@ -129,7 +130,7 @@ def measurement_potential(
     if kappa == 0.0:
         return ComplexField(grid, np.zeros(grid.n_points, dtype=complex))
     rho = psi.density()
-    logrho = np.log(np.maximum(rho, density_floor(rho)))
+    logrho = log_density(rho)
     n2 = integrate_values(grid, rho)
     mean_log = integrate_values(grid, logrho * rho) / n2
     return ComplexField(grid, s * 1j * params.hbar * kappa * (logrho - mean_log))

@@ -6,9 +6,11 @@ import pytest
 from gsle.bath import (
     BathSpec,
     NoiseRealization,
+    NoiseSpec,
     OhmicSpec,
     discretize_ohmic,
     memory_kernel,
+    noise_rows,
     sample_bath_noise,
     sample_bath_noise_batch,
     white_noise,
@@ -99,17 +101,26 @@ class TestSampleBathNoise:
         assert np.abs(resid).max() < 1e-12 * np.abs(v).max()
 
     def test_batch_rows_match_one_row_case(self):
-        """Each row draws from its own stream (an int or a SeedSequence);
-        one matrix product for the batch instead of one vector product per
-        row changes only the order of summation."""
+        """noise_rows gives each row its own stream (an int or a SeedSequence).
+        White rows equal white_noise bit for bit; bath rows are
+        sample_bath_noise_batch, whose one matrix product for the batch
+        instead of one vector product per row changes only the order of
+        summation."""
         bath = discretize_ohmic(OhmicSpec(0.5, 50.0, 200, 0.1), 1.0)
-        times = 0.01 * np.arange(300)
+        dt, n = 0.01, 300
+        times = dt * np.arange(n)
         seeds = [7, 8, np.random.SeedSequence(3)]
-        rows = sample_bath_noise_batch(bath, 0.1, times, seeds)
+        rows = noise_rows(NoiseSpec("bath", 0.1, bath=bath), 0.5, 1.0, dt, n, seeds)
         assert rows.shape == (3, 300)
+        assert np.array_equal(rows, sample_bath_noise_batch(bath, 0.1, times, seeds))
         for seed, row in zip(seeds, rows):
             one = sample_bath_noise(bath, 0.1, times, seed).values
             assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
+        white = noise_rows(NoiseSpec("white", 0.1), 0.5, 1.0, dt, n, seeds)
+        assert white.shape == (3, 300)
+        for seed, row in zip(seeds, white):
+            assert np.array_equal(row, white_noise(0.5, 0.1, 1.0, dt, n, seed).values)
+        assert np.array_equal(noise_rows(NoiseSpec(), 0.5, 1.0, dt, n, seeds), np.zeros((3, n)))
 
     def test_reproducible(self):
         bath = discretize_ohmic(OhmicSpec(0.5, 50.0, 200, 0.1), 1.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsle.bath import BathSpec, OhmicSpec, discretize_ohmic, memory_kernel
+from gsle.bath import BathSpec, NoiseSpec, OhmicSpec, discretize_ohmic, memory_kernel
 from gsle.classical import (
     GaussianCloud,
     GleIntegrator,
@@ -15,7 +15,6 @@ from gsle.classical import (
 )
 from gsle.coupling import CouplingFunction
 from gsle.errors import ConfigError, NumericalBlowup
-from gsle.evolve import NoiseSpec
 from gsle.fields import PhysicalParams
 from gsle.potentials import PotentialSpec
 
@@ -296,6 +295,29 @@ class TestEnsemble:
         b = langevin_ensemble(cfg, 9)
         assert np.array_equal(a.mean_x, b.mean_x)
         assert np.array_equal(a.var_x, b.var_x)
+
+    def test_particle_noise_streams(self):
+        """Particle p draws its white noise in one call from default_rng of
+        the p-th child of SeedSequence(seed)."""
+        alpha, T, dt, n, n_p, seed = 0.3, 0.2, 0.005, 40, 5, 9
+        cfg = harmonic_cfg(
+            friction=alpha,
+            noise=NoiseSpec(kind="white", temperature=T),
+            dt=dt,
+            n_steps=n,
+            n_particles=n_p,
+            initial=GaussianCloud(1.0, 0.0, 0.1, 0.1),
+        )
+        ens = langevin_ensemble(cfg, seed, keep_particles=True)
+        sigma = np.sqrt(2.0 * 1.0 * alpha * T / dt)
+        xi = np.empty((n_p, n))
+        for p, child in enumerate(np.random.SeedSequence(seed).spawn(n_p)):
+            xi[p] = sigma * np.random.default_rng(child).standard_normal(n)
+        x, v = ens.positions[:, 0], ens.velocities[:, 0]
+        for i in range(n):
+            x, v = langevin_step(x, v, cfg, xi[:, i])
+            assert np.array_equal(ens.positions[:, i + 1], x)
+            assert np.array_equal(ens.velocities[:, i + 1], v)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -131,6 +131,12 @@ class TestRunCommand:
             ("[physics]\nhbar = -1\n", "hbar"),
             ("[coupling]\nkind = gup\n[run]\nn_steps = 2\n", "[coupling] kind"),
             ("[noise]\nkind = bath\nn_oscillators = 0\n", "n_oscillators"),
+            ("[run]\nfriction = 0.1\n[noise]\nkind = white\ntemperature = -1\n", "temperature"),
+            (
+                "[experiment]\nmode = classical\n[run]\nfriction = 0.1\n"
+                "[noise]\nkind = white\ntemperature = -1\n",
+                "temperature",
+            ),
         ],
         ids=[
             "negative_dt",
@@ -139,6 +145,8 @@ class TestRunCommand:
             "negative_hbar",
             "gup_on_nonmonotone_potential",
             "bath_without_oscillators",
+            "white_negative_temperature",
+            "white_negative_temperature_classical",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, text, named):
