@@ -190,11 +190,11 @@ def langevin_ensemble(
     v = (
         config.initial.p0 + config.initial.sigma_p * init_rng.standard_normal(n_p)
     ) / m
-    # row p of noise_rows drives particle p from its own child stream; the
-    # transposed view gives step i's values as noise[i]
+    # row p drives particle p from child stream p, spawned inline so freed before
+    # stepping, and not at all for zero noise; the .T view gives step i as noise[i]
     noise = noise_rows(
         config.noise, config.friction, m, config.dt, n_steps,
-        np.random.SeedSequence(seed).spawn(n_p),
+        range(n_p) if config.noise.kind == "zero" else np.random.SeedSequence(seed).spawn(n_p),
     ).T
 
     times = config.dt * np.arange(n_steps + 1)

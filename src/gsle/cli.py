@@ -1,10 +1,10 @@
 """Config parsing, experiment orchestration and file output.
 
 Config files are sectioned key = value text (configparser syntax). Every
-key is validated against the table below; unknown sections or keys are
-errors. The fully resolved configuration is echoed to
-``resolved_config.txt`` in the output directory and is itself a valid
-config file (round-trip parseable).
+key is validated against the table below and converted to its type, read
+by the chosen kind or not; unknown sections or keys are errors. The fully
+resolved configuration is echoed to ``resolved_config.txt`` in the output
+directory and is itself a valid config file (round-trip parseable).
 
 Sections and keys (defaults in parentheses):
 
@@ -32,7 +32,10 @@ Outputs: observables.csv, snapshots/psi_<step>.csv, trajectories.csv,
 weak_values_<step>.csv, comparison.csv, resolved_config.txt, error.json.
 Every CSV carries the master seed and the sha256 digest of the resolved
 config as leading comment lines, so reruns are byte-identical.
-Exit codes: 0 success, 2 numerical failure, 3 config error.
+Usage: gsle run|compare CONFIG, or gsle post RUN_DIR; each takes [--seed N] [--out DIR].
+Exit codes: 0 success, 2 numerical failure, 3 config error. Config errors
+(a value not of its key's type, an unknown kind, or a value a type rejects,
+such as sigma <= 0, dt = nan or snapshot_stride < 0) exit before any output.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -67,65 +71,111 @@ from .potentials import PotentialSpec
 
 _FLOAT = "%.17g"
 
-# (section, key) -> default as config text. The parser fills these in and
-# rejects anything not listed here.
+# (section, key) -> (default as config text, type). The parser fills in the
+# defaults, rejects anything not listed here and converts every value to its
+# type; the empty [classical] sigma_x/sigma_p defaults mean "derived".
 _KEY_TABLE = {
     "experiment": {
-        "mode": "gsle",
-        "seed": "0",
-        "ensemble_seeds": "1",
-        "workers": "1",
+        "mode": ("gsle", str),
+        "seed": ("0", int),
+        "ensemble_seeds": ("1", int),
+        "workers": ("1", int),
     },
-    "grid": {"x_min": "-20", "x_max": "20", "n_points": "512"},
-    "physics": {"hbar": "1", "mass": "1"},
+    "grid": {"x_min": ("-20", float), "x_max": ("20", float), "n_points": ("512", int)},
+    "physics": {"hbar": ("1", float), "mass": ("1", float)},
     "potential": {
-        "kind": "harmonic",
-        "omega": "1",
-        "center": "0",
-        "b": "1",
-        "a": "1",
-        "c": "1",
+        "kind": ("harmonic", str),
+        "omega": ("1", float),
+        "center": ("0", float),
+        "b": ("1", float),
+        "a": ("1", float),
+        "c": ("1", float),
     },
     "coupling": {
-        "kind": "linear",
-        "c": "1",
-        "n": "2",
-        "amplitude": "1",
-        "wavenumber": "1",
+        "kind": ("linear", str),
+        "c": ("1", float),
+        "n": ("2", int),
+        "amplitude": ("1", float),
+        "wavenumber": ("1", float),
     },
     "run": {
-        "dt": "0.005",
-        "n_steps": "1000",
-        "friction": "0",
-        "kappa": "0",
-        "sign": "damping",
-        "snapshot_stride": "0",
+        "dt": ("0.005", float),
+        "n_steps": ("1000", int),
+        "friction": ("0", float),
+        "kappa": ("0", float),
+        "sign": ("damping", str),
+        "snapshot_stride": ("0", int),
     },
     "noise": {
-        "kind": "zero",
-        "temperature": "0",
-        "cutoff": "50",
-        "n_oscillators": "500",
+        "kind": ("zero", str),
+        "temperature": ("0", float),
+        "cutoff": ("50", float),
+        "n_oscillators": ("500", int),
     },
     "initial": {
-        "kind": "gaussian",
-        "x0": "0",
-        "p0": "0",
-        "sigma": "1",
-        "index": "0",
-        "omega": "1",
+        "kind": ("gaussian", str),
+        "x0": ("0", float),
+        "p0": ("0", float),
+        "sigma": ("1", float),
+        "index": ("0", int),
+        "omega": ("1", float),
     },
-    "classical": {"n_particles": "1000", "sigma_x": "", "sigma_p": ""},
+    "classical": {"n_particles": ("1000", int), "sigma_x": ("", float), "sigma_p": ("", float)},
     "output": {
-        "observables": "true",
-        "snapshots": "false",
-        "trajectories": "false",
-        "weak_values": "false",
-        "n_trajectories": "1000",
+        "observables": ("true", bool),
+        "snapshots": ("false", bool),
+        "trajectories": ("false", bool),
+        "weak_values": ("false", bool),
+        "n_trajectories": ("1000", int),
     },
 }
 
 _MODES = ("gsle", "classical", "compare")
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True}
+_BOOLS.update({"false": False, "no": False, "0": False, "off": False})
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def _bath_noise(*ohmic_args) -> NoiseSpec:
+    ohmic = OhmicSpec(*ohmic_args)
+    return NoiseSpec(kind="bath", temperature=ohmic.temperature, ohmic=ohmic)
+
+
+# [section] kind -> (factory, the keys of its positional arguments). A key
+# "section.key" is that typed config value; "grid" and "potential" are the
+# objects already built.
+_KINDS = {
+    "potential": {
+        "free": (PotentialSpec.free, ()),
+        "harmonic": (
+            PotentialSpec.harmonic, ("potential.omega", "physics.mass", "potential.center")
+        ),
+        "linear_ramp": (PotentialSpec.linear_ramp, ("potential.b",)),
+        "double_well": (PotentialSpec.double_well, ("potential.a", "potential.b")),
+        "cubic": (PotentialSpec.cubic, ("potential.c",)),
+    },
+    "coupling": {
+        "linear": (CouplingFunction.linear, ()),
+        "constant": (CouplingFunction.constant, ("coupling.c",)),
+        "power": (CouplingFunction.power, ("coupling.n",)),
+        "sinusoidal": (
+            CouplingFunction.sinusoidal, ("coupling.amplitude", "coupling.wavenumber")
+        ),
+        "gup": (gup_coupling, ("potential", "grid")),
+    },
+    "noise": {
+        "zero": (NoiseSpec, ()),
+        "white": (partial(NoiseSpec, "white"), ("noise.temperature",)),
+        "bath": (
+            _bath_noise,
+            ("run.friction", "noise.cutoff", "noise.n_oscillators", "noise.temperature"),
+        ),
+    },
+    "initial": {
+        "gaussian": (GaussianPacket, ("initial.x0", "initial.p0", "initial.sigma")),
+        "eigenstate": (HarmonicEigenstate, ("initial.index", "initial.omega")),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -145,31 +195,6 @@ class ExperimentSpec:
     digest: str
 
 
-def _getfloat(resolved, section, key):
-    raw = resolved[section][key]
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number")
-
-
-def _getint(resolved, section, key):
-    raw = resolved[section][key]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer")
-
-
-def _getbool(resolved, section, key):
-    raw = resolved[section][key].strip().lower()
-    if raw in ("true", "yes", "1", "on"):
-        return True
-    if raw in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
-
-
 def _resolve(text: str) -> dict:
     """Merge the document onto the default table; reject unknown keys."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -177,7 +202,7 @@ def _resolve(text: str) -> dict:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}")
-    resolved = {sec: dict(defaults) for sec, defaults in _KEY_TABLE.items()}
+    resolved = {sec: {k: d for k, (d, _) in table.items()} for sec, table in _KEY_TABLE.items()}
     for section in parser.sections():
         if section not in _KEY_TABLE:
             raise ConfigError(f"unknown section [{section}]")
@@ -188,81 +213,34 @@ def _resolve(text: str) -> dict:
     return resolved
 
 
-def _build_potential(resolved) -> PotentialSpec:
-    kind = resolved["potential"]["kind"]
-    if kind == "free":
-        return PotentialSpec.free()
-    if kind == "harmonic":
-        return PotentialSpec.harmonic(
-            omega=_getfloat(resolved, "potential", "omega"),
-            mass=_getfloat(resolved, "physics", "mass"),
-            center=_getfloat(resolved, "potential", "center"),
-        )
-    if kind == "linear_ramp":
-        return PotentialSpec.linear_ramp(_getfloat(resolved, "potential", "b"))
-    if kind == "double_well":
-        return PotentialSpec.double_well(
-            a=_getfloat(resolved, "potential", "a"),
-            b=_getfloat(resolved, "potential", "b"),
-        )
-    if kind == "cubic":
-        return PotentialSpec.cubic(_getfloat(resolved, "potential", "c"))
-    raise ConfigError(f"unknown potential kind '{kind}'")
+def _convert(resolved) -> dict:
+    """Every resolved value as its table type; "" stays None where it is the default."""
+    values = {}
+    for section, table in _KEY_TABLE.items():
+        values[section] = typed = {}
+        for key, (default, cast) in table.items():
+            raw = resolved[section][key]
+            try:
+                if raw == default == "":
+                    typed[key] = None
+                else:
+                    typed[key] = _BOOLS[raw.lower()] if cast is bool else cast(raw)
+            except (KeyError, ValueError):
+                wanted = _TYPE_NAMES[cast]
+                raise ConfigError(f"[{section}] {key} = {raw!r} is not {wanted}") from None
+    return values
 
 
-def _build_coupling(resolved, potential, grid) -> CouplingFunction:
-    kind = resolved["coupling"]["kind"]
-    if kind == "linear":
-        return CouplingFunction.linear()
-    if kind == "constant":
-        return CouplingFunction.constant(_getfloat(resolved, "coupling", "c"))
-    if kind == "power":
-        return CouplingFunction.power(_getint(resolved, "coupling", "n"))
-    if kind == "sinusoidal":
-        return CouplingFunction.sinusoidal(
-            _getfloat(resolved, "coupling", "amplitude"),
-            _getfloat(resolved, "coupling", "wavenumber"),
-        )
-    if kind == "gup":
-        try:
-            return gup_coupling(potential, grid)
-        except NonmonotonePotential as exc:
-            raise ConfigError(f"[coupling] kind = gup: {exc}") from exc
-    raise ConfigError(f"unknown coupling kind '{kind}'")
-
-
-def _build_noise(resolved) -> NoiseSpec:
-    kind = resolved["noise"]["kind"]
-    temperature = _getfloat(resolved, "noise", "temperature")
-    if kind == "zero":
-        return NoiseSpec()
-    if kind == "white":
-        return NoiseSpec(kind="white", temperature=temperature)
-    if kind == "bath":
-        ohmic = OhmicSpec(
-            friction=_getfloat(resolved, "run", "friction"),
-            cutoff=_getfloat(resolved, "noise", "cutoff"),
-            n_oscillators=_getint(resolved, "noise", "n_oscillators"),
-            temperature=temperature,
-        )
-        return NoiseSpec(kind="bath", temperature=temperature, ohmic=ohmic)
-    raise ConfigError(f"unknown noise kind '{kind}'")
-
-
-def _build_initial(resolved):
-    kind = resolved["initial"]["kind"]
-    if kind == "gaussian":
-        return GaussianPacket(
-            x0=_getfloat(resolved, "initial", "x0"),
-            p0=_getfloat(resolved, "initial", "p0"),
-            sigma=_getfloat(resolved, "initial", "sigma"),
-        )
-    if kind == "eigenstate":
-        return HarmonicEigenstate(
-            index=_getint(resolved, "initial", "index"),
-            omega=_getfloat(resolved, "initial", "omega"),
-        )
-    raise ConfigError(f"unknown initial state kind '{kind}'")
+def _build(section: str, scope: dict):
+    """The object that [section] kind names, from its factory in _KINDS."""
+    kind = scope[f"{section}.kind"]
+    if kind not in _KINDS[section]:
+        raise ConfigError(f"unknown {section} kind '{kind}'")
+    factory, keys = _KINDS[section][kind]
+    try:
+        return factory(*(scope[key] for key in keys))
+    except (InvalidField, NonmonotonePotential) as exc:
+        raise ConfigError(f"[{section}] kind = {kind}: {exc}") from exc
 
 
 def _render(resolved) -> str:
@@ -275,71 +253,48 @@ def _render(resolved) -> str:
     return "\n".join(lines)
 
 
-def parse_config(
-    text: str, seed_override: Optional[int] = None, workers_override: Optional[int] = None
-) -> ExperimentSpec:
+def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSpec:
     """Validate a config document and resolve it into an ExperimentSpec."""
     resolved = _resolve(text)
     if seed_override is not None:
         resolved["experiment"]["seed"] = str(int(seed_override))
-    if workers_override is not None:
-        resolved["experiment"]["workers"] = str(int(workers_override))
+    values = _convert(resolved)
+    experiment, output = values["experiment"], values["output"]
 
-    mode = resolved["experiment"]["mode"]
+    mode = experiment["mode"]
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got '{mode}'")
-    seed = _getint(resolved, "experiment", "seed")
-    ensemble_seeds = _getint(resolved, "experiment", "ensemble_seeds")
-    workers = _getint(resolved, "experiment", "workers")
-    if ensemble_seeds < 1:
+    if experiment["ensemble_seeds"] < 1:
         raise ConfigError("ensemble_seeds must be >= 1")
-    if workers < 1:
+    if experiment["workers"] < 1:
         raise ConfigError("workers must be >= 1")
+    if output["n_trajectories"] < 1:
+        raise ConfigError("n_trajectories must be >= 1")
 
+    scope = {f"{sec}.{key}": v for sec, table in values.items() for key, v in table.items()}
     try:
-        grid = Grid(
-            _getfloat(resolved, "grid", "x_min"),
-            _getfloat(resolved, "grid", "x_max"),
-            _getint(resolved, "grid", "n_points"),
-        )
-        params = PhysicalParams(
-            hbar=_getfloat(resolved, "physics", "hbar"),
-            mass=_getfloat(resolved, "physics", "mass"),
-        )
-        potential = _build_potential(resolved)
-        coupling = _build_coupling(resolved, potential, grid)
-        noise = _build_noise(resolved)
+        grid = scope["grid"] = Grid(**values["grid"])
+        params = PhysicalParams(**values["physics"])
     except InvalidField as exc:
         raise ConfigError(str(exc)) from exc
-    initial = _build_initial(resolved)
+    potential = scope["potential"] = _build("potential", scope)
+    coupling = _build("coupling", scope)
+    noise = _build("noise", scope)
+    initial = _build("initial", scope)
 
     sim = SimConfig(
-        grid=grid,
-        params=params,
-        potential=potential,
-        coupling=coupling,
-        friction=_getfloat(resolved, "run", "friction"),
-        noise=noise,
-        kappa=_getfloat(resolved, "run", "kappa"),
-        dt=_getfloat(resolved, "run", "dt"),
-        n_steps=_getint(resolved, "run", "n_steps"),
-        seed=seed,
-        sign=resolved["run"]["sign"],
-        initial_state=initial,
-        snapshot_stride=_getint(resolved, "run", "snapshot_stride"),
+        grid, params, potential, coupling, noise=noise, seed=experiment["seed"],
+        initial_state=initial, **values["run"],
     )
 
     classical = None
     if mode in ("classical", "compare"):
         if not isinstance(initial, GaussianPacket):
             raise ConfigError("classical runs need a gaussian initial state")
-        sigma_x = initial.sigma
-        if resolved["classical"]["sigma_x"]:
-            sigma_x = _getfloat(resolved, "classical", "sigma_x")
-        if resolved["classical"]["sigma_p"]:
-            sigma_p = _getfloat(resolved, "classical", "sigma_p")
-        else:
-            sigma_p = params.hbar / (2.0 * initial.sigma)
+        given = values["classical"]
+        sigma_x, sigma_p = given["sigma_x"], given["sigma_p"]
+        sigma_x = initial.sigma if sigma_x is None else sigma_x
+        sigma_p = params.hbar / (2.0 * initial.sigma) if sigma_p is None else sigma_p
         resolved["classical"]["sigma_x"] = _FLOAT % sigma_x
         resolved["classical"]["sigma_p"] = _FLOAT % sigma_p
         classical = LangevinConfig(
@@ -350,7 +305,7 @@ def parse_config(
             noise=noise,
             dt=sim.dt,
             n_steps=sim.n_steps,
-            n_particles=_getint(resolved, "classical", "n_particles"),
+            n_particles=given["n_particles"],
             initial=GaussianCloud(
                 x0=initial.x0, p0=initial.p0, sigma_x=sigma_x, sigma_p=sigma_p
             ),
@@ -362,14 +317,11 @@ def parse_config(
         mode=mode,
         sim=sim,
         classical=classical,
-        ensemble_seeds=ensemble_seeds,
-        workers=workers,
-        seed=seed,
-        emit_observables=_getbool(resolved, "output", "observables"),
-        emit_snapshots=_getbool(resolved, "output", "snapshots"),
-        emit_trajectories=_getbool(resolved, "output", "trajectories"),
-        emit_weak_values=_getbool(resolved, "output", "weak_values"),
-        n_trajectories=_getint(resolved, "output", "n_trajectories"),
+        ensemble_seeds=experiment["ensemble_seeds"],
+        workers=experiment["workers"],
+        seed=experiment["seed"],
+        n_trajectories=output.pop("n_trajectories"),
+        **{f"emit_{key}": flag for key, flag in output.items()},   # the other [output] keys
         resolved_text=resolved_text,
         digest=digest,
     )
@@ -635,7 +587,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument(src)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default="gsle_out")
     args = parser.parse_args(argv)
 
@@ -643,9 +594,7 @@ def main(argv=None) -> int:
         if args.command == "post":
             return _run_post(Path(args.run_dir), Path(args.out), args.seed)
         text = Path(args.config).read_text()
-        spec = parse_config(
-            text, seed_override=args.seed, workers_override=args.workers
-        )
+        spec = parse_config(text, seed_override=args.seed)
         if args.command == "compare" and spec.mode != "compare":
             raise ConfigError(
                 "the compare command needs mode = compare in [experiment]"

@@ -58,9 +58,5 @@ class ConfigError(GsleError):
     """Invalid or unknown configuration content."""
 
 
-class BoundaryContamination(UserWarning):
-    """Probability density has reached the edge of the periodic box."""
-
-
 class StabilityWarning(UserWarning):
     """dt * max|U| / hbar exceeds the stability guard."""

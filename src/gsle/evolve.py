@@ -54,11 +54,21 @@ class GaussianPacket:
     p0: float = 0.0
     sigma: float = 1.0
 
+    def __post_init__(self):
+        if not 0 < self.sigma < np.inf:
+            raise ConfigError(f"initial sigma must be finite and > 0, got {self.sigma}")
+
 
 @dataclass(frozen=True)
 class HarmonicEigenstate:
     index: int = 0
     omega: float = 1.0
+
+    def __post_init__(self):
+        if self.index < 0:
+            raise ConfigError(f"eigenstate index must be >= 0, got {self.index}")
+        if not 0 < self.omega < np.inf:
+            raise ConfigError(f"eigenstate omega must be finite and > 0, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +92,12 @@ class SimConfig:
             object.__setattr__(self, "potential", PotentialSpec.free())
         if self.coupling is None:
             object.__setattr__(self, "coupling", CouplingFunction.linear())
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
+        if self.snapshot_stride < 0:
+            raise ConfigError("snapshot_stride must be >= 0 (0 disables snapshots)")
         if self.friction < 0:
             raise ConfigError("friction must be >= 0")
         if self.kappa < 0:

@@ -319,6 +319,29 @@ class TestEnsemble:
             assert np.array_equal(ens.positions[:, i + 1], x)
             assert np.array_equal(ens.velocities[:, i + 1], v)
 
+    def test_zero_noise_spawns_no_streams(self, monkeypatch):
+        """Zero noise reads no stream, so no child SeedSequence is spawned, and
+        the particles follow langevin_step with xi = 0 bit for bit."""
+
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError("spawned noise streams")
+
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        white = harmonic_cfg(friction=0.3, noise=NoiseSpec(kind="white", temperature=0.2))
+        with pytest.raises(AssertionError, match="spawned"):
+            langevin_ensemble(white, 3)    # the patch reaches the spawn of a noisy run
+        n, n_p = 40, 6
+        cfg = harmonic_cfg(
+            friction=0.3, n_steps=n, n_particles=n_p, initial=GaussianCloud(1.0, 0.0, 0.1, 0.1)
+        )
+        ens = langevin_ensemble(cfg, 3, keep_particles=True)
+        x, v = ens.positions[:, 0], ens.velocities[:, 0]
+        for i in range(n):
+            x, v = langevin_step(x, v, cfg, np.zeros(n_p))
+            assert np.array_equal(ens.positions[:, i + 1], x)
+            assert np.array_equal(ens.velocities[:, i + 1], v)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             harmonic_cfg(dt=-0.1)

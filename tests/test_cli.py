@@ -68,6 +68,11 @@ class TestParseConfig:
         assert again.resolved_text == spec.resolved_text
         assert again.digest == spec.digest
 
+    def test_default_digest_golden(self):
+        """The resolved text of the empty config, hence every CSV header, is fixed."""
+        digest = "e3be09edaae881b6ef70ef07b1887bcdcefd4a5019911ace7f35dc3162eb3837"
+        assert parse_config("").digest == digest
+
     def test_seed_override(self):
         spec = parse_config(KOSTIN_CFG, seed_override=99)
         assert spec.seed == 99
@@ -137,6 +142,20 @@ class TestRunCommand:
                 "[noise]\nkind = white\ntemperature = -1\n",
                 "temperature",
             ),
+            ("[initial]\nkind = eigenstate\nindex = -1\n", "index"),
+            (
+                "[run]\nn_steps = 2\nsnapshot_stride = 1\n"
+                "[output]\ntrajectories = true\nn_trajectories = -1\n",
+                "n_trajectories",
+            ),
+            ("[run]\nn_steps = 2\n[initial]\nsigma = 0\n", "sigma"),
+            ("[run]\nn_steps = 2\n[initial]\nsigma = -1\n", "sigma"),
+            ("[run]\nn_steps = 2\n[initial]\nkind = eigenstate\nomega = 0\n", "omega"),
+            ("[run]\nn_steps = 2\n[initial]\nkind = eigenstate\nomega = -1\n", "omega"),
+            ("[run]\ndt = nan\nn_steps = 2\n", "dt"),
+            ("[run]\ndt = inf\nn_steps = 2\n", "dt"),
+            ("[run]\nn_steps = 2\nsnapshot_stride = -1\n", "snapshot_stride"),
+            ("[run]\nn_steps = 2\n[potential]\nkind = free\nomega = abc\n", "omega"),
         ],
         ids=[
             "negative_dt",
@@ -147,6 +166,16 @@ class TestRunCommand:
             "bath_without_oscillators",
             "white_negative_temperature",
             "white_negative_temperature_classical",
+            "eigenstate_negative_index",
+            "negative_n_trajectories",
+            "zero_sigma",
+            "negative_sigma",
+            "eigenstate_zero_omega",
+            "eigenstate_negative_omega",
+            "nan_dt",
+            "inf_dt",
+            "negative_snapshot_stride",
+            "unused_key_not_a_number",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, text, named):
