@@ -63,11 +63,11 @@ class OhmicSpec:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if self.friction < 0:
+        if not self.friction >= 0:
             raise InvalidField("friction must be >= 0")
-        if self.cutoff <= 0:
+        if not self.cutoff > 0:
             raise InvalidField("cutoff must be > 0")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise InvalidField("temperature must be >= 0")
         if self.n_oscillators < 1:
             raise EmptyBath("n_oscillators must be >= 1")
@@ -83,7 +83,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "white", "bath"):
             raise ConfigError(f"unknown noise kind '{self.kind}'")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise ConfigError("noise temperature must be >= 0")
 
     def bath_spec(self, system_mass: float) -> BathSpec:

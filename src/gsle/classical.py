@@ -32,6 +32,12 @@ class GaussianCloud:
     sigma_x: float = 0.0
     sigma_p: float = 0.0
 
+    def __post_init__(self):
+        for name in ("x0", "p0", "sigma_x", "sigma_p"):
+            value = getattr(self, name)
+            if not np.isfinite(value) or (name.startswith("sigma") and value < 0):
+                raise ConfigError(f"cloud {name} must be finite (a spread >= 0), got {value}")
+
 
 @dataclass(frozen=True)
 class LangevinConfig:

@@ -34,8 +34,8 @@ Every CSV carries the master seed and the sha256 digest of the resolved
 config as leading comment lines, so reruns are byte-identical.
 Usage: gsle run|compare CONFIG, or gsle post RUN_DIR; each takes [--seed N] [--out DIR].
 Exit codes: 0 success, 2 numerical failure, 3 config error. Config errors
-(a value not of its key's type, an unknown kind, or a value a type rejects,
-such as sigma <= 0, dt = nan or snapshot_stride < 0) exit before any output.
+(a value not of its key's type, such as dt = nan; an unknown kind; or a value
+a type rejects, such as sigma <= 0 or snapshot_stride < 0) exit before any output.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ _KEY_TABLE = {
 _MODES = ("gsle", "classical", "compare")
 _BOOLS = {"true": True, "yes": True, "1": True, "on": True}
 _BOOLS.update({"false": False, "no": False, "0": False, "off": False})
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean"}
 
 
 def _bath_noise(*ohmic_args) -> NoiseSpec:
@@ -225,6 +225,8 @@ def _convert(resolved) -> dict:
                     typed[key] = None
                 else:
                     typed[key] = _BOOLS[raw.lower()] if cast is bool else cast(raw)
+                    if cast is float and not np.isfinite(typed[key]):
+                        raise ValueError
             except (KeyError, ValueError):
                 wanted = _TYPE_NAMES[cast]
                 raise ConfigError(f"[{section}] {key} = {raw!r} is not {wanted}") from None

@@ -98,9 +98,9 @@ class SimConfig:
             raise ConfigError("n_steps must be >= 1")
         if self.snapshot_stride < 0:
             raise ConfigError("snapshot_stride must be >= 0 (0 disables snapshots)")
-        if self.friction < 0:
+        if not self.friction >= 0:
             raise ConfigError("friction must be >= 0")
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise ConfigError("kappa must be >= 0")
         if self.sign not in ("damping", "paper"):
             raise ConfigError(f"sign must be 'damping' or 'paper', got '{self.sign}'")

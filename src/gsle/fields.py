@@ -70,8 +70,8 @@ class PhysicalParams:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0:
-            raise InvalidField("hbar and mass must be positive")
+        if not (0 < self.hbar < np.inf and 0 < self.mass < np.inf):
+            raise InvalidField("hbar and mass must be positive and finite")
 
 
 def _check_values(grid: Grid, values: np.ndarray, batched=False, check_finite=True):
@@ -184,45 +184,19 @@ def spectral_derivative(
     return np.fft.ifft(-(grid.k**2) * fk)
 
 
-def norm_squared(psi: WaveFunction) -> float:
-    return integrate_values(psi.grid, psi.density())
-
-
 def normalize(psi: WaveFunction) -> WaveFunction:
-    n2 = norm_squared(psi)
+    n2 = integrate_values(psi.grid, psi.density())
     if n2 <= 0 or not np.isfinite(n2):
         raise DegenerateState("cannot normalize a zero/non-finite state")
     return ComplexField(psi.grid, psi.values / np.sqrt(n2))
 
 
-def mean_momentum(psi: WaveFunction, params: PhysicalParams) -> float:
-    dpsi = spectral_derivative(psi.grid, psi.values, 1)
-    n2 = norm_squared(psi)
-    if (n2 <= 0).any():
-        raise DegenerateState("zero-norm state")
-    val = integrate_values(
-        psi.grid, np.real(np.conj(psi.values) * (-1j * params.hbar) * dpsi)
-    )
-    return val / n2
-
-
-def kinetic_energy(psi: WaveFunction, params: PhysicalParams) -> float:
-    d2 = spectral_derivative(psi.grid, psi.values, 2)
-    n2 = norm_squared(psi)
-    val = integrate_values(
-        psi.grid,
-        np.real(np.conj(psi.values) * (-(params.hbar**2) / (2 * params.mass)) * d2),
-    )
-    return val / n2
-
-
-def boundary_density(psi: WaveFunction):
+def boundary_density(rho: np.ndarray):
     """Max density in the outermost 2% of grid points, relative to max density."""
-    rho = psi.density()
     peak = rho.max(axis=-1)
     if (peak <= 0).any():
         raise DegenerateState("zero state")
-    n_edge = max(1, int(round(0.02 * psi.grid.n_points)))
+    n_edge = max(1, int(round(0.02 * rho.shape[-1])))
     edge = np.maximum(rho[..., :n_edge].max(axis=-1), rho[..., -n_edge:].max(axis=-1))
     return edge / peak
 
@@ -230,6 +204,11 @@ def boundary_density(psi: WaveFunction):
 def observables(
     psi: WaveFunction, V: RealField, params: PhysicalParams
 ) -> ObservableSet:
+    """Moments of each state from one density and one spectrum.
+
+    <p> and <T> by Parseval, int psi* g(-i d/dx) psi dx = (dx/N) sum_k g(k) |psi_k|^2,
+    with spectral_derivative's weights: Nyquist mode zeroed for hbar k, kept for k^2.
+    """
     rho = psi.density()
     grid = psi.grid
     n2 = integrate_values(grid, rho)
@@ -238,15 +217,19 @@ def observables(
     x = grid.x
     mean_x = integrate_values(grid, x * rho) / n2
     var_x = integrate_values(grid, (x - mean_x[..., None]) ** 2 * rho) / n2
-    mean_p = mean_momentum(psi, params)
-    energy = kinetic_energy(psi, params) + integrate_values(grid, V.values * rho) / n2
+    power = np.abs(np.fft.fft(psi.values)) ** 2 * (grid.dx / grid.n_points)
+    k = grid.k
+    kinetic = np.sum(k**2 * power, axis=-1) * (params.hbar**2 / (2 * params.mass))
+    k[grid.n_points // 2] = 0.0
+    mean_p = params.hbar * np.sum(k * power, axis=-1) / n2
+    energy = kinetic / n2 + integrate_values(grid, V.values * rho) / n2
     return ObservableSet(
         norm=n2,
         mean_x=mean_x,
         mean_p=mean_p,
         var_x=var_x,
         energy=energy,
-        boundary_density=boundary_density(psi),
+        boundary_density=boundary_density(rho),
     )
 
 

@@ -73,6 +73,15 @@ class TestDiscretizeOhmic:
         with pytest.raises(EmptyBath):
             discretize_ohmic(OhmicSpec(0.5, 50.0, 0, 0.0), 1.0)
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [((np.nan, 50.0, 10, 0.0), "friction"), ((0.5, np.nan, 10, 0.0), "cutoff"),
+         ((0.5, 50.0, 10, np.nan), "temperature")],
+    )
+    def test_spec_rejects_nan(self, args, named):
+        with pytest.raises(InvalidField, match=named):
+            OhmicSpec(*args)
+
     def test_spec_rejects_no_oscillators(self):
         """The Ohmic spectrum itself is invalid, before any discretization."""
         with pytest.raises(InvalidField, match="n_oscillators"):

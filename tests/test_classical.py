@@ -269,6 +269,15 @@ class TestEnsemble:
         ens = langevin_ensemble(cfg, 4)
         assert np.all(ens.var_x < 1e-25)
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [((np.nan, 0.0, 1.0, 1.0), "x0"), ((0.0, np.inf, 1.0, 1.0), "p0"),
+         ((0.0, 0.0, np.nan, 1.0), "sigma_x"), ((0.0, 0.0, 1.0, -1.0), "sigma_p")],
+    )
+    def test_cloud_rejects_bad_values(self, args, named):
+        with pytest.raises(ConfigError, match=named):
+            GaussianCloud(*args)
+
     def test_gibbs_variance(self):
         """Thermal harmonic ensemble: var_x -> T / (m w^2)."""
         T = 0.5

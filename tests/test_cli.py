@@ -156,6 +156,27 @@ class TestRunCommand:
             ("[run]\ndt = inf\nn_steps = 2\n", "dt"),
             ("[run]\nn_steps = 2\nsnapshot_stride = -1\n", "snapshot_stride"),
             ("[run]\nn_steps = 2\n[potential]\nkind = free\nomega = abc\n", "omega"),
+            ("[run]\nn_steps = 3\nkappa = nan\n", "kappa"),
+            ("[run]\nn_steps = 3\nfriction = nan\n", "friction"),
+            ("[run]\nn_steps = 3\n[initial]\nx0 = nan\n", "x0"),
+            ("[run]\nn_steps = 3\n[physics]\nmass = inf\n", "mass"),
+            ("[run]\nn_steps = 3\n[potential]\nomega = nan\n", "omega"),
+            ("[run]\nn_steps = 3\nfriction = 0.1\n[noise]\nkind = bath\ncutoff = nan\n", "cutoff"),
+            (
+                "[run]\nn_steps = 3\nfriction = 0.1\n[noise]\nkind = white\ntemperature = nan\n",
+                "temperature",
+            ),
+            ("[run]\nn_steps = 3\n[grid]\nx_max = inf\n", "x_max"),
+            (
+                "[experiment]\nmode = classical\n[run]\nn_steps = 3\n"
+                "[classical]\nn_particles = 4\nsigma_p = -1\n",
+                "sigma_p",
+            ),
+            (
+                "[experiment]\nmode = classical\n[run]\nn_steps = 3\n"
+                "[classical]\nn_particles = 4\nsigma_x = nan\n",
+                "sigma_x",
+            ),
         ],
         ids=[
             "negative_dt",
@@ -176,6 +197,16 @@ class TestRunCommand:
             "inf_dt",
             "negative_snapshot_stride",
             "unused_key_not_a_number",
+            "nan_kappa",
+            "nan_friction",
+            "nan_x0",
+            "inf_mass",
+            "nan_omega",
+            "nan_cutoff",
+            "nan_white_temperature",
+            "inf_x_max",
+            "negative_sigma_p",
+            "nan_sigma_x",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, text, named):

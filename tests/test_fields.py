@@ -16,9 +16,6 @@ from gsle.fields import (
     cumulative_integral,
     integrate,
     integrate_values,
-    kinetic_energy,
-    mean_momentum,
-    norm_squared,
     normalize,
     observables,
     spectral_derivative,
@@ -62,6 +59,9 @@ class TestFieldValidation:
     def test_params_positive(self):
         with pytest.raises(InvalidField):
             PhysicalParams(hbar=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidField):
+                PhysicalParams(mass=bad)
 
 
 class TestIntegrate:
@@ -168,7 +168,7 @@ class TestDifferentiate:
 
     def test_parseval(self, grid):
         psi = gaussian_state(grid, x0=1.0, p0=2.0)
-        pos = norm_squared(psi)
+        pos = integrate_values(grid, psi.density())
         fk = np.fft.fft(psi.values)
         spec = np.sum(np.abs(fk) ** 2) / grid.n_points * grid.dx
         assert pos == pytest.approx(spec, rel=1e-10)
@@ -197,6 +197,10 @@ class TestExpectation:
             observables(psi, RealField(grid, grid.x), params)
 
 
+def free_observables(psi, params):
+    return observables(psi, RealField(psi.grid, np.zeros(psi.grid.n_points)), params)
+
+
 class TestObservables:
     def test_plane_wave_momentum(self, grid, params):
         psi, k = plane_wave(grid, 7)
@@ -205,7 +209,7 @@ class TestObservables:
 
     def test_real_gaussian_momentum_zero(self, grid, params):
         psi = gaussian_state(grid)
-        assert mean_momentum(psi, params) == pytest.approx(0.0, abs=1e-12)
+        assert free_observables(psi, params).mean_p == pytest.approx(0.0, abs=1e-12)
 
     def test_harmonic_ground_state_energy(self, grid, params):
         # ground state of V = x^2/2 at hbar = m = omega = 1
@@ -216,22 +220,59 @@ class TestObservables:
 
     def test_kinetic_energy_plane_wave(self, grid, params):
         psi, k = plane_wave(grid, 4)
-        assert kinetic_energy(psi, params) == pytest.approx(
+        assert free_observables(psi, params).energy == pytest.approx(
             k**2 / 2, rel=1e-10
         )
 
     def test_boundary_density_centered_packet(self, grid):
         psi = gaussian_state(grid, sigma=1.0)
-        assert boundary_density(psi) < 1e-12
+        assert boundary_density(psi.density()) < 1e-12
 
     def test_boundary_density_edge_packet(self, grid):
         psi = gaussian_state(grid, x0=19.0, sigma=1.0)
-        assert boundary_density(psi) > 1e-3
+        assert boundary_density(psi.density()) > 1e-3
+
+    @pytest.mark.parametrize("case", ["random", "nyquist", "batch"])
+    def test_spectral_moments_match_derivative_form(self, grid, case):
+        """<p> and <T> from the spectrum equal the derivative-form integrals
+        int psi* (-i hbar d/dx) psi / n2 and int psi* (-hbar^2/2m d^2/dx^2) psi / n2."""
+        if case == "nyquist":
+            vals = gaussian_state(grid, p0=1.5).values + 0.3 * (-1.0) ** np.arange(grid.n_points)
+        else:
+            shape = (3, grid.n_points) if case == "batch" else (grid.n_points,)
+            rng = np.random.default_rng(3)
+            vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        psi = ComplexField(grid, vals)
+        params = PhysicalParams(hbar=0.7, mass=1.3)
+        V = 0.5 * grid.x**2
+        obs = observables(psi, RealField(grid, V), params)
+
+        n2 = integrate_values(grid, psi.density())
+        dpsi = spectral_derivative(grid, vals, 1)
+        d2psi = spectral_derivative(grid, vals, 2)
+        p_ref = integrate_values(grid, np.real(np.conj(vals) * -1j * params.hbar * dpsi)) / n2
+        t_ref = integrate_values(
+            grid, np.real(np.conj(vals) * -(params.hbar**2) / (2 * params.mass) * d2psi)
+        ) / n2
+        potential = integrate_values(grid, V * psi.density()) / n2
+        assert obs.mean_p == pytest.approx(p_ref, rel=1e-12)
+        assert obs.energy - potential == pytest.approx(t_ref, rel=1e-12)
+
+    def test_one_forward_fft(self, grid, params, monkeypatch):
+        """A recorded state costs one forward FFT and no inverse."""
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+        free_observables(gaussian_state(grid, p0=1.0), params)
+        assert calls == {"fft": 1, "ifft": 0}
 
 
 def test_normalize(grid):
     psi = ComplexField(grid, np.exp(-grid.x**2 / 4) * 5.0)
-    assert norm_squared(normalize(psi)) == pytest.approx(1.0, abs=1e-12)
+    assert integrate_values(grid, normalize(psi).density()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalize_zero_state(grid):

@@ -12,7 +12,6 @@ from gsle.fields import (
     observables,
     integrate,
     integrate_values,
-    mean_momentum,
     normalize,
     spectral_derivative,
     WaveFunction,
@@ -50,7 +49,8 @@ class TestCurrent:
     def test_integral_is_velocity(self, grid, params):
         psi = gaussian_state(grid, p0=1.3)
         jint = integrate(current(psi, params))
-        assert jint == pytest.approx(mean_momentum(psi, params), abs=1e-8)
+        zero = RealField(grid, np.zeros(grid.n_points))
+        assert jint == pytest.approx(observables(psi, zero, params).mean_p, abs=1e-8)
 
 
 class TestTildeCurrent:
