@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .coupling import CouplingFunction
 from .errors import DegenerateState, InsufficientData
@@ -177,8 +176,10 @@ def weak_value(polar: PolarField, params: PhysicalParams) -> WeakValueField:
     )
 
 
-def _velocity_spline(grid, v_values: np.ndarray) -> CubicSpline:
-    """Periodic cubic spline of a grid velocity field."""
+def _velocity_spline(grid, v_values: np.ndarray):
+    """Periodic cubic spline of a grid velocity field (SciPy loads on first use)."""
+    from scipy.interpolate import CubicSpline
+
     x_ext = np.append(grid.x, grid.x_max)
     v_ext = np.append(v_values, v_values[0])
     return CubicSpline(x_ext, v_ext, bc_type="periodic")

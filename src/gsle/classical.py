@@ -57,8 +57,12 @@ class LangevinConfig:
             object.__setattr__(self, "potential", PotentialSpec.free())
         if self.coupling is None:
             object.__setattr__(self, "coupling", CouplingFunction.linear())
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.friction < np.inf:
+            raise ConfigError(f"friction must be finite and >= 0, got {self.friction}")
+        if self.n_steps < 1:
+            raise ConfigError("n_steps must be >= 1")
         if self.n_particles < 1:
             raise ConfigError("n_particles must be >= 1")
 

@@ -9,7 +9,6 @@ from a monotone potential, f(x) = integral_0^x sqrt(V'(y)) dy.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NonmonotonePotential, OutOfDomain, UnsupportedOrder
 from .fields import Grid, cumulative_integral
@@ -97,6 +96,8 @@ class CouplingFunction:
 
         When df/d2f are omitted they come from differentiating the f spline.
         """
+        from scipy.interpolate import CubicSpline   # only splines need SciPy
+
         x = np.asarray(x, dtype=float)
         spline = lambda y: CubicSpline(x, np.asarray(y, dtype=float), bc_type="not-a-knot")
         sp = spline(f)

@@ -15,6 +15,10 @@ any other source remains visible in the record.
 Every operation acts along the last axis, so a (B, N) array of member
 states with a (B, 1) column of noise values takes one step in one call:
 the split-step operators are the same for every row.
+
+Each state carries the spectrum its last half-kick computed, which the next
+step and the record start from. One density of the half-kicked state serves
+the first V_d/W evaluation and both potential kicks.
 """
 
 from __future__ import annotations
@@ -110,6 +114,7 @@ class SimConfig:
 class SimState:
     t: float
     psi: WaveFunction
+    spectrum: Optional[np.ndarray] = None   # fft(psi.values); None: compute it
 
 
 @dataclass
@@ -168,38 +173,45 @@ class _Workspace:
         self.dt = config.dt
         self._warned_stability = False
 
-    def real_potential(self, vals: np.ndarray, xi_n):
+    def real_potential(self, vals: np.ndarray, xi_n, spectrum=None, rho=None):
         """(U, W): real potential (V_d - W included) and the gauge constant.
 
         For a batch vals (B, N), xi_n is a (B, 1) column and W has shape (B,).
+        spectrum = fft(vals) and rho = |vals|^2, when the caller has them,
+        save their recomputation.
         """
         u = self.V - self.f * xi_n
         w = 0.0
         if self.vd_coef != 0.0:
             vd, w = dissipative_kernel(
-                vals, self.fp2, self.ik, self.vd_coef, self.grid, self.params
+                vals, self.fp2, self.ik, self.vd_coef, self.grid, self.params,
+                spectrum=spectrum, rho=rho,
             )
             u = u + vd - w[..., None]
         return u, w
 
-    def apply_potential(self, vals: np.ndarray, u: np.ndarray, tau: float):
-        """Unitary kick for the real potential plus the measurement kick."""
-        out = vals * np.exp(-1j * u * tau / self.params.hbar)
-        if self.kappa > 0.0:
-            # localizing sign: d psi/dt gains +kappa (ln rho - <ln rho>) psi
-            rho = np.abs(out) ** 2
-            factor = np.exp(self.kappa * tau * log_density(rho))
-            n_before = integrate_values(self.grid, rho)
-            shaped = out * factor
-            n_after = integrate_values(self.grid, np.abs(shaped) ** 2)
-            if (n_after == 0.0).any():
-                raise NumericalBlowup(
-                    f"measurement kick underflowed every density sample "
-                    f"(kappa*tau = {self.kappa * tau:.3g} too large)"
-                )
-            # mean-subtraction constant, evaluated as a step average so the
-            # anti-Hermitian term stays exactly traceless over the kick
-            out = shaped * np.sqrt(n_before / n_after)[..., None]
+    def apply_potential(self, vals: np.ndarray, u: np.ndarray, tau: float, rho: np.ndarray):
+        """Unitary kick for the real potential plus the measurement kick.
+
+        rho = |vals|^2; the phase kick leaves it unchanged, so the measurement
+        factor and both norms are read from it.
+        """
+        arg = -1j * u * tau / self.params.hbar
+        if self.kappa == 0.0:
+            return vals * np.exp(arg)
+        # localizing sign: d psi/dt gains +kappa (ln rho - <ln rho>) psi
+        log_factor = (self.kappa * tau) * log_density(rho)
+        n_before = integrate_values(self.grid, rho)
+        n_after = integrate_values(self.grid, rho * np.exp(2.0 * log_factor))
+        if (n_after == 0.0).any():
+            raise NumericalBlowup(
+                f"measurement kick underflowed every density sample "
+                f"(kappa*tau = {self.kappa * tau:.3g} too large)"
+            )
+        out = vals * np.exp(arg + log_factor)
+        # mean-subtraction constant, evaluated as a step average so the
+        # anti-Hermitian term stays exactly traceless over the kick
+        out *= np.sqrt(n_before / n_after)[..., None]
         return out
 
     def check_stability(self, u: np.ndarray):
@@ -214,23 +226,31 @@ class _Workspace:
 def step(state: SimState, config: SimConfig, xi_n, ws: Optional[_Workspace] = None) -> SimState:
     """One Strang step with a midpoint predictor for the nonlinear terms.
 
-    state.psi may be a batch (B, N); xi_n is then a (B, 1) column.
+    state.psi may be a batch (B, N); xi_n is then a (B, 1) column. The new
+    state carries its spectrum.
     """
     if ws is None:
         ws = _Workspace(config)
     dt = config.dt
-    vals = np.fft.ifft(ws.kin_half * np.fft.fft(state.psi.values))
-    u1, _ = ws.real_potential(vals, xi_n)
+    spectrum = state.spectrum
+    if spectrum is None:
+        spectrum = np.fft.fft(state.psi.values)
+    spectrum = ws.kin_half * spectrum
+    vals = np.fft.ifft(spectrum)
+    rho = np.abs(vals) ** 2
+    u1, _ = ws.real_potential(vals, xi_n, spectrum, rho)
     ws.check_stability(u1)
-    mid = ws.apply_potential(vals, u1, 0.5 * dt)
+    mid = ws.apply_potential(vals, u1, 0.5 * dt, rho)
     u2, _ = ws.real_potential(mid, xi_n)
-    vals = ws.apply_potential(vals, u2, dt)
-    vals = np.fft.ifft(ws.kin_half * np.fft.fft(vals))
+    vals = ws.apply_potential(vals, u2, dt, rho)
+    spectrum = ws.kin_half * np.fft.fft(vals)
+    vals = np.fft.ifft(spectrum)
     if not np.all(np.isfinite(vals)):
         raise NumericalBlowup(
             f"non-finite wavefunction at t = {state.t + dt:.6g}", t=state.t + dt
         )
-    return SimState(t=state.t + dt, psi=WaveFunction(config.grid, vals, check_finite=False))
+    psi = WaveFunction(config.grid, vals, check_finite=False)
+    return SimState(t=state.t + dt, psi=psi, spectrum=spectrum)
 
 
 def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
@@ -254,7 +274,8 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     ).reshape(lead + (config.n_steps,))
     ws = _Workspace(config)
     psi = np.broadcast_to(build_initial_state(config).values, lead + (config.grid.n_points,))
-    state = SimState(t=0.0, psi=WaveFunction(config.grid, psi.copy()))
+    psi = WaveFunction(config.grid, psi.copy())
+    state = SimState(t=0.0, psi=psi, spectrum=np.fft.fft(psi.values))
 
     n = config.n_steps
     times = np.empty(n + 1)
@@ -266,11 +287,11 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     stride = config.snapshot_stride
 
     def record(i, state, xi_n):
-        obs = observables(state.psi, v_field, config.params)
+        obs = observables(state.psi, v_field, config.params, state.spectrum)
         times[i] = state.t
         for name in names[:5]:
             table[name][i] = getattr(obs, name)
-        table["W"][i] = ws.real_potential(state.psi.values, xi_n)[1]
+        table["W"][i] = ws.real_potential(state.psi.values, xi_n, state.spectrum)[1]
         table["xi"][i] = xi_n[..., 0]
         if stride and i % stride == 0:
             snapshots.append((i, state.psi.values.reshape(len(batch), -1)))

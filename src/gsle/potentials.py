@@ -37,9 +37,14 @@ from .fields import (
 )
 
 
-def _current_values(vals: np.ndarray, ik: np.ndarray, params: PhysicalParams):
-    """(hbar/m) Im(psi* dpsi/dx) from samples of psi and the symbol Grid.ik."""
-    dpsi = np.fft.ifft(ik * np.fft.fft(vals))
+def _current_values(vals: np.ndarray, ik: np.ndarray, params: PhysicalParams, spectrum=None):
+    """(hbar/m) Im(psi* dpsi/dx) from samples of psi and the symbol Grid.ik.
+
+    spectrum = fft(vals), when the caller has it, saves the forward FFT.
+    """
+    if spectrum is None:
+        spectrum = np.fft.fft(vals)
+    dpsi = np.fft.ifft(ik * spectrum)
     return (params.hbar / params.mass) * np.imag(np.conj(vals) * dpsi)
 
 
@@ -50,6 +55,8 @@ def dissipative_kernel(
     coef: float,
     grid: Grid,
     params: PhysicalParams,
+    spectrum=None,
+    rho=None,
 ):
     """(V_d, W) as arrays: the one implementation of the dissipative term.
 
@@ -58,11 +65,13 @@ def dissipative_kernel(
     and the signed coefficient coef = s * friction. The propagator, the
     field wrapper below and the Bohmian current-form phase all call it.
     A batch `vals` of shape (..., N) gives V_d of that shape and one W per
-    row, each row with its own density floor.
+    row, each row with its own density floor. spectrum = fft(vals) and
+    rho = |vals|^2 may be passed in by a caller that already has them.
     """
-    rho = np.abs(vals) ** 2
+    if rho is None:
+        rho = np.abs(vals) ** 2
     eps = density_floor(rho)
-    integrand = fp2 * _current_values(vals, ik, params) / np.maximum(rho, eps)
+    integrand = fp2 * _current_values(vals, ik, params, spectrum) / np.maximum(rho, eps)
     vd = coef * params.mass * cumulative_integral(grid, integrand)
     n2 = integrate_values(grid, rho)
     w = integrate_values(grid, vd * rho) / n2

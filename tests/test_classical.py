@@ -356,3 +356,13 @@ class TestEnsemble:
             harmonic_cfg(dt=-0.1)
         with pytest.raises(ConfigError):
             harmonic_cfg(n_particles=0)
+
+    @pytest.mark.parametrize(
+        "kw, named",
+        [(dict(friction=-0.5), "friction"), (dict(friction=np.nan), "friction"),
+         (dict(dt=np.nan), "dt"), (dict(dt=np.inf), "dt"), (dict(n_steps=0), "n_steps")],
+        ids=["negative_friction", "nan_friction", "nan_dt", "inf_dt", "zero_steps"],
+    )
+    def test_rejects_bad_numbers(self, kw, named):
+        with pytest.raises(ConfigError, match=named):
+            harmonic_cfg(**kw)

@@ -1,11 +1,15 @@
 """Config parsing, output files, exit codes, determinism of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsle
 from conftest import gaussian_state
 from gsle.cli import _load_snapshot, _write_csv, _write_snapshot, main, parse_config
 from gsle.errors import ConfigError
@@ -428,3 +432,72 @@ class TestPostCommand:
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "ConfigError"
         assert snap.name in err["message"]
+
+
+ALL_TERMS_CFG = """
+[potential]
+kind = harmonic
+
+[coupling]
+kind = sinusoidal
+
+[run]
+n_steps = 20
+friction = 0.1
+kappa = 0.05
+
+[noise]
+kind = bath
+temperature = 0.1
+n_oscillators = 50
+
+[initial]
+x0 = 1
+"""
+
+GSLE_RUN = """
+import sys
+import gsle, gsle.cli, gsle.classical
+from gsle.bath import NoiseSpec
+from gsle.classical import GaussianCloud, LangevinConfig, langevin_ensemble
+from gsle.coupling import CouplingFunction
+assert gsle.cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+cfg = LangevinConfig(
+    potential=CouplingFunction.harmonic(1.0), coupling=CouplingFunction.sinusoidal(1.0, 1.0),
+    friction=0.1, noise=NoiseSpec(kind="white", temperature=0.1), n_steps=20,
+    n_particles=10, initial=GaussianCloud(1.0, 0.0, 0.1, 0.1),
+)
+langevin_ensemble(cfg, 3)
+assert "scipy" not in sys.modules, "an analytic-profile run loaded scipy"
+"""
+
+GUP_BUILD = """
+import sys
+from gsle.coupling import CouplingFunction, gup_coupling
+from gsle.fields import Grid
+assert "scipy" not in sys.modules
+f = gup_coupling(CouplingFunction.cubic(1.0), Grid(-5.0, 5.0, 64))
+assert f(0.5, 1) > 0
+assert "scipy.interpolate" in sys.modules
+"""
+
+
+class TestImportPath:
+    """SciPy is loaded only where a spline is built."""
+
+    def _python(self, code, *args):
+        src = str(Path(gsle.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True
+        )
+
+    def test_analytic_run_never_loads_scipy(self, tmp_path):
+        cfg = write_cfg(tmp_path, ALL_TERMS_CFG)
+        done = self._python(GSLE_RUN, cfg, tmp_path / "out")
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "observables.csv").exists()
+
+    def test_gup_coupling_loads_scipy(self):
+        done = self._python(GUP_BUILD)
+        assert done.returncode == 0, done.stderr

@@ -27,7 +27,7 @@ from gsle.evolve import (
     run,
     step,
 )
-from gsle.fields import Grid, PhysicalParams, RealField, observables
+from gsle.fields import Grid, PhysicalParams, RealField, WaveFunction, observables
 from gsle.potentials import PotentialSpec
 
 GRID = Grid(-20.0, 20.0, 512)
@@ -335,10 +335,10 @@ def unbatched_run(cfg):
         if i > 0:
             state = step(state, cfg, xi[i - 1], ws)
         xi_i = xi[min(i, n - 1)]
-        obs = observables(state.psi, v_field, cfg.params)
+        obs = observables(state.psi, v_field, cfg.params, state.spectrum)
         for name in ("norm", "mean_x", "mean_p", "var_x", "energy"):
             out[name][i] = getattr(obs, name)
-        out["W"][i] = ws.real_potential(state.psi.values, xi_i)[1]
+        out["W"][i] = ws.real_potential(state.psi.values, xi_i, state.spectrum)[1]
         out["xi"][i] = xi_i
     return out
 
@@ -420,3 +420,49 @@ class TestBatchedRun:
         a, b = run(cfg, seeds=[1, 2])
         assert a.warnings and b.warnings
         assert a.warnings == run(replace(cfg, seed=1)).warnings
+
+
+class TestCarriedSpectrum:
+    CFG = dict(
+        grid=Grid(-12.0, 12.0, 256),
+        potential=PotentialSpec.harmonic(1.0),
+        coupling=CouplingFunction.sinusoidal(1.0, 1.0),
+        friction=0.1,
+        kappa=0.05,
+        dt=0.005,
+        initial_state=GaussianPacket(1.0, 0.5, GROUND_SIGMA),
+    )
+
+    @pytest.mark.parametrize("n_members", [0, 3], ids=["single", "batch"])
+    def test_step_carries_spectrum_of_new_state(self, n_members):
+        cfg = SimConfig(**self.CFG)
+        ws = _Workspace(cfg)
+        vals = build_initial_state(cfg).values
+        xi = 0.3
+        if n_members:
+            vals = np.stack([vals * np.exp(0.2j * b * cfg.grid.x) for b in range(n_members)])
+            xi = np.linspace(-0.3, 0.3, n_members)[:, None]
+        state = SimState(0.0, WaveFunction(cfg.grid, vals))
+        for _ in range(5):
+            state = step(state, cfg, xi, ws)
+            ref = np.fft.fft(state.psi.values)
+            assert state.spectrum.shape == ref.shape
+            assert np.abs(state.spectrum - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_fft_calls_per_step(self, monkeypatch):
+        """After the first, every step and its record make 2 forward and 5 inverse FFTs."""
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+
+        def count(n_steps):
+            for name in calls:
+                calls[name] = 0
+            run(SimConfig(**self.CFG, n_steps=n_steps))
+            return dict(calls)
+
+        short, long = count(2), count(6)
+        assert {name: (long[name] - short[name]) / 4 for name in calls} == {"fft": 2, "ifft": 5}

@@ -269,6 +269,17 @@ class TestObservables:
         free_observables(gaussian_state(grid, p0=1.0), params)
         assert calls == {"fft": 1, "ifft": 0}
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_given_spectrum_matches_computed(self, grid, params, batch):
+        vals = gaussian_state(grid, x0=1.5, p0=0.8, sigma=1.3).values
+        if batch:
+            vals = np.stack([vals, gaussian_state(grid, x0=-2.0, p0=-0.3).values])
+        psi, V = ComplexField(grid, vals), RealField(grid, 0.5 * grid.x**2)
+        carried = observables(psi, V, params, np.fft.fft(vals))
+        computed = observables(psi, V, params)
+        for name in ("norm", "mean_x", "mean_p", "var_x", "energy", "boundary_density"):
+            assert np.allclose(getattr(carried, name), getattr(computed, name), rtol=1e-12, atol=0), name
+
 
 def test_normalize(grid):
     psi = ComplexField(grid, np.exp(-grid.x**2 / 4) * 5.0)
