@@ -16,7 +16,7 @@ limit); `kernel(t)` names the memory function. They are distinct objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -95,28 +95,6 @@ class NoiseSpec:
         return discretize_ohmic(self.ohmic, system_mass)
 
 
-@dataclass(frozen=True)
-class NoiseRealization:
-    times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    seed: int = 0
-    kind: str = "zero"
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.shape != v.shape:
-            raise InvalidField("times and values must have equal shapes")
-        if t.size >= 3:
-            dt = np.diff(t)
-            if not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12):
-                raise InvalidField("noise times must be uniformly spaced")
-        if not np.all(np.isfinite(v)):
-            raise InvalidField("noise values must be finite")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-
 def memory_kernel(bath: BathSpec, t):
     """kernel(t) = sum_i c_i cos(omega_i t), c = bath.kernel_weights."""
     t = np.asarray(t, dtype=float)
@@ -138,18 +116,6 @@ def discretize_ohmic(spec: OhmicSpec, system_mass: float = 1.0) -> BathSpec:
     masses = np.ones(n)
     d = omega * np.sqrt(2.0 * system_mass * spec.friction * masses * dw / np.pi)
     return BathSpec(masses, omega, d, system_mass=system_mass)
-
-
-def sample_bath_noise(
-    bath: BathSpec, temperature: float, times, seed: int
-) -> NoiseRealization:
-    """Sample xi(t) from thermal (classical Gibbs) bath initial conditions.
-
-    The one-row case of sample_bath_noise_batch.
-    """
-    times = np.asarray(times, dtype=float)
-    xi = sample_bath_noise_batch(bath, temperature, times, [seed])[0]
-    return NoiseRealization(times, xi, seed=seed, kind="bath")
 
 
 def sample_bath_noise_batch(bath: BathSpec, temperature: float, times, seeds) -> np.ndarray:
@@ -184,28 +150,12 @@ def sample_bath_noise_batch(bath: BathSpec, temperature: float, times, seeds) ->
 
 
 def white_noise_sigma(alpha: float, temperature: float, system_mass: float, dt: float):
-    """Per-step standard deviation sqrt(2 m alpha T / dt) of the white-noise force."""
-    return np.sqrt(2.0 * system_mass * alpha * temperature / dt)
+    """Per-step standard deviation sqrt(2 m alpha T / dt) of the white-noise force.
 
-
-def white_noise(
-    alpha: float,
-    temperature: float,
-    system_mass: float,
-    dt: float,
-    n_steps: int,
-    seed: int,
-) -> NoiseRealization:
-    """i.i.d. Gaussian force, variance 2 m alpha T / dt per step.
-
-    Held piecewise-constant over each step, so the discrete autocorrelation
-    approximates 2 m alpha T delta(t - t'). The one-row case of noise_rows.
+    Held constant over each step, its discrete autocorrelation approximates
+    2 m alpha T delta(t - t').
     """
-    if dt <= 0:
-        raise InvalidField("dt must be > 0")
-    spec = NoiseSpec(kind="white", temperature=temperature)
-    xi = noise_rows(spec, alpha, system_mass, dt, n_steps, [seed])[0]
-    return NoiseRealization(dt * np.arange(n_steps), xi, seed=seed, kind="white")
+    return np.sqrt(2.0 * system_mass * alpha * temperature / dt)
 
 
 def noise_rows(

@@ -40,7 +40,7 @@ class PolarField:
     S: RealField
     node_mask: np.ndarray = field(repr=False)
     psi: WaveFunction = field(repr=False)
-    hbar: float = 1.0
+    hbar: float
 
     @property
     def grid(self):
@@ -83,7 +83,7 @@ def _anchored_unwrap(theta: np.ndarray, anchor: int) -> np.ndarray:
     return out
 
 
-def polar_decompose(psi: WaveFunction, hbar: float = 1.0) -> PolarField:
+def polar_decompose(psi: WaveFunction, hbar: float) -> PolarField:
     grid = psi.grid
     a = np.abs(psi.values)
     rho = a**2

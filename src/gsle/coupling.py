@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonmonotonePotential, OutOfDomain, UnsupportedOrder
+from .errors import InvalidField, NonmonotonePotential, OutOfDomain, UnsupportedOrder
 from .fields import Grid, cumulative_integral
 
 
@@ -37,12 +37,13 @@ class CouplingFunction:
 
     @classmethod
     def power(cls, n):
+        """f = x^n for an integer n >= 0; a zero coefficient gives exact zeros
+        (not 0 * x^-1, which is NaN at x = 0)."""
+        if not (n >= 0 and float(n).is_integer()):
+            raise InvalidField(f"power coupling needs an integer n >= 0, got {n}")
         n = float(n)
-        return cls((
-            lambda x: x**n,
-            lambda x: n * x ** (n - 1),
-            lambda x: n * (n - 1) * x ** (n - 2),
-        ))
+        term = lambda c, p: np.zeros_like if c == 0 else (lambda x: c * x**p)
+        return cls((lambda x: x**n, term(n, n - 1), term(n * (n - 1), n - 2)))
 
     @classmethod
     def sinusoidal(cls, a=1.0, k=1.0):

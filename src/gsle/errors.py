@@ -30,11 +30,7 @@ class EmptyBath(InvalidField):
 
 
 class InvalidFriction(GsleError):
-    """Negative friction constant."""
-
-
-class InvalidResolution(GsleError):
-    """Negative measurement resolution kappa."""
+    """Negative or non-finite friction constant."""
 
 
 class NumericalBlowup(GsleError):

@@ -47,7 +47,7 @@ from .fields import (
     normalize,
     observables,
 )
-from .potentials import dissipative_kernel, tilde_current
+from .potentials import SIGNS, dissipative_kernel, tilde_current
 
 BOUNDARY_DENSITY_LIMIT = 1e-6
 
@@ -106,8 +106,8 @@ class SimConfig:
             raise ConfigError("friction must be >= 0")
         if not self.kappa >= 0:
             raise ConfigError("kappa must be >= 0")
-        if self.sign not in ("damping", "paper"):
-            raise ConfigError(f"sign must be 'damping' or 'paper', got '{self.sign}'")
+        if self.sign not in SIGNS:
+            raise ConfigError(f"sign must be one of {list(SIGNS)}, got '{self.sign}'")
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,7 @@ class _Workspace:
         self.V = config.potential.on_grid(grid, 0)
         self.f = config.coupling.on_grid(grid, 0)
         self.fp2 = config.coupling.on_grid(grid, 1) ** 2
-        sign = +1.0 if config.sign == "damping" else -1.0
-        self.vd_coef = sign * config.friction
+        self.vd_coef = SIGNS[config.sign] * config.friction
         self.kappa = config.kappa
         self.dt = config.dt
         self._warned_stability = False

@@ -101,8 +101,8 @@ class RealField:
 
 
 @dataclass(frozen=True)
-class ComplexField:
-    """Complex samples of shape (N,), or (..., N) for a batch of fields.
+class WaveFunction:
+    """Complex samples psi(x) of shape (N,), or (..., N) for a batch of states.
 
     check_finite=False skips the finiteness scan, for a caller that has
     already made it (the propagator checks every new state).
@@ -120,10 +120,6 @@ class ComplexField:
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
-
-
-# A wavefunction is just a complex field; the alias marks intent.
-WaveFunction = ComplexField
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,7 @@ def normalize(psi: WaveFunction) -> WaveFunction:
     n2 = integrate_values(psi.grid, psi.density())
     if n2 <= 0 or not np.isfinite(n2):
         raise DegenerateState("cannot normalize a zero/non-finite state")
-    return ComplexField(psi.grid, psi.values / np.sqrt(n2))
+    return WaveFunction(psi.grid, psi.values / np.sqrt(n2))
 
 
 def boundary_density(rho: np.ndarray):

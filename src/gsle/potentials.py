@@ -1,20 +1,21 @@
-"""Every term entering the nonlinear wave equation.
+"""The state-dependent dissipative term of the nonlinear wave equation.
 
-Terms computed here, all as grid fields (V_d and W also as arrays, by
+Terms computed here, as grid fields (V_d and W also as arrays, by
 `dissipative_kernel`):
 
   J        probability current (hbar/m) Im(psi* dpsi/dx)
   Jt       coupling-weighted current f'(x)^2 J
   V_d      dissipative functional  s * m * friction * int Jt/|psi|^2 dx'
   W        <V_d>, the gauge constant subtracted during propagation
-  V_r      random potential -f(x) xi(t)
-  W_kappa  anti-Hermitian continuous-measurement term
-           -i hbar kappa (ln|psi|^2 - <ln|psi|^2>)
-  Q        quantum potential -(hbar^2/2m) A''/A
 
-Sign convention: `damping` (s=+1) makes V_d act as friction in the averaged
-equation of motion; `paper` (s=-1) is the literal printed sign, which
-anti-damps. Default is `damping`.
+The other terms have their one implementation in the propagator,
+`evolve._Workspace`: the random potential -f(x) xi(t) in `real_potential`
+and the anti-Hermitian measurement term +i hbar kappa (ln|psi|^2 - <ln|psi|^2>)
+in `apply_potential`.
+
+Sign convention (SIGNS): `damping` (s=+1) makes V_d act as friction in the
+averaged equation of motion; `paper` (s=-1) is the literal printed sign,
+which anti-damps. Default is `damping`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .coupling import CouplingFunction, PotentialSpec, gup_coupling
-from .errors import InvalidFriction, InvalidResolution, NonmonotonePotential
+from .errors import InvalidFriction, NonmonotonePotential
 from .fields import (
-    ComplexField,
     Grid,
     PhysicalParams,
     RealField,
@@ -32,9 +32,10 @@ from .fields import (
     cumulative_integral,
     density_floor,
     integrate_values,
-    log_density,
-    spectral_derivative,
 )
+
+# s of V_d for each sign convention
+SIGNS = {"damping": 1.0, "paper": -1.0}
 
 
 def _current_values(vals: np.ndarray, ik: np.ndarray, params: PhysicalParams, spectrum=None):
@@ -103,9 +104,9 @@ def dissipative_potential(
     with s=+1 for sign='damping' and s=-1 for sign='paper'. The arbitrary
     lower limit is immaterial: W = <V_d> is always subtracted downstream.
     """
-    if friction < 0:
-        raise InvalidFriction(f"friction must be >= 0, got {friction}")
-    s = {"damping": 1.0, "paper": -1.0}[sign]
+    if not 0 <= friction < np.inf:
+        raise InvalidFriction(f"friction must be finite and >= 0, got {friction}")
+    s = SIGNS[sign]
     grid = psi.grid
     if friction == 0.0:
         zero = RealField(grid, np.zeros(grid.n_points))
@@ -114,45 +115,6 @@ def dissipative_potential(
         psi.values, f.on_grid(grid, 1) ** 2, grid.ik, s * friction, grid, params
     )
     return RealField(grid, vd), float(w)
-
-
-def random_potential(f: CouplingFunction, xi: float, grid: Grid) -> RealField:
-    """V_r = -f(x) xi(t); the force it exerts is f'(x) xi."""
-    return RealField(grid, -f.on_grid(grid, 0) * float(xi))
-
-
-def measurement_potential(
-    psi: WaveFunction, kappa: float, params: PhysicalParams, sign: str = "localizing"
-) -> ComplexField:
-    """Anti-Hermitian continuous-measurement term, purely imaginary.
-
-    sign='localizing' (default): +i hbar kappa (ln|psi|^2 - <ln|psi|^2>),
-    which contracts the density toward its bulk (the restricted-path-
-    integral measurement term maps onto this sign for Gaussian states).
-    sign='paper': the literal printed form with the opposite overall sign,
-    which anti-localizes; kept for reproduction only.
-    """
-    if kappa < 0:
-        raise InvalidResolution(f"kappa must be >= 0, got {kappa}")
-    s = {"localizing": 1.0, "paper": -1.0}[sign]
-    grid = psi.grid
-    if kappa == 0.0:
-        return ComplexField(grid, np.zeros(grid.n_points, dtype=complex))
-    rho = psi.density()
-    logrho = log_density(rho)
-    n2 = integrate_values(grid, rho)
-    mean_log = integrate_values(grid, logrho * rho) / n2
-    return ComplexField(grid, s * 1j * params.hbar * kappa * (logrho - mean_log))
-
-
-def quantum_potential(psi: WaveFunction, params: PhysicalParams) -> RealField:
-    """Q = -(hbar^2 / 2m) A''/A with A = |psi|, density-floored."""
-    grid = psi.grid
-    a = np.abs(psi.values)
-    d2a = np.real(spectral_derivative(grid, a.astype(complex), 2))
-    a_floor = np.sqrt(density_floor(a**2))
-    q = -(params.hbar**2) / (2 * params.mass) * d2a / np.maximum(a, a_floor)
-    return RealField(grid, q)
 
 
 def gup_damping_closed_form(
@@ -173,7 +135,7 @@ def gup_damping_closed_form(
     vp = V.on_grid(grid, 1)
     if np.any(vp < -1e-12 * max(1.0, np.abs(vp).max())):
         raise NonmonotonePotential("closed form requires V' >= 0 on the grid")
-    p = guiding_momentum(polar_decompose(psi), params)
+    p = guiding_momentum(polar_decompose(psi, hbar=params.hbar), params)
     return RealField(grid, -2.0 * gup_alpha * p.values * V.on_grid(grid, 0))
 
 

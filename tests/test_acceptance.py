@@ -10,7 +10,7 @@ resolved support (rho > 1e-8 of its peak).
 import numpy as np
 import pytest
 
-from gsle.bath import OhmicSpec, discretize_ohmic, memory_kernel, white_noise, sample_bath_noise
+from gsle.bath import OhmicSpec, discretize_ohmic, memory_kernel, noise_rows, sample_bath_noise_batch
 from gsle.bohmian import equivariance_distance, polar_decompose, propagate_trajectories, weak_value
 from gsle.classical import GaussianCloud, LangevinConfig, langevin_ensemble
 from gsle.cli import main as cli_main
@@ -186,7 +186,7 @@ def test_criterion_06_kostin_linear_reduction():
     for i in picks:
         _, psi = rec.snapshots[i]
         vd, w = dissipative_potential(psi, lin, alpha, PARAMS)
-        s = polar_decompose(psi).S.values
+        s = polar_decompose(psi, hbar=1.0).S.values
         rho = psi.density()
         s_mean = integrate_values(g, s * rho) / integrate_values(g, rho)
         worst = max(
@@ -227,7 +227,7 @@ def _weak_value_worst(mask_fn):
     rec = run(cfg)
     worst = 0.0
     for _, psi in rec.snapshots[1:]:
-        polar = polar_decompose(psi)
+        polar = polar_decompose(psi, hbar=1.0)
         wv = weak_value(polar, PARAMS)
         dpsi = spectral_derivative(GRID, psi.values, 1)
         oracle = -1j * dpsi / psi.values
@@ -284,10 +284,8 @@ def test_criterion_10_fluctuation_dissipation():
     bath = discretize_ohmic(OhmicSpec(0.5, 50.0, 300, T), 1.0)
     lags = 0.02 * np.arange(10)
     n_seeds = 10_000
-    samples = np.empty((n_seeds, lags.size))
-    for s in range(n_seeds):
-        v = sample_bath_noise(bath, T, lags, s).values
-        samples[s] = v * v[0]
+    v = sample_bath_noise_batch(bath, T, lags, range(n_seeds))
+    samples = v * v[:, :1]
     acf = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_seeds)
     target = 1.0 * T * memory_kernel(bath, lags)
@@ -295,8 +293,8 @@ def test_criterion_10_fluctuation_dissipation():
     acf_ok = np.all(z < 3.0)
 
     alpha, dt = 0.5, 0.01
-    xi = white_noise(alpha, 1.0, 1.0, dt, 100_000, 12)
-    var = xi.values.var()
+    xi = noise_rows(NoiseSpec("white", 1.0), alpha, 1.0, dt, 100_000, [12])[0]
+    var = xi.var()
     var_target = 2.0 * 1.0 * alpha * 1.0 / dt
     var_ok = abs(var - var_target) / var_target < 0.02
     report(

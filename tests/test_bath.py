@@ -5,15 +5,12 @@ import pytest
 
 from gsle.bath import (
     BathSpec,
-    NoiseRealization,
     NoiseSpec,
     OhmicSpec,
     discretize_ohmic,
     memory_kernel,
     noise_rows,
-    sample_bath_noise,
     sample_bath_noise_batch,
-    white_noise,
 )
 from gsle.errors import EmptyBath, InvalidField
 
@@ -96,22 +93,21 @@ class TestDiscretizeOhmic:
 class TestSampleBathNoise:
     def test_zero_temperature(self):
         times = 0.1 * np.arange(50)
-        xi = sample_bath_noise(single_oscillator(), 0.0, times, 3)
-        assert np.all(xi.values == 0.0)
+        xi = sample_bath_noise_batch(single_oscillator(), 0.0, times, [3])
+        assert np.all(xi == 0.0)
 
     def test_single_oscillator_is_sinusoid(self):
         """A one-oscillator bath yields a pure sinusoid at its frequency."""
         omega, dt = 2.0, 0.05
         times = dt * np.arange(200)
-        xi = sample_bath_noise(single_oscillator(omega=omega, d=0.7), 1.0, times, 42)
-        v = xi.values
+        v = sample_bath_noise_batch(single_oscillator(omega=omega, d=0.7), 1.0, times, [42])[0]
         # exact three-term recurrence of any sinusoid at frequency omega
         resid = v[2:] + v[:-2] - 2 * np.cos(omega * dt) * v[1:-1]
         assert np.abs(resid).max() < 1e-12 * np.abs(v).max()
 
     def test_batch_rows_match_one_row_case(self):
         """noise_rows gives each row its own stream (an int or a SeedSequence).
-        White rows equal white_noise bit for bit; bath rows are
+        White rows equal the one-row case bit for bit; bath rows are
         sample_bath_noise_batch, whose one matrix product for the batch
         instead of one vector product per row changes only the order of
         summation."""
@@ -123,26 +119,27 @@ class TestSampleBathNoise:
         assert rows.shape == (3, 300)
         assert np.array_equal(rows, sample_bath_noise_batch(bath, 0.1, times, seeds))
         for seed, row in zip(seeds, rows):
-            one = sample_bath_noise(bath, 0.1, times, seed).values
+            one = sample_bath_noise_batch(bath, 0.1, times, [seed])[0]
             assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
-        white = noise_rows(NoiseSpec("white", 0.1), 0.5, 1.0, dt, n, seeds)
+        spec = NoiseSpec("white", 0.1)
+        white = noise_rows(spec, 0.5, 1.0, dt, n, seeds)
         assert white.shape == (3, 300)
         for seed, row in zip(seeds, white):
-            assert np.array_equal(row, white_noise(0.5, 0.1, 1.0, dt, n, seed).values)
+            assert np.array_equal(row, noise_rows(spec, 0.5, 1.0, dt, n, [seed])[0])
         assert np.array_equal(noise_rows(NoiseSpec(), 0.5, 1.0, dt, n, seeds), np.zeros((3, n)))
 
     def test_reproducible(self):
         bath = discretize_ohmic(OhmicSpec(0.5, 50.0, 200, 0.1), 1.0)
         times = 0.01 * np.arange(100)
-        a = sample_bath_noise(bath, 0.1, times, 7).values
-        b = sample_bath_noise(bath, 0.1, times, 7).values
+        a = sample_bath_noise_batch(bath, 0.1, times, [7])[0]
+        b = sample_bath_noise_batch(bath, 0.1, times, [7])[0]
         assert np.array_equal(a, b)
 
     def test_seed_changes_values(self):
         bath = discretize_ohmic(OhmicSpec(0.5, 50.0, 200, 0.1), 1.0)
         times = 0.01 * np.arange(100)
-        a = sample_bath_noise(bath, 0.1, times, 7).values
-        b = sample_bath_noise(bath, 0.1, times, 8).values
+        a = sample_bath_noise_batch(bath, 0.1, times, [7])[0]
+        b = sample_bath_noise_batch(bath, 0.1, times, [8])[0]
         assert not np.array_equal(a, b)
 
     def test_autocorrelation_matches_kernel(self):
@@ -153,7 +150,7 @@ class TestSampleBathNoise:
         acc = np.zeros(10)
         samples = np.empty((n_seeds, 10))
         for s in range(n_seeds):
-            v = sample_bath_noise(bath, T, lags, s).values
+            v = sample_bath_noise_batch(bath, T, lags, [s])[0]
             samples[s] = v * v[0]
         acf = samples.mean(axis=0)
         stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_seeds)
@@ -168,7 +165,7 @@ class TestSampleBathNoise:
         pairs = ((0, 3), (7, 10), (19, 22))   # same lag, three origins
         prods = np.empty((len(pairs), n_seeds))
         for s in range(n_seeds):
-            v = sample_bath_noise(bath, T, times, s).values
+            v = sample_bath_noise_batch(bath, T, times, [s])[0]
             for k, (i, j) in enumerate(pairs):
                 prods[k, s] = v[i] * v[j]
         means = prods.mean(axis=1)
@@ -180,32 +177,23 @@ class TestSampleBathNoise:
 
 class TestWhiteNoise:
     def test_zero_temperature(self):
-        xi = white_noise(0.5, 0.0, 1.0, 0.01, 100, 0)
-        assert np.all(xi.values == 0.0)
+        xi = noise_rows(NoiseSpec("white", 0.0), 0.5, 1.0, 0.01, 100, [0])[0]
+        assert np.all(xi == 0.0)
 
     def test_zero_friction(self):
-        xi = white_noise(0.0, 1.0, 1.0, 0.01, 100, 0)
-        assert np.all(xi.values == 0.0)
+        xi = noise_rows(NoiseSpec("white", 1.0), 0.0, 1.0, 0.01, 100, [0])[0]
+        assert np.all(xi == 0.0)
 
     def test_moments(self):
         # variance 2 m alpha T / dt with piecewise-constant convention
-        xi = white_noise(0.5, 1.0, 1.0, 0.01, 100_000, 12)
-        var = xi.values.var()
+        xi = noise_rows(NoiseSpec("white", 1.0), 0.5, 1.0, 0.01, 100_000, [12])[0]
+        var = xi.var()
         assert var == pytest.approx(100.0, rel=0.02)
-        stderr = xi.values.std() / np.sqrt(xi.values.size)
-        assert abs(xi.values.mean()) < 3 * stderr
+        stderr = xi.std() / np.sqrt(xi.size)
+        assert abs(xi.mean()) < 3 * stderr
 
     def test_reproducible(self):
-        a = white_noise(0.5, 1.0, 1.0, 0.01, 1000, 5).values
-        b = white_noise(0.5, 1.0, 1.0, 0.01, 1000, 5).values
+        a = noise_rows(NoiseSpec("white", 1.0), 0.5, 1.0, 0.01, 1000, [5])[0]
+        b = noise_rows(NoiseSpec("white", 1.0), 0.5, 1.0, 0.01, 1000, [5])[0]
         assert np.array_equal(a, b)
 
-
-def test_noise_realization_requires_uniform_times():
-    with pytest.raises(Exception):
-        NoiseRealization(
-            times=np.array([0.0, 0.1, 0.3]),
-            values=np.zeros(3),
-            seed=0,
-            kind="white",
-        )

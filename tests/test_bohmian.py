@@ -68,14 +68,14 @@ class TestPolarDecompose:
         # 10 full phase wraps across the box: the unwrapped action must be
         # exactly linear, no residual 2*pi jumps
         psi, k = plane_wave(grid, 10)
-        polar = polar_decompose(psi)
+        polar = polar_decompose(psi, hbar=1.0)
         s = polar.S.values
         jumps = np.diff(s) - k * grid.dx
         assert np.abs(jumps).max() < 1e-10
 
     def test_real_gaussian(self, grid):
         psi = gaussian_state(grid)
-        polar = polar_decompose(psi)
+        polar = polar_decompose(psi, hbar=1.0)
         sel = ~polar.node_mask
         assert np.abs(polar.S.values[sel]).max() < 1e-10
         assert np.allclose(polar.A.values, np.abs(psi.values))
@@ -87,7 +87,7 @@ class TestPolarDecompose:
             initial_state=HarmonicEigenstate(1, 1.0),
         )
         psi = build_initial_state(cfg)
-        polar = polar_decompose(psi)
+        polar = polar_decompose(psi, hbar=1.0)
         assert polar.node_mask.any()
         x = grid.x
         left = polar.S.values[(x < -0.5) & ~polar.node_mask][0]
@@ -97,30 +97,30 @@ class TestPolarDecompose:
 
     def test_reconstruction(self, grid):
         psi = gaussian_state(grid, x0=1.0, p0=2.3)
-        polar = polar_decompose(psi)
+        polar = polar_decompose(psi, hbar=1.0)
         back = polar.A.values * np.exp(1j * polar.S.values / polar.hbar)
         sel = ~polar.node_mask
         assert np.abs(back[sel] - psi.values[sel]).max() < 1e-8
 
     def test_zero_state(self, grid):
         with pytest.raises(DegenerateState):
-            polar_decompose(WaveFunction(grid, np.zeros(512, dtype=complex)))
+            polar_decompose(WaveFunction(grid, np.zeros(512, dtype=complex)), hbar=1.0)
 
 
 class TestGuidingMomentum:
     def test_plane_wave(self, grid, params):
         psi, k = plane_wave(grid, 6)
-        p = guiding_momentum(polar_decompose(psi), params).values
+        p = guiding_momentum(polar_decompose(psi, hbar=1.0), params).values
         assert np.abs(p - k).max() < 1e-8
 
     def test_real_state(self, grid, params):
         psi = gaussian_state(grid)
-        p = guiding_momentum(polar_decompose(psi), params).values
+        p = guiding_momentum(polar_decompose(psi, hbar=1.0), params).values
         assert np.abs(p).max() < 1e-8
 
     def test_boosted_gaussian(self, grid, params):
         psi = gaussian_state(grid, p0=1.4)
-        polar = polar_decompose(psi)
+        polar = polar_decompose(psi, hbar=1.0)
         p = guiding_momentum(polar, params).values
         sel = ~polar.node_mask
         assert np.abs(p[sel] - 1.4).max() < 1e-8
@@ -128,7 +128,7 @@ class TestGuidingMomentum:
     def test_matches_current_ratio(self, grid, params):
         """p = dS/dx must equal m J / |psi|^2 where the density resolves."""
         psi = gaussian_state(grid, x0=0.5, p0=1.1, sigma=1.2)
-        polar = polar_decompose(psi)
+        polar = polar_decompose(psi, hbar=1.0)
         p = guiding_momentum(polar, params).values
         rho = psi.density()
         sel = rho > 1e-6 * rho.max()
@@ -142,7 +142,7 @@ class TestGuidingMomentum:
             potential=PotentialSpec.harmonic(1.0),
             initial_state=HarmonicEigenstate(1, 1.0),
         )
-        polar = polar_decompose(build_initial_state(cfg))
+        polar = polar_decompose(build_initial_state(cfg), hbar=1.0)
         mask = polar.node_mask
         assert mask[np.argmin(np.abs(grid.x))]   # the node at x = 0
         p = guiding_momentum(polar, params).values
@@ -154,7 +154,7 @@ class TestGuidingMomentum:
 class TestTildePhase:
     def test_linear_coupling_recovers_action(self, grid, params):
         psi = gaussian_state(grid, p0=0.9)
-        polar = polar_decompose(psi)
+        polar = polar_decompose(psi, hbar=1.0)
         _, form2 = tilde_phase_forms(polar, CouplingFunction.linear(), params)
         diff = form2.values - polar.S.values
         rho = psi.density()
@@ -163,7 +163,7 @@ class TestTildePhase:
 
     def test_constant_coupling_vanishes(self, grid, params):
         psi = gaussian_state(grid, p0=0.9)
-        polar = polar_decompose(psi)
+        polar = polar_decompose(psi, hbar=1.0)
         _, form2 = tilde_phase_forms(polar, CouplingFunction.constant(3.0), params)
         assert np.abs(form2.values).max() < 1e-10
 
@@ -173,7 +173,7 @@ class TestTildePhase:
         p0 = 0.37
         rho = np.exp(-(g.x**2) / 2.0)
         psi = WaveFunction(g, np.sqrt(rho) * np.exp(1j * p0 * g.x))
-        polar = polar_decompose(psi)
+        polar = polar_decompose(psi, hbar=1.0)
         form1, form2 = tilde_phase_forms(polar, CouplingFunction.power(2), params)
         sel = ~polar.node_mask
         expected = (4.0 / 3.0) * p0 * g.x**3
@@ -188,7 +188,7 @@ class TestTildePhase:
         the interpolated action from masked cells."""
         psi = gaussian_state(grid, x0=0.5, p0=0.9, sigma=1.2)
         f = CouplingFunction.sinusoidal(1.0, 1.0)
-        _, form2 = tilde_phase_forms(polar_decompose(psi), f, params)
+        _, form2 = tilde_phase_forms(polar_decompose(psi, hbar=1.0), f, params)
         vd, _ = dissipative_potential(psi, f, 1.0, params)
         assert np.abs(form2.values - vd.values).max() < 1e-13
 
@@ -196,14 +196,14 @@ class TestTildePhase:
 class TestWeakValue:
     def test_plane_wave(self, grid, params):
         psi, k = plane_wave(grid, 6)
-        wv = weak_value(polar_decompose(psi), params)
+        wv = weak_value(polar_decompose(psi, hbar=1.0), params)
         assert np.abs(wv.real_part.values - k).max() < 1e-8
         assert np.abs(wv.imag_part.values).max() < 1e-8
 
     def test_real_gaussian_osmotic(self, grid, params):
         # density e^{-x^2/2}: osmotic part is +x/2 in natural units
         psi = gaussian_state(grid, sigma=1.0)
-        wv = weak_value(polar_decompose(psi), params)
+        wv = weak_value(polar_decompose(psi, hbar=1.0), params)
         i1 = np.argmin(np.abs(grid.x - 1.0))
         assert wv.imag_part.values[i1] == pytest.approx(
             grid.x[i1] / 2.0, abs=1e-8
@@ -212,7 +212,7 @@ class TestWeakValue:
     def test_definitional_oracle_synthetic(self, grid, params):
         """(-i hbar dpsi)/psi == real + i*imag on an analytic state."""
         psi = gaussian_state(grid, x0=0.5, p0=1.3, sigma=1.1)
-        polar = polar_decompose(psi)
+        polar = polar_decompose(psi, hbar=1.0)
         wv = weak_value(polar, params)
         dpsi = spectral_derivative(grid, psi.values, 1)
         rho = psi.density()

@@ -181,6 +181,7 @@ class TestRunCommand:
                 "[classical]\nn_particles = 4\nsigma_x = nan\n",
                 "sigma_x",
             ),
+            ("[run]\nn_steps = 3\n[coupling]\nkind = power\nn = -1\n", "integer n >= 0"),
         ],
         ids=[
             "negative_dt",
@@ -211,6 +212,7 @@ class TestRunCommand:
             "inf_x_max",
             "negative_sigma_p",
             "nan_sigma_x",
+            "power_negative_n",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, text, named):
@@ -242,6 +244,16 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(out)]) == 2
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "NumericalBlowup"
+
+    def test_power_zero_is_constant_coupling(self, tmp_path):
+        """f = x^0 runs with friction and records what f = 1 records."""
+        body = {}
+        for kind in ("kind = power\nn = 0", "kind = constant\nc = 1"):
+            cfg = write_cfg(tmp_path, f"[run]\nn_steps = 20\nfriction = 0.1\n[coupling]\n{kind}\n")
+            out = tmp_path / kind.split()[2]
+            assert main(["run", cfg, "--out", str(out)]) == 0
+            body[kind] = (out / "observables.csv").read_text().splitlines()[2:]
+        assert body["kind = power\nn = 0"] == body["kind = constant\nc = 1"]
 
     def test_classical_mode(self, tmp_path):
         cfg = write_cfg(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsle.coupling import CouplingFunction, gup_coupling
-from gsle.errors import NonmonotonePotential, OutOfDomain, UnsupportedOrder
+from gsle.errors import InvalidField, NonmonotonePotential, OutOfDomain, UnsupportedOrder
 from gsle.fields import Grid
 from gsle.potentials import PotentialSpec
 
@@ -21,6 +21,24 @@ class TestEval:
         assert f(2.0, 0) == pytest.approx(4.0)
         assert f(2.0, 1) == pytest.approx(4.0)
         assert f(2.0, 2) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "n, same", [(0, CouplingFunction.constant(1.0)), (1, CouplingFunction.linear())],
+        ids=["zero_is_constant", "one_is_linear"],
+    )
+    def test_power_low_orders(self, n, same):
+        """x^0 and x^1 on a grid through x = 0: zero coefficients give exact
+        zeros, not 0 * x^-1."""
+        grid = Grid(-20.0, 20.0, 512)
+        assert 0.0 in grid.x
+        for order in (0, 1, 2):
+            got = CouplingFunction.power(n).on_grid(grid, order)
+            assert np.array_equal(got, same.on_grid(grid, order)), order
+
+    @pytest.mark.parametrize("n", [-1, 1.5, np.nan])
+    def test_power_needs_integer_n(self, n):
+        with pytest.raises(InvalidField):
+            CouplingFunction.power(n)
 
     def test_sinusoidal(self):
         f = CouplingFunction.sinusoidal(1.0, 2.0)

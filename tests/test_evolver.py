@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsle.bath import OhmicSpec, sample_bath_noise, white_noise
+from gsle.bath import OhmicSpec, noise_rows
 from gsle.coupling import CouplingFunction
 from gsle.errors import (
     ConfigError,
@@ -282,6 +282,44 @@ class TestRunProperties:
         for name in RECORDED:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
+    @staticmethod
+    def final_psi(**kw):
+        """psi(T) after 400 steps with friction, kappa > 0 and white noise."""
+        base = dict(
+            grid=Grid(-10.0, 10.0, 256),
+            potential=PotentialSpec.harmonic(1.0),
+            coupling=CouplingFunction.sinusoidal(1.0, 1.0),
+            friction=0.2,
+            kappa=0.05,
+            noise=NoiseSpec(kind="white", temperature=0.1),
+            dt=0.005,
+            n_steps=400,
+            snapshot_stride=400,
+            seed=11,
+            initial_state=GaussianPacket(1.0, 0.5, GROUND_SIGMA),
+        )
+        base.update(kw)
+        return run(SimConfig(**base)).snapshots[-1][1].values
+
+    @pytest.mark.parametrize("c", [-3.0, 7.5])
+    def test_gauge_constant_is_global_phase(self, c):
+        """V + c changes psi(T) only by exp(-i c T / hbar)."""
+        def harmonic_plus(c):
+            return PotentialSpec((lambda x: 0.5 * x**2 + c, lambda x: x, np.ones_like))
+
+        a = self.final_psi(potential=harmonic_plus(0.0))
+        b = self.final_psi(potential=harmonic_plus(c))
+        assert np.abs(b - np.exp(-1j * c * 400 * 0.005) * a).max() <= 1e-12
+
+    @pytest.mark.parametrize("theta", [0.7, 2.0 * np.pi / 3.0])
+    def test_global_phase_carried(self, theta):
+        """Starting from exp(i theta) psi0 gives exp(i theta) psi(T)."""
+        grid = Grid(-10.0, 10.0, 256)
+        psi0 = WaveFunction(grid, np.exp(-((grid.x - 1.0) ** 2) / 2.0 + 0.5j * grid.x))
+        a = self.final_psi(initial_state=psi0)
+        b = self.final_psi(initial_state=WaveFunction(grid, np.exp(1j * theta) * psi0.values))
+        assert np.abs(b - np.exp(1j * theta) * a).max() <= 1e-12
+
 
 class TestEhrenfestResidual:
     def test_conservative_closure(self):
@@ -319,14 +357,8 @@ W_BOUND = 1e-9
 
 def unbatched_run(cfg):
     """The single-state loop: (N,) states, scalar noise values, 1-D observables."""
-    n, mass = cfg.n_steps, cfg.params.mass
-    if cfg.noise.kind == "white":
-        xi = white_noise(cfg.friction, cfg.noise.temperature, mass, cfg.dt, n, cfg.seed).values
-    elif cfg.noise.kind == "bath":
-        times = cfg.dt * np.arange(n)
-        xi = sample_bath_noise(cfg.noise.bath_spec(mass), cfg.noise.temperature, times, cfg.seed).values
-    else:
-        xi = np.zeros(n)
+    n = cfg.n_steps
+    xi = noise_rows(cfg.noise, cfg.friction, cfg.params.mass, cfg.dt, n, [cfg.seed])[0]
     ws = _Workspace(cfg)
     v_field = RealField(cfg.grid, ws.V)
     state = SimState(0.0, build_initial_state(cfg))

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from conftest import gaussian_state, plane_wave
 from gsle.errors import DegenerateState, InvalidField, UnsupportedOrder
 from gsle.fields import (
-    ComplexField,
     Grid,
     PhysicalParams,
     RealField,
+    WaveFunction,
     boundary_density,
     cumulative_integral,
     integrate,
@@ -192,7 +192,7 @@ class TestExpectation:
         assert mean == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_norm(self, grid, params):
-        psi = ComplexField(grid, np.zeros(512, dtype=complex))
+        psi = WaveFunction(grid, np.zeros(512, dtype=complex))
         with pytest.raises(DegenerateState):
             observables(psi, RealField(grid, grid.x), params)
 
@@ -242,7 +242,7 @@ class TestObservables:
             shape = (3, grid.n_points) if case == "batch" else (grid.n_points,)
             rng = np.random.default_rng(3)
             vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        psi = ComplexField(grid, vals)
+        psi = WaveFunction(grid, vals)
         params = PhysicalParams(hbar=0.7, mass=1.3)
         V = 0.5 * grid.x**2
         obs = observables(psi, RealField(grid, V), params)
@@ -274,7 +274,7 @@ class TestObservables:
         vals = gaussian_state(grid, x0=1.5, p0=0.8, sigma=1.3).values
         if batch:
             vals = np.stack([vals, gaussian_state(grid, x0=-2.0, p0=-0.3).values])
-        psi, V = ComplexField(grid, vals), RealField(grid, 0.5 * grid.x**2)
+        psi, V = WaveFunction(grid, vals), RealField(grid, 0.5 * grid.x**2)
         carried = observables(psi, V, params, np.fft.fft(vals))
         computed = observables(psi, V, params)
         for name in ("norm", "mean_x", "mean_p", "var_x", "energy", "boundary_density"):
@@ -282,13 +282,13 @@ class TestObservables:
 
 
 def test_normalize(grid):
-    psi = ComplexField(grid, np.exp(-grid.x**2 / 4) * 5.0)
+    psi = WaveFunction(grid, np.exp(-grid.x**2 / 4) * 5.0)
     assert integrate_values(grid, normalize(psi).density()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalize_zero_state(grid):
     with pytest.raises(DegenerateState):
-        normalize(ComplexField(grid, np.zeros(512, dtype=complex)))
+        normalize(WaveFunction(grid, np.zeros(512, dtype=complex)))
 
 
 def test_integrate_values_matches_integrate(grid):

@@ -1,13 +1,19 @@
-"""Currents and every potential term of the nonlinear wave equation."""
+"""Currents and every potential term of the nonlinear wave equation.
+
+The random potential and the measurement term are tested on the
+propagator's own kernel, `evolve._Workspace`.
+"""
 
 import numpy as np
 import pytest
 
 from conftest import gaussian_state, plane_wave
 from gsle.coupling import CouplingFunction
-from gsle.errors import InvalidFriction, InvalidResolution
+from gsle.errors import ConfigError, InvalidFriction
+from gsle.evolve import SimConfig, _Workspace
 from gsle.fields import (
     Grid,
+    PhysicalParams,
     RealField,
     observables,
     integrate,
@@ -23,9 +29,6 @@ from gsle.potentials import (
     dissipative_potential,
     gup_damping_closed_form,
     gup_discrepancy_report,
-    measurement_potential,
-    quantum_potential,
-    random_potential,
     tilde_current,
 )
 
@@ -34,6 +37,11 @@ def density_mean(psi, values):
     """int O |psi|^2 / int |psi|^2 for samples O of an observable."""
     rho = psi.density()
     return integrate_values(psi.grid, values * rho) / integrate_values(psi.grid, rho)
+
+
+def workspace(grid, **kw):
+    """The propagator's stepping kernel for a config on this grid."""
+    return _Workspace(SimConfig(grid=grid, **kw))
 
 
 class TestCurrent:
@@ -96,8 +104,9 @@ class TestDissipativePotential:
 
     def test_negative_friction(self, grid, params):
         psi = gaussian_state(grid)
-        with pytest.raises(InvalidFriction):
-            dissipative_potential(psi, CouplingFunction.linear(), -0.1, params)
+        for friction in (-0.1, np.nan, np.inf):
+            with pytest.raises(InvalidFriction):
+                dissipative_potential(psi, CouplingFunction.linear(), friction, params)
 
     def test_plane_wave_linear_growth(self, grid, params):
         psi, k = plane_wave(grid, 5)
@@ -155,92 +164,81 @@ class TestDissipativePotential:
 
 
 class TestRandomPotential:
+    """V_r = -f xi as the propagator builds it: with friction 0, U = V - f xi."""
+
     def test_zero_noise(self, grid):
-        v = random_potential(CouplingFunction.linear(), 0.0, grid)
-        assert np.all(v.values == 0.0)
+        ws = workspace(grid, potential=PotentialSpec.harmonic(1.0))
+        u, w = ws.real_potential(gaussian_state(grid).values, 0.0)
+        assert np.array_equal(u, ws.V) and w == 0.0
 
     def test_linear_coupling_uniform_force(self, grid):
-        v = random_potential(CouplingFunction.linear(), 2.0, grid)
-        assert np.allclose(v.values, -2.0 * grid.x)
+        ws = workspace(grid)
+        u, _ = ws.real_potential(gaussian_state(grid).values, 2.0)
+        assert np.array_equal(u, -2.0 * grid.x)
 
     def test_force_is_fprime_xi(self):
         # box length commensurate with the coupling period, so the
         # spectral gradient is exact
         g = Grid(-8 * np.pi, 8 * np.pi, 512)
-        f = CouplingFunction.sinusoidal(1.0, 1.0)
-        v = random_potential(f, 1.0, g)
-        force = -np.real(spectral_derivative(g, v.values.astype(complex), 1))
+        ws = workspace(g, coupling=CouplingFunction.sinusoidal(1.0, 1.0))
+        u, _ = ws.real_potential(gaussian_state(g).values, 1.0)
+        force = -np.real(spectral_derivative(g, u.astype(complex), 1))
         assert np.abs(force - np.cos(g.x)).max() < 1e-10
 
 
 class TestMeasurementPotential:
-    def test_zero_kappa(self, grid, params):
-        psi = gaussian_state(grid)
-        w = measurement_potential(psi, 0.0, params)
-        assert np.all(w.values == 0.0)
+    """The measurement kick of _Workspace.apply_potential: the localizing
+    term +i hbar kappa (ln rho - <ln rho>) over a kick of length tau."""
 
-    def test_negative_kappa(self, grid, params):
-        psi = gaussian_state(grid)
-        with pytest.raises(InvalidResolution):
-            measurement_potential(psi, -0.1, params)
+    TAU = 0.5
 
-    def test_uniform_density_vanishes(self, grid, params):
+    def kick(self, psi, kappa, u=None):
+        ws = workspace(psi.grid, potential=PotentialSpec.harmonic(1.0), kappa=kappa)
+        u = ws.V if u is None else u
+        out = ws.apply_potential(psi.values, u, self.TAU, psi.density())
+        return out, psi.values * np.exp(-1j * u * self.TAU)
+
+    def test_zero_kappa(self, grid):
+        """kappa = 0: a pure phase kick."""
+        out, phase_kicked = self.kick(gaussian_state(grid, x0=0.7), 0.0)
+        assert np.abs(out - phase_kicked).max() < 1e-15
+
+    def test_negative_kappa(self, grid):
+        with pytest.raises(ConfigError, match="kappa"):
+            SimConfig(grid=grid, kappa=-0.1)
+
+    def test_uniform_density_vanishes(self, grid):
+        """ln rho is constant, so the kick leaves the state unchanged up to the phase."""
         psi = normalize(WaveFunction(grid, np.ones(512, dtype=complex)))
-        w = measurement_potential(psi, 0.4, params)
-        assert np.abs(w.values).max() < 1e-12
+        out, phase_kicked = self.kick(psi, 0.4)
+        assert np.abs(out - phase_kicked).max() < 1e-12
 
-    def test_purely_imaginary_and_mean_free(self, grid, params):
+    def test_purely_imaginary_and_mean_free(self, grid):
+        """The term is imaginary, so it multiplies psi by a real positive factor;
+        it is mean-free, so the kick keeps the norm."""
         psi = gaussian_state(grid, x0=0.7)
-        w = measurement_potential(psi, 0.4, params)
-        assert np.abs(w.values.real).max() < 1e-10
-        mean_im = density_mean(psi, w.values.imag)
-        assert abs(mean_im) < 1e-10
+        out, phase_kicked = self.kick(psi, 0.4)
+        support = psi.density() > 1e-8 * psi.density().max()
+        factor = out[support] / phase_kicked[support]
+        assert np.abs(factor.imag).max() < 1e-10 and factor.real.min() > 0
+        n_after = integrate_values(grid, np.abs(out) ** 2)
+        assert n_after == pytest.approx(integrate_values(grid, psi.density()), rel=1e-12)
 
-    def test_gaussian_literal_sign_form(self, grid, params):
-        # literal printed convention: for a sigma=1 Gaussian density the
-        # term is +i*hbar*kappa*(x^2 - 1)/2
-        psi = gaussian_state(grid, sigma=1.0)
+    def test_gaussian_contracts(self, grid):
+        """For a sigma = 1 Gaussian ln rho = -x^2/2 + const, so the kick
+        multiplies |psi| by exp(-kappa tau x^2/2) and rho^(1 + 2 kappa tau)
+        has the variance 1/(1 + 2 kappa tau)."""
         kappa = 0.4
-        w = measurement_potential(psi, kappa, params, sign="paper")
-        mid = slice(512 * 3 // 8, 512 * 5 // 8)
-        expected = kappa * (grid.x**2 - 1.0) / 2.0
-        assert np.abs(w.values.imag - expected)[mid].max() < 1e-6
-
-    def test_localizing_sign_is_opposite(self, grid, params):
         psi = gaussian_state(grid, sigma=1.0)
-        a = measurement_potential(psi, 0.4, params).values
-        b = measurement_potential(psi, 0.4, params, sign="paper").values
-        assert np.allclose(a, -b)
-
-
-class TestQuantumPotential:
-    def test_plane_wave_zero(self, grid, params):
-        psi, _ = plane_wave(grid, 4)
-        assert np.abs(quantum_potential(psi, params).values).max() < 1e-8
-
-    def test_gaussian_at_origin(self, grid, params):
-        psi = gaussian_state(grid, sigma=1.0)
-        q = quantum_potential(psi, params).values
-        i0 = np.argmin(np.abs(grid.x))
-        assert q[i0] == pytest.approx(0.25, abs=1e-6)
-        i1 = np.argmin(np.abs(grid.x - 1.0))
-        assert q[i1] == pytest.approx(0.25 - grid.x[i1] ** 2 / 8.0, abs=1e-6)
-
-    def test_stationary_state_identity(self, grid, params):
-        # harmonic ground state: Q + V is the constant ground energy
-        psi = gaussian_state(grid, sigma=np.sqrt(0.5))
-        q = quantum_potential(psi, params).values
-        total = q + 0.5 * grid.x**2
+        out, _ = self.kick(psi, kappa, u=np.zeros(grid.n_points))
+        gain = np.log(np.abs(out)) - np.log(np.abs(psi.values))
         mid = slice(512 * 3 // 8, 512 * 5 // 8)
-        assert np.abs(total[mid] - 0.5).max() < 1e-6
-
-    def test_global_phase_invariance(self, grid, params):
-        psi = gaussian_state(grid, x0=0.3)
-        shifted = WaveFunction(grid, psi.values * np.exp(1j * 1.234))
-        a = quantum_potential(psi, params).values
-        b = quantum_potential(shifted, params).values
-        # |exp(i theta) psi| differs from |psi| only in the last ulps
-        assert np.abs(a - b).max() < 1e-6
+        resid = (gain + kappa * self.TAU * grid.x**2 / 2.0)[mid]
+        assert np.ptp(resid) < 1e-10
+        contracted = WaveFunction(grid, out)
+        zero = RealField(grid, np.zeros(grid.n_points))
+        var = observables(contracted, zero, PhysicalParams()).var_x
+        assert var == pytest.approx(1.0 / (1.0 + 2.0 * kappa * self.TAU), rel=1e-8)
 
 
 class TestPotentialSpec:
@@ -287,3 +285,10 @@ class TestGupDamping:
             "max_rel_diff",
         }
         assert all(np.isfinite(v) for v in report.values())
+
+    def test_closed_form_uses_hbar(self, grid):
+        """At hbar = 2 the closed form agrees with the generic route as at hbar = 1."""
+        params = PhysicalParams(hbar=2.0)
+        psi = gaussian_state(grid, p0=1.5, hbar=params.hbar)
+        report = gup_discrepancy_report(psi, PotentialSpec.cubic(1.0), 0.05, params)
+        assert report["max_rel_diff"] < 1e-10
