@@ -17,6 +17,7 @@ import numpy as np
 from .coupling import CouplingFunction
 from .errors import DegenerateState, InsufficientData
 from .fields import (
+    CubicSpline,
     PhysicalParams,
     RealField,
     WaveFunction,
@@ -176,15 +177,6 @@ def weak_value(polar: PolarField, params: PhysicalParams) -> WeakValueField:
     )
 
 
-def _velocity_spline(grid, v_values: np.ndarray):
-    """Periodic cubic spline of a grid velocity field (SciPy loads on first use)."""
-    from scipy.interpolate import CubicSpline
-
-    x_ext = np.append(grid.x, grid.x_max)
-    v_ext = np.append(v_values, v_values[0])
-    return CubicSpline(x_ext, v_ext, bc_type="periodic")
-
-
 def sample_from_density(psi: WaveFunction, n: int, rng) -> np.ndarray:
     """Inverse-CDF sampling of |psi|^2 on the periodic grid."""
     grid = psi.grid
@@ -209,8 +201,9 @@ def propagate_trajectories(
 
     `history` is a sequence of snapshots at the uniform `times`. Initial
     positions are sampled from |psi(.,0)|^2; advance is RK4 on
-    v(x,t) = dS/dx / m with cubic interpolation in x, linear in t, and
-    periodic wrapping.
+    v(x,t) = dS/dx / m, periodically wrapped: linear in t, and in x the numpy
+    cubic spline with periodic ends, `fields.CubicSpline.periodic`. Half-step
+    stages read the spline of the averaged (v, m): one cell lookup per stage.
     """
     history = list(history)
     times = np.asarray(times, dtype=float)
@@ -226,27 +219,20 @@ def propagate_trajectories(
     for psi in history:
         polar = polar_decompose(psi, hbar=params.hbar)
         v = guiding_momentum(polar, params).values / params.mass
-        splines.append(_velocity_spline(grid, v))
+        splines.append(CubicSpline.periodic(grid, v))
 
-    L = grid.length
-
-    def wrap(pos):
-        return grid.x_min + np.mod(pos - grid.x_min, L)
+    wrap = lambda pos: grid.x_min + np.mod(pos - grid.x_min, grid.length)
 
     positions = np.empty((n_traj, times.size))
     positions[:, 0] = x
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
         s0, s1 = splines[k], splines[k + 1]
-
-        def vel(pos, frac):
-            p = wrap(pos)
-            return (1.0 - frac) * s0(p) + frac * s1(p)
-
-        k1 = vel(x, 0.0)
-        k2 = vel(x + 0.5 * dt * k1, 0.5)
-        k3 = vel(x + 0.5 * dt * k2, 0.5)
-        k4 = vel(x + dt * k3, 1.0)
+        mid = CubicSpline(s0.x, 0.5 * (s0.y + s1.y), 0.5 * (s0.m + s1.m), grid.dx)
+        k1 = s0(wrap(x))
+        k2 = mid(wrap(x + 0.5 * dt * k1))
+        k3 = mid(wrap(x + 0.5 * dt * k2))
+        k4 = s1(wrap(x + dt * k3))
         x = wrap(x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
         positions[:, k + 1] = x
     return TrajectoryEnsemble(times=times, positions=positions, seed=seed)

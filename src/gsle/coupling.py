@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidField, NonmonotonePotential, OutOfDomain, UnsupportedOrder
-from .fields import Grid, cumulative_integral
+from .fields import CubicSpline, Grid, cumulative_integral
 
 
 class CouplingFunction:
@@ -93,18 +93,14 @@ class CouplingFunction:
 
     @classmethod
     def tabulated(cls, x, f, df=None, d2f=None):
-        """Cubic splines with not-a-knot ends; derivative tables optional.
+        """numpy not-a-knot splines (`fields.CubicSpline`) of the tables, >= 4 knots.
 
-        When df/d2f are omitted they come from differentiating the f spline.
+        Without df/d2f, orders 1 and 2 are read from the f spline.
         """
-        from scipy.interpolate import CubicSpline   # only splines need SciPy
-
-        x = np.asarray(x, dtype=float)
-        spline = lambda y: CubicSpline(x, np.asarray(y, dtype=float), bc_type="not-a-knot")
-        sp = spline(f)
-        sp1 = spline(df) if df is not None else sp.derivative(1)
-        sp2 = spline(d2f) if d2f is not None else sp.derivative(2)
-        return cls((sp, sp1, sp2), domain=(float(x[0]), float(x[-1])))
+        sp = CubicSpline.not_a_knot(x, f)
+        sp1 = CubicSpline.not_a_knot(x, df) if df is not None else lambda p: sp(p, 1)
+        sp2 = CubicSpline.not_a_knot(x, d2f) if d2f is not None else lambda p: sp(p, 2)
+        return cls((sp, sp1, sp2), domain=(float(sp.x[0]), float(sp.x[-1])))
 
     # ---- evaluation ------------------------------------------------------
 

@@ -102,10 +102,10 @@ class SimConfig:
             raise ConfigError("n_steps must be >= 1")
         if self.snapshot_stride < 0:
             raise ConfigError("snapshot_stride must be >= 0 (0 disables snapshots)")
-        if not self.friction >= 0:
-            raise ConfigError("friction must be >= 0")
-        if not self.kappa >= 0:
-            raise ConfigError("kappa must be >= 0")
+        if not 0 <= self.friction < np.inf:
+            raise ConfigError(f"friction must be >= 0 and finite, got {self.friction}")
+        if not 0 <= self.kappa < np.inf:
+            raise ConfigError(f"kappa must be >= 0 and finite, got {self.kappa}")
         if self.sign not in SIGNS:
             raise ConfigError(f"sign must be one of {list(SIGNS)}, got '{self.sign}'")
 

@@ -1,4 +1,4 @@
-"""Uniform periodic grid, fields, spectral calculus and basic observables.
+"""Uniform periodic grid, fields, spectral calculus, observables, cubic splines.
 
 Everything downstream (potentials, propagation, Bohmian analysis) is built
 on the primitives here: rectangle-rule quadrature and FFT differentiation
@@ -169,6 +169,74 @@ def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
     hp[..., 0] = (-1.5 / dx) * h[..., 0] + (2.0 / dx) * h[..., 1] + (-0.5 / dx) * h[..., 2]
     hp[..., -1] = (0.5 / dx) * h[..., -3] + (-2.0 / dx) * h[..., -2] + (1.5 / dx) * h[..., -1]
     return out + (dx**2 / 12.0) * (hp[..., :1] - hp)
+
+
+class CubicSpline:
+    """Cubic spline through knots x with values y and second derivatives m.
+
+    On the cell [x_i, x_j], with s = (p - x_i)/h and a = 1 - s, it is
+    S = a y_i + s y_j + h^2/6 ((a^3 - a) m_i + (s^3 - s) m_j), orders 0-2 from
+    one cell lookup. The two constructors differ only in the solve for m.
+    """
+
+    def __init__(self, x, y, m, dx=None):
+        self.x, self.y, self.m = x, y, m
+        self._h = np.diff(x)
+        self._dx = dx   # uniform spacing: cells by direct index, not searchsorted
+
+    @classmethod
+    def periodic(cls, grid: Grid, values):
+        """Periodic spline of grid samples; knots grid.x and x_max. Its system
+        m[i-1] + 4 m[i] + m[i+1] = 6 (y[i+1] - 2 y[i] + y[i-1]) / dx^2 is
+        circulant, so m is one rfft/irfft pair."""
+        y = np.asarray(values, dtype=float)
+        c = np.cos(2.0 * np.pi * np.fft.rfftfreq(grid.n_points))
+        m = np.fft.irfft(np.fft.rfft(y) * (6.0 / grid.dx**2) * (2 * c - 2) / (4 + 2 * c))
+        knots = np.append(grid.x, grid.x_max)
+        return cls(knots, np.append(y, y[0]), np.append(m, m[0]), grid.dx)
+
+    @classmethod
+    def not_a_knot(cls, x, y):
+        """Spline with a continuous third derivative at x[1] and x[-2], on >= 4
+        increasing knots: m[0] and m[-1] are folded into the rows of m[1] and
+        m[-2], and the tridiagonal rest is solved by one Thomas sweep."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 4:
+            raise InvalidField(f"a spline needs >= 4 knots and values: {x.shape}, {y.shape}")
+        h = np.diff(x)
+        if not (np.all(h > 0) and np.isfinite(x).all() and np.isfinite(y).all()):
+            raise InvalidField("spline knots must be finite and increasing, values finite")
+        rhs = (6.0 * np.diff(np.diff(y) / h)).tolist()
+        sub, sup, diag = h[:-1].tolist(), h[1:].tolist(), (2.0 * (h[:-1] + h[1:])).tolist()
+        r0, r1 = h[0] / h[1], h[-1] / h[-2]   # m[0] = (1 + r0) m[1] - r0 m[2], mirrored
+        diag[0], sup[0] = diag[0] + h[0] * (1 + r0), sup[0] - h[0] * r0
+        diag[-1], sub[-1] = diag[-1] + h[-1] * (1 + r1), sub[-1] - h[-1] * r1
+        for i in range(1, len(diag)):
+            w = sub[i] / diag[i - 1]
+            diag[i], rhs[i] = diag[i] - w * sup[i - 1], rhs[i] - w * rhs[i - 1]
+        rhs[-1] /= diag[-1]
+        for i in range(len(diag) - 2, -1, -1):
+            rhs[i] = (rhs[i] - sup[i] * rhs[i + 1]) / diag[i]
+        ends = [(1 + r0) * rhs[0] - r0 * rhs[1], (1 + r1) * rhs[-1] - r1 * rhs[-2]]
+        return cls(x, y, np.array(ends[:1] + rhs + ends[1:]))
+
+    def __call__(self, p, order=0):
+        p = np.asarray(p, dtype=float)
+        if self._dx is None:
+            i = np.searchsorted(self.x, p, side="right") - 1
+        else:
+            i = np.floor((p - self.x[0]) / self._dx).astype(np.intp)
+        i = np.clip(i, 0, self._h.size - 1)
+        h, mi, mj = self._h[i], self.m[i], self.m[i + 1]
+        s = (p - self.x[i]) / h
+        a = 1.0 - s
+        if order == 0:
+            curve = (a**3 - a) * mi + (s**3 - s) * mj
+            return a * self.y[i] + s * self.y[i + 1] + (h * h / 6.0) * curve
+        if order == 1:
+            curve = (1.0 - 3.0 * a * a) * mi + (3.0 * s * s - 1.0) * mj
+            return (self.y[i + 1] - self.y[i]) / h + (h / 6.0) * curve
+        return a * mi + s * mj
 
 
 def spectral_derivative(

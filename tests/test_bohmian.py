@@ -260,6 +260,31 @@ class TestTrajectories:
         sim_var = ens.positions[:, -1].var()
         assert sim_var == pytest.approx(rec.var_x[-1], rel=0.03)
 
+    def test_free_gaussian_matches_analytic_trajectories(self, params):
+        """Exact free packet, sigma(t) = sigma0 sqrt(1 + (t / 2 sigma0^2)^2) and
+        centre x_c(t) = x_c(0) + p0 t (hbar = m = 1): every trajectory is
+        x(t) = x_c(t) + (x(0) - x_c(0)) sigma(t) / sigma0. The error comes from
+        the velocity's linear interpolation in t, O(spacing^2)."""
+        grid, sigma0, p0, xc0 = Grid(-20.0, 20.0, 1024), 1.0, 1.0, -1.0
+
+        def error(spacing):
+            times = np.arange(0.0, 2.0 + spacing / 2, spacing)
+            history = []
+            for t in times:
+                z = 1.0 + 1j * t / (2.0 * sigma0**2)
+                xc = xc0 + p0 * t
+                psi = np.exp(-((grid.x - xc) ** 2) / (4.0 * sigma0**2 * z) + 1j * p0 * grid.x)
+                history.append(WaveFunction(grid, psi / np.sqrt(z)))
+            ens = propagate_trajectories(history, times, 200, 3, params)
+            sigma = sigma0 * np.sqrt(1.0 + (times / (2.0 * sigma0**2)) ** 2)
+            x0 = ens.positions[:, :1]
+            exact = xc0 + p0 * times + (x0 - xc0) * sigma / sigma0
+            return np.abs(ens.positions - exact).max()
+
+        coarse, fine = error(0.01), error(0.005)
+        assert coarse < 1e-4
+        assert fine < coarse / 3.0
+
     def test_empty_history(self, params):
         with pytest.raises(InsufficientData):
             propagate_trajectories([], np.array([]), 10, 0, params)

@@ -483,19 +483,36 @@ langevin_ensemble(cfg, 3)
 assert "scipy" not in sys.modules, "an analytic-profile run loaded scipy"
 """
 
-GUP_BUILD = """
+NO_SCIPY = """
 import sys
+from importlib.abc import MetaPathFinder
+
+class NoScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+import numpy as np
+import gsle.cli
 from gsle.coupling import CouplingFunction, gup_coupling
 from gsle.fields import Grid
-assert "scipy" not in sys.modules
-f = gup_coupling(CouplingFunction.cubic(1.0), Grid(-5.0, 5.0, 64))
-assert f(0.5, 1) > 0
-assert "scipy.interpolate" in sys.modules
+cfg, run_dir, post_dir = sys.argv[1:]
+assert gsle.cli.main(["run", cfg, "--out", run_dir]) == 0
+assert gsle.cli.main(["post", run_dir, "--out", post_dir]) == 0
+x = np.linspace(-2.0, 2.0, 41)
+p = np.linspace(-1.95, 1.95, 7)     # off the knots
+sine = CouplingFunction.tabulated(x, np.sin(x))
+gup = gup_coupling(CouplingFunction.cubic(1.0), Grid(-5.0, 5.0, 64))
+for order, exact in enumerate((np.sin(p), np.cos(p), -np.sin(p))):
+    assert np.abs(sine(p, order) - exact).max() < 1e-2, order
+    assert np.isfinite(gup(p, order)).all(), order
+assert gup(0.5, 1) > 0
 """
 
 
 class TestImportPath:
-    """SciPy is loaded only where a spline is built."""
+    """No gsle path loads SciPy."""
 
     def _python(self, code, *args):
         src = str(Path(gsle.__file__).resolve().parents[1])
@@ -510,6 +527,10 @@ class TestImportPath:
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / "observables.csv").exists()
 
-    def test_gup_coupling_loads_scipy(self):
-        done = self._python(GUP_BUILD)
+    def test_runs_post_and_splines_without_scipy(self, tmp_path):
+        """With SciPy unimportable: a run with snapshots and trajectories, its
+        post, and tabulated and gup profiles at off-knot points, orders 0-2."""
+        cfg = write_cfg(tmp_path, KOSTIN_CFG)
+        done = self._python(NO_SCIPY, cfg, tmp_path / "run", tmp_path / "post")
         assert done.returncode == 0, done.stderr
+        assert (tmp_path / "post" / "trajectories.csv").exists()

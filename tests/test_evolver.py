@@ -88,6 +88,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="temperature"):
             NoiseSpec(kind="white", temperature=np.nan)
 
+    @pytest.mark.parametrize("key", ["friction", "kappa"])
+    def test_inf_rejected(self, key):
+        """inf fails at construction, as dt does, not in the first step."""
+        with pytest.raises(ConfigError, match=key):
+            SimConfig(GRID, n_steps=2, **{key: np.inf})
+
 
 class TestConservativeDynamics:
     def test_coherent_state_period(self):

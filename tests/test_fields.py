@@ -1,4 +1,4 @@
-"""Grid, quadrature, spectral calculus and observables."""
+"""Grid, quadrature, spectral calculus, observables and the cubic spline."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import gaussian_state, plane_wave
 from gsle.errors import DegenerateState, InvalidField, UnsupportedOrder
 from gsle.fields import (
+    CubicSpline,
     Grid,
     PhysicalParams,
     RealField,
@@ -137,6 +138,78 @@ class TestCumulativeIntegral:
             hp = np.gradient(hr, dx, edge_order=2)
             ref += (dx**2 / 12.0) * (hp[0] - hp)
             assert np.array_equal(out[row], ref)
+
+
+def _spline_agrees(ours, oracle, points):
+    """Orders 0-2 within 1e-12 of the largest value of the oracle's order."""
+    for order in (0, 1, 2):
+        ref = oracle(points, order)
+        assert np.abs(ours(points, order) - ref).max() <= 1e-12 * np.abs(ref).max(), order
+
+
+def _uneven_knots(rng, n):
+    """n increasing knots on about [-2, 4], neighbouring spacings up to 3x apart."""
+    return -2.0 + np.cumsum(rng.uniform(0.5, 1.5, n)) * (6.0 / n)
+
+
+class TestCubicSpline:
+    """The one gsle spline; scipy.interpolate.CubicSpline is the oracle."""
+
+    @pytest.mark.parametrize("n", [8, 512, 4096])
+    def test_periodic_matches_scipy(self, n):
+        from scipy.interpolate import CubicSpline as Oracle
+
+        grid = Grid(-3.0, 5.0, n)
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n)
+        oracle = Oracle(np.append(grid.x, grid.x_max), np.append(v, v[0]), bc_type="periodic")
+        points = np.concatenate([
+            rng.uniform(grid.x_min, grid.x_max, 1000), grid.x, [grid.x_max - 1e-12]
+        ])
+        _spline_agrees(CubicSpline.periodic(grid, v), oracle, points)
+
+    @pytest.mark.parametrize(
+        "n, data",
+        [(4, "random"), (5, "random"), (50, "random"), (4096, "random"),
+         (5, "smooth"), (40, "smooth"), (200, "smooth")],
+    )
+    def test_not_a_knot_matches_scipy(self, n, data):
+        """Smooth data stops at 200 knots: the second derivative of a smooth
+        table is set by cancellation in the divided differences, and at 4096
+        knots gsle and SciPy part by about 2e-12 of it."""
+        from scipy.interpolate import CubicSpline as Oracle
+
+        rng = np.random.default_rng(n)
+        x = _uneven_knots(rng, n)
+        y = rng.standard_normal(n) if data == "random" else np.tanh(3.0 * x)
+        points = np.concatenate([rng.uniform(x[0], x[-1], 1000), x])
+        _spline_agrees(CubicSpline.not_a_knot(x, y), Oracle(x, y, bc_type="not-a-knot"), points)
+
+    @pytest.mark.parametrize("n", [4, 9, 100])
+    def test_not_a_knot_reproduces_cubics(self, n):
+        """Exact up to round-off: 1e-12 of each order's largest value."""
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(4)
+        x = _uneven_knots(rng, n)
+        spline = CubicSpline.not_a_knot(x, np.polyval(c, x))
+        exact = lambda p, order: np.polyval(np.polyder(c, order), p)
+        _spline_agrees(spline, exact, rng.uniform(x[0], x[-1], 300))
+
+    def test_knots_return_table_values_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        x = _uneven_knots(rng, 64)
+        y = rng.standard_normal(64)
+        assert np.array_equal(CubicSpline.not_a_knot(x, y)(x), y)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fewer_than_four_knots_rejected(self, n):
+        with pytest.raises(InvalidField, match="4 knots"):
+            CubicSpline.not_a_knot(np.arange(n, dtype=float), np.ones(n))
+
+    @pytest.mark.parametrize("x0", [0.0, 2.0, np.nan], ids=["repeated", "decreasing", "nan"])
+    def test_knots_must_increase(self, x0):
+        with pytest.raises(InvalidField, match="increasing"):
+            CubicSpline.not_a_knot([x0, 0.0, 1.0, 2.0, 3.0], np.ones(5))
 
 
 class TestDifferentiate:
