@@ -19,6 +19,12 @@ the split-step operators are the same for every row.
 Each state carries the spectrum its last half-kick computed, which the next
 step and the record start from. One density of the half-kicked state serves
 the first V_d/W evaluation and both potential kicks.
+
+`run` records in blocks: each state's samples and spectrum are copied into
+two buffers of m states, and a full block is read by one `observables` call
+and one W-only `dissipative_kernel` call, which share one density. Together
+the buffers hold at most 2 * 16 * RECORD_BLOCK_ELEMENTS bytes (1 MiB), or one
+state each when a state has more than RECORD_BLOCK_ELEMENTS samples.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ from .fields import (
 from .potentials import SIGNS, dissipative_kernel, tilde_current
 
 BOUNDARY_DENSITY_LIMIT = 1e-6
+# complex samples per record buffer (512 KiB), unless one state is larger
+RECORD_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -261,10 +269,20 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     depend on the batch it was stepped in: numpy rounds some elementwise
     loops by memory alignment, and a batch's bath noise is one matrix product.
 
+    The moments and W are read in blocks of m recorded states, one
+    `observables` and one W-only `dissipative_kernel` call per block, with
+    m = RECORD_BLOCK_ELEMENTS // (B N) clipped to [1, n_steps + 1]: the two
+    block buffers hold at most 1 MiB, or one state each when a state is
+    larger. Each row is reduced alone, so the record is the one a read per
+    step would give. A NumericalBlowup carries the observables of the last
+    recorded state, read from its partial block.
+
     Deterministic for a given (config, seeds): the noise is generated once
     up front.
     """
     batch = [config.seed] if seeds is None else list(seeds)
+    if not batch:
+        raise ConfigError("an ensemble needs at least one seed")
     # a single run steps an (N,) state: the bits are those of a (1, N)
     # batch, and numpy's per-call overhead is lower on 1-D arrays
     lead = () if seeds is None else (len(batch),)
@@ -284,37 +302,63 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     alerts = [[] for _ in batch]
     v_field = RealField(config.grid, ws.V)
     stride = config.snapshot_stride
+    m = max(1, min(n + 1, RECORD_BLOCK_ELEMENTS // psi.values.size))
+    block_vals = np.empty((m,) + psi.values.shape, dtype=complex)
+    block_spectra = np.empty_like(block_vals)
+    first = filled = 0   # step index of the block's first state; states buffered
 
-    def record(i, state, xi_n):
-        obs = observables(state.psi, v_field, config.params, state.spectrum)
-        times[i] = state.t
+    def flush():
+        nonlocal first, filled
+        if not filled:
+            return
+        vals, spectra = block_vals[:filled], block_spectra[:filled]
+        rho = np.abs(vals) ** 2
+        block = WaveFunction(config.grid, vals, check_finite=False)
+        obs = observables(block, v_field, config.params, spectra, rho)
+        rows = slice(first, first + filled)
         for name in names[:5]:
-            table[name][i] = getattr(obs, name)
-        table["W"][i] = ws.real_potential(state.psi.values, xi_n, state.spectrum)[1]
-        table["xi"][i] = xi_n[..., 0]
+            table[name][rows] = getattr(obs, name)
+        table["W"][rows] = 0.0 if ws.vd_coef == 0.0 else dissipative_kernel(
+            vals, ws.fp2, ws.ik, ws.vd_coef, config.grid, config.params, spectra, rho
+        )[1]
+        edge = obs.boundary_density.reshape(filled, -1)
+        over = edge > BOUNDARY_DENSITY_LIMIT
+        for b in np.flatnonzero(over.any(axis=0)):
+            if not alerts[b]:
+                j = np.argmax(over[:, b])   # the member's first offending state
+                alerts[b].append(
+                    f"BoundaryContamination: boundary density {edge[j, b]:.2e} > "
+                    f"{BOUNDARY_DENSITY_LIMIT:g} at t = {times[first + j]:.6g}"
+                )
+        first, filled = first + filled, 0
+
+    def record(i, state):
+        nonlocal filled
+        block_vals[filled] = state.psi.values
+        block_spectra[filled] = state.spectrum
+        filled += 1
+        times[i] = state.t
+        table["xi"][i] = noise[..., min(i, n - 1)]
         if stride and i % stride == 0:
             snapshots.append((i, state.psi.values.reshape(len(batch), -1)))
-        if (obs.boundary_density > BOUNDARY_DENSITY_LIMIT).any():
-            edge = np.reshape(obs.boundary_density, -1)
-            for b in np.flatnonzero(edge > BOUNDARY_DENSITY_LIMIT):
-                if not alerts[b]:
-                    alerts[b].append(
-                        f"BoundaryContamination: boundary density {edge[b]:.2e} > "
-                        f"{BOUNDARY_DENSITY_LIMIT:g} at t = {state.t:.6g}"
-                    )
+        if filled == m:
+            flush()
 
-    record(0, state, noise[..., 0, None])
+    record(0, state)
     try:
         for i in range(n):
             state = step(state, config, noise[..., i, None], ws)
-            record(i + 1, state, noise[..., min(i + 1, n - 1), None])
+            record(i + 1, state)
     except NumericalBlowup as exc:
+        flush()   # the partial block holds the last recorded state
         if exc.t is None:
             exc.t = state.t + config.dt
         exc.last_observables = {
             "t": times[i], **{name: table[name][i] for name in ("norm", "mean_x", "energy")}
         }
         raise
+    finally:
+        flush()
     # one contiguous (B, n + 1) block per quantity; member b reads row b
     rows = {name: table[name].reshape(n + 1, -1).T.copy() for name in names}
     records = [

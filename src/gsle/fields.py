@@ -269,17 +269,19 @@ def boundary_density(rho: np.ndarray):
 
 
 def observables(
-    psi: WaveFunction, V: RealField, params: PhysicalParams, spectrum=None
+    psi: WaveFunction, V: RealField, params: PhysicalParams, spectrum=None, rho=None
 ) -> ObservableSet:
     """Moments of each state from one density and one spectrum.
 
     <p> and <T> by Parseval, int psi* g(-i d/dx) psi dx = (dx/N) sum_k g(k) |psi_k|^2,
     with spectral_derivative's weights: Nyquist mode zeroed for hbar k, kept for k^2.
-    spectrum = fft(psi.values), when the caller has it, saves the FFT.
+    spectrum = fft(psi.values) and rho = psi.density(), when the caller has
+    them, save their recomputation.
     """
     if spectrum is None:
         spectrum = np.fft.fft(psi.values)
-    rho = psi.density()
+    if rho is None:
+        rho = psi.density()
     grid = psi.grid
     n2 = integrate_values(grid, rho)
     if not ((n2 > 0) & np.isfinite(n2)).all():

@@ -15,7 +15,10 @@ from gsle.errors import (
     NumericalBlowup,
     StabilityWarning,
 )
+from gsle import evolve
 from gsle.evolve import (
+    BOUNDARY_DENSITY_LIMIT,
+    RECORD_BLOCK_ELEMENTS,
     GaussianPacket,
     HarmonicEigenstate,
     NoiseSpec,
@@ -211,13 +214,20 @@ class TestDeterminismAndDiagnostics:
 
     def test_measurement_underflow_is_blowup(self):
         """A kappa*dt that underflows every rho*factor^2 raises NumericalBlowup
-        carrying the observables of the last recorded step."""
+        carrying the observables of the last recorded step, which sits inside
+        a record block: the per-step loop's, bit for bit, alone and in a batch."""
         cfg = harmonic_config(
             dt=0.1, n_steps=40, kappa=3000.0, initial_state=GaussianPacket()
         )
-        with pytest.raises(NumericalBlowup) as info:
-            run(cfg)
-        assert info.value.last_observables["t"] == 0.2
+        for seeds in (None, [3, 4]):
+            with pytest.raises(NumericalBlowup) as info:
+                run(cfg, seeds)
+            last = info.value.last_observables
+            assert last["t"] == 0.2
+            ref = unbatched_run(cfg, seeds)
+            assert len(ref["t"]) == 3   # steps 0, 1 and 2 recorded, of a 41-state block
+            for name in ("t", "norm", "mean_x", "energy"):
+                assert np.array_equal(last[name], ref[name][-1]), name
 
 
 COUPLINGS = {
@@ -361,23 +371,41 @@ RECORDED = ("norm", "mean_x", "mean_p", "var_x", "energy", "W", "xi")
 W_BOUND = 1e-9
 
 
-def unbatched_run(cfg):
-    """The single-state loop: (N,) states, scalar noise values, 1-D observables."""
+def unbatched_run(cfg, seeds=None):
+    """The per-step loop: one observables and one W call per recorded state.
+
+    Without seeds, (N,) states and scalar noise values; with seeds, the (B, N)
+    batch that run(cfg, seeds) steps. Beside the recorded columns it keeps
+    "t" and "boundary" (the boundary density). A NumericalBlowup ends every
+    column at the last recorded state.
+    """
     n = cfg.n_steps
-    xi = noise_rows(cfg.noise, cfg.friction, cfg.params.mass, cfg.dt, n, [cfg.seed])[0]
+    batch = [cfg.seed] if seeds is None else list(seeds)
+    xi = noise_rows(cfg.noise, cfg.friction, cfg.params.mass, cfg.dt, n, batch)
+    noise_at = (lambda j: xi[0, j]) if seeds is None else (lambda j: xi[:, j, None])
     ws = _Workspace(cfg)
     v_field = RealField(cfg.grid, ws.V)
-    state = SimState(0.0, build_initial_state(cfg))
-    out = {name: np.empty(n + 1) for name in RECORDED}
+    psi = build_initial_state(cfg)
+    if seeds is not None:
+        psi = WaveFunction(cfg.grid, np.tile(psi.values, (len(batch), 1)))
+    state = SimState(0.0, psi)
+    lead = () if seeds is None else (len(batch),)
+    out = {name: np.empty((n + 1,) + lead) for name in RECORDED + ("boundary",)}
+    out["t"] = np.empty(n + 1)
     for i in range(n + 1):
         if i > 0:
-            state = step(state, cfg, xi[i - 1], ws)
-        xi_i = xi[min(i, n - 1)]
+            try:
+                state = step(state, cfg, noise_at(i - 1), ws)
+            except NumericalBlowup:
+                return {name: col[:i] for name, col in out.items()}
+        xi_i = noise_at(min(i, n - 1))
         obs = observables(state.psi, v_field, cfg.params, state.spectrum)
         for name in ("norm", "mean_x", "mean_p", "var_x", "energy"):
             out[name][i] = getattr(obs, name)
         out["W"][i] = ws.real_potential(state.psi.values, xi_i, state.spectrum)[1]
-        out["xi"][i] = xi_i
+        out["xi"][i] = np.reshape(xi_i, lead)
+        out["t"][i] = state.t
+        out["boundary"][i] = obs.boundary_density
     return out
 
 
@@ -460,6 +488,112 @@ class TestBatchedRun:
         assert a.warnings == run(replace(cfg, seed=1)).warnings
 
 
+class TestRecordBlocks:
+    """run reads its moments and W in blocks of m states: every column is the
+    per-step loop's, bit for bit, wherever the run ends in its last block."""
+
+    CFG = dict(
+        grid=Grid(-12.0, 12.0, 256),
+        potential=PotentialSpec.harmonic(1.0),
+        coupling=CouplingFunction.sinusoidal(1.0, 1.0),
+        friction=0.1,
+        kappa=0.05,
+        noise=NoiseSpec(kind="white", temperature=0.1),
+        dt=0.005,
+        seed=5,
+        initial_state=GaussianPacket(1.0, 0.5, GROUND_SIGMA),
+    )
+
+    @pytest.mark.parametrize("seeds", [None, [5, 6, 7]], ids=["single", "batch3"])
+    @pytest.mark.parametrize("edge", ["1", "m-2", "m-1", "m", "2m+3"])
+    def test_block_edges_equal_per_step_loop(self, seeds, edge):
+        n_members = 1 if seeds is None else len(seeds)
+        m = RECORD_BLOCK_ELEMENTS // (n_members * 256)   # 128 single, 42 batch
+        n_steps = {"1": 1, "m-2": m - 2, "m-1": m - 1, "m": m, "2m+3": 2 * m + 3}[edge]
+        cfg = SimConfig(**self.CFG, n_steps=n_steps)
+        recs = run(cfg, seeds)
+        ref = unbatched_run(cfg, seeds)
+        for b, rec in enumerate([recs] if seeds is None else recs):
+            assert np.array_equal(rec.times, ref["t"])
+            for name in RECORDED:
+                col = ref[name] if seeds is None else ref[name][:, b]
+                assert np.array_equal(getattr(rec, name), col), name
+
+    def test_members_warn_at_own_step_inside_one_block(self):
+        """Members that first pass the boundary limit at different steps of
+        one block each name their own first step, as when run alone."""
+        cfg = SimConfig(
+            grid=Grid(-10.0, 10.0, 256),
+            potential=PotentialSpec.free(),
+            coupling=CouplingFunction.sinusoidal(1.0, 1.0),
+            dt=0.01,
+            n_steps=100,
+            noise=NoiseSpec(kind="white", temperature=2.0),
+            friction=0.2,
+            initial_state=GaussianPacket(0.0, 8.0, 1.0),
+        )
+        seeds = [3, 4]
+        ref = unbatched_run(cfg, seeds)
+        first = [np.argmax(ref["boundary"][:, b] > BOUNDARY_DENSITY_LIMIT) for b in range(2)]
+        m = RECORD_BLOCK_ELEMENTS // (2 * 256)
+        assert first[0] != first[1] and first[0] // m == first[1] // m, first
+        for b, rec in enumerate(run(cfg, seeds=seeds)):
+            i = first[b]
+            assert rec.warnings == run(replace(cfg, seed=seeds[b])).warnings == [
+                f"BoundaryContamination: boundary density {ref['boundary'][i, b]:.2e} > "
+                f"{BOUNDARY_DENSITY_LIMIT:g} at t = {ref['t'][i]:.6g}"
+            ]
+
+    def test_real_potential_twice_per_step(self, monkeypatch):
+        """The record reads W alone: U is built only by the step's two kicks."""
+        calls = []
+        original = _Workspace.real_potential
+
+        def counted(self, *args, **kw):
+            calls.append(1)
+            return original(self, *args, **kw)
+
+        monkeypatch.setattr(_Workspace, "real_potential", counted)
+        for n_steps in (1, 7):
+            calls.clear()
+            run(SimConfig(**self.CFG, n_steps=n_steps))
+            assert len(calls) == 2 * n_steps
+
+    @pytest.mark.parametrize(
+        "n_members, n_points",
+        [(None, 256), (3, 256), (None, 4096), (64, 512), (80, 512)],
+    )
+    def test_record_buffers_bounded(self, monkeypatch, n_members, n_points):
+        """Both buffers together hold at most 2 * 16 * RECORD_BLOCK_ELEMENTS
+        bytes, or one state each when a state is larger; every recorded state
+        is read once, in one observables call per block."""
+        calls = []
+
+        def spy(psi, v, params, spectrum, rho):
+            calls.append((psi.values, spectrum))
+            return observables(psi, v, params, spectrum, rho)
+
+        monkeypatch.setattr(evolve, "observables", spy)
+        n_steps = 20
+        seeds = None if n_members is None else list(range(n_members))
+        cfg = replace(SimConfig(**self.CFG, n_steps=n_steps), grid=Grid(-12.0, 12.0, n_points))
+        run(cfg, seeds)
+        state_size = (n_members or 1) * n_points
+        buffers = {id(a.base): a.base for pair in calls for a in pair}
+        assert len(buffers) == 2
+        assert sum(a.nbytes for a in buffers.values()) <= 2 * 16 * max(RECORD_BLOCK_ELEMENTS, state_size)
+        m = max(1, min(n_steps + 1, RECORD_BLOCK_ELEMENTS // state_size))
+        full, rest = divmod(n_steps + 1, m)
+        assert [len(vals) for vals, _ in calls] == [m] * full + [rest] * (rest > 0)
+
+    def test_empty_ensemble_is_config_error(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(evolve, "noise_rows", lambda *args: built.append(args))
+        with pytest.raises(ConfigError, match="at least one seed"):
+            run(SimConfig(**self.CFG), seeds=[])
+        assert not built
+
+
 class TestCarriedSpectrum:
     CFG = dict(
         grid=Grid(-12.0, 12.0, 256),
@@ -488,12 +622,15 @@ class TestCarriedSpectrum:
             assert np.abs(state.spectrum - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_fft_calls_per_step(self, monkeypatch):
-        """After the first, every step and its record make 2 forward and 5 inverse FFTs."""
+        """After the first, every step and its record make 2 forward and 5 inverse
+        transforms. The record's inverse transform is one call per block of
+        states, so each call counts the rows it transforms."""
         calls = {"fft": 0, "ifft": 0}
+        n_points = self.CFG["grid"].n_points
         for name in calls:
-            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kw):
-                calls[_name] += 1
-                return _fn(*args, **kw)
+            def counted(a, *args, _name=name, _fn=getattr(np.fft, name), **kw):
+                calls[_name] += np.size(a) // n_points
+                return _fn(a, *args, **kw)
             monkeypatch.setattr(np.fft, name, counted)
 
         def count(n_steps):

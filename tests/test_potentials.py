@@ -81,21 +81,31 @@ class TestTildeCurrent:
 
 class TestDissipativePotential:
     def test_batch_rows_equal_single_states(self, grid, params):
-        """A (B, N) batch gives each row's own V_d, W and observables, each
-        row with its own density floor (the rows' peaks differ 1600-fold)."""
-        rows = np.array([
-            gaussian_state(grid, x0=-3.0, p0=1.0, sigma=0.5).values,
-            0.05 * gaussian_state(grid, x0=4.0, p0=-2.0, sigma=2.0).values,
+        """A (B, N) batch, or the (m, B, N) block of a run's record, gives each
+        row's own V_d, W and observables bit for bit, each row with its own
+        density floor (the rows' peaks differ up to 1600-fold). The batch
+        call shares one spectrum and one density, as the record does."""
+        states = np.array([
+            scale * gaussian_state(grid, x0=x0, p0=p0, sigma=sigma).values
+            for scale, x0, p0, sigma in [
+                (1.0, -3.0, 1.0, 0.5), (0.05, 4.0, -2.0, 2.0), (2.0, 0.5, 0.3, 1.0),
+                (0.3, -1.0, -0.7, 0.8), (1.0, 2.0, 1.5, 1.5), (0.1, 0.0, 0.0, 3.0),
+            ]
         ])
         fp2 = CouplingFunction.sinusoidal(1.0, 1.0).on_grid(grid, 1) ** 2
-        vd, w = dissipative_kernel(rows, fp2, grid.ik, 0.2, grid, params)
-        obs = observables(WaveFunction(grid, rows), RealField(grid, 0.5 * grid.x**2), params)
-        for b, vals in enumerate(rows):
-            vd_b, w_b = dissipative_kernel(vals, fp2, grid.ik, 0.2, grid, params)
-            assert np.array_equal(vd[b], vd_b) and w[b] == w_b
-            one = observables(WaveFunction(grid, vals), RealField(grid, 0.5 * grid.x**2), params)
-            for name in ("norm", "mean_x", "mean_p", "var_x", "energy", "boundary_density"):
-                assert getattr(obs, name)[b] == getattr(one, name), name
+        V = RealField(grid, 0.5 * grid.x**2)
+        for lead in [(2,), (3, 2)]:
+            rows = states[:np.prod(lead)].reshape(lead + (grid.n_points,))
+            spectra, rho = np.fft.fft(rows), np.abs(rows) ** 2
+            vd, w = dissipative_kernel(rows, fp2, grid.ik, 0.2, grid, params, spectra, rho)
+            obs = observables(WaveFunction(grid, rows), V, params, spectra, rho)
+            for b in np.ndindex(lead):
+                vals = rows[b]
+                vd_b, w_b = dissipative_kernel(vals, fp2, grid.ik, 0.2, grid, params)
+                assert np.array_equal(vd[b], vd_b) and w[b] == w_b
+                one = observables(WaveFunction(grid, vals), V, params)
+                for name in ("norm", "mean_x", "mean_p", "var_x", "energy", "boundary_density"):
+                    assert getattr(obs, name)[b] == getattr(one, name), name
 
     def test_zero_friction(self, grid, params):
         psi = gaussian_state(grid, p0=1.0)
