@@ -149,7 +149,7 @@ def tilde_phase_forms(polar: PolarField, f: CouplingFunction, params: PhysicalPa
 
     Form 1: f'^2 S - 2 int S f' f'' dx (cumulative from x_min).
     Form 2: m int Jt / max(|psi|^2, eps) dx on the source psi, by the
-    propagator's dissipative_kernel with coefficient 1. The two agree up to
+    propagator's dissipative_kernel with weight hbar f'^2. The two agree up to
     an additive constant.
     """
     grid = polar.grid
@@ -157,7 +157,7 @@ def tilde_phase_forms(polar: PolarField, f: CouplingFunction, params: PhysicalPa
     fp = f.on_grid(grid, 1)
     fpp = f.on_grid(grid, 2)
     form1 = fp**2 * s - 2.0 * cumulative_integral(grid, s * fp * fpp)
-    form2, _ = dissipative_kernel(polar.psi.values, fp**2, grid.ik, 1.0, grid, params)
+    form2, _ = dissipative_kernel(polar.psi.values, params.hbar * fp**2, grid.ik, grid)
     return RealField(grid, form1), RealField(grid, form2)
 
 

@@ -6,7 +6,7 @@ kick. The gauge term W(t) = <V_d> is subtracted explicitly every step
 instead of tracking the global-phase transformation.
 
 The anti-Hermitian measurement kick multiplies the density-shape factor
-rho^(-kappa*dt) and then restores the pre-kick norm. The restoring scalar
+rho^(kappa*tau), rho floored, and then restores the pre-kick norm. The restoring scalar
 is exactly the mean-subtraction constant evaluated as a step average
 (the continuous equation conserves the norm; a frozen <ln rho> would not,
 discretely). The state is never renormalized beyond this: norm drift from
@@ -17,8 +17,9 @@ states with a (B, 1) column of noise values takes one step in one call:
 the split-step operators are the same for every row.
 
 Each state carries the spectrum its last half-kick computed, which the next
-step and the record start from. One density of the half-kicked state serves
-the first V_d/W evaluation and both potential kicks.
+step and the record start from. One density of the half-kicked state, with
+its floor, norm and (kappa > 0) the step's one log, serves the first V_d/W
+and both kicks, which write cos and sin of the phase into a workspace buffer.
 
 `run` records in blocks: each state's samples and spectrum are copied into
 two buffers of m states, and a full block is read by one `observables` call
@@ -48,8 +49,8 @@ from .fields import (
     PhysicalParams,
     RealField,
     WaveFunction,
+    density_terms,
     integrate_values,
-    log_density,
     normalize,
     observables,
 )
@@ -162,7 +163,7 @@ def build_initial_state(config: SimConfig) -> WaveFunction:
 
 
 class _Workspace:
-    """Per-run precomputed arrays for the stepping kernel."""
+    """Per-run precomputed arrays and per-shape scratch buffers for the stepping kernel."""
 
     def __init__(self, config: SimConfig):
         grid, params = config.grid, config.params
@@ -174,52 +175,69 @@ class _Workspace:
         self.ik = grid.ik
         self.V = config.potential.on_grid(grid, 0)
         self.f = config.coupling.on_grid(grid, 0)
-        self.fp2 = config.coupling.on_grid(grid, 1) ** 2
-        self.vd_coef = SIGNS[config.sign] * config.friction
+        # V_d's s * m * friction * f'^2, times the hbar/m of the current
+        coef = SIGNS[config.sign] * config.friction * params.hbar
+        self.vd_weight = coef * config.coupling.on_grid(grid, 1) ** 2 if coef else None
         self.kappa = config.kappa
         self.dt = config.dt
         self._warned_stability = False
+        self._buffers = {}
 
-    def real_potential(self, vals: np.ndarray, xi_n, spectrum=None, rho=None):
-        """(U, W): real potential (V_d - W included) and the gauge constant.
+    def _buffer(self, name, shape, dtype=float):
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[name] = np.empty(shape, dtype)
+        return buf
+
+    def density(self, vals: np.ndarray):
+        """density_terms of vals plus ln(floored rho) if kappa > 0: what a step's kicks read."""
+        rho, floored, norm = density_terms(self.grid, vals)
+        return rho, floored, norm, np.log(floored) if self.kappa else None
+
+    def real_potential(self, vals: np.ndarray, xi_n, spectrum=None, density=None):
+        """(U, W): real potential U = V - f xi + V_d - W and the gauge constant W.
 
         For a batch vals (B, N), xi_n is a (B, 1) column and W has shape (B,).
-        spectrum = fft(vals) and rho = |vals|^2, when the caller has them,
-        save their recomputation.
+        spectrum = fft(vals) and density = self.density(vals), when the caller
+        has them, save their recomputation. U is a new array, built in place.
         """
-        u = self.V - self.f * xi_n
-        w = 0.0
-        if self.vd_coef != 0.0:
-            vd, w = dissipative_kernel(
-                vals, self.fp2, self.ik, self.vd_coef, self.grid, self.params,
-                spectrum=spectrum, rho=rho,
-            )
-            u = u + vd - w[..., None]
-        return u, w
+        if self.vd_weight is None:
+            return self.V - self.f * xi_n, 0.0
+        vd, w = dissipative_kernel(vals, self.vd_weight, self.ik, self.grid, spectrum, density)
+        u = np.multiply(self.f, xi_n, out=self._buffer("real", vd.shape))
+        vd += np.subtract(self.V, u, out=u)
+        vd -= w[..., None]
+        return vd, w
 
-    def apply_potential(self, vals: np.ndarray, u: np.ndarray, tau: float, rho: np.ndarray):
+    def apply_potential(self, vals: np.ndarray, u: np.ndarray, tau: float, density):
         """Unitary kick for the real potential plus the measurement kick.
 
-        rho = |vals|^2; the phase kick leaves it unchanged, so the measurement
-        factor and both norms are read from it.
+        density = self.density(vals); the phase kick leaves rho unchanged, so
+        both kicks of a step read the measurement factor and norms from it.
+        Returns a workspace buffer (cos + i sin of the phase, times the real
+        measurement factor, times vals), overwritten by the next kick.
         """
-        arg = -1j * u * tau / self.params.hbar
-        if self.kappa == 0.0:
-            return vals * np.exp(arg)
-        # localizing sign: d psi/dt gains +kappa (ln rho - <ln rho>) psi
-        log_factor = (self.kappa * tau) * log_density(rho)
-        n_before = integrate_values(self.grid, rho)
-        n_after = integrate_values(self.grid, rho * np.exp(2.0 * log_factor))
-        if (n_after == 0.0).any():
-            raise NumericalBlowup(
-                f"measurement kick underflowed every density sample "
-                f"(kappa*tau = {self.kappa * tau:.3g} too large)"
-            )
-        out = vals * np.exp(arg + log_factor)
-        # mean-subtraction constant, evaluated as a step average so the
-        # anti-Hermitian term stays exactly traceless over the kick
-        out *= np.sqrt(n_before / n_after)[..., None]
-        return out
+        phi = np.multiply(u, -tau / self.params.hbar, out=self._buffer("real", vals.shape))
+        kick = self._buffer("kick", vals.shape, complex)
+        np.cos(phi, out=kick.real)
+        np.sin(phi, out=kick.imag)
+        if self.kappa != 0.0:
+            # localizing sign: d psi/dt gains +kappa (ln rho - <ln rho>) psi
+            rho, _, n_before, log_rho = density
+            gain = np.multiply(log_rho, self.kappa * tau, out=phi)
+            np.exp(gain, out=gain)
+            n_after = integrate_values(self.grid, rho * gain * gain)
+            if not n_after.all():
+                raise NumericalBlowup(
+                    f"measurement kick underflowed every density sample "
+                    f"(kappa*tau = {self.kappa * tau:.3g} too large)"
+                )
+            # mean-subtraction constant, evaluated as a step average so the
+            # anti-Hermitian term stays exactly traceless over the kick
+            gain *= np.sqrt(n_before / n_after)[..., None]
+            np.multiply(kick.real, gain, out=kick.real)
+            np.multiply(kick.imag, gain, out=kick.imag)
+        return np.multiply(kick, vals, out=kick)
 
     def check_stability(self, u: np.ndarray):
         guard = self.dt * np.abs(u).max() / self.params.hbar
@@ -234,7 +252,7 @@ def step(state: SimState, config: SimConfig, xi_n, ws: Optional[_Workspace] = No
     """One Strang step with a midpoint predictor for the nonlinear terms.
 
     state.psi may be a batch (B, N); xi_n is then a (B, 1) column. The new
-    state carries its spectrum.
+    state carries its spectrum; neither shares memory with the workspace.
     """
     if ws is None:
         ws = _Workspace(config)
@@ -244,15 +262,15 @@ def step(state: SimState, config: SimConfig, xi_n, ws: Optional[_Workspace] = No
         spectrum = np.fft.fft(state.psi.values)
     spectrum = ws.kin_half * spectrum
     vals = np.fft.ifft(spectrum)
-    rho = np.abs(vals) ** 2
-    u1, _ = ws.real_potential(vals, xi_n, spectrum, rho)
+    density = ws.density(vals)
+    u1, _ = ws.real_potential(vals, xi_n, spectrum, density)
     ws.check_stability(u1)
-    mid = ws.apply_potential(vals, u1, 0.5 * dt, rho)
+    mid = ws.apply_potential(vals, u1, 0.5 * dt, density)
     u2, _ = ws.real_potential(mid, xi_n)
-    vals = ws.apply_potential(vals, u2, dt, rho)
-    spectrum = ws.kin_half * np.fft.fft(vals)
+    spectrum = np.fft.fft(ws.apply_potential(vals, u2, dt, density))
+    spectrum *= ws.kin_half
     vals = np.fft.ifft(spectrum)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NumericalBlowup(
             f"non-finite wavefunction at t = {state.t + dt:.6g}", t=state.t + dt
         )
@@ -298,6 +316,7 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     times = np.empty(n + 1)
     names = ("norm", "mean_x", "mean_p", "var_x", "energy", "W", "xi")
     table = {name: np.empty((n + 1,) + lead) for name in names}
+    table["xi"][:] = np.moveaxis(noise, -1, 0)[np.minimum(np.arange(n + 1), n - 1)]
     snapshots = []
     alerts = [[] for _ in batch]
     v_field = RealField(config.grid, ws.V)
@@ -312,14 +331,14 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
         if not filled:
             return
         vals, spectra = block_vals[:filled], block_spectra[:filled]
-        rho = np.abs(vals) ** 2
+        density = density_terms(config.grid, vals)
         block = WaveFunction(config.grid, vals, check_finite=False)
-        obs = observables(block, v_field, config.params, spectra, rho)
+        obs = observables(block, v_field, config.params, spectra, density[0])
         rows = slice(first, first + filled)
         for name in names[:5]:
             table[name][rows] = getattr(obs, name)
-        table["W"][rows] = 0.0 if ws.vd_coef == 0.0 else dissipative_kernel(
-            vals, ws.fp2, ws.ik, ws.vd_coef, config.grid, config.params, spectra, rho
+        table["W"][rows] = 0.0 if ws.vd_weight is None else dissipative_kernel(
+            vals, ws.vd_weight, ws.ik, config.grid, spectra, density
         )[1]
         edge = obs.boundary_density.reshape(filled, -1)
         over = edge > BOUNDARY_DENSITY_LIMIT
@@ -338,7 +357,6 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
         block_spectra[filled] = state.spectrum
         filled += 1
         times[i] = state.t
-        table["xi"][i] = noise[..., min(i, n - 1)]
         if stride and i % stride == 0:
             snapshots.append((i, state.psi.values.reshape(len(batch), -1)))
         if filled == m:

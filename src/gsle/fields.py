@@ -161,14 +161,20 @@ def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
     dx = grid.dx
     h = np.asarray(values, dtype=float)
     out = np.zeros_like(h)
-    out[..., 1:] = np.cumsum(0.5 * (h[..., 1:] + h[..., :-1]), axis=-1) * dx
+    body = out[..., 1:]
+    np.add(h[..., 1:], h[..., :-1], out=body)
+    np.add.accumulate(body, axis=-1, out=body)
+    body *= 0.5 * dx   # = cumsum(0.5 (h[i] + h[i+1])) dx: the halving is exact
     # h' as np.gradient(h, dx, axis=-1, edge_order=2) computes it, without
-    # its per-call set-up (this runs three times per propagation step)
+    # its per-call set-up (this runs twice per step and once per record block)
     hp = np.empty_like(h)
-    hp[..., 1:-1] = (h[..., 2:] - h[..., :-2]) / (2.0 * dx)
+    np.subtract(h[..., 2:], h[..., :-2], out=hp[..., 1:-1])
+    hp[..., 1:-1] /= 2.0 * dx
     hp[..., 0] = (-1.5 / dx) * h[..., 0] + (2.0 / dx) * h[..., 1] + (-0.5 / dx) * h[..., 2]
     hp[..., -1] = (0.5 / dx) * h[..., -3] + (-2.0 / dx) * h[..., -2] + (1.5 / dx) * h[..., -1]
-    return out + (dx**2 / 12.0) * (hp[..., :1] - hp)
+    np.subtract(hp[..., :1], hp, out=hp)
+    out += np.multiply(hp, dx**2 / 12.0, out=hp)
+    return out
 
 
 class CubicSpline:
@@ -310,6 +316,8 @@ def density_floor(rho: np.ndarray) -> np.ndarray:
     return DENSITY_FLOOR_REL * rho.max(axis=-1, keepdims=True)
 
 
-def log_density(rho: np.ndarray) -> np.ndarray:
-    """ln rho with each row floored at density_floor: the measurement term's log."""
-    return np.log(np.maximum(rho, density_floor(rho)))
+def density_terms(grid: Grid, vals: np.ndarray):
+    """(rho, floored rho, norm) of samples (..., N): rho = |vals|^2, rho floored
+    at density_floor (the density of every denominator and log) and int rho."""
+    rho = np.abs(vals) ** 2
+    return rho, np.maximum(rho, density_floor(rho)), integrate_values(grid, rho)

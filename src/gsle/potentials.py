@@ -30,7 +30,7 @@ from .fields import (
     RealField,
     WaveFunction,
     cumulative_integral,
-    density_floor,
+    density_terms,
     integrate_values,
 )
 
@@ -38,50 +38,45 @@ from .fields import (
 SIGNS = {"damping": 1.0, "paper": -1.0}
 
 
-def _current_values(vals: np.ndarray, ik: np.ndarray, params: PhysicalParams, spectrum=None):
-    """(hbar/m) Im(psi* dpsi/dx) from samples of psi and the symbol Grid.ik.
+def _current_values(vals: np.ndarray, ik: np.ndarray, spectrum=None):
+    """Im(psi* dpsi/dx) from samples of psi and Grid.ik; the current is hbar/m times it.
 
     spectrum = fft(vals), when the caller has it, saves the forward FFT.
     """
     if spectrum is None:
         spectrum = np.fft.fft(vals)
-    dpsi = np.fft.ifft(ik * spectrum)
-    return (params.hbar / params.mass) * np.imag(np.conj(vals) * dpsi)
+    dpsi = np.multiply(ik, spectrum)
+    np.fft.ifft(dpsi, out=dpsi)
+    j = vals.real * dpsi.imag
+    j -= np.multiply(vals.imag, dpsi.real, out=dpsi.real)
+    return j
 
 
 def dissipative_kernel(
-    vals: np.ndarray,
-    fp2: np.ndarray,
-    ik: np.ndarray,
-    coef: float,
-    grid: Grid,
-    params: PhysicalParams,
-    spectrum=None,
-    rho=None,
+    vals: np.ndarray, weight: np.ndarray, ik: np.ndarray, grid: Grid, spectrum=None, density=None
 ):
     """(V_d, W) as arrays: the one implementation of the dissipative term.
 
-    V_d(x) = coef * m * int_{x_min}^{x} f'^2 J / max(|psi|^2, eps) dx' and
-    W = <V_d>, for psi samples `vals`, fp2 = f'^2 on the grid, ik = Grid.ik
-    and the signed coefficient coef = s * friction. The propagator, the
-    field wrapper below and the Bohmian current-form phase all call it.
-    A batch `vals` of shape (..., N) gives V_d of that shape and one W per
-    row, each row with its own density floor. spectrum = fft(vals) and
-    rho = |vals|^2 may be passed in by a caller that already has them.
+    V_d(x) = int_{x_min}^{x} weight Im(psi* dpsi/dx') / max(|psi|^2, eps) dx' and
+    W = <V_d> for psi samples `vals`, ik = Grid.ik and weight = s friction hbar f'^2
+    (s m friction f'^2 times the current's hbar/m). The propagator, the field
+    wrapper below and the Bohmian current-form phase all call it. A batch `vals`
+    of shape (..., N) gives V_d of that shape and one W per row, each row with
+    its own density floor. spectrum = fft(vals) and density = density_terms(grid,
+    vals), or a tuple that starts with its three items, may be passed in.
     """
-    if rho is None:
-        rho = np.abs(vals) ** 2
-    eps = density_floor(rho)
-    integrand = fp2 * _current_values(vals, ik, params, spectrum) / np.maximum(rho, eps)
-    vd = coef * params.mass * cumulative_integral(grid, integrand)
-    n2 = integrate_values(grid, rho)
-    w = integrate_values(grid, vd * rho) / n2
-    return vd, w
+    rho, floored, norm = density_terms(grid, vals) if density is None else density[:3]
+    integrand = _current_values(vals, ik, spectrum)
+    integrand *= weight
+    integrand /= floored
+    vd = cumulative_integral(grid, integrand)
+    return vd, integrate_values(grid, np.multiply(vd, rho, out=integrand)) / norm
 
 
 def current(psi: WaveFunction, params: PhysicalParams) -> RealField:
     """J = (hbar/m) Im(psi* dpsi/dx); integrates to <p>/m for normalized psi."""
-    return RealField(psi.grid, _current_values(psi.values, psi.grid.ik, params))
+    j = _current_values(psi.values, psi.grid.ik)
+    return RealField(psi.grid, (params.hbar / params.mass) * j)
 
 
 def tilde_current(
@@ -111,9 +106,8 @@ def dissipative_potential(
     if friction == 0.0:
         zero = RealField(grid, np.zeros(grid.n_points))
         return zero, 0.0
-    vd, w = dissipative_kernel(
-        psi.values, f.on_grid(grid, 1) ** 2, grid.ik, s * friction, grid, params
-    )
+    weight = (s * friction * params.hbar) * f.on_grid(grid, 1) ** 2
+    vd, w = dissipative_kernel(psi.values, weight, grid.ik, grid)
     return RealField(grid, vd), float(w)
 
 

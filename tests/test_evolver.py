@@ -641,3 +641,89 @@ class TestCarriedSpectrum:
 
         short, long = count(2), count(6)
         assert {name: (long[name] - short[name]) / 4 for name in calls} == {"fft": 2, "ifft": 5}
+
+
+def workspace_arrays(ws):
+    """Every array a _Workspace holds: precomputed fields and scratch buffers."""
+    held = list(vars(ws).values()) + list(ws._buffers.values())
+    return [a for a in held if isinstance(a, np.ndarray)]
+
+
+class TestStepKernel:
+    """The elementwise work of a step: counted calls and buffer ownership."""
+
+    CFG = TestCarriedSpectrum.CFG
+
+    def stepped(self, n_members, kappa=CFG["kappa"]):
+        """Config, workspace, noise value(s) and first state of a single run
+        or a batch of n_members."""
+        cfg = SimConfig(**{**self.CFG, "kappa": kappa})
+        ws = _Workspace(cfg)
+        vals = build_initial_state(cfg).values
+        xi = 0.3
+        if n_members:
+            vals = np.stack([vals * np.exp(0.2j * b * cfg.grid.x) for b in range(n_members)])
+            xi = np.linspace(-0.3, 0.3, n_members)[:, None]
+        state = SimState(0.0, WaveFunction(cfg.grid, vals))
+        return cfg, ws, xi, state
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.05])
+    @pytest.mark.parametrize("n_members", [0, 3], ids=["single", "batch"])
+    def test_one_log_and_no_complex_exp_per_step(self, monkeypatch, n_members, kappa):
+        """One np.log per step when kappa > 0 (both kicks share the floored
+        density), none when kappa = 0, and no np.exp on a complex argument."""
+        cfg, ws, xi, state = self.stepped(n_members, kappa)
+        calls = {"log": [], "exp": []}
+        for name in calls:
+            def counted(a, *args, _name=name, _fn=getattr(np, name), **kw):
+                calls[_name].append(np.result_type(a))
+                return _fn(a, *args, **kw)
+            monkeypatch.setattr(np, name, counted)
+        for n_steps in (1, 2, 3):
+            for found in calls.values():
+                found.clear()
+            for _ in range(n_steps):
+                state = step(state, cfg, xi, ws)
+            assert len(calls["log"]) == (n_steps if kappa else 0)
+            assert not any(np.issubdtype(t, np.complexfloating) for t in calls["exp"])
+
+    @pytest.mark.parametrize("n_members", [0, 3], ids=["single", "batch"])
+    def test_step_results_own_their_memory(self, n_members):
+        """A state and its spectrum share no memory with the workspace, so a
+        state kept from step 1 is unchanged after 5 more steps."""
+        cfg, ws, xi, state = self.stepped(n_members)
+        state = step(state, cfg, xi, ws)
+        kept = state.psi.values.copy(), state.spectrum.copy()
+        first = state
+        for _ in range(5):
+            state = step(state, cfg, xi, ws)
+            for a in workspace_arrays(ws):
+                assert not np.shares_memory(state.psi.values, a)
+                assert not np.shares_memory(state.spectrum, a)
+        assert np.array_equal(first.psi.values, kept[0])
+        assert np.array_equal(first.spectrum, kept[1])
+
+    @pytest.mark.parametrize("seeds", [None, [5, 6]], ids=["single", "batch"])
+    def test_run_snapshots_own_their_memory(self, monkeypatch, seeds):
+        """run's snapshots share no memory with its workspace, and the
+        snapshot of step 1 reads the same after 5 more steps."""
+        made = []
+
+        class Kept(_Workspace):
+            def __init__(self, config):
+                super().__init__(config)
+                made.append(self)
+
+        monkeypatch.setattr(evolve, "_Workspace", Kept)
+        cfg = SimConfig(**self.CFG, n_steps=6, snapshot_stride=1)
+        long = run(cfg, seeds)
+        ws = made[0]
+        short = run(replace(cfg, n_steps=1), seeds)
+        if seeds is None:
+            long, short = [long], [short]
+        for rec_long, rec_short in zip(long, short):
+            for _, psi in rec_long.snapshots:
+                for a in workspace_arrays(ws):
+                    assert not np.shares_memory(psi.values, a)
+            assert np.array_equal(rec_long.snapshots[1][1].values, rec_short.snapshots[1][1].values)
+

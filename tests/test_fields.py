@@ -126,11 +126,17 @@ class TestCumulativeIntegral:
     @pytest.mark.parametrize("shape", [(64,), (3, 64), (2, 5, 64)])
     def test_matches_gradient_reference_per_row(self, shape):
         """Bit for bit the trapezoid plus np.gradient endpoint correction,
-        applied to each row of a batch."""
+        applied to each row of a batch, and to the whole (N,), (B, N) or
+        (m, B, N) array along its last axis."""
         g = Grid(-5.0, 5.0, 64)
         rng = np.random.default_rng(4)
         h = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 4, shape)
         out = cumulative_integral(g, h)
+        ref = np.zeros_like(h)
+        ref[..., 1:] = np.cumsum(0.5 * (h[..., 1:] + h[..., :-1]), axis=-1) * g.dx
+        hp = np.gradient(h, g.dx, axis=-1, edge_order=2)
+        ref += (g.dx**2 / 12.0) * (hp[..., :1] - hp)
+        assert np.array_equal(out, ref)
         for row in np.ndindex(shape[:-1]):
             hr, dx = h[row], g.dx
             ref = np.zeros_like(hr)

@@ -15,6 +15,8 @@ from gsle.fields import (
     Grid,
     PhysicalParams,
     RealField,
+    density_floor,
+    density_terms,
     observables,
     integrate,
     integrate_values,
@@ -92,16 +94,16 @@ class TestDissipativePotential:
                 (0.3, -1.0, -0.7, 0.8), (1.0, 2.0, 1.5, 1.5), (0.1, 0.0, 0.0, 3.0),
             ]
         ])
-        fp2 = CouplingFunction.sinusoidal(1.0, 1.0).on_grid(grid, 1) ** 2
+        weight = 0.2 * params.hbar * CouplingFunction.sinusoidal(1.0, 1.0).on_grid(grid, 1) ** 2
         V = RealField(grid, 0.5 * grid.x**2)
         for lead in [(2,), (3, 2)]:
             rows = states[:np.prod(lead)].reshape(lead + (grid.n_points,))
-            spectra, rho = np.fft.fft(rows), np.abs(rows) ** 2
-            vd, w = dissipative_kernel(rows, fp2, grid.ik, 0.2, grid, params, spectra, rho)
-            obs = observables(WaveFunction(grid, rows), V, params, spectra, rho)
+            spectra, density = np.fft.fft(rows), density_terms(grid, rows)
+            vd, w = dissipative_kernel(rows, weight, grid.ik, grid, spectra, density)
+            obs = observables(WaveFunction(grid, rows), V, params, spectra, density[0])
             for b in np.ndindex(lead):
                 vals = rows[b]
-                vd_b, w_b = dissipative_kernel(vals, fp2, grid.ik, 0.2, grid, params)
+                vd_b, w_b = dissipative_kernel(vals, weight, grid.ik, grid)
                 assert np.array_equal(vd[b], vd_b) and w[b] == w_b
                 one = observables(WaveFunction(grid, vals), V, params)
                 for name in ("norm", "mean_x", "mean_p", "var_x", "energy", "boundary_density"):
@@ -205,7 +207,7 @@ class TestMeasurementPotential:
     def kick(self, psi, kappa, u=None):
         ws = workspace(psi.grid, potential=PotentialSpec.harmonic(1.0), kappa=kappa)
         u = ws.V if u is None else u
-        out = ws.apply_potential(psi.values, u, self.TAU, psi.density())
+        out = ws.apply_potential(psi.values, u, self.TAU, ws.density(psi.values))
         return out, psi.values * np.exp(-1j * u * self.TAU)
 
     def test_zero_kappa(self, grid):
@@ -233,6 +235,32 @@ class TestMeasurementPotential:
         assert np.abs(factor.imag).max() < 1e-10 and factor.real.min() > 0
         n_after = integrate_values(grid, np.abs(out) ** 2)
         assert n_after == pytest.approx(integrate_values(grid, psi.density()), rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.4])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batch"])
+    def test_matches_exponential_formula(self, grid, kappa, lead):
+        """The cos/sin kick is vals * exp(-i u tau/hbar + kappa tau ln rho),
+        with rho floored, rescaled to the pre-kick norm, up to rounding, and
+        the kicked norm is the pre-kick one. At hbar = 1 both round the same
+        phase u tau/hbar; otherwise the phases differ by an ulp, which the
+        bound would have to scale by max|u tau/hbar|."""
+        params = PhysicalParams()
+        ws = workspace(grid, potential=PotentialSpec.harmonic(1.0), kappa=kappa)
+        rows = [(1.0, -1.0, 0.4, 0.8), (0.05, 2.0, -1.0, 1.5), (3.0, 0.5, 0.0, 0.6)]
+        vals = np.array([
+            scale * gaussian_state(grid, x0, p0, sigma, params.hbar).values
+            for scale, x0, p0, sigma in rows[:int(np.prod(lead))]
+        ]).reshape(lead + (grid.n_points,))
+        u = ws.V + 0.3 * np.sin(grid.x)
+        out = ws.apply_potential(vals, u, self.TAU, ws.density(vals)).copy()
+        rho = np.abs(vals) ** 2
+        log_rho = np.log(np.maximum(rho, density_floor(rho)))
+        ref = vals * np.exp(-1j * u * self.TAU / params.hbar + kappa * self.TAU * log_rho)
+        n_before = integrate_values(grid, rho)
+        ref *= np.sqrt(n_before / integrate_values(grid, np.abs(ref) ** 2))[..., None]
+        assert np.abs(out - ref).max() <= 4e-16 * np.abs(vals).max()
+        n_after = integrate_values(grid, np.abs(out) ** 2)
+        assert np.abs(n_after / n_before - 1.0).max() <= 1e-15
 
     def test_gaussian_contracts(self, grid):
         """For a sigma = 1 Gaussian ln rho = -x^2/2 + const, so the kick
