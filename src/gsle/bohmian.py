@@ -23,6 +23,7 @@ from .fields import (
     WaveFunction,
     cumulative_integral,
     density_floor,
+    density_terms,
     integrate_values,
     spectral_derivative,
 )
@@ -65,9 +66,10 @@ class WeakValueField:
 def _anchored_unwrap(theta: np.ndarray, anchor: int) -> np.ndarray:
     """Unwrap phases outward from `anchor`, keeping its principal value.
 
-    Each side is t[i] - 2 pi k[i], k[i] = round((t[i] - out[i-1]) / 2 pi), taken
-    as the cumulative sum of the rounded steps of t; at the first step of (nearly)
-    pi that rounds the other way against out[i-1], the rest of k is shifted, anew.
+    Each side is t[i] - 2 pi k[i], k[i] = round((t[i] - out[i-1]) / 2 pi), or the
+    next branch if a tie rounded half to even steps by more than pi. k starts as
+    the cumulative sum of the rounded steps of t; at the first step where that
+    rule against out[i-1] gives another k, the rest of k is shifted, anew.
     """
     theta = np.asarray(theta, dtype=float)
     out = np.empty_like(theta)
@@ -77,6 +79,8 @@ def _anchored_unwrap(theta: np.ndarray, anchor: int) -> np.ndarray:
         while True:
             out[side] = t - 2 * np.pi * k
             k_seq = np.round((t[1:] - out[side][:-1]) / (2 * np.pi))
+            jump = t[1:] - 2 * np.pi * k_seq - out[side][:-1]
+            k_seq += (jump > np.pi).astype(float) - (jump < -np.pi)
             bad = np.flatnonzero(k_seq != k[1:])
             if bad.size == 0:
                 break
@@ -124,8 +128,7 @@ def _log_derivative(polar: PolarField) -> np.ndarray:
     grid, psi = polar.grid, polar.psi.values
     d = lambda part: spectral_derivative(grid, part, 1).real
     dpsi = d(psi.real) + 1j * d(psi.imag)
-    rho = np.abs(psi) ** 2
-    return polar.hbar * np.conj(psi) * dpsi / np.maximum(rho, density_floor(rho))
+    return polar.hbar * np.conj(psi) * dpsi / density_terms(grid, psi)[1]
 
 
 def _with_node_slope(polar: PolarField, p: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ directory and is itself a valid config file (round-trip parseable).
 Sections and keys (defaults in parentheses):
 
   [experiment] mode (gsle) | classical | compare;
-               seed (0); ensemble_seeds (1); workers (1): processes, each
-               stepping one contiguous chunk of the member seeds as a batch
+               seed (0); ensemble_seeds (1); workers (1): must be 1, as an
+               ensemble is stepped in-process as one batch
   [grid]       x_min (-20); x_max (20); n_points (512)
   [physics]    hbar (1); mass (1)
   [potential]  kind (harmonic): free|harmonic|linear_ramp|double_well|cubic;
@@ -46,7 +46,6 @@ import hashlib
 import json
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -184,7 +183,6 @@ class ExperimentSpec:
     sim: SimConfig
     classical: Optional[LangevinConfig]
     ensemble_seeds: int
-    workers: int
     seed: int
     emit_observables: bool
     emit_snapshots: bool
@@ -268,8 +266,8 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
         raise ConfigError(f"mode must be one of {_MODES}, got '{mode}'")
     if experiment["ensemble_seeds"] < 1:
         raise ConfigError("ensemble_seeds must be >= 1")
-    if experiment["workers"] < 1:
-        raise ConfigError("workers must be >= 1")
+    if experiment["workers"] != 1:
+        raise ConfigError("workers must be 1: an ensemble is stepped in-process as one batch")
     if output["n_trajectories"] < 1:
         raise ConfigError("n_trajectories must be >= 1")
 
@@ -320,7 +318,6 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
         sim=sim,
         classical=classical,
         ensemble_seeds=experiment["ensemble_seeds"],
-        workers=experiment["workers"],
         seed=experiment["seed"],
         n_trajectories=output.pop("n_trajectories"),
         **{f"emit_{key}": flag for key, flag in output.items()},   # the other [output] keys
@@ -381,40 +378,22 @@ def _write_trajectories(path: Path, spec: ExperimentSpec, snapshots):
     _write_csv(path, spec, cols, (ens.times, ens.positions.T))
 
 
-def _run_members(sim: SimConfig, seeds) -> list:
-    """Member records of one batch; members' warnings stay silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return run(replace(sim, snapshot_stride=0), seeds=seeds)
-
-
-def _run_member_chunk(args) -> list:
-    """Worker entry point: a chunk of seeds under the config text (picklable payload)."""
-    text, seeds = args
-    return _run_members(parse_config(text).sim, seeds)
-
-
 def _run_ensemble(spec: ExperimentSpec, out: Path):
     """GSLE ensemble: per-member observables plus one merged summary.
 
-    The members are split into `workers` contiguous chunks; each chunk is
-    stepped as one batch, in its own process when there is more than one.
+    The members are stepped in-process as one batch; their warnings stay silenced.
     """
     member_seeds = [spec.seed + i for i in range(spec.ensemble_seeds)]
-    chunks = [c.tolist() for c in np.array_split(member_seeds, spec.workers) if c.size]
-    if len(chunks) > 1:
-        payload = [(spec.resolved_text, chunk) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            records = [rec for part in pool.map(_run_member_chunk, payload) for rec in part]
-    else:
-        records = _run_members(spec.sim, member_seeds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        records = run(replace(spec.sim, snapshot_stride=0), seeds=member_seeds)
     members_dir = out / "members"
     members_dir.mkdir(exist_ok=True)
     for seed, rec in zip(member_seeds, records):
         member_dir = members_dir / f"seed_{seed}"
         member_dir.mkdir(exist_ok=True)
         _write_observables(member_dir / "observables.csv", spec, rec)
-    return member_seeds, records
+    return records
 
 
 def _ensemble_stats(records):
@@ -435,15 +414,14 @@ def _ensemble_stats(records):
 
 def _run_gsle(spec: ExperimentSpec, out: Path) -> int:
     if spec.ensemble_seeds > 1:
-        seeds, records = _run_ensemble(spec, out)
-        stats = _ensemble_stats(records)
+        stats = _ensemble_stats(_run_ensemble(spec, out))
         cols = ("t", "mean_x", "stderr_x", "mean_p", "stderr_p", "var_x")
         _write_csv(
             out / "ensemble_summary.csv",
             spec,
             cols,
             [stats[c] for c in cols],
-            extra_comments=(f"# ensemble_seeds = {len(seeds)}",),
+            extra_comments=(f"# ensemble_seeds = {spec.ensemble_seeds}",),
         )
         return 0
     rec = run(spec.sim)
@@ -472,8 +450,7 @@ def _run_classical(spec: ExperimentSpec, out: Path) -> int:
 
 
 def _run_compare(spec: ExperimentSpec, out: Path) -> int:
-    seeds, records = _run_ensemble(spec, out)
-    q = _ensemble_stats(records)
+    q = _ensemble_stats(_run_ensemble(spec, out))
     cl = langevin_ensemble(spec.classical, spec.seed)
     comb_x = np.sqrt(q["stderr_x"] ** 2 + cl.stderr_x**2)
     comb_p = np.sqrt(q["stderr_p"] ** 2 + cl.stderr_p**2)
@@ -503,7 +480,7 @@ def _run_compare(spec: ExperimentSpec, out: Path) -> int:
         cols,
         columns,
         extra_comments=(
-            f"# ensemble_seeds = {len(seeds)}",
+            f"# ensemble_seeds = {spec.ensemble_seeds}",
             f"# n_particles = {spec.classical.n_particles}",
             f"# max_score_x = {_FLOAT % max_x}",
             f"# max_score_p = {_FLOAT % max_p}",

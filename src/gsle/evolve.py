@@ -248,14 +248,12 @@ class _Workspace:
             )
 
 
-def step(state: SimState, config: SimConfig, xi_n, ws: Optional[_Workspace] = None) -> SimState:
+def step(state: SimState, config: SimConfig, xi_n, ws: _Workspace) -> SimState:
     """One Strang step with a midpoint predictor for the nonlinear terms.
 
     state.psi may be a batch (B, N); xi_n is then a (B, 1) column. The new
-    state carries its spectrum; neither shares memory with the workspace.
+    state carries its spectrum; neither shares memory with the workspace ws.
     """
-    if ws is None:
-        ws = _Workspace(config)
     dt = config.dt
     spectrum = state.spectrum
     if spectrum is None:

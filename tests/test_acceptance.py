@@ -387,7 +387,6 @@ CLI_COMPARE = """
 mode = compare
 seed = 3
 ensemble_seeds = 3
-workers = 2
 
 [run]
 n_steps = 200

@@ -1,8 +1,16 @@
-"""Every gsle name the benchmark workloads use still resolves."""
+"""Every gsle name and config the benchmark workloads use still resolves."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
+
+import pytest
+
+from gsle.cli import parse_config
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -52,3 +60,38 @@ def test_workload_imports_resolve():
             "gsle.cli.main"} <= names
     missing = sorted(name for name in names if not resolves(name))
     assert not missing, f"perfbench/workloads.py uses names gsle no longer has: {missing}"
+
+
+def _load_workloads():
+    """perfbench/workloads.py as a module, executed from its text (no bytecode written)."""
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(WORKLOADS)
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["timed", "probe"])
+def test_workload_configs_parse(probe):
+    """Every CLI workload's config is valid, so no workload exits 3 on a removed key."""
+    parsed = set()
+    for workload in _load_workloads().WORKLOADS.values():
+        for seed in (0, 1):
+            inputs = workload.inputs(seed, probe)
+            if "config" in inputs:
+                parse_config(inputs["config"])
+                parsed.add(workload.name)
+    assert parsed == {"single_allterms_n512", "compare_ensemble_n512", "snapshots_post_n4096"}
+
+
+def test_cli_import_loads_no_process_pool():
+    """Ensembles step in-process: importing gsle.cli loads no process machinery."""
+    code = (
+        "import sys, gsle.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.strip() == "[]"

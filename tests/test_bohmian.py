@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_state, plane_wave
@@ -30,12 +30,16 @@ from gsle.potentials import PotentialSpec, current, dissipative_potential
 
 
 def _sequential_unwrap(theta, anchor):
-    """Reference: the point-by-point unwrap outward from the anchor."""
+    """Reference: the point-by-point unwrap outward from the anchor, taking
+    the neighbouring branch where the rounded one steps by more than pi."""
     out = np.array(theta, dtype=float)
-    for i in range(anchor + 1, out.size):
-        out[i] = out[i] - 2 * np.pi * np.round((out[i] - out[i - 1]) / (2 * np.pi))
-    for i in range(anchor - 1, -1, -1):
-        out[i] = out[i] - 2 * np.pi * np.round((out[i] - out[i + 1]) / (2 * np.pi))
+    for i, j in [(i, i - 1) for i in range(anchor + 1, out.size)] + [
+        (i, i + 1) for i in range(anchor - 1, -1, -1)
+    ]:
+        k = np.round((out[i] - out[j]) / (2 * np.pi))
+        jump = out[i] - 2 * np.pi * k - out[j]
+        k += int(jump > np.pi) - int(jump < -np.pi)
+        out[i] = out[i] - 2 * np.pi * k
     return out
 
 
@@ -49,10 +53,17 @@ _PHASES = st.one_of(
 
 class TestAnchoredUnwrap:
     @settings(max_examples=400, deadline=None)
-    @given(st.lists(_PHASES, min_size=1, max_size=64), st.data())
-    def test_matches_sequential_loop(self, phases, data):
+    @given(
+        st.lists(_PHASES, min_size=1, max_size=64).flatmap(
+            lambda p: st.tuples(st.just(p), st.integers(0, len(p) - 1))
+        )
+    )
+    # (t - out[i-1]) / 2 pi is exactly -1.5 at the first step, and round half
+    # to even took the branch that steps by pi + 8.9e-16
+    @example(([0.0, -np.pi, -8.1e-16, 0.0, 0.0, 0.0, -1.0, np.pi], 7))
+    def test_matches_sequential_loop(self, phases_anchor):
+        phases, anchor = phases_anchor
         theta = np.array(phases)
-        anchor = data.draw(st.integers(0, theta.size - 1))
         out = _anchored_unwrap(theta, anchor)
         ref = _sequential_unwrap(theta, anchor)
         assert np.array_equal(out, ref)
