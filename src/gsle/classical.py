@@ -99,17 +99,15 @@ def langevin_step(x, v, config: LangevinConfig, xi_n):
     f = config.coupling
     vprime = config.potential
 
-    fp = np.asarray(f(x, 1), dtype=float)
+    fp = f(x, 1)
     noise_force = fp * xi_n                       # frozen at the step start
-    a0 = (-np.asarray(vprime(x, 1), dtype=float) + noise_force) / m
+    a0 = (-vprime(x, 1) + noise_force) / m
     # friction at the half-step velocity: implicit into the half step,
     # explicit out of it, so the full step sees midpoint-rule damping
     v_half = (v + 0.5 * dt * a0) / (1.0 + 0.5 * dt * alpha * fp**2)
     x_new = x + dt * v_half
-    fp_new = np.asarray(f(x_new, 1), dtype=float)
-    a1 = (
-        -np.asarray(vprime(x_new, 1), dtype=float) + noise_force
-    ) / m - alpha * fp_new**2 * v_half
+    fp_new = f(x_new, 1)
+    a1 = (-vprime(x_new, 1) + noise_force) / m - alpha * fp_new**2 * v_half
     v_new = v_half + 0.5 * dt * a1
     if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
         raise NumericalBlowup("non-finite classical state")
@@ -142,7 +140,7 @@ class GleIntegrator:
         self.omega = config.memory.frequencies
         self.weights = config.memory.kernel_weights
         self.k0 = memory_kernel(config.memory, 0.0)
-        w0 = np.asarray(config.coupling(self.x, 1), dtype=float) * self.v
+        w0 = config.coupling(self.x, 1) * self.v
         self.z = np.zeros((self.omega.size, self.x.size), dtype=complex) + 0.5 * w0
         self.mem = np.zeros_like(self.x)    # friction sum at t_n: none at t_0
 
@@ -157,19 +155,13 @@ class GleIntegrator:
         mem_known = dt * ((self.weights * phase)[:, None] * self.z).real.sum(axis=0)
 
         with _blowup_on_overflow():
-            fp = np.asarray(f(self.x, 1), dtype=float)
-            force = (
-                -np.asarray(vprime(self.x, 1), dtype=float) + fp * xi_n - m * fp * self.mem
-            )
+            fp = f(self.x, 1)
+            force = -vprime(self.x, 1) + fp * xi_n - m * fp * self.mem
             v_half = self.v + 0.5 * dt * force / m
             x_new = self.x + dt * v_half
 
-            fp_new = np.asarray(f(x_new, 1), dtype=float)
-            force_known = (
-                -np.asarray(vprime(x_new, 1), dtype=float)
-                + fp_new * xi_n
-                - m * fp_new * mem_known
-            )
+            fp_new = f(x_new, 1)
+            force_known = -vprime(x_new, 1) + fp_new * xi_n - m * fp_new * mem_known
             # w_{n+1} = fp_new * v_new enters with trapezoid weight dt/2 * K(0)
             denom = 1.0 + 0.25 * dt**2 * self.k0 * fp_new**2
             v_new = (v_half + 0.5 * dt * force_known / m) / denom

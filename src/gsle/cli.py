@@ -34,8 +34,10 @@ Every CSV carries the master seed and the sha256 digest of the resolved
 config as leading comment lines, so reruns are byte-identical.
 Usage: gsle run|compare CONFIG, or gsle post RUN_DIR; each takes [--seed N] [--out DIR].
 Exit codes: 0 success, 2 numerical failure, 3 config error. Config errors
-(a value not of its key's type, such as dt = nan; an unknown kind; or a value
-a type rejects, such as sigma <= 0 or snapshot_stride < 0) exit before any output.
+(a value not of its key's type, such as dt = nan; an unknown kind; a value
+a type rejects, such as sigma <= 0 or snapshot_stride < 0; or snapshots,
+trajectories or weak_values asked of anything but a gsle run of one seed with
+snapshot_stride > 0) exit before any output.
 """
 
 from __future__ import annotations
@@ -183,7 +185,6 @@ class ExperimentSpec:
     sim: SimConfig
     classical: Optional[LangevinConfig]
     ensemble_seeds: int
-    seed: int
     emit_observables: bool
     emit_snapshots: bool
     emit_trajectories: bool
@@ -286,6 +287,13 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
         grid, params, potential, coupling, noise=noise, seed=experiment["seed"],
         initial_state=initial, **values["run"],
     )
+    # every per-state output is read from the snapshots of one gsle run
+    wanted = [key for key in ("snapshots", "trajectories", "weak_values") if output[key]]
+    if wanted and (mode != "gsle" or experiment["ensemble_seeds"] > 1 or not sim.snapshot_stride):
+        raise ConfigError(
+            f"[output] {', '.join(wanted)} need the snapshots of one gsle run: "
+            "mode = gsle, ensemble_seeds = 1 and [run] snapshot_stride > 0"
+        )
 
     classical = None
     if mode in ("classical", "compare"):
@@ -318,7 +326,6 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
         sim=sim,
         classical=classical,
         ensemble_seeds=experiment["ensemble_seeds"],
-        seed=experiment["seed"],
         n_trajectories=output.pop("n_trajectories"),
         **{f"emit_{key}": flag for key, flag in output.items()},   # the other [output] keys
         resolved_text=resolved_text,
@@ -327,7 +334,7 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
 
 
 def _header_lines(spec: ExperimentSpec):
-    return [f"# seed = {spec.seed}", f"# config_sha256 = {spec.digest}"]
+    return [f"# seed = {spec.sim.seed}", f"# config_sha256 = {spec.digest}"]
 
 
 def _write_csv(path: Path, spec: ExperimentSpec, header, columns, extra_comments=()):
@@ -372,7 +379,7 @@ def _write_trajectories(path: Path, spec: ExperimentSpec, snapshots):
     steps, history = zip(*snapshots)
     times = spec.sim.dt * np.array(steps, dtype=float)
     ens = propagate_trajectories(
-        history, times, spec.n_trajectories, spec.seed, spec.sim.params
+        history, times, spec.n_trajectories, spec.sim.seed, spec.sim.params
     )
     cols = ("t",) + tuple(f"x_{i + 1}" for i in range(ens.positions.shape[0]))
     _write_csv(path, spec, cols, (ens.times, ens.positions.T))
@@ -383,7 +390,7 @@ def _run_ensemble(spec: ExperimentSpec, out: Path):
 
     The members are stepped in-process as one batch; their warnings stay silenced.
     """
-    member_seeds = [spec.seed + i for i in range(spec.ensemble_seeds)]
+    member_seeds = [spec.sim.seed + i for i in range(spec.ensemble_seeds)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         records = run(replace(spec.sim, snapshot_stride=0), seeds=member_seeds)
@@ -442,7 +449,7 @@ def _run_gsle(spec: ExperimentSpec, out: Path) -> int:
 
 
 def _run_classical(spec: ExperimentSpec, out: Path) -> int:
-    ens = langevin_ensemble(spec.classical, spec.seed)
+    ens = langevin_ensemble(spec.classical, spec.sim.seed)
     cols = ("t", "mean_x", "mean_p", "var_x", "stderr_x", "stderr_p")
     columns = (ens.times, ens.mean_x, ens.mean_p, ens.var_x, ens.stderr_x, ens.stderr_p)
     _write_csv(out / "observables.csv", spec, cols, columns)
@@ -451,7 +458,7 @@ def _run_classical(spec: ExperimentSpec, out: Path) -> int:
 
 def _run_compare(spec: ExperimentSpec, out: Path) -> int:
     q = _ensemble_stats(_run_ensemble(spec, out))
-    cl = langevin_ensemble(spec.classical, spec.seed)
+    cl = langevin_ensemble(spec.classical, spec.sim.seed)
     comb_x = np.sqrt(q["stderr_x"] ** 2 + cl.stderr_x**2)
     comb_p = np.sqrt(q["stderr_p"] ** 2 + cl.stderr_p**2)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -104,7 +104,8 @@ class CouplingFunction:
 
     # ---- evaluation ------------------------------------------------------
 
-    def __call__(self, x, order=0):
+    def __call__(self, x, order=0) -> np.ndarray:
+        """g, g' or g'' at the points x, as a float array of x's shape."""
         if order not in (0, 1, 2):
             raise UnsupportedOrder(f"derivative order must be 0, 1 or 2, got {order}")
         x = np.asarray(x, dtype=float)
@@ -116,10 +117,10 @@ class CouplingFunction:
                     f"x outside tabulation range [{lo:g}, {hi:g}]"
                 )
             x = np.clip(x, lo, hi)
-        return self._funcs[order](x)
+        return np.asarray(self._funcs[order](x), dtype=float)
 
     def on_grid(self, grid: Grid, order=0) -> np.ndarray:
-        return np.asarray(self(grid.x, order), dtype=float)
+        return self(grid.x, order)
 
 
 # The external potential V(x) is the same kind of profile as f(x).

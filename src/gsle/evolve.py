@@ -16,10 +16,12 @@ Every operation acts along the last axis, so a (B, N) array of member
 states with a (B, 1) column of noise values takes one step in one call:
 the split-step operators are the same for every row.
 
-Each state carries the spectrum its last half-kick computed, which the next
-step and the record start from. One density of the half-kicked state, with
+`step` maps a state's spectrum to the next state's samples and spectrum;
+the spectrum is what its last half-kick computes anyway, and the next step
+and the record start from it. One density of the half-kicked state, with
 its floor, norm and (kappa > 0) the step's one log, serves the first V_d/W
-and both kicks, which write cos and sin of the phase into a workspace buffer.
+and both kicks, which write cos and sin of the phase into a workspace
+buffer. `run` owns the clock and checks every new state for finite samples.
 
 `run` records in blocks: each state's samples and spectrum are copied into
 two buffers of m states, and a full block is read by one `observables` call
@@ -119,13 +121,6 @@ class SimConfig:
             raise ConfigError(f"sign must be one of {list(SIGNS)}, got '{self.sign}'")
 
 
-@dataclass(frozen=True)
-class SimState:
-    t: float
-    psi: WaveFunction
-    spectrum: Optional[np.ndarray] = None   # fft(psi.values); None: compute it
-
-
 @dataclass
 class RunRecord:
     times: np.ndarray
@@ -195,19 +190,19 @@ class _Workspace:
         return rho, floored, norm, np.log(floored) if self.kappa else None
 
     def real_potential(self, vals: np.ndarray, xi_n, spectrum=None, density=None):
-        """(U, W): real potential U = V - f xi + V_d - W and the gauge constant W.
+        """Real potential U = V - f xi + V_d - W, with the gauge constant W = <V_d>.
 
-        For a batch vals (B, N), xi_n is a (B, 1) column and W has shape (B,).
-        spectrum = fft(vals) and density = self.density(vals), when the caller
-        has them, save their recomputation. U is a new array, built in place.
+        For a batch vals (B, N), xi_n is a (B, 1) column. spectrum = fft(vals)
+        and density = self.density(vals), when the caller has them, save their
+        recomputation. U is a new array, built in place.
         """
         if self.vd_weight is None:
-            return self.V - self.f * xi_n, 0.0
+            return self.V - self.f * xi_n
         vd, w = dissipative_kernel(vals, self.vd_weight, self.ik, self.grid, spectrum, density)
         u = np.multiply(self.f, xi_n, out=self._buffer("real", vd.shape))
         vd += np.subtract(self.V, u, out=u)
         vd -= w[..., None]
-        return vd, w
+        return vd
 
     def apply_potential(self, vals: np.ndarray, u: np.ndarray, tau: float, density):
         """Unitary kick for the real potential plus the measurement kick.
@@ -248,32 +243,23 @@ class _Workspace:
             )
 
 
-def step(state: SimState, config: SimConfig, xi_n, ws: _Workspace) -> SimState:
+def step(spectrum: np.ndarray, xi_n, ws: _Workspace):
     """One Strang step with a midpoint predictor for the nonlinear terms.
 
-    state.psi may be a batch (B, N); xi_n is then a (B, 1) column. The new
-    state carries its spectrum; neither shares memory with the workspace ws.
+    spectrum = fft(psi) of a state (N,) or of a batch (B, N); xi_n is then a
+    (B, 1) column. Returns the new state's (vals, spectrum); neither shares
+    memory with the workspace ws, and neither is checked for finite samples.
     """
-    dt = config.dt
-    spectrum = state.spectrum
-    if spectrum is None:
-        spectrum = np.fft.fft(state.psi.values)
     spectrum = ws.kin_half * spectrum
     vals = np.fft.ifft(spectrum)
     density = ws.density(vals)
-    u1, _ = ws.real_potential(vals, xi_n, spectrum, density)
+    u1 = ws.real_potential(vals, xi_n, spectrum, density)
     ws.check_stability(u1)
-    mid = ws.apply_potential(vals, u1, 0.5 * dt, density)
-    u2, _ = ws.real_potential(mid, xi_n)
-    spectrum = np.fft.fft(ws.apply_potential(vals, u2, dt, density))
+    mid = ws.apply_potential(vals, u1, 0.5 * ws.dt, density)
+    u2 = ws.real_potential(mid, xi_n)
+    spectrum = np.fft.fft(ws.apply_potential(vals, u2, ws.dt, density))
     spectrum *= ws.kin_half
-    vals = np.fft.ifft(spectrum)
-    if not np.isfinite(vals).all():
-        raise NumericalBlowup(
-            f"non-finite wavefunction at t = {state.t + dt:.6g}", t=state.t + dt
-        )
-    psi = WaveFunction(config.grid, vals, check_finite=False)
-    return SimState(t=state.t + dt, psi=psi, spectrum=spectrum)
+    return np.fft.ifft(spectrum), spectrum
 
 
 def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
@@ -290,8 +276,9 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     m = RECORD_BLOCK_ELEMENTS // (B N) clipped to [1, n_steps + 1]: the two
     block buffers hold at most 1 MiB, or one state each when a state is
     larger. Each row is reduced alone, so the record is the one a read per
-    step would give. A NumericalBlowup carries the observables of the last
-    recorded state, read from its partial block.
+    step would give. The clock adds dt once per step. A state with a
+    non-finite sample raises NumericalBlowup; it carries the observables of
+    the last recorded state, read from its partial block.
 
     Deterministic for a given (config, seeds): the noise is generated once
     up front.
@@ -306,9 +293,8 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
         config.noise, config.friction, config.params.mass, config.dt, config.n_steps, batch
     ).reshape(lead + (config.n_steps,))
     ws = _Workspace(config)
-    psi = np.broadcast_to(build_initial_state(config).values, lead + (config.grid.n_points,))
-    psi = WaveFunction(config.grid, psi.copy())
-    state = SimState(t=0.0, psi=psi, spectrum=np.fft.fft(psi.values))
+    shape = lead + (config.grid.n_points,)
+    psi = np.broadcast_to(build_initial_state(config).values, shape).copy()
 
     n = config.n_steps
     times = np.empty(n + 1)
@@ -319,8 +305,8 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     alerts = [[] for _ in batch]
     v_field = RealField(config.grid, ws.V)
     stride = config.snapshot_stride
-    m = max(1, min(n + 1, RECORD_BLOCK_ELEMENTS // psi.values.size))
-    block_vals = np.empty((m,) + psi.values.shape, dtype=complex)
+    m = max(1, min(n + 1, RECORD_BLOCK_ELEMENTS // psi.size))
+    block_vals = np.empty((m,) + psi.shape, dtype=complex)
     block_spectra = np.empty_like(block_vals)
     first = filled = 0   # step index of the block's first state; states buffered
 
@@ -330,7 +316,7 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
             return
         vals, spectra = block_vals[:filled], block_spectra[:filled]
         density = density_terms(config.grid, vals)
-        block = WaveFunction(config.grid, vals, check_finite=False)
+        block = WaveFunction(config.grid, vals)
         obs = observables(block, v_field, config.params, spectra, density[0])
         rows = slice(first, first + filled)
         for name in names[:5]:
@@ -349,26 +335,34 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
                 )
         first, filled = first + filled, 0
 
-    def record(i, state):
+    def record(i, t, vals, spectrum):
         nonlocal filled
-        block_vals[filled] = state.psi.values
-        block_spectra[filled] = state.spectrum
+        block_vals[filled] = vals
+        block_spectra[filled] = spectrum
         filled += 1
-        times[i] = state.t
+        times[i] = t
         if stride and i % stride == 0:
-            snapshots.append((i, state.psi.values.reshape(len(batch), -1)))
+            snapshots.append((i, vals.reshape(len(batch), -1)))
         if filled == m:
             flush()
 
-    record(0, state)
+    t = 0.0
+    spectrum = np.fft.fft(psi)
+    record(0, t, psi, spectrum)
+    # psi, the initial state, stays referenced to the end: freeing it after
+    # step 1 raised a 32 x 512 ensemble's peak RSS by 1 MB (glibc places the
+    # later arrays differently)
     try:
         for i in range(n):
-            state = step(state, config, noise[..., i, None], ws)
-            record(i + 1, state)
+            vals, spectrum = step(spectrum, noise[..., i, None], ws)
+            t += config.dt
+            if not np.isfinite(vals).all():
+                raise NumericalBlowup(f"non-finite wavefunction at t = {t:.6g}", t=t)
+            record(i + 1, t, vals, spectrum)
     except NumericalBlowup as exc:
         flush()   # the partial block holds the last recorded state
-        if exc.t is None:
-            exc.t = state.t + config.dt
+        if exc.t is None:   # raised inside step i + 1
+            exc.t = t + config.dt
         exc.last_observables = {
             "t": times[i], **{name: table[name][i] for name in ("norm", "mean_x", "energy")}
         }
@@ -382,8 +376,7 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
             times=times,
             **{name: rows[name][b] for name in names},
             snapshots=[
-                (i, WaveFunction(config.grid, vals[b], check_finite=False))
-                for i, vals in snapshots
+                (i, WaveFunction(config.grid, vals[b])) for i, vals in snapshots
             ],
             warnings=alerts[b],
             seed=seed,

@@ -7,7 +7,7 @@ on a periodic grid, both spectrally accurate for smooth periodic data.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 # numpy >= 2 imports numpy.fft on first use; import it with gsle so that
@@ -77,14 +77,14 @@ class PhysicalParams:
             raise InvalidField("hbar and mass must be positive and finite")
 
 
-def _check_values(grid: Grid, values: np.ndarray, batched=False, check_finite=True):
-    """Samples of shape (N,), or (..., N) for a batch of fields."""
+def _check_values(grid: Grid, values: np.ndarray, batched=False):
+    """Finite samples of shape (N,), or (..., N) for a batch of fields."""
     shape = values.shape[-1:] if batched else values.shape
     if shape != (grid.n_points,):
         raise InvalidField(
             f"field has {values.shape} samples, grid has {grid.n_points} points"
         )
-    if check_finite and not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(values)):
         raise InvalidField("field contains non-finite samples")
 
 
@@ -102,21 +102,16 @@ class RealField:
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex samples psi(x) of shape (N,), or (..., N) for a batch of states.
-
-    check_finite=False skips the finiteness scan, for a caller that has
-    already made it (the propagator checks every new state).
-    """
+    """Complex samples psi(x) of shape (N,), or (..., N) for a batch of states."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
-    check_finite: InitVar[bool] = True
 
-    def __post_init__(self, check_finite):
+    def __post_init__(self):
         object.__setattr__(
             self, "values", np.asarray(self.values, dtype=complex)
         )
-        _check_values(self.grid, self.values, batched=True, check_finite=check_finite)
+        _check_values(self.grid, self.values, batched=True)
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2

@@ -12,7 +12,8 @@ import pytest
 
 from gsle.cli import parse_config
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _dotted(node):
@@ -62,19 +63,31 @@ def test_workload_imports_resolve():
     assert not missing, f"perfbench/workloads.py uses names gsle no longer has: {missing}"
 
 
-def _load_workloads():
-    """perfbench/workloads.py as a module, executed from its text (no bytecode written)."""
-    module = types.ModuleType("perfbench_workloads")
-    module.__file__ = str(WORKLOADS)
-    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
+def _load(path):
+    """A perfbench file as a module, executed from its text (no bytecode written)."""
+    module = types.ModuleType(f"perfbench_{path.stem}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
+
+
+def test_tracer_hooks_resolve():
+    """Every phase and step the tracer wraps resolves once gsle is imported, so
+    setup_s still ends at the first evolve.step, a module-level function."""
+    tracer = _load(PERFBENCH / "tracer.py")
+    targets = [spec[:2] for spec in (*tracer.PHASES.values(), *tracer.STEPS.values())]
+    assert ("gsle.evolve", "step") in targets
+    for module, _ in targets:
+        importlib.import_module(module)
+    missing = [target for target in targets if tracer._resolve(*target) is None]
+    assert not missing, f"perfbench/tracer.py wraps targets gsle no longer has: {missing}"
 
 
 @pytest.mark.parametrize("probe", [False, True], ids=["timed", "probe"])
 def test_workload_configs_parse(probe):
     """Every CLI workload's config is valid, so no workload exits 3 on a removed key."""
     parsed = set()
-    for workload in _load_workloads().WORKLOADS.values():
+    for workload in _load(WORKLOADS).WORKLOADS.values():
         for seed in (0, 1):
             inputs = workload.inputs(seed, probe)
             if "config" in inputs:

@@ -79,7 +79,7 @@ class TestParseConfig:
 
     def test_seed_override(self):
         spec = parse_config(KOSTIN_CFG, seed_override=99)
-        assert spec.seed == 99
+        assert spec.sim.seed == 99
 
     @pytest.mark.parametrize("mode", ["quantum", "bohmian-post"])
     def test_bad_mode(self, mode, tmp_path):
@@ -178,6 +178,27 @@ class TestRunCommand:
             ("[run]\nn_steps = 3\n[coupling]\nkind = power\nn = -1\n", "integer n >= 0"),
             ("[experiment]\nensemble_seeds = 2\nworkers = 2\n[run]\nn_steps = 3\n", "workers"),
             ("[experiment]\nensemble_seeds = 2\nworkers = 0\n[run]\nn_steps = 3\n", "workers"),
+            (
+                "[run]\nn_steps = 5\n"
+                "[output]\nsnapshots = true\ntrajectories = true\nweak_values = true\n",
+                "snapshots, trajectories, weak_values need",
+            ),
+            ("[run]\nn_steps = 5\n[output]\nweak_values = true\n", "snapshot_stride > 0"),
+            (
+                "[experiment]\nensemble_seeds = 2\n[run]\nn_steps = 5\nsnapshot_stride = 1\n"
+                "[output]\nsnapshots = true\n",
+                "ensemble_seeds = 1",
+            ),
+            (
+                "[experiment]\nmode = compare\nensemble_seeds = 2\n"
+                "[run]\nn_steps = 5\nsnapshot_stride = 1\n[output]\ntrajectories = true\n",
+                "mode = gsle",
+            ),
+            (
+                "[experiment]\nmode = classical\n[run]\nn_steps = 5\nsnapshot_stride = 1\n"
+                "[output]\nsnapshots = true\n",
+                "mode = gsle",
+            ),
         ],
         ids=[
             "negative_dt",
@@ -211,6 +232,11 @@ class TestRunCommand:
             "power_negative_n",
             "two_workers",
             "zero_workers",
+            "outputs_without_snapshot_stride",
+            "weak_values_without_snapshot_stride",
+            "snapshots_in_ensemble",
+            "trajectories_in_compare",
+            "snapshots_in_classical",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, text, named):

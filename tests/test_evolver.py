@@ -23,7 +23,6 @@ from gsle.evolve import (
     HarmonicEigenstate,
     NoiseSpec,
     SimConfig,
-    SimState,
     _Workspace,
     build_initial_state,
     ehrenfest_residual,
@@ -31,7 +30,7 @@ from gsle.evolve import (
     step,
 )
 from gsle.fields import Grid, PhysicalParams, RealField, WaveFunction, observables
-from gsle.potentials import PotentialSpec
+from gsle.potentials import PotentialSpec, dissipative_kernel
 
 GRID = Grid(-20.0, 20.0, 512)
 GROUND_SIGMA = np.sqrt(0.5)
@@ -258,8 +257,12 @@ class TestRealPotentialProperties:
         )
         ws = _Workspace(cfg)
         vals = build_initial_state(cfg).values
-        u0, w0 = ws.real_potential(vals, 0.0)
-        u1, w1 = ws.real_potential(np.exp(1j * theta) * vals, 0.0)
+        u0 = ws.real_potential(vals, 0.0)
+        u1 = ws.real_potential(np.exp(1j * theta) * vals, 0.0)
+        w0, w1 = (
+            dissipative_kernel(v, ws.vd_weight, ws.ik, cfg.grid)[1]
+            for v in (vals, np.exp(1j * theta) * vals)
+        )
         scale = np.abs(u0).max()
         assert np.abs(u1 - u0).max() <= 1e-10 * scale
         assert abs(w1 - w0) <= 1e-10 * scale
@@ -376,8 +379,8 @@ def unbatched_run(cfg, seeds=None):
 
     Without seeds, (N,) states and scalar noise values; with seeds, the (B, N)
     batch that run(cfg, seeds) steps. Beside the recorded columns it keeps
-    "t" and "boundary" (the boundary density). A NumericalBlowup ends every
-    column at the last recorded state.
+    "t" and "boundary" (the boundary density). A NumericalBlowup or a
+    non-finite state ends every column at the last recorded state.
     """
     n = cfg.n_steps
     batch = [cfg.seed] if seeds is None else list(seeds)
@@ -385,26 +388,32 @@ def unbatched_run(cfg, seeds=None):
     noise_at = (lambda j: xi[0, j]) if seeds is None else (lambda j: xi[:, j, None])
     ws = _Workspace(cfg)
     v_field = RealField(cfg.grid, ws.V)
-    psi = build_initial_state(cfg)
+    vals = build_initial_state(cfg).values
     if seeds is not None:
-        psi = WaveFunction(cfg.grid, np.tile(psi.values, (len(batch), 1)))
-    state = SimState(0.0, psi)
+        vals = np.tile(vals, (len(batch), 1))
+    spectrum = np.fft.fft(vals)
+    t = 0.0
     lead = () if seeds is None else (len(batch),)
     out = {name: np.empty((n + 1,) + lead) for name in RECORDED + ("boundary",)}
     out["t"] = np.empty(n + 1)
     for i in range(n + 1):
         if i > 0:
             try:
-                state = step(state, cfg, noise_at(i - 1), ws)
+                vals, spectrum = step(spectrum, noise_at(i - 1), ws)
+                if not np.isfinite(vals).all():
+                    raise NumericalBlowup("non-finite wavefunction")
             except NumericalBlowup:
                 return {name: col[:i] for name, col in out.items()}
+            t += cfg.dt
         xi_i = noise_at(min(i, n - 1))
-        obs = observables(state.psi, v_field, cfg.params, state.spectrum)
+        obs = observables(WaveFunction(cfg.grid, vals), v_field, cfg.params, spectrum)
         for name in ("norm", "mean_x", "mean_p", "var_x", "energy"):
             out[name][i] = getattr(obs, name)
-        out["W"][i] = ws.real_potential(state.psi.values, xi_i, state.spectrum)[1]
+        out["W"][i] = 0.0 if ws.vd_weight is None else dissipative_kernel(
+            vals, ws.vd_weight, ws.ik, cfg.grid, spectrum
+        )[1]
         out["xi"][i] = np.reshape(xi_i, lead)
-        out["t"][i] = state.t
+        out["t"][i] = t
         out["boundary"][i] = obs.boundary_density
     return out
 
@@ -614,12 +623,12 @@ class TestCarriedSpectrum:
         if n_members:
             vals = np.stack([vals * np.exp(0.2j * b * cfg.grid.x) for b in range(n_members)])
             xi = np.linspace(-0.3, 0.3, n_members)[:, None]
-        state = SimState(0.0, WaveFunction(cfg.grid, vals))
+        spectrum = np.fft.fft(vals)
         for _ in range(5):
-            state = step(state, cfg, xi, ws)
-            ref = np.fft.fft(state.psi.values)
-            assert state.spectrum.shape == ref.shape
-            assert np.abs(state.spectrum - ref).max() <= 1e-13 * np.abs(ref).max()
+            vals, spectrum = step(spectrum, xi, ws)
+            ref = np.fft.fft(vals)
+            assert spectrum.shape == ref.shape
+            assert np.abs(spectrum - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_fft_calls_per_step(self, monkeypatch):
         """After the first, every step and its record make 2 forward and 5 inverse
@@ -655,8 +664,8 @@ class TestStepKernel:
     CFG = TestCarriedSpectrum.CFG
 
     def stepped(self, n_members, kappa=CFG["kappa"]):
-        """Config, workspace, noise value(s) and first state of a single run
-        or a batch of n_members."""
+        """Workspace, noise value(s) and first spectrum of a single run or a
+        batch of n_members."""
         cfg = SimConfig(**{**self.CFG, "kappa": kappa})
         ws = _Workspace(cfg)
         vals = build_initial_state(cfg).values
@@ -664,15 +673,14 @@ class TestStepKernel:
         if n_members:
             vals = np.stack([vals * np.exp(0.2j * b * cfg.grid.x) for b in range(n_members)])
             xi = np.linspace(-0.3, 0.3, n_members)[:, None]
-        state = SimState(0.0, WaveFunction(cfg.grid, vals))
-        return cfg, ws, xi, state
+        return ws, xi, np.fft.fft(vals)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.05])
     @pytest.mark.parametrize("n_members", [0, 3], ids=["single", "batch"])
     def test_one_log_and_no_complex_exp_per_step(self, monkeypatch, n_members, kappa):
         """One np.log per step when kappa > 0 (both kicks share the floored
         density), none when kappa = 0, and no np.exp on a complex argument."""
-        cfg, ws, xi, state = self.stepped(n_members, kappa)
+        ws, xi, spectrum = self.stepped(n_members, kappa)
         calls = {"log": [], "exp": []}
         for name in calls:
             def counted(a, *args, _name=name, _fn=getattr(np, name), **kw):
@@ -683,7 +691,7 @@ class TestStepKernel:
             for found in calls.values():
                 found.clear()
             for _ in range(n_steps):
-                state = step(state, cfg, xi, ws)
+                _, spectrum = step(spectrum, xi, ws)
             assert len(calls["log"]) == (n_steps if kappa else 0)
             assert not any(np.issubdtype(t, np.complexfloating) for t in calls["exp"])
 
@@ -691,17 +699,17 @@ class TestStepKernel:
     def test_step_results_own_their_memory(self, n_members):
         """A state and its spectrum share no memory with the workspace, so a
         state kept from step 1 is unchanged after 5 more steps."""
-        cfg, ws, xi, state = self.stepped(n_members)
-        state = step(state, cfg, xi, ws)
-        kept = state.psi.values.copy(), state.spectrum.copy()
-        first = state
+        ws, xi, spectrum = self.stepped(n_members)
+        first = step(spectrum, xi, ws)
+        kept = first[0].copy(), first[1].copy()
+        spectrum = first[1]
         for _ in range(5):
-            state = step(state, cfg, xi, ws)
+            vals, spectrum = step(spectrum, xi, ws)
             for a in workspace_arrays(ws):
-                assert not np.shares_memory(state.psi.values, a)
-                assert not np.shares_memory(state.spectrum, a)
-        assert np.array_equal(first.psi.values, kept[0])
-        assert np.array_equal(first.spectrum, kept[1])
+                assert not np.shares_memory(vals, a)
+                assert not np.shares_memory(spectrum, a)
+        assert np.array_equal(first[0], kept[0])
+        assert np.array_equal(first[1], kept[1])
 
     @pytest.mark.parametrize("seeds", [None, [5, 6]], ids=["single", "batch"])
     def test_run_snapshots_own_their_memory(self, monkeypatch, seeds):

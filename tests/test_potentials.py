@@ -10,7 +10,7 @@ import pytest
 from conftest import gaussian_state, plane_wave
 from gsle.coupling import CouplingFunction
 from gsle.errors import ConfigError, InvalidFriction
-from gsle.evolve import SimConfig, _Workspace
+from gsle.evolve import SimConfig, _Workspace, run
 from gsle.fields import (
     Grid,
     PhysicalParams,
@@ -180,12 +180,14 @@ class TestRandomPotential:
 
     def test_zero_noise(self, grid):
         ws = workspace(grid, potential=PotentialSpec.harmonic(1.0))
-        u, w = ws.real_potential(gaussian_state(grid).values, 0.0)
-        assert np.array_equal(u, ws.V) and w == 0.0
+        u = ws.real_potential(gaussian_state(grid).values, 0.0)
+        assert np.array_equal(u, ws.V)
+        cfg = SimConfig(grid=grid, potential=PotentialSpec.harmonic(1.0), n_steps=3)
+        assert np.all(run(cfg).W == 0.0)
 
     def test_linear_coupling_uniform_force(self, grid):
         ws = workspace(grid)
-        u, _ = ws.real_potential(gaussian_state(grid).values, 2.0)
+        u = ws.real_potential(gaussian_state(grid).values, 2.0)
         assert np.array_equal(u, -2.0 * grid.x)
 
     def test_force_is_fprime_xi(self):
@@ -193,7 +195,7 @@ class TestRandomPotential:
         # spectral gradient is exact
         g = Grid(-8 * np.pi, 8 * np.pi, 512)
         ws = workspace(g, coupling=CouplingFunction.sinusoidal(1.0, 1.0))
-        u, _ = ws.real_potential(gaussian_state(g).values, 1.0)
+        u = ws.real_potential(gaussian_state(g).values, 1.0)
         force = -np.real(spectral_derivative(g, u.astype(complex), 1))
         assert np.abs(force - np.cos(g.x)).max() < 1e-10
 
