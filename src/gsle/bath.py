@@ -77,22 +77,15 @@ class OhmicSpec:
 class NoiseSpec:
     kind: str = "zero"               # zero | white | bath
     temperature: float = 0.0
-    ohmic: Optional[OhmicSpec] = None
-    bath: Optional[BathSpec] = None
+    bath: Optional[BathSpec] = None  # the oscillators that bath noise draws from
 
     def __post_init__(self):
         if self.kind not in ("zero", "white", "bath"):
             raise ConfigError(f"unknown noise kind '{self.kind}'")
         if not self.temperature >= 0:
             raise ConfigError("noise temperature must be >= 0")
-
-    def bath_spec(self, system_mass: float) -> BathSpec:
-        """The explicit bath, else the Ohmic spectrum discretized for this mass."""
-        if self.bath is not None:
-            return self.bath
-        if self.ohmic is None:
-            raise ConfigError("bath noise requires an OhmicSpec or explicit BathSpec")
-        return discretize_ohmic(self.ohmic, system_mass)
+        if self.kind == "bath" and self.bath is None:
+            raise ConfigError("bath noise requires a BathSpec")
 
 
 def memory_kernel(bath: BathSpec, t):
@@ -170,7 +163,7 @@ def noise_rows(
     """
     if spec.kind == "bath":
         times = dt * np.arange(n_steps)
-        return sample_bath_noise_batch(spec.bath_spec(mass), spec.temperature, times, seeds)
+        return sample_bath_noise_batch(spec.bath, spec.temperature, times, seeds)
     out = np.zeros((len(seeds), n_steps))
     if spec.kind == "white":
         sigma = white_noise_sigma(friction, spec.temperature, mass, dt)

@@ -1,4 +1,4 @@
-"""Polar decomposition, guiding momentum, trajectory ensembles and weak values.
+"""Polar decomposition, weak values (the guiding momentum), trajectory ensembles.
 
 The action S = hbar*arg(psi) is unwrapped starting from the density maximum
 (the most reliable sample) outward in both directions, and linearly
@@ -34,8 +34,8 @@ from .potentials import dissipative_kernel
 class PolarField:
     """psi = A exp(iS/hbar) with its node mask; built by polar_decompose.
 
-    Keeps the source `psi`: guiding_momentum and weak_value differentiate psi
-    off node_mask, and use the slope of the interpolated S only on it.
+    Keeps the source `psi`: weak_value differentiates psi off node_mask, and
+    uses the slope of the interpolated S only on it.
     """
 
     A: RealField
@@ -131,23 +131,7 @@ def _log_derivative(polar: PolarField) -> np.ndarray:
     return polar.hbar * np.conj(psi) * dpsi / density_terms(grid, psi)[1]
 
 
-def _with_node_slope(polar: PolarField, p: np.ndarray) -> np.ndarray:
-    """p off node_mask; the slope of the interpolated action S on it."""
-    slope = np.gradient(polar.S.values, polar.grid.dx)
-    return np.where(polar.node_mask, slope, p)
-
-
-def guiding_momentum(polar: PolarField, params: PhysicalParams) -> RealField:
-    """p(x) = dS/dx = m J/|psi|^2, the Bohmian guiding momentum.
-
-    Off node_mask it is Im(hbar psi* dpsi/dx)/|psi|^2 from psi itself; on
-    node_mask, where psi carries no phase, it is the slope of the
-    interpolated action, so trajectory velocities stay finite across nodes.
-    """
-    return RealField(polar.grid, _with_node_slope(polar, _log_derivative(polar).imag))
-
-
-def tilde_phase_forms(polar: PolarField, f: CouplingFunction, params: PhysicalParams):
+def tilde_phase_forms(polar: PolarField, f: CouplingFunction):
     """(integration-by-parts form, current form) of the coupling phase.
 
     Form 1: f'^2 S - 2 int S f' f'' dx (cumulative from x_min).
@@ -160,21 +144,23 @@ def tilde_phase_forms(polar: PolarField, f: CouplingFunction, params: PhysicalPa
     fp = f.on_grid(grid, 1)
     fpp = f.on_grid(grid, 2)
     form1 = fp**2 * s - 2.0 * cumulative_integral(grid, s * fp * fpp)
-    form2, _ = dissipative_kernel(polar.psi.values, params.hbar * fp**2, grid.ik, grid)
+    form2, _ = dissipative_kernel(polar.psi.values, polar.hbar * fp**2, grid.ik, grid)
     return RealField(grid, form1), RealField(grid, form2)
 
 
-def weak_value(polar: PolarField, params: PhysicalParams) -> WeakValueField:
+def weak_value(polar: PolarField) -> WeakValueField:
     """Momentum weak value <x|p|psi>/<x|psi> after a position post-selection.
 
-    real = dS/dx (as guiding_momentum); imag = -hbar A'/A (osmotic). Off
-    node_mask both are read from hbar psi* dpsi/|psi|^2, so they equal
-    (-i hbar dpsi/dx)/psi there. Values inside node_mask are unreliable;
-    exports mark them NaN.
+    real = dS/dx = m J/|psi|^2, the Bohmian guiding momentum; imag = -hbar A'/A
+    (osmotic). Off node_mask both are read from hbar psi* dpsi/|psi|^2, so they
+    equal (-i hbar dpsi/dx)/psi there. On node_mask, where psi carries no phase,
+    real is the slope of the interpolated action, so trajectory velocities stay
+    finite across nodes; imag is unreliable there, and exports mark both NaN.
     """
     w = _log_derivative(polar)
+    slope = np.gradient(polar.S.values, polar.grid.dx)
     return WeakValueField(
-        real_part=RealField(polar.grid, _with_node_slope(polar, w.imag)),
+        real_part=RealField(polar.grid, np.where(polar.node_mask, slope, w.imag)),
         imag_part=RealField(polar.grid, -w.real),
         node_mask=polar.node_mask,
     )
@@ -221,7 +207,7 @@ def propagate_trajectories(
     splines = []
     for psi in history:
         polar = polar_decompose(psi, hbar=params.hbar)
-        v = guiding_momentum(polar, params).values / params.mass
+        v = weak_value(polar).real_part.values / params.mass
         splines.append(CubicSpline.periodic(grid, v))
 
     wrap = lambda pos: grid.x_min + np.mod(pos - grid.x_min, grid.length)

@@ -13,7 +13,6 @@ treated semi-implicitly inside velocity Verlet.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .bath import BathSpec, NoiseSpec, memory_kernel, noise_rows
 from .coupling import CouplingFunction, PotentialSpec
-from .errors import ConfigError, NumericalBlowup
+from .errors import ConfigError, NumericalBlowup, blowup_on_overflow
 from .fields import PhysicalParams
 
 
@@ -80,17 +79,7 @@ class ClassicalEnsemble:
     seed: int = 0
 
 
-@contextmanager
-def _blowup_on_overflow():
-    """Raise NumericalBlowup at the first force that overflows or turns invalid."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise NumericalBlowup(f"non-finite classical force: {exc}") from exc
-
-
-@_blowup_on_overflow()
+@blowup_on_overflow("non-finite classical force")
 def langevin_step(x, v, config: LangevinConfig, xi_n):
     """One velocity-Verlet step; x, v, xi_n may be arrays over particles."""
     m = config.params.mass
@@ -154,7 +143,7 @@ class GleIntegrator:
         phase = np.exp(1j * self.omega * (dt * (self.n + 1)))
         mem_known = dt * ((self.weights * phase)[:, None] * self.z).real.sum(axis=0)
 
-        with _blowup_on_overflow():
+        with blowup_on_overflow("non-finite classical force"):
             fp = f(self.x, 1)
             force = -vprime(self.x, 1) + fp * xi_n - m * fp * self.mem
             v_half = self.v + 0.5 * dt * force / m

@@ -19,8 +19,9 @@ Sections and keys (defaults in parentheses):
                c (1); n (2); amplitude (1); wavenumber (1)
   [run]        dt (0.005); n_steps (1000); friction (0); kappa (0);
                sign (damping); snapshot_stride (0)
-  [noise]      kind (zero): zero|white|bath; temperature (0);
-               cutoff (50); n_oscillators (500)
+  [noise]      kind (zero): zero|white|bath; temperature (0); cutoff (50);
+               n_oscillators (500); bath: the Ohmic bath of [run] friction,
+               discretized once for [physics] mass
   [initial]    kind (gaussian): gaussian|eigenstate; x0 (0); p0 (0);
                sigma (1); index (0); omega (1)
   [classical]  n_particles (1000); sigma_x (= initial sigma);
@@ -33,11 +34,12 @@ weak_values_<step>.csv, comparison.csv, resolved_config.txt, error.json.
 Every CSV carries the master seed and the sha256 digest of the resolved
 config as leading comment lines, so reruns are byte-identical.
 Usage: gsle run|compare CONFIG, or gsle post RUN_DIR; each takes [--seed N] [--out DIR].
-Exit codes: 0 success, 2 numerical failure, 3 config error. Config errors
-(a value not of its key's type, such as dt = nan; an unknown kind; a value
-a type rejects, such as sigma <= 0 or snapshot_stride < 0; or snapshots,
-trajectories or weak_values asked of anything but a gsle run of one seed with
-snapshot_stride > 0) exit before any output.
+Exit codes: 0 success, 2 numerical failure (such as the first overflow of a
+run), 3 config error. Config errors (a value not of its key's type, such as
+dt = nan; an unknown kind; a value a type rejects, such as sigma <= 0 or
+snapshot_stride < 0; a potential or coupling, or its slope, not finite on the
+grid; or snapshots, trajectories or weak_values asked of anything but a gsle
+run of one seed with snapshot_stride > 0) exit before any output.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import configparser
 import hashlib
 import json
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -55,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import NoiseSpec, OhmicSpec
+from .bath import NoiseSpec, OhmicSpec, discretize_ohmic
 from .bohmian import polar_decompose, propagate_trajectories, weak_value
 from .classical import GaussianCloud, LangevinConfig, langevin_ensemble
 from .coupling import CouplingFunction, gup_coupling
@@ -137,9 +138,9 @@ _BOOLS.update({"false": False, "no": False, "0": False, "off": False})
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean"}
 
 
-def _bath_noise(*ohmic_args) -> NoiseSpec:
-    ohmic = OhmicSpec(*ohmic_args)
-    return NoiseSpec(kind="bath", temperature=ohmic.temperature, ohmic=ohmic)
+def _bath_noise(friction, cutoff, n_oscillators, temperature, mass) -> NoiseSpec:
+    ohmic = OhmicSpec(friction, cutoff, n_oscillators, temperature)
+    return NoiseSpec("bath", temperature, discretize_ohmic(ohmic, mass))
 
 
 # [section] kind -> (factory, the keys of its positional arguments). A key
@@ -167,10 +168,10 @@ _KINDS = {
     "noise": {
         "zero": (NoiseSpec, ()),
         "white": (partial(NoiseSpec, "white"), ("noise.temperature",)),
-        "bath": (
-            _bath_noise,
-            ("run.friction", "noise.cutoff", "noise.n_oscillators", "noise.temperature"),
-        ),
+        "bath": (_bath_noise, (
+            "run.friction", "noise.cutoff", "noise.n_oscillators", "noise.temperature",
+            "physics.mass",
+        )),
     },
     "initial": {
         "gaussian": (GaussianPacket, ("initial.x0", "initial.p0", "initial.sigma")),
@@ -244,6 +245,15 @@ def _build(section: str, scope: dict):
         raise ConfigError(f"[{section}] kind = {kind}: {exc}") from exc
 
 
+def _profile(section: str, scope: dict) -> CouplingFunction:
+    """The profile _build makes, once its values and slope are finite on the grid."""
+    profile, kind = _build(section, scope), scope[f"{section}.kind"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not all(np.isfinite(profile.on_grid(scope["grid"], k)).all() for k in (0, 1)):
+            raise ConfigError(f"[{section}] kind = {kind}: value or slope not finite on the grid")
+    return profile
+
+
 def _render(resolved) -> str:
     lines = []
     for section, table in resolved.items():
@@ -278,8 +288,8 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
         params = PhysicalParams(**values["physics"])
     except InvalidField as exc:
         raise ConfigError(str(exc)) from exc
-    potential = scope["potential"] = _build("potential", scope)
-    coupling = _build("coupling", scope)
+    potential = scope["potential"] = _profile("potential", scope)
+    coupling = _profile("coupling", scope)
     noise = _build("noise", scope)
     initial = _build("initial", scope)
 
@@ -367,8 +377,7 @@ def _write_snapshot(path: Path, spec: ExperimentSpec, psi: WaveFunction):
 
 
 def _write_weak_values(path: Path, spec: ExperimentSpec, psi: WaveFunction):
-    params = spec.sim.params
-    wv = weak_value(polar_decompose(psi, hbar=params.hbar), params)
+    wv = weak_value(polar_decompose(psi, hbar=spec.sim.params.hbar))
     masked = lambda part: np.where(wv.node_mask, np.nan, part.values)
     columns = (psi.grid.x, masked(wv.real_part), masked(wv.imag_part))
     _write_csv(path, spec, ("x", "re_p", "im_p"), columns)
@@ -388,12 +397,10 @@ def _write_trajectories(path: Path, spec: ExperimentSpec, snapshots):
 def _run_ensemble(spec: ExperimentSpec, out: Path):
     """GSLE ensemble: per-member observables plus one merged summary.
 
-    The members are stepped in-process as one batch; their warnings stay silenced.
+    The members are stepped in-process as one batch, which warns once.
     """
     member_seeds = [spec.sim.seed + i for i in range(spec.ensemble_seeds)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        records = run(replace(spec.sim, snapshot_stride=0), seeds=member_seeds)
+    records = run(replace(spec.sim, snapshot_stride=0), seeds=member_seeds)
     members_dir = out / "members"
     members_dir.mkdir(exist_ok=True)
     for seed, rec in zip(member_seeds, records):

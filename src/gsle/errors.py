@@ -1,5 +1,9 @@
 """Exception and warning types shared across the package."""
 
+from contextlib import contextmanager
+
+import numpy as np
+
 
 class GsleError(Exception):
     """Base class for all package errors."""
@@ -44,6 +48,16 @@ class NumericalBlowup(GsleError):
         super().__init__(message)
         self.t = t
         self.last_observables = last_observables
+
+
+@contextmanager
+def blowup_on_overflow(what: str):
+    """Raise NumericalBlowup(f"{what}: ...") at the first overflowing or invalid float op."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalBlowup(f"{what}: {exc}") from exc
 
 
 class InsufficientData(GsleError):

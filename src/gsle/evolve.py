@@ -21,7 +21,8 @@ the spectrum is what its last half-kick computes anyway, and the next step
 and the record start from it. One density of the half-kicked state, with
 its floor, norm and (kappa > 0) the step's one log, serves the first V_d/W
 and both kicks, which write cos and sin of the phase into a workspace
-buffer. `run` owns the clock and checks every new state for finite samples.
+buffer. `run` owns the clock, checks every new state for finite samples and
+stops at the first float operation that overflows or turns invalid.
 
 `run` records in blocks: each state's samples and spectrum are copied into
 two buffers of m states, and a full block is read by one `observables` call
@@ -45,6 +46,7 @@ from .errors import (
     InsufficientData,
     NumericalBlowup,
     StabilityWarning,
+    blowup_on_overflow,
 )
 from .fields import (
     Grid,
@@ -239,7 +241,7 @@ class _Workspace:
         if guard >= 0.5 and not self._warned_stability:
             self._warned_stability = True
             warnings.warn(
-                f"dt*max|U|/hbar = {guard:.2f} >= 0.5; reduce dt", StabilityWarning
+                f"dt*max|U|/hbar = {guard:.3g} >= 0.5; reduce dt", StabilityWarning
             )
 
 
@@ -277,8 +279,9 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     block buffers hold at most 1 MiB, or one state each when a state is
     larger. Each row is reduced alone, so the record is the one a read per
     step would give. The clock adds dt once per step. A state with a
-    non-finite sample raises NumericalBlowup; it carries the observables of
-    the last recorded state, read from its partial block.
+    non-finite sample, or a float operation of a step or record that
+    overflows, raises NumericalBlowup; it carries the observables of the
+    last recorded state, read from its partial block.
 
     Deterministic for a given (config, seeds): the noise is generated once
     up front.
@@ -353,16 +356,16 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     # step 1 raised a 32 x 512 ensemble's peak RSS by 1 MB (glibc places the
     # later arrays differently)
     try:
-        for i in range(n):
-            vals, spectrum = step(spectrum, noise[..., i, None], ws)
-            t += config.dt
-            if not np.isfinite(vals).all():
-                raise NumericalBlowup(f"non-finite wavefunction at t = {t:.6g}", t=t)
-            record(i + 1, t, vals, spectrum)
+        with blowup_on_overflow("non-finite wave step"):
+            for i in range(n):
+                t += config.dt   # the time of the state that step i + 1 makes
+                vals, spectrum = step(spectrum, noise[..., i, None], ws)
+                if not np.isfinite(vals).all():
+                    raise NumericalBlowup(f"non-finite wavefunction at t = {t:.6g}")
+                record(i + 1, t, vals, spectrum)
     except NumericalBlowup as exc:
         flush()   # the partial block holds the last recorded state
-        if exc.t is None:   # raised inside step i + 1
-            exc.t = t + config.dt
+        exc.t = t
         exc.last_observables = {
             "t": times[i], **{name: table[name][i] for name in ("norm", "mean_x", "energy")}
         }

@@ -123,14 +123,14 @@ def gup_damping_closed_form(
     integrates the full coupling-dependent phase; this closed form drops a
     boundary term. Compare the two with gup_discrepancy_report.
     """
-    from .bohmian import guiding_momentum, polar_decompose
+    from .bohmian import polar_decompose, weak_value
 
     grid = psi.grid
     vp = V.on_grid(grid, 1)
     if np.any(vp < -1e-12 * max(1.0, np.abs(vp).max())):
         raise NonmonotonePotential("closed form requires V' >= 0 on the grid")
-    p = guiding_momentum(polar_decompose(psi, hbar=params.hbar), params)
-    return RealField(grid, -2.0 * gup_alpha * p.values * V.on_grid(grid, 0))
+    p = weak_value(polar_decompose(psi, hbar=params.hbar)).real_part.values
+    return RealField(grid, -2.0 * gup_alpha * p * V.on_grid(grid, 0))
 
 
 def gup_discrepancy_report(

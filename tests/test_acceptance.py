@@ -153,7 +153,7 @@ def test_criterion_05_norm_conservation_all_terms():
         n_steps=10_000,
         seed=11,
         noise=NoiseSpec(
-            kind="bath", temperature=0.1, ohmic=OhmicSpec(0.1, 50.0, 500, 0.1)
+            kind="bath", temperature=0.1, bath=discretize_ohmic(OhmicSpec(0.1, 50.0, 500, 0.1))
         ),
         initial_state=GaussianPacket(1.0, 0.0, SIGMA0),
     )
@@ -228,7 +228,7 @@ def _weak_value_worst(mask_fn):
     worst = 0.0
     for _, psi in rec.snapshots[1:]:
         polar = polar_decompose(psi, hbar=1.0)
-        wv = weak_value(polar, PARAMS)
+        wv = weak_value(polar)
         dpsi = spectral_derivative(GRID, psi.values, 1)
         oracle = -1j * dpsi / psi.values
         ours = wv.real_part.values + 1j * wv.imag_part.values

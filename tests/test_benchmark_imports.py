@@ -96,6 +96,18 @@ def test_workload_configs_parse(probe):
     assert parsed == {"single_allterms_n512", "compare_ensemble_n512", "snapshots_post_n4096"}
 
 
+def test_library_workload_probe_passes(tmp_path):
+    """The GLE workload's probe (100 steps, 32 particles) runs and passes its check,
+    so OhmicSpec, discretize_ohmic, NoiseSpec(bath=...) and LangevinConfig still fit it."""
+    import gsle.classical
+
+    workload = _load(WORKLOADS).WORKLOADS["gle_memory_oracle"]
+    inputs = workload.inputs(1, probe=True)
+    assert (inputs["n_steps"], inputs["particles"]) == (100, 32)
+    result = workload.execute(gsle, inputs, tmp_path)
+    assert workload.check(gsle, inputs, tmp_path, result) == []
+
+
 def test_cli_import_loads_no_process_pool():
     """Ensembles step in-process: importing gsle.cli loads no process machinery."""
     code = (

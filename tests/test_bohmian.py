@@ -1,4 +1,4 @@
-"""Polar decomposition, guiding momentum, trajectories, weak values."""
+"""Polar decomposition, weak values (the guiding momentum), trajectories."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from conftest import gaussian_state, plane_wave
 from gsle.bohmian import (
     _anchored_unwrap,
     equivariance_distance,
-    guiding_momentum,
     polar_decompose,
     propagate_trajectories,
     sample_from_density,
@@ -119,20 +118,20 @@ class TestPolarDecompose:
 
 
 class TestGuidingMomentum:
-    def test_plane_wave(self, grid, params):
+    def test_plane_wave(self, grid):
         psi, k = plane_wave(grid, 6)
-        p = guiding_momentum(polar_decompose(psi, hbar=1.0), params).values
+        p = weak_value(polar_decompose(psi, hbar=1.0)).real_part.values
         assert np.abs(p - k).max() < 1e-8
 
-    def test_real_state(self, grid, params):
+    def test_real_state(self, grid):
         psi = gaussian_state(grid)
-        p = guiding_momentum(polar_decompose(psi, hbar=1.0), params).values
+        p = weak_value(polar_decompose(psi, hbar=1.0)).real_part.values
         assert np.abs(p).max() < 1e-8
 
-    def test_boosted_gaussian(self, grid, params):
+    def test_boosted_gaussian(self, grid):
         psi = gaussian_state(grid, p0=1.4)
         polar = polar_decompose(psi, hbar=1.0)
-        p = guiding_momentum(polar, params).values
+        p = weak_value(polar).real_part.values
         sel = ~polar.node_mask
         assert np.abs(p[sel] - 1.4).max() < 1e-8
 
@@ -140,13 +139,13 @@ class TestGuidingMomentum:
         """p = dS/dx must equal m J / |psi|^2 where the density resolves."""
         psi = gaussian_state(grid, x0=0.5, p0=1.1, sigma=1.2)
         polar = polar_decompose(psi, hbar=1.0)
-        p = guiding_momentum(polar, params).values
+        p = weak_value(polar).real_part.values
         rho = psi.density()
         sel = rho > 1e-6 * rho.max()
         ratio = params.mass * current(psi, params).values[sel] / rho[sel]
         assert np.abs(p[sel] - ratio).max() / np.abs(ratio).max() < 1e-6
 
-    def test_node_cells_use_action_slope(self, grid, params):
+    def test_node_cells_use_action_slope(self, grid):
         """Across an interior node p is the slope of the interpolated action."""
         cfg = SimConfig(
             grid=grid,
@@ -156,36 +155,36 @@ class TestGuidingMomentum:
         polar = polar_decompose(build_initial_state(cfg), hbar=1.0)
         mask = polar.node_mask
         assert mask[np.argmin(np.abs(grid.x))]   # the node at x = 0
-        p = guiding_momentum(polar, params).values
+        p = weak_value(polar).real_part.values
         assert np.all(np.isfinite(p))
         slope = np.gradient(polar.S.values, grid.dx)
         assert np.array_equal(p[mask], slope[mask])
 
 
 class TestTildePhase:
-    def test_linear_coupling_recovers_action(self, grid, params):
+    def test_linear_coupling_recovers_action(self, grid):
         psi = gaussian_state(grid, p0=0.9)
         polar = polar_decompose(psi, hbar=1.0)
-        _, form2 = tilde_phase_forms(polar, CouplingFunction.linear(), params)
+        _, form2 = tilde_phase_forms(polar, CouplingFunction.linear())
         diff = form2.values - polar.S.values
         rho = psi.density()
         sel = rho > 1e-8 * rho.max()   # where the phase is resolvable
         assert diff[sel].std() < 1e-6
 
-    def test_constant_coupling_vanishes(self, grid, params):
+    def test_constant_coupling_vanishes(self, grid):
         psi = gaussian_state(grid, p0=0.9)
         polar = polar_decompose(psi, hbar=1.0)
-        _, form2 = tilde_phase_forms(polar, CouplingFunction.constant(3.0), params)
+        _, form2 = tilde_phase_forms(polar, CouplingFunction.constant(3.0))
         assert np.abs(form2.values).max() < 1e-10
 
-    def test_quadratic_coupling_cubic_phase(self, params):
+    def test_quadratic_coupling_cubic_phase(self):
         # S = p0 x with f = x^2 gives a coupling phase (4/3) p0 x^3 + const
         g = Grid(-10.0, 10.0, 1024)
         p0 = 0.37
         rho = np.exp(-(g.x**2) / 2.0)
         psi = WaveFunction(g, np.sqrt(rho) * np.exp(1j * p0 * g.x))
         polar = polar_decompose(psi, hbar=1.0)
-        form1, form2 = tilde_phase_forms(polar, CouplingFunction.power(2), params)
+        form1, form2 = tilde_phase_forms(polar, CouplingFunction.power(2))
         sel = ~polar.node_mask
         expected = (4.0 / 3.0) * p0 * g.x**3
         resid = form1.values[sel] - expected[sel]
@@ -199,32 +198,32 @@ class TestTildePhase:
         the interpolated action from masked cells."""
         psi = gaussian_state(grid, x0=0.5, p0=0.9, sigma=1.2)
         f = CouplingFunction.sinusoidal(1.0, 1.0)
-        _, form2 = tilde_phase_forms(polar_decompose(psi, hbar=1.0), f, params)
+        _, form2 = tilde_phase_forms(polar_decompose(psi, hbar=1.0), f)
         vd, _ = dissipative_potential(psi, f, 1.0, params)
         assert np.abs(form2.values - vd.values).max() < 1e-13
 
 
 class TestWeakValue:
-    def test_plane_wave(self, grid, params):
+    def test_plane_wave(self, grid):
         psi, k = plane_wave(grid, 6)
-        wv = weak_value(polar_decompose(psi, hbar=1.0), params)
+        wv = weak_value(polar_decompose(psi, hbar=1.0))
         assert np.abs(wv.real_part.values - k).max() < 1e-8
         assert np.abs(wv.imag_part.values).max() < 1e-8
 
-    def test_real_gaussian_osmotic(self, grid, params):
+    def test_real_gaussian_osmotic(self, grid):
         # density e^{-x^2/2}: osmotic part is +x/2 in natural units
         psi = gaussian_state(grid, sigma=1.0)
-        wv = weak_value(polar_decompose(psi, hbar=1.0), params)
+        wv = weak_value(polar_decompose(psi, hbar=1.0))
         i1 = np.argmin(np.abs(grid.x - 1.0))
         assert wv.imag_part.values[i1] == pytest.approx(
             grid.x[i1] / 2.0, abs=1e-8
         )
 
-    def test_definitional_oracle_synthetic(self, grid, params):
+    def test_definitional_oracle_synthetic(self, grid):
         """(-i hbar dpsi)/psi == real + i*imag on an analytic state."""
         psi = gaussian_state(grid, x0=0.5, p0=1.3, sigma=1.1)
         polar = polar_decompose(psi, hbar=1.0)
-        wv = weak_value(polar, params)
+        wv = weak_value(polar)
         dpsi = spectral_derivative(grid, psi.values, 1)
         rho = psi.density()
         sel = rho > 1e-8 * rho.max()

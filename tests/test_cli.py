@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import gsle
 from conftest import gaussian_state
 from gsle.cli import _load_snapshot, _write_csv, _write_snapshot, main, parse_config
-from gsle.errors import ConfigError
+from gsle.errors import ConfigError, StabilityWarning
 
 KOSTIN_CFG = """
 [experiment]
@@ -199,6 +200,11 @@ class TestRunCommand:
                 "[output]\nsnapshots = true\n",
                 "mode = gsle",
             ),
+            (
+                "[run]\nn_steps = 3\n[potential]\nkind = double_well\na = 1e306\n",
+                "[potential] kind = double_well",
+            ),
+            ("[run]\nn_steps = 3\n[coupling]\nkind = power\nn = 400\n", "[coupling] kind = power"),
         ],
         ids=[
             "negative_dt",
@@ -237,6 +243,8 @@ class TestRunCommand:
             "snapshots_in_ensemble",
             "trajectories_in_compare",
             "snapshots_in_classical",
+            "potential_overflows_on_grid",
+            "coupling_overflows_on_grid",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, text, named):
@@ -261,6 +269,27 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(out)]) == 2
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "NumericalBlowup"
+
+    def test_wave_blowup_stops_at_first_overflow(self, tmp_path):
+        """An overflowing step exits 2 at once: one short guard warning, no numpy warnings."""
+        cfg = write_cfg(tmp_path, "[run]\nfriction = 1e303\nn_steps = 10\n[initial]\nx0 = 2\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg, "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "NumericalBlowup"
+        assert err["t"] == 0.005
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        (guard,) = [w for w in caught if issubclass(w.category, StabilityWarning)]
+        assert len(str(guard.message)) < 60
+
+    def test_ensemble_warning_reaches_caller(self, tmp_path):
+        """The default harmonic box trips the guard; a two-member batch warns once."""
+        cfg = write_cfg(tmp_path, "[experiment]\nensemble_seeds = 2\n[run]\nn_steps = 3\n")
+        with pytest.warns(StabilityWarning) as caught:
+            assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len([w for w in caught if issubclass(w.category, StabilityWarning)]) == 1
 
     def test_measurement_underflow_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[run]\ndt = 0.1\nn_steps = 40\nkappa = 3000\n")

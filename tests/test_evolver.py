@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsle.bath import OhmicSpec, noise_rows
+from gsle.bath import OhmicSpec, discretize_ohmic, noise_rows
 from gsle.coupling import CouplingFunction
 from gsle.errors import (
     ConfigError,
@@ -78,6 +78,11 @@ class TestConfigValidation:
     def test_bad_noise_kind(self):
         with pytest.raises(ConfigError):
             NoiseSpec(kind="pink")
+
+    def test_bath_noise_needs_bath(self):
+        """A bath kind without its BathSpec fails at construction."""
+        with pytest.raises(ConfigError, match="BathSpec"):
+            NoiseSpec(kind="bath", temperature=0.1)
 
     def test_negative_friction(self):
         with pytest.raises(ConfigError):
@@ -418,7 +423,9 @@ def unbatched_run(cfg, seeds=None):
     return out
 
 
-BATH = NoiseSpec(kind="bath", temperature=0.1, ohmic=OhmicSpec(0.1, 50.0, 200, 0.1))
+BATH = NoiseSpec(
+    kind="bath", temperature=0.1, bath=discretize_ohmic(OhmicSpec(0.1, 50.0, 200, 0.1))
+)
 
 
 class TestBatchedRun:
