@@ -23,6 +23,9 @@ from .coupling import CouplingFunction, PotentialSpec
 from .errors import ConfigError, NumericalBlowup, blowup_on_overflow
 from .fields import PhysicalParams
 
+# the per-time moments of a ClassicalEnsemble, in its CSV column order
+MOMENTS = ("mean_x", "mean_p", "var_x", "stderr_x", "stderr_p")
+
 
 @dataclass(frozen=True)
 class GaussianCloud:
@@ -189,11 +192,8 @@ def langevin_ensemble(
     ).T
 
     times = config.dt * np.arange(n_steps + 1)
-    mean_x = np.empty(n_steps + 1)
-    mean_p = np.empty(n_steps + 1)
-    var_x = np.empty(n_steps + 1)
-    stderr_x = np.empty(n_steps + 1)
-    stderr_p = np.empty(n_steps + 1)
+    moments = {name: np.empty(n_steps + 1) for name in MOMENTS}
+    se = lambda a: a.std(ddof=1) / np.sqrt(n_p) if n_p > 1 else 0.0
     pos = np.empty((n_p, n_steps + 1)) if keep_particles else None
     vel = np.empty((n_p, n_steps + 1)) if keep_particles else None
 
@@ -203,11 +203,8 @@ def langevin_ensemble(
 
     def record(i, x, v):
         p = m * v
-        mean_x[i] = x.mean()
-        mean_p[i] = p.mean()
-        var_x[i] = x.var()
-        stderr_x[i] = x.std(ddof=1) / np.sqrt(n_p) if n_p > 1 else 0.0
-        stderr_p[i] = p.std(ddof=1) / np.sqrt(n_p) if n_p > 1 else 0.0
+        for name, value in zip(MOMENTS, (x.mean(), p.mean(), x.var(), se(x), se(p))):
+            moments[name][i] = value
         if keep_particles:
             pos[:, i] = x
             vel[:, i] = v
@@ -219,14 +216,4 @@ def langevin_ensemble(
         else:
             x, v = langevin_step(x, v, config, noise[i])
         record(i + 1, x, v)
-    return ClassicalEnsemble(
-        times=times,
-        mean_x=mean_x,
-        mean_p=mean_p,
-        var_x=var_x,
-        stderr_x=stderr_x,
-        stderr_p=stderr_p,
-        positions=pos,
-        velocities=vel,
-        seed=seed,
-    )
+    return ClassicalEnsemble(times, **moments, positions=pos, velocities=vel, seed=seed)

@@ -30,7 +30,8 @@ Sections and keys (defaults in parentheses):
                weak_values (false); n_trajectories (1000)
 
 Outputs: observables.csv, snapshots/psi_<step>.csv, trajectories.csv,
-weak_values_<step>.csv, comparison.csv, resolved_config.txt, error.json.
+weak_values_<step>.csv, members/seed_<s>/observables.csv, ensemble_summary.csv,
+comparison.csv, resolved_config.txt, error.json.
 Every CSV carries the master seed and the sha256 digest of the resolved
 config as leading comment lines, so reruns are byte-identical.
 Usage: gsle run|compare CONFIG, or gsle post RUN_DIR; each takes [--seed N] [--out DIR].
@@ -58,16 +59,10 @@ import numpy as np
 
 from .bath import NoiseSpec, OhmicSpec, discretize_ohmic
 from .bohmian import polar_decompose, propagate_trajectories, weak_value
-from .classical import GaussianCloud, LangevinConfig, langevin_ensemble
+from .classical import MOMENTS, GaussianCloud, LangevinConfig, langevin_ensemble
 from .coupling import CouplingFunction, gup_coupling
-from .errors import ConfigError, GsleError, InvalidField, NonmonotonePotential, NumericalBlowup
-from .evolve import (
-    GaussianPacket,
-    HarmonicEigenstate,
-    RunRecord,
-    SimConfig,
-    run,
-)
+from .errors import ConfigError, GsleError, InvalidField, NonmonotonePotential
+from .evolve import RECORDED, GaussianPacket, HarmonicEigenstate, RunRecord, SimConfig, run
 from .fields import Grid, PhysicalParams, WaveFunction
 from .potentials import PotentialSpec
 
@@ -347,10 +342,10 @@ def _header_lines(spec: ExperimentSpec):
     return [f"# seed = {spec.sim.seed}", f"# config_sha256 = {spec.digest}"]
 
 
-def _write_csv(path: Path, spec: ExperimentSpec, header, columns, extra_comments=()):
-    """Deterministic CSV of equal-length float columns: '%.17g', '' for NaN."""
-    lines = _header_lines(spec) + list(extra_comments) + [",".join(header)]
-    table = np.column_stack(columns)
+def _write_csv(path: Path, spec: ExperimentSpec, columns: dict, extra_comments=()):
+    """Deterministic CSV of named equal-length float columns: '%.17g', '' for NaN."""
+    lines = _header_lines(spec) + list(extra_comments) + [",".join(columns)]
+    table = np.column_stack(list(columns.values()))
     row_format = ",".join([_FLOAT] * table.shape[1]) + "\n"
     with path.open("w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -359,11 +354,7 @@ def _write_csv(path: Path, spec: ExperimentSpec, header, columns, extra_comments
 
 
 def _write_observables(path: Path, spec: ExperimentSpec, rec: RunRecord):
-    cols = ("t", "norm", "mean_x", "mean_p", "var_x", "energy", "W", "xi")
-    columns = (
-        rec.times, rec.norm, rec.mean_x, rec.mean_p, rec.var_x, rec.energy, rec.W, rec.xi
-    )
-    _write_csv(path, spec, cols, columns)
+    _write_csv(path, spec, {"t": rec.times, **{name: getattr(rec, name) for name in RECORDED}})
 
 
 def _write_snapshot(path: Path, spec: ExperimentSpec, psi: WaveFunction):
@@ -372,15 +363,15 @@ def _write_snapshot(path: Path, spec: ExperimentSpec, psi: WaveFunction):
         f"# grid x_min = {_FLOAT % grid.x_min} x_max = {_FLOAT % grid.x_max} "
         f"n_points = {grid.n_points}",
     )
-    columns = (grid.x, psi.values.real, psi.values.imag)
-    _write_csv(path, spec, ("x", "re", "im"), columns, extra_comments=meta)
+    columns = {"x": grid.x, "re": psi.values.real, "im": psi.values.imag}
+    _write_csv(path, spec, columns, extra_comments=meta)
 
 
 def _write_weak_values(path: Path, spec: ExperimentSpec, psi: WaveFunction):
     wv = weak_value(polar_decompose(psi, hbar=spec.sim.params.hbar))
     masked = lambda part: np.where(wv.node_mask, np.nan, part.values)
-    columns = (psi.grid.x, masked(wv.real_part), masked(wv.imag_part))
-    _write_csv(path, spec, ("x", "re_p", "im_p"), columns)
+    columns = {"x": psi.grid.x, "re_p": masked(wv.real_part), "im_p": masked(wv.imag_part)}
+    _write_csv(path, spec, columns)
 
 
 def _write_trajectories(path: Path, spec: ExperimentSpec, snapshots):
@@ -390,8 +381,8 @@ def _write_trajectories(path: Path, spec: ExperimentSpec, snapshots):
     ens = propagate_trajectories(
         history, times, spec.n_trajectories, spec.sim.seed, spec.sim.params
     )
-    cols = ("t",) + tuple(f"x_{i + 1}" for i in range(ens.positions.shape[0]))
-    _write_csv(path, spec, cols, (ens.times, ens.positions.T))
+    paths = {f"x_{i + 1}": x for i, x in enumerate(ens.positions)}
+    _write_csv(path, spec, {"t": ens.times, **paths})
 
 
 def _run_ensemble(spec: ExperimentSpec, out: Path):
@@ -428,13 +419,10 @@ def _ensemble_stats(records):
 
 def _run_gsle(spec: ExperimentSpec, out: Path) -> int:
     if spec.ensemble_seeds > 1:
-        stats = _ensemble_stats(_run_ensemble(spec, out))
-        cols = ("t", "mean_x", "stderr_x", "mean_p", "stderr_p", "var_x")
         _write_csv(
             out / "ensemble_summary.csv",
             spec,
-            cols,
-            [stats[c] for c in cols],
+            _ensemble_stats(_run_ensemble(spec, out)),
             extra_comments=(f"# ensemble_seeds = {spec.ensemble_seeds}",),
         )
         return 0
@@ -457,49 +445,33 @@ def _run_gsle(spec: ExperimentSpec, out: Path) -> int:
 
 def _run_classical(spec: ExperimentSpec, out: Path) -> int:
     ens = langevin_ensemble(spec.classical, spec.sim.seed)
-    cols = ("t", "mean_x", "mean_p", "var_x", "stderr_x", "stderr_p")
-    columns = (ens.times, ens.mean_x, ens.mean_p, ens.var_x, ens.stderr_x, ens.stderr_p)
-    _write_csv(out / "observables.csv", spec, cols, columns)
+    columns = {"t": ens.times, **{name: getattr(ens, name) for name in MOMENTS}}
+    _write_csv(out / "observables.csv", spec, columns)
     return 0
 
 
 def _run_compare(spec: ExperimentSpec, out: Path) -> int:
     q = _ensemble_stats(_run_ensemble(spec, out))
     cl = langevin_ensemble(spec.classical, spec.sim.seed)
-    comb_x = np.sqrt(q["stderr_x"] ** 2 + cl.stderr_x**2)
-    comb_p = np.sqrt(q["stderr_p"] ** 2 + cl.stderr_p**2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score_x = np.abs(q["mean_x"] - cl.mean_x) / comb_x
-        score_p = np.abs(q["mean_p"] - cl.mean_p) / comb_p
-    # t = 0 has zero quantum spread across seeds; exclude indeterminate cells
-    finite_x = score_x[np.isfinite(score_x)]
-    finite_p = score_p[np.isfinite(score_p)]
-    max_x = float(finite_x.max()) if finite_x.size else 0.0
-    max_p = float(finite_p.max()) if finite_p.size else 0.0
-    cols = (
-        "t",
-        "mean_x_q", "stderr_x_q", "mean_x_cl", "stderr_x_cl", "score_x",
-        "mean_p_q", "stderr_p_q", "mean_p_cl", "stderr_p_cl", "score_p",
-        "var_x_q", "var_x_cl",
-    )
-    columns = (
-        q["t"],
-        q["mean_x"], q["stderr_x"], cl.mean_x, cl.stderr_x, score_x,
-        q["mean_p"], q["stderr_p"], cl.mean_p, cl.stderr_p, score_p,
-        q["var_x"], cl.var_x,
-    )
-    _write_csv(
-        out / "comparison.csv",
-        spec,
-        cols,
-        columns,
-        extra_comments=(
-            f"# ensemble_seeds = {spec.ensemble_seeds}",
-            f"# n_particles = {spec.classical.n_particles}",
-            f"# max_score_x = {_FLOAT % max_x}",
-            f"# max_score_p = {_FLOAT % max_p}",
-        ),
-    )
+    columns = {"t": q["t"]}
+    comments = [
+        f"# ensemble_seeds = {spec.ensemble_seeds}",
+        f"# n_particles = {spec.classical.n_particles}",
+    ]
+    for a in ("x", "p"):
+        mean_q, se_q = q[f"mean_{a}"], q[f"stderr_{a}"]
+        mean_cl, se_cl = getattr(cl, f"mean_{a}"), getattr(cl, f"stderr_{a}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.abs(mean_q - mean_cl) / np.sqrt(se_q**2 + se_cl**2)
+        # t = 0 has zero quantum spread across seeds; exclude indeterminate cells
+        finite = score[np.isfinite(score)]
+        comments.append(f"# max_score_{a} = {_FLOAT % (finite.max() if finite.size else 0.0)}")
+        columns.update({
+            f"mean_{a}_q": mean_q, f"stderr_{a}_q": se_q,
+            f"mean_{a}_cl": mean_cl, f"stderr_{a}_cl": se_cl, f"score_{a}": score,
+        })
+    columns.update(var_x_q=q["var_x"], var_x_cl=cl.var_x)
+    _write_csv(out / "comparison.csv", spec, columns, extra_comments=comments)
     return 0
 
 
@@ -566,7 +538,7 @@ def _write_error(out_dir, exc: Exception, code: int):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     record = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
-    if isinstance(exc, NumericalBlowup) and getattr(exc, "t", None) is not None:
+    if getattr(exc, "t", None) is not None:
         record["t"] = exc.t
     (out / "error.json").write_text(json.dumps(record, indent=2) + "\n")
 
@@ -597,7 +569,7 @@ def main(argv=None) -> int:
         _write_error(args.out, exc, 3)
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalBlowup, GsleError) as exc:
+    except GsleError as exc:
         _write_error(args.out, exc, 2)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,8 @@ import numpy as np
 from .errors import InvalidField, NonmonotonePotential, OutOfDomain, UnsupportedOrder
 from .fields import CubicSpline, Grid, cumulative_integral
 
+VPRIME_FLOOR = 1e-8   # gup_coupling takes V' <= VPRIME_FLOOR as a zero of V'
+
 
 class CouplingFunction:
     """g(x) with g' and g'' evaluable at any point; call as g(x, order).
@@ -127,7 +129,7 @@ class CouplingFunction:
 PotentialSpec = CouplingFunction
 
 
-def gup_coupling(V, grid: Grid, vprime_floor: float = 1e-8) -> CouplingFunction:
+def gup_coupling(V, grid: Grid) -> CouplingFunction:
     """Coupling f(x) = integral_0^x sqrt(V'(y)) dy for a monotone potential.
 
     f' = sqrt(V'), f'' = V''/(2 sqrt(V')); f'' is set to 0 at isolated zeros
@@ -145,5 +147,5 @@ def gup_coupling(V, grid: Grid, vprime_floor: float = 1e-8) -> CouplingFunction:
     # anchor f(0) = 0 (linear interpolation if 0 is off-grid)
     fv -= np.interp(0.0, x, fv)
     vpp = V.on_grid(grid, 2)
-    fpp = np.where(vp > vprime_floor, vpp / (2.0 * np.sqrt(np.maximum(vp, vprime_floor))), 0.0)
+    fpp = np.where(vp > VPRIME_FLOOR, vpp / (2.0 * np.sqrt(np.maximum(vp, VPRIME_FLOOR))), 0.0)
     return CouplingFunction.tabulated(x, fv, df=fp, d2f=fpp)

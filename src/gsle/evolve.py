@@ -61,6 +61,8 @@ from .fields import (
 from .potentials import SIGNS, dissipative_kernel, tilde_current
 
 BOUNDARY_DENSITY_LIMIT = 1e-6
+# the RunRecord columns that observables.csv writes after t, in its order
+RECORDED = ("norm", "mean_x", "mean_p", "var_x", "energy", "W", "xi")
 # complex samples per record buffer (512 KiB), unless one state is larger
 RECORD_BLOCK_ELEMENTS = 2**15
 
@@ -133,9 +135,19 @@ class RunRecord:
     energy: np.ndarray
     W: np.ndarray
     xi: np.ndarray
+    boundary_density: np.ndarray   # edge density over peak density, per state
     snapshots: list = field(default_factory=list)   # (step_index, WaveFunction)
-    warnings: list = field(default_factory=list)
     seed: int = 0
+
+    @property
+    def warnings(self) -> list:
+        """The first recorded state whose boundary density passes the limit, if any."""
+        over = np.flatnonzero(self.boundary_density > BOUNDARY_DENSITY_LIMIT)
+        return [
+            f"BoundaryContamination: boundary density {self.boundary_density[i]:.2e} > "
+            f"{BOUNDARY_DENSITY_LIMIT:g} at t = {self.times[i]:.6g}"
+            for i in over[:1]
+        ]
 
 
 def build_initial_state(config: SimConfig) -> WaveFunction:
@@ -273,11 +285,11 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     depend on the batch it was stepped in: numpy rounds some elementwise
     loops by memory alignment, and a batch's bath noise is one matrix product.
 
-    The moments and W are read in blocks of m recorded states, one
-    `observables` and one W-only `dissipative_kernel` call per block, with
-    m = RECORD_BLOCK_ELEMENTS // (B N) clipped to [1, n_steps + 1]: the two
-    block buffers hold at most 1 MiB, or one state each when a state is
-    larger. Each row is reduced alone, so the record is the one a read per
+    The moments, boundary density and W are read in blocks of m recorded
+    states, one `observables` and one W-only `dissipative_kernel` call per
+    block, with m = RECORD_BLOCK_ELEMENTS // (B N) clipped to [1, n_steps + 1]:
+    the two block buffers hold at most 1 MiB, or one state each when a state
+    is larger. Each row is reduced alone, so the record is the one a read per
     step would give. The clock adds dt once per step. A state with a
     non-finite sample, or a float operation of a step or record that
     overflows, raises NumericalBlowup; it carries the observables of the
@@ -301,11 +313,10 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
 
     n = config.n_steps
     times = np.empty(n + 1)
-    names = ("norm", "mean_x", "mean_p", "var_x", "energy", "W", "xi")
+    names = RECORDED + ("boundary_density",)
     table = {name: np.empty((n + 1,) + lead) for name in names}
     table["xi"][:] = np.moveaxis(noise, -1, 0)[np.minimum(np.arange(n + 1), n - 1)]
     snapshots = []
-    alerts = [[] for _ in batch]
     v_field = RealField(config.grid, ws.V)
     stride = config.snapshot_stride
     m = max(1, min(n + 1, RECORD_BLOCK_ELEMENTS // psi.size))
@@ -322,20 +333,11 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
         block = WaveFunction(config.grid, vals)
         obs = observables(block, v_field, config.params, spectra, density[0])
         rows = slice(first, first + filled)
-        for name in names[:5]:
+        for name in RECORDED[:5] + ("boundary_density",):
             table[name][rows] = getattr(obs, name)
         table["W"][rows] = 0.0 if ws.vd_weight is None else dissipative_kernel(
             vals, ws.vd_weight, ws.ik, config.grid, spectra, density
         )[1]
-        edge = obs.boundary_density.reshape(filled, -1)
-        over = edge > BOUNDARY_DENSITY_LIMIT
-        for b in np.flatnonzero(over.any(axis=0)):
-            if not alerts[b]:
-                j = np.argmax(over[:, b])   # the member's first offending state
-                alerts[b].append(
-                    f"BoundaryContamination: boundary density {edge[j, b]:.2e} > "
-                    f"{BOUNDARY_DENSITY_LIMIT:g} at t = {times[first + j]:.6g}"
-                )
         first, filled = first + filled, 0
 
     def record(i, t, vals, spectrum):
@@ -381,7 +383,6 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
             snapshots=[
                 (i, WaveFunction(config.grid, vals[b])) for i, vals in snapshots
             ],
-            warnings=alerts[b],
             seed=seed,
         )
         for b, seed in enumerate(batch)

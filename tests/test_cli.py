@@ -113,6 +113,24 @@ class TestRunCommand:
         assert header[0] == "# seed = 7"
         assert header[1].startswith("# config_sha256 = ")
         assert header[2] == "t,norm,mean_x,mean_p,var_x,energy,W,xi"
+        lines = (out / "trajectories.csv").read_text().splitlines()
+        assert lines[2] == "t," + ",".join(f"x_{i}" for i in range(1, 41))
+
+    def test_ensemble_outputs(self, tmp_path):
+        """An ensemble run writes each member's observables and one summary."""
+        cfg = write_cfg(tmp_path, "[experiment]\nseed = 4\nensemble_seeds = 2\n[run]\nn_steps = 3\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert written == [
+            "ensemble_summary.csv",
+            "members/seed_4/observables.csv",
+            "members/seed_5/observables.csv",
+            "resolved_config.txt",
+        ]
+        lines = (out / "ensemble_summary.csv").read_text().splitlines()
+        assert lines[2:4] == ["# ensemble_seeds = 2", "t,mean_x,stderr_x,mean_p,stderr_p,var_x"]
+        assert len(lines) == 4 + 4
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, KOSTIN_CFG)
@@ -341,12 +359,12 @@ class TestCsvFormat:
     def test_golden_row_format(self, tmp_path):
         spec = parse_config("")
         path = tmp_path / "t.csv"
-        columns = (
-            [0.0, -0.0, 1e-300],
-            [np.nan, 1.5, np.inf],
-            [0.1, np.nan, -np.inf],
-        )
-        _write_csv(path, spec, ("a", "b", "c"), columns, extra_comments=("# note",))
+        columns = {
+            "a": [0.0, -0.0, 1e-300],
+            "b": [np.nan, 1.5, np.inf],
+            "c": [0.1, np.nan, -np.inf],
+        }
+        _write_csv(path, spec, columns, extra_comments=("# note",))
         assert path.read_text() == (
             f"# seed = 0\n# config_sha256 = {spec.digest}\n# note\na,b,c\n"
             "0,,0.10000000000000001\n"
@@ -393,8 +411,14 @@ n_particles = 500
         cfg = write_cfg(tmp_path, self.CMP)
         out = tmp_path / "out"
         assert main(["compare", cfg, "--out", str(out)]) == 0
-        text = (out / "comparison.csv").read_text()
-        assert "# max_score_x = " in text
+        lines = (out / "comparison.csv").read_text().splitlines()
+        assert lines[2:4] == ["# ensemble_seeds = 3", "# n_particles = 500"]
+        assert lines[4].startswith("# max_score_x = ")
+        assert lines[5].startswith("# max_score_p = ")
+        assert lines[6] == (
+            "t,mean_x_q,stderr_x_q,mean_x_cl,stderr_x_cl,score_x,"
+            "mean_p_q,stderr_p_q,mean_p_cl,stderr_p_cl,score_p,var_x_q,var_x_cl"
+        )
         assert (out / "members" / "seed_3" / "observables.csv").exists()
         assert (out / "members" / "seed_5" / "observables.csv").exists()
 

@@ -531,8 +531,9 @@ class TestRecordBlocks:
         ref = unbatched_run(cfg, seeds)
         for b, rec in enumerate([recs] if seeds is None else recs):
             assert np.array_equal(rec.times, ref["t"])
-            for name in RECORDED:
-                col = ref[name] if seeds is None else ref[name][:, b]
+            for name in RECORDED + ("boundary_density",):
+                col = ref["boundary" if name == "boundary_density" else name]
+                col = col if seeds is None else col[:, b]
                 assert np.array_equal(getattr(rec, name), col), name
 
     def test_members_warn_at_own_step_inside_one_block(self):
