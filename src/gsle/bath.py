@@ -17,11 +17,15 @@ limit); `kernel(t)` names the memory function. They are distinct objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, EmptyBath, InvalidField
+
+# steps per noise_rows slab: a fixed power of two, because BLAS sums a bath slab's
+# product in an order set by its width (262-step slabs changed the bits, 512 did not)
+NOISE_BLOCK_STEPS = 512
 
 
 @dataclass(frozen=True)
@@ -111,8 +115,8 @@ def discretize_ohmic(spec: OhmicSpec, system_mass: float = 1.0) -> BathSpec:
     return BathSpec(masses, omega, d, system_mass=system_mass)
 
 
-def sample_bath_noise_batch(bath: BathSpec, temperature: float, times, seeds) -> np.ndarray:
-    """xi(t) for each seed (an int or a SeedSequence): shape (len(seeds), len(times)).
+def _bath_slabs(bath: BathSpec, temperature: float, seeds, slab_times):
+    """xi over each array of times in slab_times, from one draw per seed.
 
     The shifted coordinates q_i = x_i(0) + d_i f(0)/(m_i omega_i^2) are
     zero-mean Gaussians with variance T/(m_i omega_i^2); momenta p_i(0)
@@ -120,11 +124,10 @@ def sample_bath_noise_batch(bath: BathSpec, temperature: float, times, seeds) ->
 
         xi(t) = - sum_i d_i [ q_i cos(omega_i t) + (p_i/(m_i omega_i)) sin(omega_i t) ]
 
-    with one cos/sin(omega_i t) table shared by every row.
+    with one cos/sin(omega_i t) table per slab, shared by every row.
     """
     if temperature < 0:
         raise InvalidField("temperature must be >= 0")
-    times = np.asarray(times, dtype=float)
     m, w, d = bath.masses, bath.frequencies, bath.couplings
     q = np.empty((len(seeds), bath.n_oscillators))
     p = np.empty_like(q)
@@ -132,14 +135,20 @@ def sample_bath_noise_batch(bath: BathSpec, temperature: float, times, seeds) ->
         rng = np.random.default_rng(seed)
         q[row] = rng.standard_normal(bath.n_oscillators)
         p[row] = rng.standard_normal(bath.n_oscillators)
-    q *= np.sqrt(temperature / (m * w**2))
-    p *= np.sqrt(m * temperature)
-    wt = np.outer(w, times)
-    # summed and negated in place: the same bits as -(a) - b, with two
-    # fewer (seeds x times) temporaries at the peak of memory use
-    xi = (d * q) @ np.cos(wt)
-    xi += (d * p / (m * w)) @ np.sin(wt)
-    return np.negative(xi, out=xi)
+    cos_weights = d * (q * np.sqrt(temperature / (m * w**2)))
+    sin_weights = d * (p * np.sqrt(m * temperature)) / (m * w)
+    for times in slab_times:
+        wt = np.outer(w, times)
+        # summed and negated in place: the same bits as -(a) - b, with two
+        # fewer (seeds x times) temporaries at the peak of memory use
+        xi = cos_weights @ np.cos(wt)
+        xi += sin_weights @ np.sin(wt)
+        yield np.negative(xi, out=xi)
+
+
+def sample_bath_noise_batch(bath: BathSpec, temperature: float, times, seeds) -> np.ndarray:
+    """xi(t) for each seed (an int or a SeedSequence): one (len(seeds), len(times)) slab."""
+    return next(_bath_slabs(bath, temperature, seeds, [np.asarray(times, dtype=float)]))
 
 
 def white_noise_sigma(alpha: float, temperature: float, system_mass: float, dt: float):
@@ -153,20 +162,29 @@ def white_noise_sigma(alpha: float, temperature: float, system_mass: float, dt: 
 
 def noise_rows(
     spec: NoiseSpec, friction: float, mass: float, dt: float, n_steps: int, seeds: Sequence
-) -> np.ndarray:
-    """xi at t = 0, dt, ... for each seed (an int or a SeedSequence).
+) -> Iterator[np.ndarray]:
+    """Yield xi at t = 0, dt, ... for each seed (an int or a SeedSequence).
 
-    Shape (len(seeds), n_steps). Row b is zero, or white noise drawn from
-    default_rng(seeds[b]), or the bath noise of sample_bath_noise_batch for
-    that seed: the one seed-to-row layout of the wave ensemble and the
+    Slabs (len(seeds), k) of the next k <= NOISE_BLOCK_STEPS steps, built
+    when asked for, so the noise's memory does not grow with n_steps. Row b
+    is zero, or white noise drawn slab by slab from one default_rng(seeds[b]),
+    or the bath noise of sample_bath_noise_batch for that seed, its q and p
+    drawn once: the one seed-to-row layout of the wave ensemble and the
     classical particles.
     """
+    starts = range(0, n_steps, NOISE_BLOCK_STEPS)
     if spec.kind == "bath":
-        times = dt * np.arange(n_steps)
-        return sample_bath_noise_batch(spec.bath, spec.temperature, times, seeds)
-    out = np.zeros((len(seeds), n_steps))
-    if spec.kind == "white":
-        sigma = white_noise_sigma(friction, spec.temperature, mass, dt)
-        for row, seed in enumerate(seeds):
-            out[row] = sigma * np.random.default_rng(seed).standard_normal(n_steps)
-    return out
+        slab_times = (dt * np.arange(s, min(s + NOISE_BLOCK_STEPS, n_steps)) for s in starts)
+        yield from _bath_slabs(spec.bath, spec.temperature, seeds, slab_times)
+        return
+    sigma = white_noise_sigma(friction, spec.temperature, mass, dt)
+    streams, seeds = list(seeds), None   # a stream is dropped after its last slab
+    for start in starts:
+        k = min(NOISE_BLOCK_STEPS, n_steps - start)
+        out = np.zeros((len(streams), k))
+        if spec.kind == "white":
+            for row, stream in enumerate(streams):
+                rng = np.random.default_rng(stream)   # a Generator is passed through
+                out[row] = sigma * rng.standard_normal(k)
+                streams[row] = rng if start + k < n_steps else None
+        yield out

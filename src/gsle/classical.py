@@ -184,12 +184,12 @@ def langevin_ensemble(
     v = (
         config.initial.p0 + config.initial.sigma_p * init_rng.standard_normal(n_p)
     ) / m
-    # row p drives particle p from child stream p, spawned inline so freed before
-    # stepping, and not at all for zero noise; the .T view gives step i as noise[i]
+    # row p drives particle p from child stream p, and none is spawned for zero
+    # noise; a slab's .T gives one step per row
     noise = noise_rows(
         config.noise, config.friction, m, config.dt, n_steps,
         range(n_p) if config.noise.kind == "zero" else np.random.SeedSequence(seed).spawn(n_p),
-    ).T
+    )
 
     times = config.dt * np.arange(n_steps + 1)
     moments = {name: np.empty(n_steps + 1) for name in MOMENTS}
@@ -210,10 +210,10 @@ def langevin_ensemble(
             vel[:, i] = v
 
     record(0, x, v)
-    for i in range(n_steps):
+    for i, xi_n in enumerate(xi for slab in noise for xi in slab.T):
         if gle is not None:
-            x, v = gle.step(noise[i])
+            x, v = gle.step(xi_n)
         else:
-            x, v = langevin_step(x, v, config, noise[i])
+            x, v = langevin_step(x, v, config, xi_n)
         record(i + 1, x, v)
     return ClassicalEnsemble(times, **moments, positions=pos, velocities=vel, seed=seed)

@@ -386,18 +386,17 @@ def _write_trajectories(path: Path, spec: ExperimentSpec, snapshots):
 
 
 def _run_ensemble(spec: ExperimentSpec, out: Path):
-    """GSLE ensemble: per-member observables plus one merged summary.
+    """GSLE ensemble: per-member observables, if [output] observables, plus one summary.
 
     The members are stepped in-process as one batch, which warns once.
     """
     member_seeds = [spec.sim.seed + i for i in range(spec.ensemble_seeds)]
     records = run(replace(spec.sim, snapshot_stride=0), seeds=member_seeds)
-    members_dir = out / "members"
-    members_dir.mkdir(exist_ok=True)
-    for seed, rec in zip(member_seeds, records):
-        member_dir = members_dir / f"seed_{seed}"
-        member_dir.mkdir(exist_ok=True)
-        _write_observables(member_dir / "observables.csv", spec, rec)
+    if spec.emit_observables:
+        for seed, rec in zip(member_seeds, records):
+            member_dir = out / "members" / f"seed_{seed}"
+            member_dir.mkdir(parents=True, exist_ok=True)
+            _write_observables(member_dir / "observables.csv", spec, rec)
     return records
 
 
@@ -445,8 +444,9 @@ def _run_gsle(spec: ExperimentSpec, out: Path) -> int:
 
 def _run_classical(spec: ExperimentSpec, out: Path) -> int:
     ens = langevin_ensemble(spec.classical, spec.sim.seed)
-    columns = {"t": ens.times, **{name: getattr(ens, name) for name in MOMENTS}}
-    _write_csv(out / "observables.csv", spec, columns)
+    if spec.emit_observables:
+        columns = {"t": ens.times, **{name: getattr(ens, name) for name in MOMENTS}}
+        _write_csv(out / "observables.csv", spec, columns)
     return 0
 
 

@@ -295,8 +295,8 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     overflows, raises NumericalBlowup; it carries the observables of the
     last recorded state, read from its partial block.
 
-    Deterministic for a given (config, seeds): the noise is generated once
-    up front.
+    Deterministic for a given (config, seeds). The noise is built one slab of
+    at most NOISE_BLOCK_STEPS steps at a time, as the steps reach it.
     """
     batch = [config.seed] if seeds is None else list(seeds)
     if not batch:
@@ -304,18 +304,15 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     # a single run steps an (N,) state: the bits are those of a (1, N)
     # batch, and numpy's per-call overhead is lower on 1-D arrays
     lead = () if seeds is None else (len(batch),)
-    noise = noise_rows(
-        config.noise, config.friction, config.params.mass, config.dt, config.n_steps, batch
-    ).reshape(lead + (config.n_steps,))
+    n = config.n_steps
+    noise = noise_rows(config.noise, config.friction, config.params.mass, config.dt, n, batch)
     ws = _Workspace(config)
     shape = lead + (config.grid.n_points,)
     psi = np.broadcast_to(build_initial_state(config).values, shape).copy()
 
-    n = config.n_steps
     times = np.empty(n + 1)
     names = RECORDED + ("boundary_density",)
     table = {name: np.empty((n + 1,) + lead) for name in names}
-    table["xi"][:] = np.moveaxis(noise, -1, 0)[np.minimum(np.arange(n + 1), n - 1)]
     snapshots = []
     v_field = RealField(config.grid, ws.V)
     stride = config.snapshot_stride
@@ -357,11 +354,14 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     # psi, the initial state, stays referenced to the end: freeing it after
     # step 1 raised a 32 x 512 ensemble's peak RSS by 1 MB (glibc places the
     # later arrays differently)
+    i = 0   # a slab's float error can stop the run before step 0
     try:
         with blowup_on_overflow("non-finite wave step"):
-            for i in range(n):
+            # step i's xi: a (B,) row of a slab, or a scalar in a single run
+            for i, xi in enumerate(x for slab in noise for x in slab.T.reshape((-1,) + lead)):
+                table["xi"][i] = xi
                 t += config.dt   # the time of the state that step i + 1 makes
-                vals, spectrum = step(spectrum, noise[..., i, None], ws)
+                vals, spectrum = step(spectrum, xi[..., None], ws)
                 if not np.isfinite(vals).all():
                     raise NumericalBlowup(f"non-finite wavefunction at t = {t:.6g}")
                 record(i + 1, t, vals, spectrum)
@@ -374,6 +374,7 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
         raise
     finally:
         flush()
+    table["xi"][n] = table["xi"][n - 1]   # the last state reuses the last step's xi
     # one contiguous (B, n + 1) block per quantity; member b reads row b
     rows = {name: table[name].reshape(n + 1, -1).T.copy() for name in names}
     records = [

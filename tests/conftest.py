@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gsle.bath import noise_rows
 from gsle.fields import Grid, PhysicalParams, WaveFunction, normalize
 
 
@@ -26,3 +27,8 @@ def plane_wave(grid, n_modes):
     k = 2.0 * np.pi * n_modes / grid.length
     x = grid.x
     return WaveFunction(grid, np.exp(1j * k * x) / np.sqrt(grid.length)), k
+
+
+def noise_array(*args):
+    """The slabs of bath.noise_rows(*args) joined along time: (len(seeds), n_steps)."""
+    return np.concatenate(list(noise_rows(*args)), axis=1)

@@ -10,7 +10,8 @@ resolved support (rho > 1e-8 of its peak).
 import numpy as np
 import pytest
 
-from gsle.bath import OhmicSpec, discretize_ohmic, memory_kernel, noise_rows, sample_bath_noise_batch
+from conftest import noise_array
+from gsle.bath import OhmicSpec, discretize_ohmic, memory_kernel, sample_bath_noise_batch
 from gsle.bohmian import equivariance_distance, polar_decompose, propagate_trajectories, weak_value
 from gsle.classical import GaussianCloud, LangevinConfig, langevin_ensemble
 from gsle.cli import main as cli_main
@@ -293,7 +294,7 @@ def test_criterion_10_fluctuation_dissipation():
     acf_ok = np.all(z < 3.0)
 
     alpha, dt = 0.5, 0.01
-    xi = noise_rows(NoiseSpec("white", 1.0), alpha, 1.0, dt, 100_000, [12])[0]
+    xi = noise_array(NoiseSpec("white", 1.0), alpha, 1.0, dt, 100_000, [12])[0]
     var = xi.var()
     var_target = 2.0 * 1.0 * alpha * 1.0 / dt
     var_ok = abs(var - var_target) / var_target < 0.02

@@ -1,9 +1,13 @@
 """Oscillator bath: memory kernel, Ohmic discretization, noise sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import noise_array
 from gsle.bath import (
+    NOISE_BLOCK_STEPS,
     BathSpec,
     NoiseSpec,
     OhmicSpec,
@@ -11,8 +15,13 @@ from gsle.bath import (
     memory_kernel,
     noise_rows,
     sample_bath_noise_batch,
+    white_noise_sigma,
 )
+from gsle.classical import LangevinConfig, langevin_ensemble
 from gsle.errors import EmptyBath, InvalidField
+from gsle.evolve import SimConfig, run
+from gsle.fields import Grid
+from gsle.potentials import PotentialSpec
 
 
 def single_oscillator(omega=1.0, d=1.0):
@@ -115,18 +124,44 @@ class TestSampleBathNoise:
         dt, n = 0.01, 300
         times = dt * np.arange(n)
         seeds = [7, 8, np.random.SeedSequence(3)]
-        rows = noise_rows(NoiseSpec("bath", 0.1, bath=bath), 0.5, 1.0, dt, n, seeds)
+        rows = noise_array(NoiseSpec("bath", 0.1, bath=bath), 0.5, 1.0, dt, n, seeds)
         assert rows.shape == (3, 300)
         assert np.array_equal(rows, sample_bath_noise_batch(bath, 0.1, times, seeds))
         for seed, row in zip(seeds, rows):
             one = sample_bath_noise_batch(bath, 0.1, times, [seed])[0]
             assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
         spec = NoiseSpec("white", 0.1)
-        white = noise_rows(spec, 0.5, 1.0, dt, n, seeds)
+        white = noise_array(spec, 0.5, 1.0, dt, n, seeds)
         assert white.shape == (3, 300)
         for seed, row in zip(seeds, white):
-            assert np.array_equal(row, noise_rows(spec, 0.5, 1.0, dt, n, [seed])[0])
-        assert np.array_equal(noise_rows(NoiseSpec(), 0.5, 1.0, dt, n, seeds), np.zeros((3, n)))
+            assert np.array_equal(row, noise_array(spec, 0.5, 1.0, dt, n, [seed])[0])
+        assert np.array_equal(noise_array(NoiseSpec(), 0.5, 1.0, dt, n, seeds), np.zeros((3, n)))
+
+    @pytest.mark.parametrize("n_steps", [1, 511, 512, 513, 1500])
+    @pytest.mark.parametrize("kind", ["zero", "white", "bath"])
+    def test_slabs_join_to_one_slab_reference(self, kind, n_steps):
+        """noise_rows yields NOISE_BLOCK_STEPS-step slabs, then the rest; joined,
+        they are the noise drawn for the whole run at once: zero and white
+        bit for bit, bath to round-off (its cos/sin products are summed per
+        slab)."""
+        bath = discretize_ohmic(OhmicSpec(0.5, 50.0, 200, 0.1), 1.0)
+        spec = NoiseSpec(kind, 0.1, bath=bath if kind == "bath" else None)
+        dt = 0.01
+        seeds = [7, 8, *np.random.SeedSequence(3).spawn(2)]
+        slabs = list(noise_rows(spec, 0.5, 1.0, dt, n_steps, seeds))
+        full, rest = divmod(n_steps, NOISE_BLOCK_STEPS)
+        assert [slab.shape for slab in slabs] == (
+            [(4, NOISE_BLOCK_STEPS)] * full + [(4, rest)] * (rest > 0)
+        )
+        joined = np.concatenate(slabs, axis=1)
+        if kind == "bath":
+            one = sample_bath_noise_batch(bath, 0.1, dt * np.arange(n_steps), seeds)
+            assert np.abs(joined - one).max() <= 1e-14 * np.abs(one).max()
+            return
+        sigma = white_noise_sigma(0.5, 0.1, 1.0, dt)
+        for seed, row in zip(seeds, joined):
+            one = sigma * np.random.default_rng(seed).standard_normal(n_steps)
+            assert np.array_equal(row, one if kind == "white" else np.zeros(n_steps))
 
     def test_reproducible(self):
         bath = discretize_ohmic(OhmicSpec(0.5, 50.0, 200, 0.1), 1.0)
@@ -177,23 +212,58 @@ class TestSampleBathNoise:
 
 class TestWhiteNoise:
     def test_zero_temperature(self):
-        xi = noise_rows(NoiseSpec("white", 0.0), 0.5, 1.0, 0.01, 100, [0])[0]
+        xi = noise_array(NoiseSpec("white", 0.0), 0.5, 1.0, 0.01, 100, [0])[0]
         assert np.all(xi == 0.0)
 
     def test_zero_friction(self):
-        xi = noise_rows(NoiseSpec("white", 1.0), 0.0, 1.0, 0.01, 100, [0])[0]
+        xi = noise_array(NoiseSpec("white", 1.0), 0.0, 1.0, 0.01, 100, [0])[0]
         assert np.all(xi == 0.0)
 
     def test_moments(self):
         # variance 2 m alpha T / dt with piecewise-constant convention
-        xi = noise_rows(NoiseSpec("white", 1.0), 0.5, 1.0, 0.01, 100_000, [12])[0]
+        xi = noise_array(NoiseSpec("white", 1.0), 0.5, 1.0, 0.01, 100_000, [12])[0]
         var = xi.var()
         assert var == pytest.approx(100.0, rel=0.02)
         stderr = xi.std() / np.sqrt(xi.size)
         assert abs(xi.mean()) < 3 * stderr
 
     def test_reproducible(self):
-        a = noise_rows(NoiseSpec("white", 1.0), 0.5, 1.0, 0.01, 1000, [5])[0]
-        b = noise_rows(NoiseSpec("white", 1.0), 0.5, 1.0, 0.01, 1000, [5])[0]
+        a = noise_array(NoiseSpec("white", 1.0), 0.5, 1.0, 0.01, 1000, [5])[0]
+        b = noise_array(NoiseSpec("white", 1.0), 0.5, 1.0, 0.01, 1000, [5])[0]
         assert np.array_equal(a, b)
 
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSlabMemory:
+    """The noise is held one slab at a time, so a run's peak memory does not
+    grow with n_steps. Noise built whole before the first step would: its
+    (rows x n_steps) table, and for bath noise the cos/sin tables, grow with it."""
+
+    def langevin(self, n_steps):
+        cfg = LangevinConfig(
+            potential=PotentialSpec.harmonic(1.0), friction=0.1, noise=NoiseSpec("white", 0.05),
+            dt=0.005, n_steps=n_steps, n_particles=2000,
+        )
+        return lambda: langevin_ensemble(cfg, seed=3)
+
+    def wave(self, n_steps):
+        bath = discretize_ohmic(OhmicSpec(0.1, 50.0, 500, 0.1), 1.0)
+        cfg = SimConfig(
+            Grid(-10.0, 10.0, 64), potential=PotentialSpec.harmonic(1.0), friction=0.1,
+            noise=NoiseSpec("bath", 0.1, bath=bath), dt=0.005, n_steps=n_steps, seed=3,
+        )
+        return lambda: run(cfg)
+
+    @pytest.mark.parametrize("make", ["langevin", "wave"])
+    def test_peak_does_not_grow_with_n_steps(self, make):
+        short, long = (traced_peak(getattr(self, make)(k * NOISE_BLOCK_STEPS)) for k in (2, 8))
+        assert long < 1.25 * short, f"peak {short / 1e6:.2f} MB at 2 slabs, {long / 1e6:.2f} MB at 8"

@@ -340,6 +340,22 @@ class TestRunCommand:
         assert lines[2] == "t,mean_x,mean_p,var_x,stderr_x,stderr_p"
         assert len(lines) == 3 + 101
 
+    @pytest.mark.parametrize("key", ["", "[output]\nobservables = false\n"], ids=["default", "off"])
+    @pytest.mark.parametrize(
+        "text, n_files",
+        [
+            ("[experiment]\nseed = 4\nensemble_seeds = 2\n[run]\nn_steps = 3\n", 2),
+            ("[experiment]\nmode = classical\n[run]\nn_steps = 3\n[classical]\nn_particles = 5\n", 1),
+        ],
+        ids=["ensemble", "classical"],
+    )
+    def test_observables_key_honoured(self, tmp_path, text, n_files, key):
+        """[output] observables = false writes no observables.csv; the default
+        (true) writes one per member, or one for the classical ensemble."""
+        out = tmp_path / "out"
+        assert main(["run", write_cfg(tmp_path, text + key), "--out", str(out)]) == 0
+        assert len(list(out.rglob("observables.csv"))) == (0 if key else n_files)
+
     def test_weak_values_masked_cells_empty(self, tmp_path):
         # an excited eigenstate has nodes: its masked cells export empty
         cfg = write_cfg(

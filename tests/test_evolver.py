@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsle.bath import OhmicSpec, discretize_ohmic, noise_rows
+from conftest import noise_array
+from gsle.bath import OhmicSpec, discretize_ohmic
 from gsle.coupling import CouplingFunction
 from gsle.errors import (
     ConfigError,
@@ -385,11 +386,12 @@ def unbatched_run(cfg, seeds=None):
     Without seeds, (N,) states and scalar noise values; with seeds, the (B, N)
     batch that run(cfg, seeds) steps. Beside the recorded columns it keeps
     "t" and "boundary" (the boundary density). A NumericalBlowup or a
-    non-finite state ends every column at the last recorded state.
+    non-finite state ends every column at the last recorded state. The noise
+    is the slabs of bath.noise_rows joined into one array before stepping.
     """
     n = cfg.n_steps
     batch = [cfg.seed] if seeds is None else list(seeds)
-    xi = noise_rows(cfg.noise, cfg.friction, cfg.params.mass, cfg.dt, n, batch)
+    xi = noise_array(cfg.noise, cfg.friction, cfg.params.mass, cfg.dt, n, batch)
     noise_at = (lambda j: xi[0, j]) if seeds is None else (lambda j: xi[:, j, None])
     ws = _Workspace(cfg)
     v_field = RealField(cfg.grid, ws.V)
