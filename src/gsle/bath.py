@@ -188,3 +188,4 @@ def noise_rows(
                 out[row] = sigma * rng.standard_normal(k)
                 streams[row] = rng if start + k < n_steps else None
         yield out
+        del out   # the caller's slab is freed before the next is drawn

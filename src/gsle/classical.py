@@ -210,10 +210,11 @@ def langevin_ensemble(
             vel[:, i] = v
 
     record(0, x, v)
-    for i, xi_n in enumerate(xi for slab in noise for xi in slab.T):
-        if gle is not None:
-            x, v = gle.step(xi_n)
-        else:
-            x, v = langevin_step(x, v, config, xi_n)
-        record(i + 1, x, v)
+    i = 0
+    for slab in noise:
+        for xi_n in slab.T:
+            x, v = gle.step(xi_n) if gle is not None else langevin_step(x, v, config, xi_n)
+            i += 1
+            record(i, x, v)
+        del slab, xi_n   # so only one slab is alive while the next is drawn
     return ClassicalEnsemble(times, **moments, positions=pos, velocities=vel, seed=seed)

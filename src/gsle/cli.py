@@ -388,7 +388,7 @@ def _write_trajectories(path: Path, spec: ExperimentSpec, snapshots):
 def _run_ensemble(spec: ExperimentSpec, out: Path):
     """GSLE ensemble: per-member observables, if [output] observables, plus one summary.
 
-    The members are stepped in-process as one batch, which warns once.
+    The members are stepped in-process as one batch, whose guard warns once, naming them.
     """
     member_seeds = [spec.sim.seed + i for i in range(spec.ensemble_seeds)]
     records = run(replace(spec.sim, snapshot_stride=0), seeds=member_seeds)

@@ -69,4 +69,4 @@ class ConfigError(GsleError):
 
 
 class StabilityWarning(UserWarning):
-    """dt * max|U| / hbar exceeds the stability guard."""
+    """A step's guard dt * max|U| / hbar reached evolve.STABILITY_LIMIT; one per run call."""

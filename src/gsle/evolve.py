@@ -26,9 +26,9 @@ stops at the first float operation that overflows or turns invalid.
 
 `run` records in blocks: each state's samples and spectrum are copied into
 two buffers of m states, and a full block is read by one `observables` call
-and one W-only `dissipative_kernel` call, which share one density. Together
-the buffers hold at most 2 * 16 * RECORD_BLOCK_ELEMENTS bytes (1 MiB), or one
-state each when a state has more than RECORD_BLOCK_ELEMENTS samples.
+and one W-only `dissipative_kernel` call, which share one density. Each
+state's edge density and each step's stability guard are recorded columns
+too, and every warning is formatted from them.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .fields import (
 from .potentials import SIGNS, dissipative_kernel, tilde_current
 
 BOUNDARY_DENSITY_LIMIT = 1e-6
+STABILITY_LIMIT = 0.5   # of a step's guard dt*max|U|/hbar
 # the RunRecord columns that observables.csv writes after t, in its order
 RECORDED = ("norm", "mean_x", "mean_p", "var_x", "energy", "W", "xi")
 # complex samples per record buffer (512 KiB), unless one state is larger
@@ -136,18 +137,33 @@ class RunRecord:
     W: np.ndarray
     xi: np.ndarray
     boundary_density: np.ndarray   # edge density over peak density, per state
+    stability_guard: np.ndarray    # dt*max|U|/hbar of the step from each state
     snapshots: list = field(default_factory=list)   # (step_index, WaveFunction)
     seed: int = 0
 
     @property
     def warnings(self) -> list:
-        """The first recorded state whose boundary density passes the limit, if any."""
-        over = np.flatnonzero(self.boundary_density > BOUNDARY_DENSITY_LIMIT)
+        """The first recorded state past each diagnostic's limit, if any."""
         return [
+            f"StabilityWarning: dt*max|U|/hbar = {self.stability_guard[i]:.3g} >= "
+            f"{STABILITY_LIMIT:g} at t = {self.times[i]:.6g}"
+            for i in np.flatnonzero(self.stability_guard >= STABILITY_LIMIT)[:1]
+        ] + [
             f"BoundaryContamination: boundary density {self.boundary_density[i]:.2e} > "
             f"{BOUNDARY_DENSITY_LIMIT:g} at t = {self.times[i]:.6g}"
-            for i in over[:1]
+            for i in np.flatnonzero(self.boundary_density > BOUNDARY_DENSITY_LIMIT)[:1]
         ]
+
+
+def _warn_stability(guard: np.ndarray, seeds: Optional[list]):
+    """One StabilityWarning for a guard column (n + 1,) or (n + 1, B) past the limit
+    (NaN never is): its first value past it, and a batch's seeds that passed it."""
+    over = guard >= STABILITY_LIMIT
+    if over.any():
+        text = f"dt*max|U|/hbar = {guard[over][0]:.3g} >= {STABILITY_LIMIT:g}; reduce dt"
+        if seeds is not None:
+            text += f" (seeds {', '.join(str(s) for s, h in zip(seeds, over.any(axis=0)) if h)})"
+        warnings.warn(text, StabilityWarning)
 
 
 def build_initial_state(config: SimConfig) -> WaveFunction:
@@ -189,7 +205,6 @@ class _Workspace:
         self.vd_weight = coef * config.coupling.on_grid(grid, 1) ** 2 if coef else None
         self.kappa = config.kappa
         self.dt = config.dt
-        self._warned_stability = False
         self._buffers = {}
 
     def _buffer(self, name, shape, dtype=float):
@@ -248,27 +263,21 @@ class _Workspace:
             np.multiply(kick.imag, gain, out=kick.imag)
         return np.multiply(kick, vals, out=kick)
 
-    def check_stability(self, u: np.ndarray):
-        guard = self.dt * np.abs(u).max() / self.params.hbar
-        if guard >= 0.5 and not self._warned_stability:
-            self._warned_stability = True
-            warnings.warn(
-                f"dt*max|U|/hbar = {guard:.3g} >= 0.5; reduce dt", StabilityWarning
-            )
 
-
-def step(spectrum: np.ndarray, xi_n, ws: _Workspace):
+def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray):
     """One Strang step with a midpoint predictor for the nonlinear terms.
 
     spectrum = fft(psi) of a state (N,) or of a batch (B, N); xi_n is then a
     (B, 1) column. Returns the new state's (vals, spectrum); neither shares
     memory with the workspace ws, and neither is checked for finite samples.
+    Each row's dt*max|U|/hbar is written into guard, a 0-d or (B,) array, as
+    soon as U is built: a step that fails later has still recorded it.
     """
     spectrum = ws.kin_half * spectrum
     vals = np.fft.ifft(spectrum)
     density = ws.density(vals)
     u1 = ws.real_potential(vals, xi_n, spectrum, density)
-    ws.check_stability(u1)
+    guard[...] = ws.dt * np.abs(u1).max(axis=-1) / ws.params.hbar
     mid = ws.apply_potential(vals, u1, 0.5 * ws.dt, density)
     u2 = ws.real_potential(mid, xi_n)
     spectrum = np.fft.fft(ws.apply_potential(vals, u2, ws.dt, density))
@@ -293,7 +302,8 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     step would give. The clock adds dt once per step. A state with a
     non-finite sample, or a float operation of a step or record that
     overflows, raises NumericalBlowup; it carries the observables of the
-    last recorded state, read from its partial block.
+    last recorded state, read from its partial block. A guard past
+    STABILITY_LIMIT raises one StabilityWarning per call, naming a batch's seeds.
 
     Deterministic for a given (config, seeds). The noise is built one slab of
     at most NOISE_BLOCK_STEPS steps at a time, as the steps reach it.
@@ -311,8 +321,9 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     psi = np.broadcast_to(build_initial_state(config).values, shape).copy()
 
     times = np.empty(n + 1)
-    names = RECORDED + ("boundary_density",)
-    table = {name: np.empty((n + 1,) + lead) for name in names}
+    names = RECORDED + ("boundary_density", "stability_guard")
+    table = {name: np.full((n + 1,) + lead, np.nan) for name in names}
+    guard = table["stability_guard"]   # a step that fails before building U leaves NaN
     snapshots = []
     v_field = RealField(config.grid, ws.V)
     stride = config.snapshot_stride
@@ -330,8 +341,8 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
         block = WaveFunction(config.grid, vals)
         obs = observables(block, v_field, config.params, spectra, density[0])
         rows = slice(first, first + filled)
-        for name in RECORDED[:5] + ("boundary_density",):
-            table[name][rows] = getattr(obs, name)
+        for name, col in obs.items():
+            table[name][rows] = col
         table["W"][rows] = 0.0 if ws.vd_weight is None else dissipative_kernel(
             vals, ws.vd_weight, ws.ik, config.grid, spectra, density
         )[1]
@@ -361,7 +372,7 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
             for i, xi in enumerate(x for slab in noise for x in slab.T.reshape((-1,) + lead)):
                 table["xi"][i] = xi
                 t += config.dt   # the time of the state that step i + 1 makes
-                vals, spectrum = step(spectrum, xi[..., None], ws)
+                vals, spectrum = step(spectrum, xi[..., None], ws, guard[i, ...])
                 if not np.isfinite(vals).all():
                     raise NumericalBlowup(f"non-finite wavefunction at t = {t:.6g}")
                 record(i + 1, t, vals, spectrum)
@@ -374,7 +385,8 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
         raise
     finally:
         flush()
-    table["xi"][n] = table["xi"][n - 1]   # the last state reuses the last step's xi
+        _warn_stability(guard, None if seeds is None else batch)
+    table["xi"][n], guard[n] = table["xi"][n - 1], guard[n - 1]   # the last step's, again
     # one contiguous (B, n + 1) block per quantity; member b reads row b
     rows = {name: table[name].reshape(n + 1, -1).T.copy() for name in names}
     records = [

@@ -117,18 +117,6 @@ class WaveFunction:
         return np.abs(self.values) ** 2
 
 
-@dataclass(frozen=True)
-class ObservableSet:
-    """One value per field; arrays of shape (...) for a batch (..., N)."""
-
-    norm: float
-    mean_x: float
-    mean_p: float
-    var_x: float
-    energy: float
-    boundary_density: float
-
-
 def integrate(field) -> float:
     """Periodic rectangle rule: sum(values) * dx.
 
@@ -271,8 +259,11 @@ def boundary_density(rho: np.ndarray):
 
 def observables(
     psi: WaveFunction, V: RealField, params: PhysicalParams, spectrum=None, rho=None
-) -> ObservableSet:
+) -> dict:
     """Moments of each state from one density and one spectrum.
+
+    Named columns norm, mean_x, mean_p, var_x, energy and boundary_density:
+    floats for a state (N,), arrays of shape (...) for a batch (..., N).
 
     <p> and <T> by Parseval, int psi* g(-i d/dx) psi dx = (dx/N) sum_k g(k) |psi_k|^2,
     with spectral_derivative's weights: Nyquist mode zeroed for hbar k, kept for k^2.
@@ -296,14 +287,8 @@ def observables(
     k[grid.n_points // 2] = 0.0
     mean_p = params.hbar * np.sum(k * power, axis=-1) / n2
     energy = kinetic / n2 + integrate_values(grid, V.values * rho) / n2
-    return ObservableSet(
-        norm=n2,
-        mean_x=mean_x,
-        mean_p=mean_p,
-        var_x=var_x,
-        energy=energy,
-        boundary_density=boundary_density(rho),
-    )
+    return {"norm": n2, "mean_x": mean_x, "mean_p": mean_p, "var_x": var_x, "energy": energy,
+            "boundary_density": boundary_density(rho)}
 
 
 def density_floor(rho: np.ndarray) -> np.ndarray:

@@ -267,3 +267,11 @@ class TestSlabMemory:
     def test_peak_does_not_grow_with_n_steps(self, make):
         short, long = (traced_peak(getattr(self, make)(k * NOISE_BLOCK_STEPS)) for k in (2, 8))
         assert long < 1.25 * short, f"peak {short / 1e6:.2f} MB at 2 slabs, {long / 1e6:.2f} MB at 8"
+
+    def test_langevin_holds_one_slab_at_a_time(self):
+        """langevin_ensemble drops its spent slab, and noise_rows its own
+        reference to it, before the next slab is drawn: a second slab adds
+        less than half a slab (4.1 MB of 2000 particles) to the peak."""
+        one, two = (traced_peak(self.langevin(k * NOISE_BLOCK_STEPS)) for k in (1, 2))
+        slab = 2000 * NOISE_BLOCK_STEPS * 8
+        assert two - one < slab / 2, f"peak {one / 1e6:.2f} MB at 1 slab, {two / 1e6:.2f} MB at 2"

@@ -83,6 +83,31 @@ def test_tracer_hooks_resolve():
     assert not missing, f"perfbench/tracer.py wraps targets gsle no longer has: {missing}"
 
 
+def test_tracer_counts_only_boundary_lines():
+    """A record's warnings hold its StabilityWarning line beside its
+    BoundaryContamination line; the tracer's contamination count takes only
+    the latter, so a guard line is never counted as contamination."""
+    from gsle import evolve
+    from gsle.fields import Grid
+    from gsle.potentials import PotentialSpec
+
+    tracer = _load(PERFBENCH / "tracer.py")
+    cfg = evolve.SimConfig(
+        grid=Grid(-10.0, 10.0, 256), potential=PotentialSpec.harmonic(1.0), dt=0.02,
+        n_steps=100, initial_state=evolve.GaussianPacket(0.0, 8.0, 1.0),
+    )
+    recorder = tracer.Recorder(traced=False)
+    recorder.install()
+    try:
+        record = evolve.run(cfg)
+    finally:
+        recorder.uninstall()
+    assert [line.split(":")[0] for line in record.warnings] == [
+        "StabilityWarning", "BoundaryContamination"
+    ]
+    assert recorder.boundary_warnings == record.warnings[1:]
+
+
 @pytest.mark.parametrize("probe", [False, True], ids=["timed", "probe"])
 def test_workload_configs_parse(probe):
     """Every CLI workload's config is valid, so no workload exits 3 on a removed key."""

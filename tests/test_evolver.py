@@ -1,5 +1,6 @@
 """Split-step propagation: accuracy, conservation laws, determinism."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import noise_array
+from gsle import potentials
 from gsle.bath import OhmicSpec, discretize_ohmic
+from gsle.classical import LangevinConfig, langevin_step
 from gsle.coupling import CouplingFunction
 from gsle.errors import (
     ConfigError,
@@ -20,6 +23,7 @@ from gsle import evolve
 from gsle.evolve import (
     BOUNDARY_DENSITY_LIMIT,
     RECORD_BLOCK_ELEMENTS,
+    STABILITY_LIMIT,
     GaussianPacket,
     HarmonicEigenstate,
     NoiseSpec,
@@ -64,7 +68,7 @@ class TestInitialStates:
         psi = build_initial_state(cfg)
         V = RealField(GRID, 0.5 * GRID.x**2)
         obs = observables(psi, V, PhysicalParams())
-        assert obs.energy == pytest.approx(2.5, abs=1e-8)
+        assert obs["energy"] == pytest.approx(2.5, abs=1e-8)
 
 
 class TestConfigValidation:
@@ -173,6 +177,44 @@ class TestSelfConvergence:
         assert e2 < e1 / 3.0
 
 
+class TestPathwiseClassical:
+    """With f = x and a harmonic V the packet's centre obeys the classical
+    Langevin equation for the same noise row, so each member's <x> follows
+    classical.langevin_step driven by that member's own rec.xi. Both
+    integrators are second order, so the gap falls 4x when dt is halved."""
+
+    @pytest.mark.parametrize("kind", ["zero", "white", "bath"])
+    def test_members_follow_their_particles(self, kind):
+        noise = {
+            "zero": NoiseSpec(),
+            "white": NoiseSpec(kind="white", temperature=0.5),
+            "bath": NoiseSpec(
+                kind="bath", temperature=0.5, bath=discretize_ohmic(OhmicSpec(0.1, 50.0, 200, 0.5))
+            ),
+        }[kind]
+        gaps = []
+        for dt in (0.01, 0.005):
+            n = int(round(2.0 * np.pi / dt))
+            cfg = harmonic_config(
+                grid=Grid(-12.0, 12.0, 256), friction=0.1, noise=noise, dt=dt, n_steps=n,
+                initial_state=GaussianPacket(1.0, 0.5, GROUND_SIGMA),
+            )
+            recs = run(cfg, seeds=[7, 8, 9])
+            particle = LangevinConfig(
+                potential=cfg.potential, coupling=cfg.coupling, friction=0.1, dt=dt, n_steps=n
+            )
+            xi = np.array([rec.xi for rec in recs])
+            x, v = np.full(3, 1.0), np.full(3, 0.5)
+            path = [x]
+            for i in range(n):
+                x, v = langevin_step(x, v, particle, xi[:, i])
+                path.append(x)
+            gaps.append(np.abs(np.array([rec.mean_x for rec in recs]) - np.array(path).T).max(axis=1))
+        coarse, fine = gaps
+        assert (coarse / fine > 3.5).all(), coarse / fine
+        assert (fine < 5e-6).all(), fine
+
+
 class TestDeterminismAndDiagnostics:
     def test_bit_identical_reruns(self):
         cfg = harmonic_config(
@@ -200,6 +242,34 @@ class TestDeterminismAndDiagnostics:
         cfg = harmonic_config(dt=0.02, n_steps=2)
         with pytest.warns(StabilityWarning):
             run(cfg)
+
+    def test_stability_warning_names_batch_members(self):
+        """One StabilityWarning per call, formatted from the guard column: a
+        single run's first value past the limit; a batch names each member
+        whose guard passed it at any step."""
+        cfg = SimConfig(
+            grid=Grid(-8.0, 8.0, 128), potential=PotentialSpec.harmonic(1.0), friction=0.1,
+            noise=NoiseSpec(kind="white", temperature=0.05), dt=0.01, n_steps=20,
+        )
+
+        def warned(config, seeds=None):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                recs = run(config, seeds)
+            return recs, [str(w.message) for w in caught if w.category is StabilityWarning]
+
+        recs, (text,) = warned(cfg, [1, 2, 3])
+        peaks = [rec.stability_guard.max() for rec in recs]
+        assert peaks[0] < STABILITY_LIMIT <= min(peaks[1:]), peaks
+        assert text.endswith("; reduce dt (seeds 2, 3)")
+        assert [len(rec.warnings) for rec in recs] == [0, 1, 1]
+        alone, (text,) = warned(replace(cfg, seed=3))
+        first = np.flatnonzero(alone.stability_guard >= STABILITY_LIMIT)[0]
+        guard = alone.stability_guard[first]
+        assert text == f"dt*max|U|/hbar = {guard:.3g} >= 0.5; reduce dt"
+        assert alone.warnings == [
+            f"StabilityWarning: dt*max|U|/hbar = {guard:.3g} >= 0.5 at t = {alone.times[first]:.6g}"
+        ]
 
     def test_boundary_contamination_recorded(self):
         cfg = SimConfig(
@@ -272,6 +342,27 @@ class TestRealPotentialProperties:
         scale = np.abs(u0).max()
         assert np.abs(u1 - u0).max() <= 1e-10 * scale
         assert abs(w1 - w0) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("c", [-7.5, 3.0, 1e3])
+    def test_constant_in_vd_cancels_against_w(self, monkeypatch, c):
+        """Moving V_d's lower integration limit adds a constant c to V_d, and
+        W = <V_d> gains the same c, so U is unchanged: alone and in a batch."""
+        cfg = harmonic_config(
+            grid=Grid(-12.0, 12.0, 256),
+            friction=0.3,
+            coupling=COUPLINGS["sinusoidal"],
+            initial_state=GaussianPacket(0.5, 0.9, 1.2),
+        )
+        ws = _Workspace(cfg)
+        vals = build_initial_state(cfg).values
+        pair = np.stack([vals, vals * np.exp(0.4j * cfg.grid.x)])
+        states = [(vals, 0.3), (pair, np.array([[0.3], [-0.2]]))]
+        before = [ws.real_potential(v, xi).copy() for v, xi in states]
+        shifted = potentials.cumulative_integral
+        monkeypatch.setattr(potentials, "cumulative_integral", lambda *args: shifted(*args) + c)
+        for (v, xi), u0 in zip(states, before):
+            u = ws.real_potential(v, xi)
+            assert np.abs(u - u0).max() <= 1e-14 * (abs(c) + np.abs(u0).max())
 
 
 PROPERTY_COUPLINGS = {**COUPLINGS, "constant": CouplingFunction.constant(1.0)}
@@ -384,8 +475,9 @@ def unbatched_run(cfg, seeds=None):
     """The per-step loop: one observables and one W call per recorded state.
 
     Without seeds, (N,) states and scalar noise values; with seeds, the (B, N)
-    batch that run(cfg, seeds) steps. Beside the recorded columns it keeps
-    "t" and "boundary" (the boundary density). A NumericalBlowup or a
+    batch that run(cfg, seeds) steps. It keeps the recorded columns, "t",
+    "boundary_density" and "stability_guard" (each step's guard, the last state
+    repeating step n - 1's, as in the record). A NumericalBlowup or a
     non-finite state ends every column at the last recorded state. The noise
     is the slabs of bath.noise_rows joined into one array before stepping.
     """
@@ -401,12 +493,13 @@ def unbatched_run(cfg, seeds=None):
     spectrum = np.fft.fft(vals)
     t = 0.0
     lead = () if seeds is None else (len(batch),)
-    out = {name: np.empty((n + 1,) + lead) for name in RECORDED + ("boundary",)}
+    out = {name: np.empty((n + 1,) + lead) for name in RECORDED + ("boundary_density",)}
     out["t"] = np.empty(n + 1)
+    guard = out["stability_guard"] = np.full((n + 1,) + lead, np.nan)
     for i in range(n + 1):
         if i > 0:
             try:
-                vals, spectrum = step(spectrum, noise_at(i - 1), ws)
+                vals, spectrum = step(spectrum, noise_at(i - 1), ws, guard[i - 1, ...])
                 if not np.isfinite(vals).all():
                     raise NumericalBlowup("non-finite wavefunction")
             except NumericalBlowup:
@@ -415,13 +508,14 @@ def unbatched_run(cfg, seeds=None):
         xi_i = noise_at(min(i, n - 1))
         obs = observables(WaveFunction(cfg.grid, vals), v_field, cfg.params, spectrum)
         for name in ("norm", "mean_x", "mean_p", "var_x", "energy"):
-            out[name][i] = getattr(obs, name)
+            out[name][i] = obs[name]
         out["W"][i] = 0.0 if ws.vd_weight is None else dissipative_kernel(
             vals, ws.vd_weight, ws.ik, cfg.grid, spectrum
         )[1]
         out["xi"][i] = np.reshape(xi_i, lead)
         out["t"][i] = t
-        out["boundary"][i] = obs.boundary_density
+        out["boundary_density"][i] = obs["boundary_density"]
+    guard[n] = guard[n - 1]
     return out
 
 
@@ -533,9 +627,8 @@ class TestRecordBlocks:
         ref = unbatched_run(cfg, seeds)
         for b, rec in enumerate([recs] if seeds is None else recs):
             assert np.array_equal(rec.times, ref["t"])
-            for name in RECORDED + ("boundary_density",):
-                col = ref["boundary" if name == "boundary_density" else name]
-                col = col if seeds is None else col[:, b]
+            for name in RECORDED + ("boundary_density", "stability_guard"):
+                col = ref[name] if seeds is None else ref[name][:, b]
                 assert np.array_equal(getattr(rec, name), col), name
 
     def test_members_warn_at_own_step_inside_one_block(self):
@@ -553,13 +646,13 @@ class TestRecordBlocks:
         )
         seeds = [3, 4]
         ref = unbatched_run(cfg, seeds)
-        first = [np.argmax(ref["boundary"][:, b] > BOUNDARY_DENSITY_LIMIT) for b in range(2)]
+        first = [np.argmax(ref["boundary_density"][:, b] > BOUNDARY_DENSITY_LIMIT) for b in range(2)]
         m = RECORD_BLOCK_ELEMENTS // (2 * 256)
         assert first[0] != first[1] and first[0] // m == first[1] // m, first
         for b, rec in enumerate(run(cfg, seeds=seeds)):
             i = first[b]
             assert rec.warnings == run(replace(cfg, seed=seeds[b])).warnings == [
-                f"BoundaryContamination: boundary density {ref['boundary'][i, b]:.2e} > "
+                f"BoundaryContamination: boundary density {ref['boundary_density'][i, b]:.2e} > "
                 f"{BOUNDARY_DENSITY_LIMIT:g} at t = {ref['t'][i]:.6g}"
             ]
 
@@ -635,7 +728,7 @@ class TestCarriedSpectrum:
             xi = np.linspace(-0.3, 0.3, n_members)[:, None]
         spectrum = np.fft.fft(vals)
         for _ in range(5):
-            vals, spectrum = step(spectrum, xi, ws)
+            vals, spectrum = step(spectrum, xi, ws, np.empty(n_members or ()))
             ref = np.fft.fft(vals)
             assert spectrum.shape == ref.shape
             assert np.abs(spectrum - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -701,7 +794,7 @@ class TestStepKernel:
             for found in calls.values():
                 found.clear()
             for _ in range(n_steps):
-                _, spectrum = step(spectrum, xi, ws)
+                _, spectrum = step(spectrum, xi, ws, np.empty(n_members or ()))
             assert len(calls["log"]) == (n_steps if kappa else 0)
             assert not any(np.issubdtype(t, np.complexfloating) for t in calls["exp"])
 
@@ -710,11 +803,11 @@ class TestStepKernel:
         """A state and its spectrum share no memory with the workspace, so a
         state kept from step 1 is unchanged after 5 more steps."""
         ws, xi, spectrum = self.stepped(n_members)
-        first = step(spectrum, xi, ws)
+        first = step(spectrum, xi, ws, np.empty(n_members or ()))
         kept = first[0].copy(), first[1].copy()
         spectrum = first[1]
         for _ in range(5):
-            vals, spectrum = step(spectrum, xi, ws)
+            vals, spectrum = step(spectrum, xi, ws, np.empty(n_members or ()))
             for a in workspace_arrays(ws):
                 assert not np.shares_memory(vals, a)
                 assert not np.shares_memory(spectrum, a)

@@ -60,7 +60,7 @@ class TestCurrent:
         psi = gaussian_state(grid, p0=1.3)
         jint = integrate(current(psi, params))
         zero = RealField(grid, np.zeros(grid.n_points))
-        assert jint == pytest.approx(observables(psi, zero, params).mean_p, abs=1e-8)
+        assert jint == pytest.approx(observables(psi, zero, params)["mean_p"], abs=1e-8)
 
 
 class TestTildeCurrent:
@@ -107,7 +107,7 @@ class TestDissipativePotential:
                 assert np.array_equal(vd[b], vd_b) and w[b] == w_b
                 one = observables(WaveFunction(grid, vals), V, params)
                 for name in ("norm", "mean_x", "mean_p", "var_x", "energy", "boundary_density"):
-                    assert getattr(obs, name)[b] == getattr(one, name), name
+                    assert obs[name][b] == one[name], name
 
     def test_zero_friction(self, grid, params):
         psi = gaussian_state(grid, p0=1.0)
@@ -277,7 +277,7 @@ class TestMeasurementPotential:
         assert np.ptp(resid) < 1e-10
         contracted = WaveFunction(grid, out)
         zero = RealField(grid, np.zeros(grid.n_points))
-        var = observables(contracted, zero, PhysicalParams()).var_x
+        var = observables(contracted, zero, PhysicalParams())["var_x"]
         assert var == pytest.approx(1.0 / (1.0 + 2.0 * kappa * self.TAU), rel=1e-8)
 
 
