@@ -37,8 +37,8 @@ config as leading comment lines, so reruns are byte-identical.
 Usage: gsle run|compare CONFIG, or gsle post RUN_DIR; each takes [--seed N] [--out DIR].
 Exit codes: 0 success, 2 numerical failure (such as the first overflow of a
 run), 3 config error. Config errors (a value not of its key's type, such as
-dt = nan; an unknown kind; a value a type rejects, such as sigma <= 0 or
-snapshot_stride < 0; a potential or coupling, or its slope, not finite on the
+dt = nan; an unknown kind; a value a type rejects, such as sigma <= 0, seed < 0
+or snapshot_stride < 0; a potential or coupling, or its slope, not finite on the
 grid; or snapshots, trajectories or weak_values asked of anything but a gsle
 run of one seed with snapshot_stride > 0) exit before any output.
 """
@@ -270,6 +270,8 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
     mode = experiment["mode"]
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got '{mode}'")
+    if experiment["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {experiment['seed']}")
     if experiment["ensemble_seeds"] < 1:
         raise ConfigError("ensemble_seeds must be >= 1")
     if experiment["workers"] != 1:
@@ -488,14 +490,14 @@ def _load_snapshot(path: Path) -> WaveFunction:
         parts = meta[0].replace("=", " ").split()
         grid = Grid(float(parts[3]), float(parts[5]), int(parts[7]))
         table = np.array(body, dtype=float)
-    except (ValueError, IndexError) as exc:
+        if table.shape != (grid.n_points, 3):
+            raise ConfigError(
+                f"{path} holds a {table.shape} table, expected {grid.n_points} rows of x,re,im"
+            )
+        # re and im side by side, viewed as complex: the exact doubles, signed zeros kept
+        return WaveFunction(grid, np.ascontiguousarray(table[:, 1:]).view(complex)[:, 0])
+    except (ValueError, IndexError, InvalidField) as exc:   # a non-finite sample or grid
         raise ConfigError(f"{path} is malformed: {exc}")
-    if table.shape != (grid.n_points, 3):
-        raise ConfigError(
-            f"{path} holds a {table.shape} table, expected {grid.n_points} rows of x,re,im"
-        )
-    # re and im side by side, viewed as complex: the exact doubles, signed zeros kept
-    return WaveFunction(grid, np.ascontiguousarray(table[:, 1:]).view(complex)[:, 0])
 
 
 def _run_post(run_dir: Path, out: Path, seed_override: Optional[int]) -> int:

@@ -16,17 +16,16 @@ Every operation acts along the last axis, so a (B, N) array of member
 states with a (B, 1) column of noise values takes one step in one call:
 the split-step operators are the same for every row.
 
-`step` maps a state's spectrum to the next state's samples and spectrum;
-the spectrum is what its last half-kick computes anyway, and the next step
-and the record start from it. One density of the half-kicked state, with
-its floor, norm and (kappa > 0) the step's one log, serves the first V_d/W
-and both kicks, which write cos and sin of the phase into a workspace
-buffer. `run` owns the clock, checks every new state for finite samples and
-stops at the first float operation that overflows or turns invalid.
+`step` maps a state's spectrum to the next state's spectrum. One density
+of the half-kicked state, with its floor, norm and (kappa > 0) the step's
+one log, serves the first V_d/W and both kicks, which write cos and sin of
+the phase into a workspace buffer. `run` owns the clock, checks every new
+spectrum for finite samples and stops at the first float operation that
+overflows or turns invalid.
 
-`run` records in blocks: each state's samples and spectrum are copied into
-two buffers of m states, and a full block is read by one `observables` call
-and one W-only `dissipative_kernel` call, which share one density. Each
+`run` records in blocks: each step writes its spectrum into a block's next
+slot; one inverse transform makes the block's states, and one `observables`
+and one W-only `dissipative_kernel` call read them with one density. Each
 state's edge density and each step's stability guard are recorded columns
 too, and every warning is formatted from them.
 """
@@ -264,14 +263,15 @@ class _Workspace:
         return np.multiply(kick, vals, out=kick)
 
 
-def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray):
+def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray, out=None):
     """One Strang step with a midpoint predictor for the nonlinear terms.
 
     spectrum = fft(psi) of a state (N,) or of a batch (B, N); xi_n is then a
-    (B, 1) column. Returns the new state's (vals, spectrum); neither shares
-    memory with the workspace ws, and neither is checked for finite samples.
-    Each row's dt*max|U|/hbar is written into guard, a 0-d or (B,) array, as
-    soon as U is built: a step that fails later has still recorded it.
+    (B, 1) column. Returns the new state's spectrum, written into out when
+    given (it may be spectrum itself); it shares no memory with the workspace
+    ws and is not checked for finite samples. Each row's dt*max|U|/hbar is
+    written into guard, a 0-d or (B,) array, as soon as U is built: a step
+    that fails later has still recorded it.
     """
     spectrum = ws.kin_half * spectrum
     vals = np.fft.ifft(spectrum)
@@ -280,9 +280,8 @@ def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray):
     guard[...] = ws.dt * np.abs(u1).max(axis=-1) / ws.params.hbar
     mid = ws.apply_potential(vals, u1, 0.5 * ws.dt, density)
     u2 = ws.real_potential(mid, xi_n)
-    spectrum = np.fft.fft(ws.apply_potential(vals, u2, ws.dt, density))
-    spectrum *= ws.kin_half
-    return np.fft.ifft(spectrum), spectrum
+    out = np.fft.fft(ws.apply_potential(vals, u2, ws.dt, density), out=out)
+    return np.multiply(out, ws.kin_half, out=out)
 
 
 def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
@@ -294,15 +293,16 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     depend on the batch it was stepped in: numpy rounds some elementwise
     loops by memory alignment, and a batch's bath noise is one matrix product.
 
-    The moments, boundary density and W are read in blocks of m recorded
-    states, one `observables` and one W-only `dissipative_kernel` call per
-    block, with m = RECORD_BLOCK_ELEMENTS // (B N) clipped to [1, n_steps + 1]:
-    the two block buffers hold at most 1 MiB, or one state each when a state
-    is larger. Each row is reduced alone, so the record is the one a read per
-    step would give. The clock adds dt once per step. A state with a
-    non-finite sample, or a float operation of a step or record that
-    overflows, raises NumericalBlowup; it carries the observables of the
-    last recorded state, read from its partial block. A guard past
+    Each step writes its spectrum into the next of a block's m slots, m =
+    RECORD_BLOCK_ELEMENTS // (B N) clipped to [1, n_steps + 1]; one inverse
+    transform per block makes its states, read by one `observables` and one
+    W-only `dissipative_kernel` call. The spectra and states buffers hold at
+    most 1 MiB, or one state each when a state is larger. Each row is reduced
+    alone, so the record is the one a read per step would give (t = 0 reads
+    ifft(fft(psi_0))); a snapshot is its own ifft. The clock adds dt once per
+    step. A non-finite spectrum, or a float operation of a step or record
+    that overflows, raises NumericalBlowup; it carries the observables of
+    the last recorded state, read from its partial block. A guard past
     STABILITY_LIMIT raises one StabilityWarning per call, naming a batch's seeds.
 
     Deterministic for a given (config, seeds). The noise is built one slab of
@@ -336,10 +336,10 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
         nonlocal first, filled
         if not filled:
             return
-        vals, spectra = block_vals[:filled], block_spectra[:filled]
+        spectra = block_spectra[:filled]
+        vals = np.fft.ifft(spectra, out=block_vals[:filled])
         density = density_terms(config.grid, vals)
-        block = WaveFunction(config.grid, vals)
-        obs = observables(block, v_field, config.params, spectra, density[0])
+        obs = observables(WaveFunction(config.grid, vals), v_field, config.params, spectra, density[0])
         rows = slice(first, first + filled)
         for name, col in obs.items():
             table[name][rows] = col
@@ -348,20 +348,18 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
         )[1]
         first, filled = first + filled, 0
 
-    def record(i, t, vals, spectrum):
+    def record(i, t, spectrum):   # spectrum is block_spectra[filled]
         nonlocal filled
-        block_vals[filled] = vals
-        block_spectra[filled] = spectrum
         filled += 1
         times[i] = t
         if stride and i % stride == 0:
-            snapshots.append((i, vals.reshape(len(batch), -1)))
+            snapshots.append((i, np.fft.ifft(spectrum).reshape(len(batch), -1)))
         if filled == m:
             flush()
 
     t = 0.0
-    spectrum = np.fft.fft(psi)
-    record(0, t, psi, spectrum)
+    spectrum = np.fft.fft(psi, out=block_spectra[0])
+    record(0, t, spectrum)
     # psi, the initial state, stays referenced to the end: freeing it after
     # step 1 raised a 32 x 512 ensemble's peak RSS by 1 MB (glibc places the
     # later arrays differently)
@@ -372,10 +370,10 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
             for i, xi in enumerate(x for slab in noise for x in slab.T.reshape((-1,) + lead)):
                 table["xi"][i] = xi
                 t += config.dt   # the time of the state that step i + 1 makes
-                vals, spectrum = step(spectrum, xi[..., None], ws, guard[i, ...])
-                if not np.isfinite(vals).all():
+                spectrum = step(spectrum, xi[..., None], ws, guard[i, ...], block_spectra[filled])
+                if not np.isfinite(spectrum).all():
                     raise NumericalBlowup(f"non-finite wavefunction at t = {t:.6g}")
-                record(i + 1, t, vals, spectrum)
+                record(i + 1, t, spectrum)
     except NumericalBlowup as exc:
         flush()   # the partial block holds the last recorded state
         exc.t = t

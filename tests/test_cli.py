@@ -223,6 +223,7 @@ class TestRunCommand:
                 "[potential] kind = double_well",
             ),
             ("[run]\nn_steps = 3\n[coupling]\nkind = power\nn = 400\n", "[coupling] kind = power"),
+            ("[experiment]\nseed = -1\n[run]\nn_steps = 3\n", "seed must be >= 0"),
         ],
         ids=[
             "negative_dt",
@@ -263,6 +264,7 @@ class TestRunCommand:
             "snapshots_in_classical",
             "potential_overflows_on_grid",
             "coupling_overflows_on_grid",
+            "negative_seed",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, text, named):
@@ -273,6 +275,22 @@ class TestRunCommand:
         assert err["type"] == "ConfigError"
         assert named in err["message"]
         assert not (out / "resolved_config.txt").exists()
+
+    @pytest.mark.parametrize("command", ["run", "post"])
+    def test_negative_seed_override_is_config_error(self, tmp_path, command):
+        """--seed -1 exits 3 with error.json as its only output, in run and post."""
+        cfg = write_cfg(tmp_path, "[noise]\nkind = white\ntemperature = 0.1\n[run]\nn_steps = 3\n")
+        if command == "post":
+            run_dir = tmp_path / "run"
+            run_dir.mkdir()
+            (run_dir / "resolved_config.txt").write_text(Path(cfg).read_text())
+            cfg = str(run_dir)
+        out = tmp_path / "out"
+        assert main([command, cfg, "--seed", "-1", "--out", str(out)]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigError"
+        assert "seed must be >= 0, got -1" in err["message"]
+        assert [p.name for p in out.iterdir()] == ["error.json"]
 
     def test_blowup_exit_code(self, tmp_path):
         cfg = write_cfg(
@@ -486,7 +504,7 @@ class TestPostCommand:
         assert main(["post", str(run_dir), "--out", str(out)]) == 3
 
     @pytest.mark.parametrize(
-        "defect", ["short_row", "non_numeric", "missing_row", "stray_name"]
+        "defect", ["short_row", "non_numeric", "missing_row", "stray_name", "non_finite", "empty_grid"]
     )
     def test_malformed_snapshot_is_config_error(self, tmp_path, grid, defect):
         run_dir = tmp_path / "run"
@@ -503,6 +521,10 @@ class TestPostCommand:
             lines[row] = lines[row].rsplit(",", 1)[0] + ",abc"
         elif defect == "missing_row":
             del lines[row]
+        elif defect == "non_finite":
+            lines[row] = lines[row].rsplit(",", 1)[0] + ",nan"
+        elif defect == "empty_grid":
+            lines = [ln.replace("x_max = ", "x_max = -") for ln in lines]
         else:
             snap = snap.rename(snap.with_name("psi_final.csv"))
         snap.write_text("\n".join(lines) + "\n")

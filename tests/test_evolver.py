@@ -477,9 +477,10 @@ def unbatched_run(cfg, seeds=None):
     Without seeds, (N,) states and scalar noise values; with seeds, the (B, N)
     batch that run(cfg, seeds) steps. It keeps the recorded columns, "t",
     "boundary_density" and "stability_guard" (each step's guard, the last state
-    repeating step n - 1's, as in the record). A NumericalBlowup or a
-    non-finite state ends every column at the last recorded state. The noise
-    is the slabs of bath.noise_rows joined into one array before stepping.
+    repeating step n - 1's, as in the record). Each state is read from the
+    inverse transform of its spectrum, the initial one too. A NumericalBlowup
+    or a non-finite spectrum ends every column at the last recorded state. The
+    noise is the slabs of bath.noise_rows joined into one array before stepping.
     """
     n = cfg.n_steps
     batch = [cfg.seed] if seeds is None else list(seeds)
@@ -499,12 +500,13 @@ def unbatched_run(cfg, seeds=None):
     for i in range(n + 1):
         if i > 0:
             try:
-                vals, spectrum = step(spectrum, noise_at(i - 1), ws, guard[i - 1, ...])
-                if not np.isfinite(vals).all():
+                spectrum = step(spectrum, noise_at(i - 1), ws, guard[i - 1, ...])
+                if not np.isfinite(spectrum).all():
                     raise NumericalBlowup("non-finite wavefunction")
             except NumericalBlowup:
                 return {name: col[:i] for name, col in out.items()}
             t += cfg.dt
+        vals = np.fft.ifft(spectrum)
         xi_i = noise_at(min(i, n - 1))
         obs = observables(WaveFunction(cfg.grid, vals), v_field, cfg.params, spectrum)
         for name in ("norm", "mean_x", "mean_p", "var_x", "energy"):
@@ -584,6 +586,29 @@ class TestBatchedRun:
                     err_msg=name,
                 )
             assert np.abs(rec.W - alone.W).max() <= W_BOUND
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.05])
+    @pytest.mark.parametrize("noise", ["zero", "white"])
+    @pytest.mark.parametrize("n_members", [2, 3, 17])
+    def test_member_bits_depend_only_on_seed(self, n_members, noise, kappa):
+        """With white or zero noise, member b of a batch is its seed run alone,
+        bit for bit, in every recorded column and both diagnostics."""
+        cfg = SimConfig(
+            grid=Grid(-12.0, 12.0, 256),
+            potential=PotentialSpec.harmonic(1.0),
+            coupling=CouplingFunction.sinusoidal(1.0, 1.0),
+            friction=0.1,
+            kappa=kappa,
+            noise=NoiseSpec(kind=noise, temperature=0.1 if noise == "white" else 0.0),
+            dt=0.005,
+            n_steps=40,
+            initial_state=GaussianPacket(1.0, 0.0, GROUND_SIGMA),
+        )
+        seeds = range(7, 7 + n_members)
+        for seed, rec in zip(seeds, run(cfg, seeds=seeds)):
+            alone = run(replace(cfg, seed=seed))
+            for name in RECORDED + ("boundary_density", "stability_guard"):
+                assert np.array_equal(getattr(rec, name), getattr(alone, name)), (seed, name)
 
     def test_boundary_warning_per_member(self):
         cfg = SimConfig(
@@ -717,42 +742,29 @@ class TestCarriedSpectrum:
         initial_state=GaussianPacket(1.0, 0.5, GROUND_SIGMA),
     )
 
-    @pytest.mark.parametrize("n_members", [0, 3], ids=["single", "batch"])
-    def test_step_carries_spectrum_of_new_state(self, n_members):
-        cfg = SimConfig(**self.CFG)
-        ws = _Workspace(cfg)
-        vals = build_initial_state(cfg).values
-        xi = 0.3
-        if n_members:
-            vals = np.stack([vals * np.exp(0.2j * b * cfg.grid.x) for b in range(n_members)])
-            xi = np.linspace(-0.3, 0.3, n_members)[:, None]
-        spectrum = np.fft.fft(vals)
-        for _ in range(5):
-            vals, spectrum = step(spectrum, xi, ws, np.empty(n_members or ()))
-            ref = np.fft.fft(vals)
-            assert spectrum.shape == ref.shape
-            assert np.abs(spectrum - ref).max() <= 1e-13 * np.abs(ref).max()
-
     def test_fft_calls_per_step(self, monkeypatch):
-        """After the first, every step and its record make 2 forward and 5 inverse
-        transforms. The record's inverse transform is one call per block of
-        states, so each call counts the rows it transforms."""
-        calls = {"fft": 0, "ifft": 0}
+        """After the first, every step and its record transform 2 rows forward
+        and 5 inverse, in 2 forward and 3 inverse calls: the record's inverse
+        transforms (its states and its W's current) are one call per block."""
+        rows = {"fft": 0, "ifft": 0}
+        calls = dict(rows)
         n_points = self.CFG["grid"].n_points
-        for name in calls:
+        for name in rows:
             def counted(a, *args, _name=name, _fn=getattr(np.fft, name), **kw):
-                calls[_name] += np.size(a) // n_points
+                rows[_name] += np.size(a) // n_points
+                calls[_name] += 1
                 return _fn(a, *args, **kw)
             monkeypatch.setattr(np.fft, name, counted)
 
         def count(n_steps):
-            for name in calls:
-                calls[name] = 0
+            for name in rows:
+                rows[name] = calls[name] = 0
             run(SimConfig(**self.CFG, n_steps=n_steps))
-            return dict(calls)
+            return dict(rows), dict(calls)
 
-        short, long = count(2), count(6)
-        assert {name: (long[name] - short[name]) / 4 for name in calls} == {"fft": 2, "ifft": 5}
+        (short_rows, short_calls), (long_rows, long_calls) = count(2), count(6)
+        assert {name: (long_rows[name] - short_rows[name]) / 4 for name in rows} == {"fft": 2, "ifft": 5}
+        assert {name: (long_calls[name] - short_calls[name]) / 4 for name in calls} == {"fft": 2, "ifft": 3}
 
 
 def workspace_arrays(ws):
@@ -794,25 +806,24 @@ class TestStepKernel:
             for found in calls.values():
                 found.clear()
             for _ in range(n_steps):
-                _, spectrum = step(spectrum, xi, ws, np.empty(n_members or ()))
+                spectrum = step(spectrum, xi, ws, np.empty(n_members or ()))
             assert len(calls["log"]) == (n_steps if kappa else 0)
             assert not any(np.issubdtype(t, np.complexfloating) for t in calls["exp"])
 
     @pytest.mark.parametrize("n_members", [0, 3], ids=["single", "batch"])
     def test_step_results_own_their_memory(self, n_members):
-        """A state and its spectrum share no memory with the workspace, so a
-        state kept from step 1 is unchanged after 5 more steps."""
+        """step returns the out slot it was given, which shares no memory with
+        the workspace, so a slot kept from step 1 is unchanged after 5 more steps."""
         ws, xi, spectrum = self.stepped(n_members)
-        first = step(spectrum, xi, ws, np.empty(n_members or ()))
-        kept = first[0].copy(), first[1].copy()
-        spectrum = first[1]
-        for _ in range(5):
-            vals, spectrum = step(spectrum, xi, ws, np.empty(n_members or ()))
+        slots = np.empty((6,) + spectrum.shape, complex)
+        for j, slot in enumerate(slots):
+            spectrum = step(spectrum, xi, ws, np.empty(n_members or ()), slot)
+            assert spectrum is slot
             for a in workspace_arrays(ws):
-                assert not np.shares_memory(vals, a)
-                assert not np.shares_memory(spectrum, a)
-        assert np.array_equal(first[0], kept[0])
-        assert np.array_equal(first[1], kept[1])
+                assert not np.shares_memory(slot, a)
+            if j == 0:
+                kept = slot.copy()
+        assert np.array_equal(slots[0], kept)
 
     @pytest.mark.parametrize("seeds", [None, [5, 6]], ids=["single", "batch"])
     def test_run_snapshots_own_their_memory(self, monkeypatch, seeds):
