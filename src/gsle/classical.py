@@ -25,6 +25,10 @@ from .fields import PhysicalParams
 
 # the per-time moments of a ClassicalEnsemble, in its CSV column order
 MOMENTS = ("mean_x", "mean_p", "var_x", "stderr_x", "stderr_p")
+# rows of w = f'(x) x' that GleIntegrator buffers before folding them into its sums
+MEMORY_BLOCK = 64
+# particle values per buffer of recorded x (256 KiB), unless one step holds more
+RECORD_BLOCK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,9 @@ class LangevinConfig:
             raise ConfigError("n_steps must be >= 1")
         if self.n_particles < 1:
             raise ConfigError("n_particles must be >= 1")
+        # GleIntegrator reads no friction, and white noise is scaled by it
+        if self.memory is not None and (self.friction or self.noise.kind == "white"):
+            raise ConfigError("memory-kernel runs take zero or bath noise and no friction")
 
 
 @dataclass
@@ -111,15 +118,20 @@ class GleIntegrator:
 
     The friction integral of w(t) = f'(x(t)) x'(t) is the trapezoid rule over
     the whole history, untruncated. The kernel is a cosine sum,
-    K(t) = sum_i c_i cos(omega_i t), so the history enters only through one
-    complex running sum per oscillator and particle (a Markovian embedding):
+    K(t) = sum_i c_i cos(omega_i t), and cos(a - b) = cos a cos b + sin a sin b,
+    so the history up to step J enters only through two sums per oscillator
+    and particle (a Markovian embedding), and the steps since J through a
+    buffer of at most MEMORY_BLOCK rows, W_k = w_{J+k}:
 
-        z_i(n) = w_0 / 2 + sum_{j=1..n} exp(-i omega_i t_j) w_j
-        sum_{j=0..n} K(t_{n+1} - t_j) w_j  (w_0 at half weight)
-            = sum_i c_i Re(exp(i omega_i t_{n+1}) z_i(n))
+        z_i = sum_{j<J} (cos(omega_i t_j), sin(omega_i t_j)) w_j
+        sum_{j=0..n} K(t_{n+1} - t_j) w_j  (r = n + 1 - J rows buffered)
+            = sum_i c_i (cos(omega_i t_{n+1}), sin(omega_i t_{n+1})) . z_i
+              + sum_{k<r} K(t_{r-k}) W_k
 
-    The endpoint w_{n+1} adds dt/2 K(0) w_{n+1}, taken implicitly in v_{n+1}.
-    The state is (n_osc, n_particles) whatever the run length.
+    w_0 is held at half weight, as the trapezoid rule takes it. A full buffer
+    folds into z with one product, and J moves on by MEMORY_BLOCK. The
+    endpoint w_{n+1} adds dt/2 K(0) w_{n+1}, taken implicitly in v_{n+1}. The
+    state is (2 n_osc + MEMORY_BLOCK, n_particles) whatever the run length.
     """
 
     def __init__(self, config: LangevinConfig, x0, v0):
@@ -132,8 +144,12 @@ class GleIntegrator:
         self.omega = config.memory.frequencies
         self.weights = config.memory.kernel_weights
         self.k0 = memory_kernel(config.memory, 0.0)
-        w0 = config.coupling(self.x, 1) * self.v
-        self.z = np.zeros((self.omega.size, self.x.size), dtype=complex) + 0.5 * w0
+        # K(t_B), ..., K(t_1): lags[B - r:] weighs r buffered rows, oldest first
+        self.lags = memory_kernel(config.memory, config.dt * np.arange(MEMORY_BLOCK, 0, -1))
+        self.z = np.zeros((2, self.omega.size, self.x.size))   # the cos and the sin sums
+        self.w = np.empty((MEMORY_BLOCK, self.x.size))
+        self.w[0] = 0.5 * config.coupling(self.x, 1) * self.v
+        self.filled = 1     # rows buffered: w_{n+1-filled} .. w_n
         self.mem = np.zeros_like(self.x)    # friction sum at t_n: none at t_0
 
     def step(self, xi_n):
@@ -141,10 +157,12 @@ class GleIntegrator:
         m = config.params.mass
         dt = config.dt
         f, vprime = config.coupling, config.potential
+        r = self.filled
         # the history part of the friction sum at t_{n+1}: it reads only stored
         # sums, so it skips the overflow check, which slows numpy ops
-        phase = np.exp(1j * self.omega * (dt * (self.n + 1)))
-        mem_known = dt * ((self.weights * phase)[:, None] * self.z).real.sum(axis=0)
+        wt = self.omega * (dt * (self.n + 1))
+        folded = (self.weights * np.cos(wt)) @ self.z[0] + (self.weights * np.sin(wt)) @ self.z[1]
+        mem_known = dt * (folded + self.lags[MEMORY_BLOCK - r:] @ self.w[:r])
 
         with blowup_on_overflow("non-finite classical force"):
             fp = f(self.x, 1)
@@ -163,9 +181,15 @@ class GleIntegrator:
         w_new = fp_new * v_new
         self.x, self.v = x_new, v_new
         self.n += 1
-        # the friction sum at t_{n+1} adds its endpoint term; w_{n+1} joins the sums
+        # the friction sum at t_{n+1} adds its endpoint term; w_{n+1} joins the buffer
         self.mem = mem_known + 0.5 * dt * self.k0 * w_new
-        self.z += phase.conj()[:, None] * w_new
+        if r == MEMORY_BLOCK:   # fold w_{n+1-B} .. w_n into z
+            wt = np.outer(self.omega, dt * np.arange(self.n - r, self.n))
+            self.z[0] += np.cos(wt) @ self.w
+            self.z[1] += np.sin(wt) @ self.w
+            r = 0
+        self.w[r] = w_new
+        self.filled = r + 1
         return self.x, self.v
 
 
@@ -193,28 +217,42 @@ def langevin_ensemble(
 
     times = config.dt * np.arange(n_steps + 1)
     moments = {name: np.empty(n_steps + 1) for name in MOMENTS}
-    se = lambda a: a.std(ddof=1) / np.sqrt(n_p) if n_p > 1 else 0.0
+    se = lambda a: a.std(axis=1, ddof=1) / np.sqrt(n_p) if n_p > 1 else 0.0
     pos = np.empty((n_p, n_steps + 1)) if keep_particles else None
     vel = np.empty((n_p, n_steps + 1)) if keep_particles else None
+    # each step's x and v go to the next row of a block, and each block is
+    # reduced row by row in one call per moment
+    rows = max(1, min(n_steps + 1, RECORD_BLOCK_VALUES // n_p))
+    block_x, block_v = np.empty((rows, n_p)), np.empty((rows, n_p))
+    first = filled = 0   # step index of the block's first row; rows buffered
 
-    gle = (
-        GleIntegrator(config, x, v) if config.memory is not None else None
-    )
-
-    def record(i, x, v):
+    def flush():
+        nonlocal first, filled
+        x, v = block_x[:filled], block_v[:filled]
         p = m * v
-        for name, value in zip(MOMENTS, (x.mean(), p.mean(), x.var(), se(x), se(p))):
-            moments[name][i] = value
+        steps = slice(first, first + filled)
+        values = (x.mean(axis=1), p.mean(axis=1), x.var(axis=1), se(x), se(p))
+        for name, value in zip(MOMENTS, values):
+            moments[name][steps] = value
         if keep_particles:
-            pos[:, i] = x
-            vel[:, i] = v
+            pos[:, steps] = x.T
+            vel[:, steps] = v.T
+        first, filled = first + filled, 0
 
-    record(0, x, v)
-    i = 0
+    def record(x, v):
+        nonlocal filled
+        block_x[filled], block_v[filled] = x, v
+        filled += 1
+        if filled == rows:
+            flush()
+
+    gle = GleIntegrator(config, x, v) if config.memory is not None else None
+    record(x, v)
     for slab in noise:
         for xi_n in slab.T:
             x, v = gle.step(xi_n) if gle is not None else langevin_step(x, v, config, xi_n)
-            i += 1
-            record(i, x, v)
+            record(x, v)
         del slab, xi_n   # so only one slab is alive while the next is drawn
+    if filled:
+        flush()
     return ClassicalEnsemble(times, **moments, positions=pos, velocities=vel, seed=seed)

@@ -255,6 +255,15 @@ class TestSlabMemory:
         )
         return lambda: langevin_ensemble(cfg, seed=3)
 
+    def gle(self, n_steps):
+        """A memory-kernel run: its w buffer and record blocks hold a fixed number of steps."""
+        bath = discretize_ohmic(OhmicSpec(0.1, 20.0, 50, 0.1), 1.0)
+        cfg = LangevinConfig(
+            potential=PotentialSpec.harmonic(1.0), noise=NoiseSpec("bath", 0.1, bath=bath),
+            dt=0.005, n_steps=n_steps, n_particles=500, memory=bath,
+        )
+        return lambda: langevin_ensemble(cfg, seed=3)
+
     def wave(self, n_steps):
         bath = discretize_ohmic(OhmicSpec(0.1, 50.0, 500, 0.1), 1.0)
         cfg = SimConfig(
@@ -263,7 +272,7 @@ class TestSlabMemory:
         )
         return lambda: run(cfg)
 
-    @pytest.mark.parametrize("make", ["langevin", "wave"])
+    @pytest.mark.parametrize("make", ["langevin", "gle", "wave"])
     def test_peak_does_not_grow_with_n_steps(self, make):
         short, long = (traced_peak(getattr(self, make)(k * NOISE_BLOCK_STEPS)) for k in (2, 8))
         assert long < 1.25 * short, f"peak {short / 1e6:.2f} MB at 2 slabs, {long / 1e6:.2f} MB at 8"

@@ -5,8 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsle.bath import BathSpec, NoiseSpec, OhmicSpec, discretize_ohmic, memory_kernel
+from conftest import noise_array
+from gsle.bath import (
+    NOISE_BLOCK_STEPS,
+    BathSpec,
+    NoiseSpec,
+    OhmicSpec,
+    discretize_ohmic,
+    memory_kernel,
+)
 from gsle.classical import (
+    MEMORY_BLOCK,
+    MOMENTS,
+    RECORD_BLOCK_VALUES,
     GaussianCloud,
     GleIntegrator,
     LangevinConfig,
@@ -201,56 +212,91 @@ class TestGle:
     def test_matches_history_trapezoid(
         self, oscillators, mass, n_particles, n_steps, dt, coupling, seed
     ):
-        """The running sums give the untruncated O(n^2) trapezoid history sum."""
-        m_i, w_i, d_i = (np.array(a) for a in zip(*oscillators))
-        bath = BathSpec(m_i, w_i, d_i, system_mass=mass)
-        f = {
-            "linear": CouplingFunction.linear(),
-            "sinusoidal": CouplingFunction.sinusoidal(1.3, 0.8),
-        }[coupling]
-        cfg = harmonic_cfg(
-            params=PhysicalParams(mass=mass), coupling=f, memory=bath, dt=dt
+        """The buffered rows and folded sums give the untruncated O(n^2) trapezoid
+        history sum."""
+        assert_matches_history_trapezoid(
+            oscillators, mass, n_particles, n_steps, dt, coupling, seed
         )
-        rng = np.random.default_rng(seed)
-        x0 = rng.uniform(-2.0, 2.0, n_particles)
-        v0 = rng.uniform(-1.0, 1.0, n_particles)
-        xi = rng.normal(0.0, 0.5, (n_steps, n_particles))
 
-        gle = GleIntegrator(cfg, x0, v0)
-        for xi_n in xi:
-            x, v = gle.step(xi_n)
+    @pytest.mark.parametrize("n_particles", [1, 3])
+    @pytest.mark.parametrize(
+        "n_steps",
+        [MEMORY_BLOCK - 1, MEMORY_BLOCK, MEMORY_BLOCK + 1, 3 * MEMORY_BLOCK + 2],
+    )
+    def test_matches_history_trapezoid_at_fold_edges(self, n_steps, n_particles):
+        """Runs that stop just before, at and after a fold of the w buffer
+        into the sums, and after three folds."""
+        oscillators = [(1.0, 0.7, 0.9), (0.6, 2.3, -1.2), (1.8, 4.1, 0.5)]
+        assert_matches_history_trapezoid(
+            oscillators, 1.3, n_particles, n_steps, 0.02, "sinusoidal", 2024
+        )
 
-        # reference: the whole history of w = f'(x) v, re-summed every step
-        kernel = memory_kernel(bath, dt * np.arange(n_steps + 1))
-        xr, vr = x0.copy(), v0.copy()
-        history = [f(xr, 1) * vr]
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(friction=0.4), dict(noise=NoiseSpec("white", 0.5))],
+        ids=["friction", "white_noise"],
+    )
+    def test_rejects_what_it_would_ignore(self, kw):
+        """GleIntegrator reads no friction, so these runs were the frictionless,
+        noiseless run bit for bit."""
+        bath = discretize_ohmic(OhmicSpec(0.4, 20.0, 10, 0.0), 1.0)
+        with pytest.raises(ConfigError, match="zero or bath noise and no friction"):
+            harmonic_cfg(memory=bath, **kw)
 
-        def memory_sum(upto, endpoint):
-            total = np.zeros(n_particles)
-            if upto == 0:
-                return total
-            for j in range(upto + 1 if endpoint else upto):
-                weight = 0.5 * dt if j in (0, upto) else dt
-                total = total + weight * kernel[upto - j] * history[j]
+
+def assert_matches_history_trapezoid(
+    oscillators, mass, n_particles, n_steps, dt, coupling, seed
+):
+    """GleIntegrator's state after n_steps random kicks, against the O(n^2) sum."""
+    m_i, w_i, d_i = (np.array(a) for a in zip(*oscillators))
+    bath = BathSpec(m_i, w_i, d_i, system_mass=mass)
+    f = {
+        "linear": CouplingFunction.linear(),
+        "sinusoidal": CouplingFunction.sinusoidal(1.3, 0.8),
+    }[coupling]
+    cfg = harmonic_cfg(
+        params=PhysicalParams(mass=mass), coupling=f, memory=bath, dt=dt
+    )
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-2.0, 2.0, n_particles)
+    v0 = rng.uniform(-1.0, 1.0, n_particles)
+    xi = rng.normal(0.0, 0.5, (n_steps, n_particles))
+
+    gle = GleIntegrator(cfg, x0, v0)
+    for xi_n in xi:
+        x, v = gle.step(xi_n)
+
+    # reference: the whole history of w = f'(x) v, re-summed every step
+    kernel = memory_kernel(bath, dt * np.arange(n_steps + 1))
+    xr, vr = x0.copy(), v0.copy()
+    history = [f(xr, 1) * vr]
+
+    def memory_sum(upto, endpoint):
+        total = np.zeros(n_particles)
+        if upto == 0:
             return total
+        for j in range(upto + 1 if endpoint else upto):
+            weight = 0.5 * dt if j in (0, upto) else dt
+            total = total + weight * kernel[upto - j] * history[j]
+        return total
 
-        vprime = cfg.potential
-        for n, xi_n in enumerate(xi):
-            fp = f(xr, 1)
-            force = -vprime(xr, 1) + fp * xi_n - mass * fp * memory_sum(n, True)
-            v_half = vr + 0.5 * dt * force / mass
-            xr = xr + dt * v_half
-            fp_new = f(xr, 1)
-            force_known = (
-                -vprime(xr, 1) + fp_new * xi_n - mass * fp_new * memory_sum(n + 1, False)
-            )
-            vr = (v_half + 0.5 * dt * force_known / mass) / (
-                1.0 + 0.25 * dt**2 * kernel[0] * fp_new**2
-            )
-            history.append(fp_new * vr)
+    vprime = cfg.potential
+    for n, xi_n in enumerate(xi):
+        fp = f(xr, 1)
+        force = -vprime(xr, 1) + fp * xi_n - mass * fp * memory_sum(n, True)
+        v_half = vr + 0.5 * dt * force / mass
+        xr = xr + dt * v_half
+        fp_new = f(xr, 1)
+        force_known = (
+            -vprime(xr, 1) + fp_new * xi_n - mass * fp_new * memory_sum(n + 1, False)
+        )
+        vr = (v_half + 0.5 * dt * force_known / mass) / (
+            1.0 + 0.25 * dt**2 * kernel[0] * fp_new**2
+        )
+        history.append(fp_new * vr)
 
-        np.testing.assert_allclose(x, xr, rtol=1e-12, atol=1e-12 * np.abs(xr).max())
-        np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * np.abs(vr).max())
+    np.testing.assert_allclose(x, xr, rtol=1e-12, atol=1e-12 * np.abs(xr).max())
+    np.testing.assert_allclose(v, vr, rtol=1e-12, atol=1e-12 * np.abs(vr).max())
 
 
 class TestEnsemble:
@@ -350,6 +396,41 @@ class TestEnsemble:
             x, v = langevin_step(x, v, cfg, np.zeros(n_p))
             assert np.array_equal(ens.positions[:, i + 1], x)
             assert np.array_equal(ens.velocities[:, i + 1], v)
+
+    @pytest.mark.parametrize("kind", ["zero", "white", "bath"])
+    @pytest.mark.parametrize("n_p", [1, 2, 7, 5000])
+    def test_block_moments_match_step_loop(self, n_p, kind):
+        """The moments of each record block are those of a per-step read, bit
+        for bit, in runs that cross a noise slab and a record block."""
+        m = 1.5
+        n_steps = max(RECORD_BLOCK_VALUES // n_p, NOISE_BLOCK_STEPS) + 5
+        bath = discretize_ohmic(OhmicSpec(0.2, 10.0, 8, 0.3), m)
+        cfg = harmonic_cfg(
+            params=PhysicalParams(mass=m),
+            friction=0.3,
+            noise=NoiseSpec(kind, 0.3, bath=bath if kind == "bath" else None),
+            dt=0.01,
+            n_steps=n_steps,
+            n_particles=n_p,
+            initial=GaussianCloud(1.0, 0.0, 0.1, 0.1),
+        )
+        kept = langevin_ensemble(cfg, 6, keep_particles=True)
+        seeds = range(n_p) if kind == "zero" else np.random.SeedSequence(6).spawn(n_p)
+        xi = noise_array(cfg.noise, cfg.friction, m, cfg.dt, n_steps, seeds)
+        x, v = kept.positions[:, 0], kept.velocities[:, 0]
+        se = lambda a: a.std(ddof=1) / np.sqrt(n_p) if n_p > 1 else 0.0
+        want = {name: np.empty(n_steps + 1) for name in MOMENTS}
+        for i in range(n_steps + 1):
+            if i:
+                x, v = langevin_step(x, v, cfg, xi[:, i - 1])
+                assert np.array_equal(kept.positions[:, i], x)
+                assert np.array_equal(kept.velocities[:, i], v)
+            p = m * v
+            for name, value in zip(MOMENTS, (x.mean(), p.mean(), x.var(), se(x), se(p))):
+                want[name][i] = value
+        for ens in (kept, langevin_ensemble(cfg, 6)):
+            for name in MOMENTS:
+                np.testing.assert_array_equal(getattr(ens, name), want[name], err_msg=name)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
