@@ -19,7 +19,6 @@ from .errors import DegenerateState, InsufficientData
 from .fields import (
     CubicSpline,
     PhysicalParams,
-    RealField,
     WaveFunction,
     cumulative_integral,
     density_floor,
@@ -34,19 +33,20 @@ from .potentials import dissipative_kernel
 class PolarField:
     """psi = A exp(iS/hbar) with its node mask; built by polar_decompose.
 
-    Keeps the source `psi`: weak_value differentiates psi off node_mask, and
-    uses the slope of the interpolated S only on it.
+    A and S are float arrays on psi.grid.x. Keeps the source `psi`: weak_value
+    differentiates psi off node_mask, and uses the slope of the interpolated S
+    only on it.
     """
 
-    A: RealField
-    S: RealField
+    A: np.ndarray = field(repr=False)
+    S: np.ndarray = field(repr=False)
     node_mask: np.ndarray = field(repr=False)
     psi: WaveFunction = field(repr=False)
     hbar: float
 
     @property
     def grid(self):
-        return self.A.grid
+        return self.psi.grid
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class WeakValueField:
-    real_part: RealField   # Bohmian momentum dS/dx
-    imag_part: RealField   # osmotic momentum -hbar (A^2)'/(2 A^2)
+    real_part: np.ndarray = field(repr=False)   # Bohmian momentum dS/dx
+    imag_part: np.ndarray = field(repr=False)   # osmotic momentum -hbar (A^2)'/(2 A^2)
     node_mask: np.ndarray = field(repr=False)
 
 
@@ -113,9 +113,7 @@ def polar_decompose(psi: WaveFunction, hbar: float) -> PolarField:
             j = max(hi - 4, lo)
             slope = (s[hi] - s[j]) / (x[hi] - x[j]) if hi > j else 0.0
             s[hi + 1 :] = s[hi] + slope * (x[hi + 1 :] - x[hi])
-    return PolarField(
-        A=RealField(grid, a), S=RealField(grid, s), node_mask=mask, psi=psi, hbar=hbar
-    )
+    return PolarField(A=a, S=s, node_mask=mask, psi=psi, hbar=hbar)
 
 
 def _log_derivative(polar: PolarField) -> np.ndarray:
@@ -140,12 +138,12 @@ def tilde_phase_forms(polar: PolarField, f: CouplingFunction):
     an additive constant.
     """
     grid = polar.grid
-    s = polar.S.values
+    s = polar.S
     fp = f.on_grid(grid, 1)
     fpp = f.on_grid(grid, 2)
     form1 = fp**2 * s - 2.0 * cumulative_integral(grid, s * fp * fpp)
     form2, _ = dissipative_kernel(polar.psi.values, polar.hbar * fp**2, grid.ik, grid)
-    return RealField(grid, form1), RealField(grid, form2)
+    return form1, form2
 
 
 def weak_value(polar: PolarField) -> WeakValueField:
@@ -158,10 +156,10 @@ def weak_value(polar: PolarField) -> WeakValueField:
     finite across nodes; imag is unreliable there, and exports mark both NaN.
     """
     w = _log_derivative(polar)
-    slope = np.gradient(polar.S.values, polar.grid.dx)
+    slope = np.gradient(polar.S, polar.grid.dx)
     return WeakValueField(
-        real_part=RealField(polar.grid, np.where(polar.node_mask, slope, w.imag)),
-        imag_part=RealField(polar.grid, -w.real),
+        real_part=np.where(polar.node_mask, slope, w.imag),
+        imag_part=-w.real,
         node_mask=polar.node_mask,
     )
 
@@ -207,7 +205,7 @@ def propagate_trajectories(
     splines = []
     for psi in history:
         polar = polar_decompose(psi, hbar=params.hbar)
-        v = weak_value(polar).real_part.values / params.mass
+        v = weak_value(polar).real_part / params.mass
         splines.append(CubicSpline.periodic(grid, v))
 
     wrap = lambda pos: grid.x_min + np.mod(pos - grid.x_min, grid.length)

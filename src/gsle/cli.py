@@ -371,7 +371,7 @@ def _write_snapshot(path: Path, spec: ExperimentSpec, psi: WaveFunction):
 
 def _write_weak_values(path: Path, spec: ExperimentSpec, psi: WaveFunction):
     wv = weak_value(polar_decompose(psi, hbar=spec.sim.params.hbar))
-    masked = lambda part: np.where(wv.node_mask, np.nan, part.values)
+    masked = lambda part: np.where(wv.node_mask, np.nan, part)
     columns = {"x": psi.grid.x, "re_p": masked(wv.real_part), "im_p": masked(wv.imag_part)}
     _write_csv(path, spec, columns)
 

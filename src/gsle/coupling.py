@@ -129,6 +129,14 @@ class CouplingFunction:
 PotentialSpec = CouplingFunction
 
 
+def monotone_slope(V, grid: Grid, use: str) -> np.ndarray:
+    """V' on the grid, if V' >= 0 there up to round-off; else NonmonotonePotential."""
+    vp = V.on_grid(grid, 1)
+    if np.any(vp < -1e-12 * max(1.0, np.abs(vp).max())):
+        raise NonmonotonePotential(f"V'(x) < 0 on the grid; {use} undefined")
+    return vp
+
+
 def gup_coupling(V, grid: Grid) -> CouplingFunction:
     """Coupling f(x) = integral_0^x sqrt(V'(y)) dy for a monotone potential.
 
@@ -136,12 +144,7 @@ def gup_coupling(V, grid: Grid) -> CouplingFunction:
     of V' (removable singularity). V must satisfy V' >= 0 on the grid.
     """
     x = grid.x
-    vp = V.on_grid(grid, 1)
-    if np.any(vp < -1e-12 * max(1.0, np.abs(vp).max())):
-        raise NonmonotonePotential(
-            "V'(x) < 0 on the grid; sqrt(V') coupling undefined"
-        )
-    vp = np.maximum(vp, 0.0)
+    vp = np.maximum(monotone_slope(V, grid, "sqrt(V') coupling"), 0.0)
     fp = np.sqrt(vp)
     fv = cumulative_integral(grid, fp)
     # anchor f(0) = 0 (linear interpolation if 0 is off-grid)

@@ -33,10 +33,6 @@ class EmptyBath(InvalidField):
     """Bath or Ohmic spectrum with zero oscillators."""
 
 
-class InvalidFriction(GsleError):
-    """Negative or non-finite friction constant."""
-
-
 class NumericalBlowup(GsleError):
     """NaN/Inf appeared during propagation.
 

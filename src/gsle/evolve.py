@@ -43,6 +43,7 @@ from .coupling import CouplingFunction, PotentialSpec
 from .errors import (
     ConfigError,
     InsufficientData,
+    InvalidField,
     NumericalBlowup,
     StabilityWarning,
     blowup_on_overflow,
@@ -50,7 +51,6 @@ from .errors import (
 from .fields import (
     Grid,
     PhysicalParams,
-    RealField,
     WaveFunction,
     density_terms,
     integrate_values,
@@ -123,6 +123,9 @@ class SimConfig:
             raise ConfigError(f"kappa must be >= 0 and finite, got {self.kappa}")
         if self.sign not in SIGNS:
             raise ConfigError(f"sign must be one of {list(SIGNS)}, got '{self.sign}'")
+        init = self.initial_state
+        if isinstance(init, WaveFunction) and init.grid != self.grid:
+            raise ConfigError(f"initial state is on {init.grid}, the run on {self.grid}")
 
 
 @dataclass
@@ -197,7 +200,10 @@ class _Workspace:
             -1j * params.hbar * grid.k**2 * config.dt / (4.0 * params.mass)
         )
         self.ik = grid.ik
-        self.V = config.potential.on_grid(grid, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.V = config.potential.on_grid(grid, 0)
+        if not np.isfinite(self.V).all():
+            raise InvalidField("potential has non-finite samples on the grid")
         self.f = config.coupling.on_grid(grid, 0)
         # V_d's s * m * friction * f'^2, times the hbar/m of the current
         coef = SIGNS[config.sign] * config.friction * params.hbar
@@ -325,7 +331,6 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     table = {name: np.full((n + 1,) + lead, np.nan) for name in names}
     guard = table["stability_guard"]   # a step that fails before building U leaves NaN
     snapshots = []
-    v_field = RealField(config.grid, ws.V)
     stride = config.snapshot_stride
     m = max(1, min(n + 1, RECORD_BLOCK_ELEMENTS // psi.size))
     block_vals = np.empty((m,) + psi.shape, dtype=complex)
@@ -339,7 +344,7 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
         spectra = block_spectra[:filled]
         vals = np.fft.ifft(spectra, out=block_vals[:filled])
         density = density_terms(config.grid, vals)
-        obs = observables(WaveFunction(config.grid, vals), v_field, config.params, spectra, density[0])
+        obs = observables(WaveFunction(config.grid, vals), ws.V, config.params, spectra, density[0])
         rows = slice(first, first + filled)
         for name, col in obs.items():
             table[name][rows] = col
@@ -421,7 +426,7 @@ def ehrenfest_residual(record: RunRecord, config: SimConfig) -> np.ndarray:
         acc = (record.mean_x[i + 1] - 2 * record.mean_x[i] + record.mean_x[i - 1]) / dt**2
         rho = psi.density()
         n2 = integrate_values(grid, rho)
-        jt_int = integrate_values(grid, tilde_current(psi, config.coupling, config.params).values)
+        jt_int = integrate_values(grid, tilde_current(psi, config.coupling, config.params))
         mean_vp = integrate_values(grid, vp * rho) / n2
         mean_fp = integrate_values(grid, fp * rho) / n2
         out[j] = (

@@ -1,4 +1,4 @@
-"""Uniform periodic grid, fields, spectral calculus, observables, cubic splines.
+"""Uniform periodic grid, wave functions, spectral calculus, observables, cubic splines.
 
 Everything downstream (potentials, propagation, Bohmian analysis) is built
 on the primitives here: rectangle-rule quadrature and FFT differentiation
@@ -77,27 +77,14 @@ class PhysicalParams:
             raise InvalidField("hbar and mass must be positive and finite")
 
 
-def _check_values(grid: Grid, values: np.ndarray, batched=False):
-    """Finite samples of shape (N,), or (..., N) for a batch of fields."""
-    shape = values.shape[-1:] if batched else values.shape
-    if shape != (grid.n_points,):
+def _check_values(grid: Grid, values: np.ndarray):
+    """Finite samples of shape (..., N)."""
+    if values.shape[-1:] != (grid.n_points,):
         raise InvalidField(
             f"field has {values.shape} samples, grid has {grid.n_points} points"
         )
     if not np.all(np.isfinite(values)):
         raise InvalidField("field contains non-finite samples")
-
-
-@dataclass(frozen=True)
-class RealField:
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=float)
-        )
-        _check_values(self.grid, self.values)
 
 
 @dataclass(frozen=True)
@@ -111,21 +98,21 @@ class WaveFunction:
         object.__setattr__(
             self, "values", np.asarray(self.values, dtype=complex)
         )
-        _check_values(self.grid, self.values, batched=True)
+        _check_values(self.grid, self.values)
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
 
 
-def integrate(field) -> float:
+def integrate(grid: Grid, values) -> float:
     """Periodic rectangle rule: sum(values) * dx.
 
-    Exact for band-limited periodic integrands; linear in the field.
+    Exact for band-limited periodic integrands; linear in the values.
     """
-    values = np.asarray(field.values)
+    values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise InvalidField("cannot integrate non-finite samples")
-    return float(np.real_if_close(np.sum(values) * field.grid.dx))
+    return float(np.real_if_close(np.sum(values) * grid.dx))
 
 
 def integrate_values(grid: Grid, values: np.ndarray):
@@ -258,9 +245,9 @@ def boundary_density(rho: np.ndarray):
 
 
 def observables(
-    psi: WaveFunction, V: RealField, params: PhysicalParams, spectrum=None, rho=None
+    psi: WaveFunction, V: np.ndarray, params: PhysicalParams, spectrum=None, rho=None
 ) -> dict:
-    """Moments of each state from one density and one spectrum.
+    """Moments of each state, in the potential V(grid.x), from one density and one spectrum.
 
     Named columns norm, mean_x, mean_p, var_x, energy and boundary_density:
     floats for a state (N,), arrays of shape (...) for a batch (..., N).
@@ -286,7 +273,7 @@ def observables(
     kinetic = np.sum(k**2 * power, axis=-1) * (params.hbar**2 / (2 * params.mass))
     k[grid.n_points // 2] = 0.0
     mean_p = params.hbar * np.sum(k * power, axis=-1) / n2
-    energy = kinetic / n2 + integrate_values(grid, V.values * rho) / n2
+    energy = kinetic / n2 + integrate_values(grid, V * rho) / n2
     return {"norm": n2, "mean_x": mean_x, "mean_p": mean_p, "var_x": var_x, "energy": energy,
             "boundary_density": boundary_density(rho)}
 

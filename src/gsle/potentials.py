@@ -1,7 +1,7 @@
 """The state-dependent dissipative term of the nonlinear wave equation.
 
-Terms computed here, as grid fields (V_d and W also as arrays, by
-`dissipative_kernel`):
+Terms computed here, each a float array on grid.x but the float W
+(`dissipative_kernel` computes V_d and W for a batch of states too):
 
   J        probability current (hbar/m) Im(psi* dpsi/dx)
   Jt       coupling-weighted current f'(x)^2 J
@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coupling import CouplingFunction, PotentialSpec, gup_coupling
-from .errors import InvalidFriction, NonmonotonePotential
+from .coupling import CouplingFunction, PotentialSpec, gup_coupling, monotone_slope
+from .errors import ConfigError
 from .fields import (
     Grid,
     PhysicalParams,
-    RealField,
     WaveFunction,
     cumulative_integral,
     density_terms,
@@ -59,8 +58,8 @@ def dissipative_kernel(
 
     V_d(x) = int_{x_min}^{x} weight Im(psi* dpsi/dx') / max(|psi|^2, eps) dx' and
     W = <V_d> for psi samples `vals`, ik = Grid.ik and weight = s friction hbar f'^2
-    (s m friction f'^2 times the current's hbar/m). The propagator, the field
-    wrapper below and the Bohmian current-form phase all call it. A batch `vals`
+    (s m friction f'^2 times the current's hbar/m). The propagator,
+    dissipative_potential below and the Bohmian current-form phase all call it. A batch `vals`
     of shape (..., N) gives V_d of that shape and one W per row, each row with
     its own density floor. spectrum = fft(vals) and density = density_terms(grid,
     vals), or a tuple that starts with its three items, may be passed in.
@@ -73,17 +72,16 @@ def dissipative_kernel(
     return vd, integrate_values(grid, np.multiply(vd, rho, out=integrand)) / norm
 
 
-def current(psi: WaveFunction, params: PhysicalParams) -> RealField:
+def current(psi: WaveFunction, params: PhysicalParams) -> np.ndarray:
     """J = (hbar/m) Im(psi* dpsi/dx); integrates to <p>/m for normalized psi."""
-    j = _current_values(psi.values, psi.grid.ik)
-    return RealField(psi.grid, (params.hbar / params.mass) * j)
+    return (params.hbar / params.mass) * _current_values(psi.values, psi.grid.ik)
 
 
 def tilde_current(
     psi: WaveFunction, f: CouplingFunction, params: PhysicalParams
-) -> RealField:
+) -> np.ndarray:
     """Jt = f'^2 J, the coupling-weighted current."""
-    return RealField(psi.grid, f.on_grid(psi.grid, 1) ** 2 * current(psi, params).values)
+    return f.on_grid(psi.grid, 1) ** 2 * current(psi, params)
 
 
 def dissipative_potential(
@@ -100,15 +98,14 @@ def dissipative_potential(
     lower limit is immaterial: W = <V_d> is always subtracted downstream.
     """
     if not 0 <= friction < np.inf:
-        raise InvalidFriction(f"friction must be finite and >= 0, got {friction}")
+        raise ConfigError(f"friction must be >= 0 and finite, got {friction}")
     s = SIGNS[sign]
     grid = psi.grid
     if friction == 0.0:
-        zero = RealField(grid, np.zeros(grid.n_points))
-        return zero, 0.0
+        return np.zeros(grid.n_points), 0.0
     weight = (s * friction * params.hbar) * f.on_grid(grid, 1) ** 2
     vd, w = dissipative_kernel(psi.values, weight, grid.ik, grid)
-    return RealField(grid, vd), float(w)
+    return vd, float(w)
 
 
 def gup_damping_closed_form(
@@ -116,7 +113,7 @@ def gup_damping_closed_form(
     V: PotentialSpec,
     gup_alpha: float,
     params: PhysicalParams,
-) -> RealField:
+) -> np.ndarray:
     """Closed-form GUP damping -2 gup_alpha p(x) V(x), diagnostic only.
 
     The generic route (dissipative_potential with the sqrt(V') coupling)
@@ -125,12 +122,9 @@ def gup_damping_closed_form(
     """
     from .bohmian import polar_decompose, weak_value
 
-    grid = psi.grid
-    vp = V.on_grid(grid, 1)
-    if np.any(vp < -1e-12 * max(1.0, np.abs(vp).max())):
-        raise NonmonotonePotential("closed form requires V' >= 0 on the grid")
-    p = weak_value(polar_decompose(psi, hbar=params.hbar)).real_part.values
-    return RealField(grid, -2.0 * gup_alpha * p * V.on_grid(grid, 0))
+    monotone_slope(V, psi.grid, "GUP closed form")
+    p = weak_value(polar_decompose(psi, hbar=params.hbar)).real_part
+    return -2.0 * gup_alpha * p * V.on_grid(psi.grid, 0)
 
 
 def gup_discrepancy_report(
@@ -155,9 +149,9 @@ def gup_discrepancy_report(
     closed = gup_damping_closed_form(psi, V, gup_alpha, params)
     rho = psi.density()
     n2 = integrate_values(grid, rho)
-    w_closed = integrate_values(grid, closed.values * rho) / n2
-    a = vd_generic.values - w_generic
-    b = closed.values - w_closed
+    w_closed = integrate_values(grid, closed * rho) / n2
+    a = vd_generic - w_generic
+    b = closed - w_closed
     support = rho > 1e-3 * rho.max()
     diff = np.where(support, a - b, 0.0)
     scale = max(np.abs(a[support]).max(), np.abs(b[support]).max(), 1e-300)

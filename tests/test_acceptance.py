@@ -187,11 +187,11 @@ def test_criterion_06_kostin_linear_reduction():
     for i in picks:
         _, psi = rec.snapshots[i]
         vd, w = dissipative_potential(psi, lin, alpha, PARAMS)
-        s = polar_decompose(psi, hbar=1.0).S.values
+        s = polar_decompose(psi, hbar=1.0).S
         rho = psi.density()
         s_mean = integrate_values(g, s * rho) / integrate_values(g, rho)
         worst = max(
-            worst, np.abs((vd.values - w) - alpha * (s - s_mean))[mid].max()
+            worst, np.abs((vd - w) - alpha * (s - s_mean))[mid].max()
         )
     report(6, worst < 1e-6, f"worst mid-grid reduction error {worst:.2e} < 1e-6")
 
@@ -232,7 +232,7 @@ def _weak_value_worst(mask_fn):
         wv = weak_value(polar)
         dpsi = spectral_derivative(GRID, psi.values, 1)
         oracle = -1j * dpsi / psi.values
-        ours = wv.real_part.values + 1j * wv.imag_part.values
+        ours = wv.real_part + 1j * wv.imag_part
         sel = mask_fn(polar, psi)
         worst = max(worst, np.abs(ours - oracle)[sel].max())
     return worst

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -131,6 +132,44 @@ def test_library_workload_probe_passes(tmp_path):
     assert (inputs["n_steps"], inputs["particles"]) == (100, 32)
     result = workload.execute(gsle, inputs, tmp_path)
     assert workload.check(gsle, inputs, tmp_path, result) == []
+
+
+def _run_constants(*names):
+    """Module-level literals of perfbench/run.py, read from its syntax tree."""
+    found = {}
+    for node in ast.parse((PERFBENCH / "run.py").read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            else:
+                pairs = [(target, value)]
+            for name, literal in pairs:
+                if isinstance(name, ast.Name) and name.id in names:
+                    found[name.id] = ast.literal_eval(literal)
+    return [found[name] for name in names]
+
+
+@pytest.mark.parametrize("name", [
+    "single_allterms_n512", "compare_ensemble_n512", "snapshots_post_n4096", "gle_memory_oracle",
+])
+def test_reference_probe_matches_reference(name, tmp_path):
+    """Each workload's reference probe, run in-process, passes its check, and its
+    summary agrees with perfbench/reference.json at the harness's tolerance."""
+    import gsle.cli
+
+    rtol, atol, seed = _run_constants("REF_RTOL", "REF_ATOL", "REFERENCE_SEED")
+    workload = _load(WORKLOADS).WORKLOADS[name]
+    inputs = workload.inputs(seed, probe=True)
+    out = tmp_path / "out"
+    out.mkdir()
+    result = workload.execute(gsle, inputs, out)
+    assert workload.check(gsle, inputs, out, result) == []
+    summary = workload.summary(gsle, inputs, out, result)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[name]
+    for key, want in reference.items():
+        got = summary.get(key)
+        assert got is not None and abs(got - want) <= max(atol, rtol * abs(want)), (key, got, want)
 
 
 def test_cli_import_loads_no_process_pool():

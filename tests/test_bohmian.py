@@ -79,7 +79,7 @@ class TestPolarDecompose:
         # exactly linear, no residual 2*pi jumps
         psi, k = plane_wave(grid, 10)
         polar = polar_decompose(psi, hbar=1.0)
-        s = polar.S.values
+        s = polar.S
         jumps = np.diff(s) - k * grid.dx
         assert np.abs(jumps).max() < 1e-10
 
@@ -87,8 +87,8 @@ class TestPolarDecompose:
         psi = gaussian_state(grid)
         polar = polar_decompose(psi, hbar=1.0)
         sel = ~polar.node_mask
-        assert np.abs(polar.S.values[sel]).max() < 1e-10
-        assert np.allclose(polar.A.values, np.abs(psi.values))
+        assert np.abs(polar.S[sel]).max() < 1e-10
+        assert np.allclose(polar.A, np.abs(psi.values))
 
     def test_first_excited_state_lobes(self, grid):
         cfg = SimConfig(
@@ -100,15 +100,15 @@ class TestPolarDecompose:
         polar = polar_decompose(psi, hbar=1.0)
         assert polar.node_mask.any()
         x = grid.x
-        left = polar.S.values[(x < -0.5) & ~polar.node_mask][0]
-        right = polar.S.values[(x > 0.5) & ~polar.node_mask][0]
+        left = polar.S[(x < -0.5) & ~polar.node_mask][0]
+        right = polar.S[(x > 0.5) & ~polar.node_mask][0]
         # sign flip across the node is a phase jump of pi (mod 2 pi)
         assert np.cos(right - left) == pytest.approx(-1.0, abs=1e-10)
 
     def test_reconstruction(self, grid):
         psi = gaussian_state(grid, x0=1.0, p0=2.3)
         polar = polar_decompose(psi, hbar=1.0)
-        back = polar.A.values * np.exp(1j * polar.S.values / polar.hbar)
+        back = polar.A * np.exp(1j * polar.S / polar.hbar)
         sel = ~polar.node_mask
         assert np.abs(back[sel] - psi.values[sel]).max() < 1e-8
 
@@ -120,18 +120,18 @@ class TestPolarDecompose:
 class TestGuidingMomentum:
     def test_plane_wave(self, grid):
         psi, k = plane_wave(grid, 6)
-        p = weak_value(polar_decompose(psi, hbar=1.0)).real_part.values
+        p = weak_value(polar_decompose(psi, hbar=1.0)).real_part
         assert np.abs(p - k).max() < 1e-8
 
     def test_real_state(self, grid):
         psi = gaussian_state(grid)
-        p = weak_value(polar_decompose(psi, hbar=1.0)).real_part.values
+        p = weak_value(polar_decompose(psi, hbar=1.0)).real_part
         assert np.abs(p).max() < 1e-8
 
     def test_boosted_gaussian(self, grid):
         psi = gaussian_state(grid, p0=1.4)
         polar = polar_decompose(psi, hbar=1.0)
-        p = weak_value(polar).real_part.values
+        p = weak_value(polar).real_part
         sel = ~polar.node_mask
         assert np.abs(p[sel] - 1.4).max() < 1e-8
 
@@ -139,10 +139,10 @@ class TestGuidingMomentum:
         """p = dS/dx must equal m J / |psi|^2 where the density resolves."""
         psi = gaussian_state(grid, x0=0.5, p0=1.1, sigma=1.2)
         polar = polar_decompose(psi, hbar=1.0)
-        p = weak_value(polar).real_part.values
+        p = weak_value(polar).real_part
         rho = psi.density()
         sel = rho > 1e-6 * rho.max()
-        ratio = params.mass * current(psi, params).values[sel] / rho[sel]
+        ratio = params.mass * current(psi, params)[sel] / rho[sel]
         assert np.abs(p[sel] - ratio).max() / np.abs(ratio).max() < 1e-6
 
     def test_node_cells_use_action_slope(self, grid):
@@ -155,9 +155,9 @@ class TestGuidingMomentum:
         polar = polar_decompose(build_initial_state(cfg), hbar=1.0)
         mask = polar.node_mask
         assert mask[np.argmin(np.abs(grid.x))]   # the node at x = 0
-        p = weak_value(polar).real_part.values
+        p = weak_value(polar).real_part
         assert np.all(np.isfinite(p))
-        slope = np.gradient(polar.S.values, grid.dx)
+        slope = np.gradient(polar.S, grid.dx)
         assert np.array_equal(p[mask], slope[mask])
 
 
@@ -166,7 +166,7 @@ class TestTildePhase:
         psi = gaussian_state(grid, p0=0.9)
         polar = polar_decompose(psi, hbar=1.0)
         _, form2 = tilde_phase_forms(polar, CouplingFunction.linear())
-        diff = form2.values - polar.S.values
+        diff = form2 - polar.S
         rho = psi.density()
         sel = rho > 1e-8 * rho.max()   # where the phase is resolvable
         assert diff[sel].std() < 1e-6
@@ -175,7 +175,7 @@ class TestTildePhase:
         psi = gaussian_state(grid, p0=0.9)
         polar = polar_decompose(psi, hbar=1.0)
         _, form2 = tilde_phase_forms(polar, CouplingFunction.constant(3.0))
-        assert np.abs(form2.values).max() < 1e-10
+        assert np.abs(form2).max() < 1e-10
 
     def test_quadratic_coupling_cubic_phase(self):
         # S = p0 x with f = x^2 gives a coupling phase (4/3) p0 x^3 + const
@@ -187,10 +187,10 @@ class TestTildePhase:
         form1, form2 = tilde_phase_forms(polar, CouplingFunction.power(2))
         sel = ~polar.node_mask
         expected = (4.0 / 3.0) * p0 * g.x**3
-        resid = form1.values[sel] - expected[sel]
+        resid = form1[sel] - expected[sel]
         assert resid.std() < 1e-8 * np.abs(expected).max()
         # the two equivalent forms differ by a constant only
-        d = (form1.values - form2.values)[sel]
+        d = (form1 - form2)[sel]
         assert d.std() < 1e-6 * np.abs(d.mean()) + 1e-10
 
     def test_current_form_reads_source_psi(self, grid, params):
@@ -200,22 +200,22 @@ class TestTildePhase:
         f = CouplingFunction.sinusoidal(1.0, 1.0)
         _, form2 = tilde_phase_forms(polar_decompose(psi, hbar=1.0), f)
         vd, _ = dissipative_potential(psi, f, 1.0, params)
-        assert np.abs(form2.values - vd.values).max() < 1e-13
+        assert np.abs(form2 - vd).max() < 1e-13
 
 
 class TestWeakValue:
     def test_plane_wave(self, grid):
         psi, k = plane_wave(grid, 6)
         wv = weak_value(polar_decompose(psi, hbar=1.0))
-        assert np.abs(wv.real_part.values - k).max() < 1e-8
-        assert np.abs(wv.imag_part.values).max() < 1e-8
+        assert np.abs(wv.real_part - k).max() < 1e-8
+        assert np.abs(wv.imag_part).max() < 1e-8
 
     def test_real_gaussian_osmotic(self, grid):
         # density e^{-x^2/2}: osmotic part is +x/2 in natural units
         psi = gaussian_state(grid, sigma=1.0)
         wv = weak_value(polar_decompose(psi, hbar=1.0))
         i1 = np.argmin(np.abs(grid.x - 1.0))
-        assert wv.imag_part.values[i1] == pytest.approx(
+        assert wv.imag_part[i1] == pytest.approx(
             grid.x[i1] / 2.0, abs=1e-8
         )
 
@@ -228,7 +228,7 @@ class TestWeakValue:
         rho = psi.density()
         sel = rho > 1e-8 * rho.max()
         oracle = -1j * dpsi[sel] / psi.values[sel]
-        ours = wv.real_part.values[sel] + 1j * wv.imag_part.values[sel]
+        ours = wv.real_part[sel] + 1j * wv.imag_part[sel]
         assert np.abs(ours - oracle).max() < 1e-8
 
 

@@ -16,6 +16,7 @@ from gsle.coupling import CouplingFunction
 from gsle.errors import (
     ConfigError,
     InsufficientData,
+    InvalidField,
     NumericalBlowup,
     StabilityWarning,
 )
@@ -34,7 +35,7 @@ from gsle.evolve import (
     run,
     step,
 )
-from gsle.fields import Grid, PhysicalParams, RealField, WaveFunction, observables
+from gsle.fields import Grid, PhysicalParams, WaveFunction, observables
 from gsle.potentials import PotentialSpec, dissipative_kernel
 
 GRID = Grid(-20.0, 20.0, 512)
@@ -62,11 +63,11 @@ class TestInitialStates:
         assert integrate_values(GRID, psi.density()) == pytest.approx(1.0, abs=1e-12)
 
     def test_eigenstate_energy(self):
-        from gsle.fields import RealField, observables
+        from gsle.fields import observables
 
         cfg = harmonic_config(initial_state=HarmonicEigenstate(2, 1.0))
         psi = build_initial_state(cfg)
-        V = RealField(GRID, 0.5 * GRID.x**2)
+        V = 0.5 * GRID.x**2
         obs = observables(psi, V, PhysicalParams())
         assert obs["energy"] == pytest.approx(2.5, abs=1e-8)
 
@@ -92,6 +93,28 @@ class TestConfigValidation:
     def test_negative_friction(self):
         with pytest.raises(ConfigError):
             harmonic_config(friction=-0.5)
+
+    @pytest.mark.parametrize(
+        "other", [Grid(-20.0, 20.0, 256), Grid(-10.0, 10.0, 128)], ids=["other_box", "other_size"]
+    )
+    def test_initial_state_on_another_grid(self, other):
+        """A WaveFunction initial state must be on the run's grid: another box
+        was re-gridded silently, another size failed inside run."""
+        psi = WaveFunction(other, np.exp(-((other.x - 3.0) ** 2)))
+        with pytest.raises(ConfigError, match="initial state"):
+            SimConfig(Grid(-10.0, 10.0, 256), initial_state=psi)
+
+    def test_non_finite_potential_fails_before_first_step(self, monkeypatch):
+        """V = exp(x^3) overflows on part of the grid: run raises InvalidField
+        before any step, and no RuntimeWarning."""
+        V = CouplingFunction((lambda x: np.exp(x**3), np.zeros_like, np.zeros_like))
+        steps = []
+        monkeypatch.setattr(evolve, "step", lambda *args: steps.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidField, match="potential"):
+                run(SimConfig(GRID, potential=V, n_steps=2))
+        assert steps == []
 
     @pytest.mark.parametrize("key", ["friction", "kappa"])
     def test_nan_rejected(self, key):
@@ -487,7 +510,6 @@ def unbatched_run(cfg, seeds=None):
     xi = noise_array(cfg.noise, cfg.friction, cfg.params.mass, cfg.dt, n, batch)
     noise_at = (lambda j: xi[0, j]) if seeds is None else (lambda j: xi[:, j, None])
     ws = _Workspace(cfg)
-    v_field = RealField(cfg.grid, ws.V)
     vals = build_initial_state(cfg).values
     if seeds is not None:
         vals = np.tile(vals, (len(batch), 1))
@@ -508,7 +530,7 @@ def unbatched_run(cfg, seeds=None):
             t += cfg.dt
         vals = np.fft.ifft(spectrum)
         xi_i = noise_at(min(i, n - 1))
-        obs = observables(WaveFunction(cfg.grid, vals), v_field, cfg.params, spectrum)
+        obs = observables(WaveFunction(cfg.grid, vals), ws.V, cfg.params, spectrum)
         for name in ("norm", "mean_x", "mean_p", "var_x", "energy"):
             out[name][i] = obs[name]
         out["W"][i] = 0.0 if ws.vd_weight is None else dissipative_kernel(

@@ -11,7 +11,6 @@ from gsle.fields import (
     CubicSpline,
     Grid,
     PhysicalParams,
-    RealField,
     WaveFunction,
     boundary_density,
     cumulative_integral,
@@ -48,14 +47,14 @@ class TestFieldValidation:
     def test_length_mismatch(self):
         g = Grid(0.0, 1.0, 16)
         with pytest.raises(InvalidField):
-            RealField(g, np.zeros(8))
+            WaveFunction(g, np.zeros(8))
 
     def test_non_finite_samples(self):
         g = Grid(0.0, 1.0, 16)
-        vals = np.zeros(16)
-        vals[3] = np.inf
+        vals = np.zeros((2, 16), dtype=complex)
+        vals[1, 3] = np.inf
         with pytest.raises(InvalidField):
-            RealField(g, vals)
+            WaveFunction(g, vals)
 
     def test_params_positive(self):
         with pytest.raises(InvalidField):
@@ -68,25 +67,23 @@ class TestFieldValidation:
 class TestIntegrate:
     def test_constant(self):
         g = Grid(0.0, 10.0, 64)
-        assert integrate(RealField(g, np.ones(64))) == pytest.approx(10.0)
+        assert integrate(g, np.ones(64)) == pytest.approx(10.0)
 
     def test_zero(self):
         g = Grid(0.0, 10.0, 64)
-        assert integrate(RealField(g, np.zeros(64))) == 0.0
+        assert integrate(g, np.zeros(64)) == 0.0
 
     def test_sin_squared(self):
         # exact for band-limited periodic integrands
         L = 7.0
         g = Grid(0.0, L, 128)
-        f = RealField(g, np.sin(2 * np.pi * g.x / L) ** 2)
-        assert integrate(f) == pytest.approx(L / 2, abs=1e-12)
+        f = np.sin(2 * np.pi * g.x / L) ** 2
+        assert integrate(g, f) == pytest.approx(L / 2, abs=1e-12)
 
     def test_non_finite_rejected(self):
         g = Grid(0.0, 1.0, 16)
-        f = RealField(g, np.ones(16))
-        object.__setattr__(f, "values", np.full(16, np.nan))
         with pytest.raises(InvalidField):
-            integrate(f)
+            integrate(g, np.full(16, np.nan))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -99,8 +96,8 @@ class TestIntegrate:
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(64)
         h = rng.standard_normal(64)
-        lhs = integrate(RealField(g, a * f + b * h))
-        rhs = a * integrate(RealField(g, f)) + b * integrate(RealField(g, h))
+        lhs = integrate(g, a * f + b * h)
+        rhs = a * integrate(g, f) + b * integrate(g, h)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -262,7 +259,7 @@ class TestExpectation:
         assert mean == pytest.approx(3.25)
 
     def test_symmetric_mean_x(self, grid, params):
-        obs = observables(gaussian_state(grid), RealField(grid, np.zeros(512)), params)
+        obs = observables(gaussian_state(grid), np.zeros(512), params)
         assert obs["mean_x"] == pytest.approx(0.0, abs=1e-10)
 
     def test_gaussian_second_moment(self, grid):
@@ -273,17 +270,17 @@ class TestExpectation:
     def test_zero_norm(self, grid, params):
         psi = WaveFunction(grid, np.zeros(512, dtype=complex))
         with pytest.raises(DegenerateState):
-            observables(psi, RealField(grid, grid.x), params)
+            observables(psi, grid.x, params)
 
 
 def free_observables(psi, params):
-    return observables(psi, RealField(psi.grid, np.zeros(psi.grid.n_points)), params)
+    return observables(psi, np.zeros(psi.grid.n_points), params)
 
 
 class TestObservables:
     def test_plane_wave_momentum(self, grid, params):
         psi, k = plane_wave(grid, 7)
-        obs = observables(psi, RealField(grid, np.zeros(512)), params)
+        obs = observables(psi, np.zeros(512), params)
         assert obs["mean_p"] == pytest.approx(params.hbar * k, abs=1e-10)
 
     def test_real_gaussian_momentum_zero(self, grid, params):
@@ -293,7 +290,7 @@ class TestObservables:
     def test_harmonic_ground_state_energy(self, grid, params):
         # ground state of V = x^2/2 at hbar = m = omega = 1
         psi = gaussian_state(grid, sigma=np.sqrt(0.5))
-        V = RealField(grid, 0.5 * grid.x**2)
+        V = 0.5 * grid.x**2
         obs = observables(psi, V, params)
         assert obs["energy"] == pytest.approx(0.5, abs=1e-6)
 
@@ -324,7 +321,7 @@ class TestObservables:
         psi = WaveFunction(grid, vals)
         params = PhysicalParams(hbar=0.7, mass=1.3)
         V = 0.5 * grid.x**2
-        obs = observables(psi, RealField(grid, V), params)
+        obs = observables(psi, V, params)
 
         n2 = integrate_values(grid, psi.density())
         dpsi = spectral_derivative(grid, vals, 1)
@@ -353,7 +350,7 @@ class TestObservables:
         vals = gaussian_state(grid, x0=1.5, p0=0.8, sigma=1.3).values
         if batch:
             vals = np.stack([vals, gaussian_state(grid, x0=-2.0, p0=-0.3).values])
-        psi, V = WaveFunction(grid, vals), RealField(grid, 0.5 * grid.x**2)
+        psi, V = WaveFunction(grid, vals), 0.5 * grid.x**2
         carried = observables(psi, V, params, np.fft.fft(vals))
         computed = observables(psi, V, params)
         for name in ("norm", "mean_x", "mean_p", "var_x", "energy", "boundary_density"):
@@ -372,6 +369,4 @@ def test_normalize_zero_state(grid):
 
 def test_integrate_values_matches_integrate(grid):
     vals = np.sin(grid.x)
-    assert integrate_values(grid, vals) == pytest.approx(
-        integrate(RealField(grid, vals))
-    )
+    assert integrate_values(grid, vals) == pytest.approx(integrate(grid, vals))

@@ -9,12 +9,11 @@ import pytest
 
 from conftest import gaussian_state, plane_wave
 from gsle.coupling import CouplingFunction
-from gsle.errors import ConfigError, InvalidFriction
+from gsle.errors import ConfigError, NonmonotonePotential
 from gsle.evolve import SimConfig, _Workspace, run
 from gsle.fields import (
     Grid,
     PhysicalParams,
-    RealField,
     density_floor,
     density_terms,
     observables,
@@ -49,35 +48,35 @@ def workspace(grid, **kw):
 class TestCurrent:
     def test_real_state_zero(self, grid, params):
         psi = gaussian_state(grid)
-        assert np.abs(current(psi, params).values).max() < 1e-12
+        assert np.abs(current(psi, params)).max() < 1e-12
 
     def test_plane_wave_constant(self, grid, params):
         psi, k = plane_wave(grid, 6)
-        j = current(psi, params).values
+        j = current(psi, params)
         assert np.allclose(j, k / grid.length, atol=1e-12)
 
     def test_integral_is_velocity(self, grid, params):
         psi = gaussian_state(grid, p0=1.3)
-        jint = integrate(current(psi, params))
-        zero = RealField(grid, np.zeros(grid.n_points))
+        jint = integrate(grid, current(psi, params))
+        zero = np.zeros(grid.n_points)
         assert jint == pytest.approx(observables(psi, zero, params)["mean_p"], abs=1e-8)
 
 
 class TestTildeCurrent:
     def test_linear_coupling_identity(self, grid, params):
         psi = gaussian_state(grid, p0=0.8)
-        j = current(psi, params).values
-        jt = tilde_current(psi, CouplingFunction.linear(), params).values
+        j = current(psi, params)
+        jt = tilde_current(psi, CouplingFunction.linear(), params)
         assert np.array_equal(j, jt)
 
     def test_constant_coupling_zero(self, grid, params):
         psi = gaussian_state(grid, p0=0.8)
-        jt = tilde_current(psi, CouplingFunction.constant(2.0), params).values
+        jt = tilde_current(psi, CouplingFunction.constant(2.0), params)
         assert np.all(jt == 0.0)
 
     def test_quadratic_coupling_weight(self, grid, params):
         psi, k = plane_wave(grid, 3)
-        jt = tilde_current(psi, CouplingFunction.power(2), params).values
+        jt = tilde_current(psi, CouplingFunction.power(2), params)
         assert np.allclose(jt, 4 * grid.x**2 * k / grid.length, atol=1e-10)
 
 
@@ -95,7 +94,7 @@ class TestDissipativePotential:
             ]
         ])
         weight = 0.2 * params.hbar * CouplingFunction.sinusoidal(1.0, 1.0).on_grid(grid, 1) ** 2
-        V = RealField(grid, 0.5 * grid.x**2)
+        V = 0.5 * grid.x**2
         for lead in [(2,), (3, 2)]:
             rows = states[:np.prod(lead)].reshape(lead + (grid.n_points,))
             spectra, density = np.fft.fft(rows), density_terms(grid, rows)
@@ -112,12 +111,12 @@ class TestDissipativePotential:
     def test_zero_friction(self, grid, params):
         psi = gaussian_state(grid, p0=1.0)
         vd, w = dissipative_potential(psi, CouplingFunction.linear(), 0.0, params)
-        assert np.all(vd.values == 0.0) and w == 0.0
+        assert np.all(vd == 0.0) and w == 0.0
 
     def test_negative_friction(self, grid, params):
         psi = gaussian_state(grid)
         for friction in (-0.1, np.nan, np.inf):
-            with pytest.raises(InvalidFriction):
+            with pytest.raises(ConfigError, match="friction must be >= 0 and finite"):
                 dissipative_potential(psi, CouplingFunction.linear(), friction, params)
 
     def test_plane_wave_linear_growth(self, grid, params):
@@ -125,7 +124,7 @@ class TestDissipativePotential:
         alpha = 0.3
         vd, _ = dissipative_potential(psi, CouplingFunction.linear(), alpha, params)
         expected = alpha * k * (grid.x - grid.x_min)
-        assert np.abs((vd.values - vd.values[0]) - expected).max() < 1e-8
+        assert np.abs((vd - vd[0]) - expected).max() < 1e-8
 
     def test_boosted_gaussian_matches_phase(self, grid, params):
         # for a phase p0*x the damping field is friction*p0*(x - <x>)
@@ -135,7 +134,7 @@ class TestDissipativePotential:
         mean_x = density_mean(psi, grid.x)
         mid = slice(grid.n_points * 3 // 8, grid.n_points * 5 // 8)
         expected = alpha * 1.7 * (grid.x - mean_x)
-        assert np.abs((vd.values - w) - expected)[mid].max() < 1e-6
+        assert np.abs((vd - w) - expected)[mid].max() < 1e-6
 
     def test_paper_sign_is_opposite(self, grid, params):
         psi = gaussian_state(grid, p0=1.0)
@@ -143,14 +142,14 @@ class TestDissipativePotential:
         vd_p, _ = dissipative_potential(
             psi, CouplingFunction.linear(), 0.1, params, sign="paper"
         )
-        assert np.allclose(vd_d.values, -vd_p.values)
+        assert np.allclose(vd_d, -vd_p)
 
     def test_mean_is_subtracted_consistently(self, grid, params):
         psi = gaussian_state(grid, p0=0.9)
         vd, w = dissipative_potential(
             psi, CouplingFunction.sinusoidal(1.0, 1.0), 0.2, params
         )
-        mean_vd = density_mean(psi, vd.values)
+        mean_vd = density_mean(psi, vd)
         assert abs(mean_vd - w) < 1e-10
 
     def test_ehrenfest_identification(self, grid, params):
@@ -169,9 +168,9 @@ class TestDissipativePotential:
         drho = np.real(
             spectral_derivative(grid, psi.density().astype(complex), 1)
         )
-        lhs = integrate_values(grid, vd.values * drho)
+        lhs = integrate_values(grid, vd * drho)
         jt = tilde_current(psi, f, params)
-        rhs = -params.mass * alpha * integrate(jt)
+        rhs = -params.mass * alpha * integrate(grid, jt)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -276,7 +275,7 @@ class TestMeasurementPotential:
         resid = (gain + kappa * self.TAU * grid.x**2 / 2.0)[mid]
         assert np.ptp(resid) < 1e-10
         contracted = WaveFunction(grid, out)
-        zero = RealField(grid, np.zeros(grid.n_points))
+        zero = np.zeros(grid.n_points)
         var = observables(contracted, zero, PhysicalParams())["var_x"]
         assert var == pytest.approx(1.0 / (1.0 + 2.0 * kappa * self.TAU), rel=1e-8)
 
@@ -306,12 +305,16 @@ class TestGupDamping:
         out = gup_damping_closed_form(
             psi, PotentialSpec.linear_ramp(1.0), 0.1, params
         )
-        assert np.abs(out.values).max() < 1e-10
+        assert np.abs(out).max() < 1e-10
 
     def test_zero_potential(self, grid, params):
         psi = gaussian_state(grid, p0=1.0)
         out = gup_damping_closed_form(psi, PotentialSpec.free(), 0.1, params)
-        assert np.all(out.values == 0.0)
+        assert np.all(out == 0.0)
+
+    def test_closed_form_rejects_nonmonotone_potential(self, grid, params):
+        with pytest.raises(NonmonotonePotential):
+            gup_damping_closed_form(gaussian_state(grid), PotentialSpec.harmonic(1.0), 0.1, params)
 
     def test_discrepancy_report_keys(self, grid, params):
         psi = gaussian_state(grid, x0=2.0, p0=0.8)
