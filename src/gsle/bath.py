@@ -43,8 +43,8 @@ class BathSpec:
             raise EmptyBath("bath needs at least one oscillator")
         if not (m.size == w.size == d.size):
             raise InvalidField("bath arrays must have equal lengths")
-        if np.any(m <= 0) or np.any(w <= 0):
-            raise InvalidField("oscillator masses and frequencies must be positive")
+        if not (np.isfinite([m, w, d]).all() and (m > 0).all() and (w > 0).all()):
+            raise InvalidField("bath values must be finite, masses and frequencies positive")
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "frequencies", w)
         object.__setattr__(self, "couplings", d)
@@ -67,12 +67,12 @@ class OhmicSpec:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if not self.friction >= 0:
-            raise InvalidField("friction must be >= 0")
-        if not self.cutoff > 0:
-            raise InvalidField("cutoff must be > 0")
-        if not self.temperature >= 0:
-            raise InvalidField("temperature must be >= 0")
+        if not 0 <= self.friction < np.inf:
+            raise InvalidField("friction must be finite and >= 0")
+        if not 0 < self.cutoff < np.inf:
+            raise InvalidField("cutoff must be finite and > 0")
+        if not 0 <= self.temperature < np.inf:
+            raise InvalidField("temperature must be finite and >= 0")
         if self.n_oscillators < 1:
             raise EmptyBath("n_oscillators must be >= 1")
 
@@ -86,8 +86,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "white", "bath"):
             raise ConfigError(f"unknown noise kind '{self.kind}'")
-        if not self.temperature >= 0:
-            raise ConfigError("noise temperature must be >= 0")
+        if not 0 <= self.temperature < np.inf:
+            raise ConfigError("noise temperature must be finite and >= 0")
         if self.kind == "bath" and self.bath is None:
             raise ConfigError("bath noise requires a BathSpec")
 

@@ -13,7 +13,8 @@ treated semi-implicitly inside velocity Verlet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,8 +49,8 @@ class GaussianCloud:
 @dataclass(frozen=True)
 class LangevinConfig:
     params: PhysicalParams = PhysicalParams()
-    potential: PotentialSpec = None
-    coupling: CouplingFunction = None
+    potential: PotentialSpec = field(default_factory=PotentialSpec.free)
+    coupling: CouplingFunction = field(default_factory=CouplingFunction.linear)
     friction: float = 0.0
     noise: NoiseSpec = NoiseSpec()
     dt: float = 0.01
@@ -59,18 +60,14 @@ class LangevinConfig:
     memory: Optional[BathSpec] = None     # None -> Markovian
 
     def __post_init__(self):
-        if self.potential is None:
-            object.__setattr__(self, "potential", PotentialSpec.free())
-        if self.coupling is None:
-            object.__setattr__(self, "coupling", CouplingFunction.linear())
         if not 0 < self.dt < np.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not 0 <= self.friction < np.inf:
             raise ConfigError(f"friction must be finite and >= 0, got {self.friction}")
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be >= 1")
-        if self.n_particles < 1:
-            raise ConfigError("n_particles must be >= 1")
+        for name in ("n_steps", "n_particles"):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {count!r}")
         # GleIntegrator reads no friction, and white noise is scaled by it
         if self.memory is not None and (self.friction or self.noise.kind == "white"):
             raise ConfigError("memory-kernel runs take zero or bath noise and no friction")
@@ -89,9 +86,8 @@ class ClassicalEnsemble:
     seed: int = 0
 
 
-@blowup_on_overflow("non-finite classical force")
 def langevin_step(x, v, config: LangevinConfig, xi_n):
-    """One velocity-Verlet step; x, v, xi_n may be arrays over particles."""
+    """One unchecked velocity-Verlet step; x, v, xi_n may be arrays over particles."""
     m = config.params.mass
     dt = config.dt
     alpha = config.friction
@@ -108,8 +104,6 @@ def langevin_step(x, v, config: LangevinConfig, xi_n):
     fp_new = f(x_new, 1)
     a1 = (-vprime(x_new, 1) + noise_force) / m - alpha * fp_new**2 * v_half
     v_new = v_half + 0.5 * dt * a1
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
-        raise NumericalBlowup("non-finite classical state")
     return x_new, v_new
 
 
@@ -132,6 +126,7 @@ class GleIntegrator:
     folds into z with one product, and J moves on by MEMORY_BLOCK. The
     endpoint w_{n+1} adds dt/2 K(0) w_{n+1}, taken implicitly in v_{n+1}. The
     state is (2 n_osc + MEMORY_BLOCK, n_particles) whatever the run length.
+    step checks nothing: langevin_ensemble checks each new state.
     """
 
     def __init__(self, config: LangevinConfig, x0, v0):
@@ -158,25 +153,21 @@ class GleIntegrator:
         dt = config.dt
         f, vprime = config.coupling, config.potential
         r = self.filled
-        # the history part of the friction sum at t_{n+1}: it reads only stored
-        # sums, so it skips the overflow check, which slows numpy ops
+        # the history part of the friction sum at t_{n+1}
         wt = self.omega * (dt * (self.n + 1))
         folded = (self.weights * np.cos(wt)) @ self.z[0] + (self.weights * np.sin(wt)) @ self.z[1]
         mem_known = dt * (folded + self.lags[MEMORY_BLOCK - r:] @ self.w[:r])
 
-        with blowup_on_overflow("non-finite classical force"):
-            fp = f(self.x, 1)
-            force = -vprime(self.x, 1) + fp * xi_n - m * fp * self.mem
-            v_half = self.v + 0.5 * dt * force / m
-            x_new = self.x + dt * v_half
+        fp = f(self.x, 1)
+        force = -vprime(self.x, 1) + fp * xi_n - m * fp * self.mem
+        v_half = self.v + 0.5 * dt * force / m
+        x_new = self.x + dt * v_half
 
-            fp_new = f(x_new, 1)
-            force_known = -vprime(x_new, 1) + fp_new * xi_n - m * fp_new * mem_known
-            # w_{n+1} = fp_new * v_new enters with trapezoid weight dt/2 * K(0)
-            denom = 1.0 + 0.25 * dt**2 * self.k0 * fp_new**2
-            v_new = (v_half + 0.5 * dt * force_known / m) / denom
-        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
-            raise NumericalBlowup("non-finite GLE state")
+        fp_new = f(x_new, 1)
+        force_known = -vprime(x_new, 1) + fp_new * xi_n - m * fp_new * mem_known
+        # w_{n+1} = fp_new * v_new enters with trapezoid weight dt/2 * K(0)
+        denom = 1.0 + 0.25 * dt**2 * self.k0 * fp_new**2
+        v_new = (v_half + 0.5 * dt * force_known / m) / denom
 
         w_new = fp_new * v_new
         self.x, self.v = x_new, v_new
@@ -199,8 +190,11 @@ def langevin_ensemble(
     """Independent particles, deterministic per (config, seed).
 
     Noise and initial conditions use child streams derived from the master
-    seed, so results do not depend on execution order or parallelism.
+    seed (>= 0), so results do not depend on execution order or parallelism.
+    A non-finite state, or the loop's first float overflow, is NumericalBlowup.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     n_steps, n_p = config.n_steps, config.n_particles
     m = config.params.mass
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1C0]))
@@ -248,11 +242,14 @@ def langevin_ensemble(
 
     gle = GleIntegrator(config, x, v) if config.memory is not None else None
     record(x, v)
-    for slab in noise:
-        for xi_n in slab.T:
-            x, v = gle.step(xi_n) if gle is not None else langevin_step(x, v, config, xi_n)
-            record(x, v)
-        del slab, xi_n   # so only one slab is alive while the next is drawn
+    with blowup_on_overflow("non-finite classical force"):
+        for slab in noise:
+            for xi_n in slab.T:
+                x, v = gle.step(xi_n) if gle is not None else langevin_step(x, v, config, xi_n)
+                if not (np.isfinite(x).all() and np.isfinite(v).all()):
+                    raise NumericalBlowup("non-finite classical state")
+                record(x, v)
+            del slab, xi_n   # so only one slab is alive while the next is drawn
     if filled:
         flush()
     return ClassicalEnsemble(times, **moments, positions=pos, velocities=vel, seed=seed)

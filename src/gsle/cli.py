@@ -37,8 +37,8 @@ config as leading comment lines, so reruns are byte-identical.
 Usage: gsle run|compare CONFIG, or gsle post RUN_DIR; each takes [--seed N] [--out DIR].
 Exit codes: 0 success, 2 numerical failure (such as the first overflow of a
 run), 3 config error. Config errors (a value not of its key's type, such as
-dt = nan; an unknown kind; a value a type rejects, such as sigma <= 0, seed < 0
-or snapshot_stride < 0; a potential or coupling, or its slope, not finite on the
+dt = nan; an unknown kind; a value its config type rejects, such as sigma <= 0,
+seed < 0 or a potential or coupling whose value or slope is not finite on the
 grid; or snapshots, trajectories or weak_values asked of anything but a gsle
 run of one seed with snapshot_stride > 0) exit before any output.
 """
@@ -240,15 +240,6 @@ def _build(section: str, scope: dict):
         raise ConfigError(f"[{section}] kind = {kind}: {exc}") from exc
 
 
-def _profile(section: str, scope: dict) -> CouplingFunction:
-    """The profile _build makes, once its values and slope are finite on the grid."""
-    profile, kind = _build(section, scope), scope[f"{section}.kind"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not all(np.isfinite(profile.on_grid(scope["grid"], k)).all() for k in (0, 1)):
-            raise ConfigError(f"[{section}] kind = {kind}: value or slope not finite on the grid")
-    return profile
-
-
 def _render(resolved) -> str:
     lines = []
     for section, table in resolved.items():
@@ -270,8 +261,6 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
     mode = experiment["mode"]
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got '{mode}'")
-    if experiment["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {experiment['seed']}")
     if experiment["ensemble_seeds"] < 1:
         raise ConfigError("ensemble_seeds must be >= 1")
     if experiment["workers"] != 1:
@@ -285,8 +274,8 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
         params = PhysicalParams(**values["physics"])
     except InvalidField as exc:
         raise ConfigError(str(exc)) from exc
-    potential = scope["potential"] = _profile("potential", scope)
-    coupling = _profile("coupling", scope)
+    potential = scope["potential"] = _build("potential", scope)
+    coupling = _build("coupling", scope)
     noise = _build("noise", scope)
     initial = _build("initial", scope)
 

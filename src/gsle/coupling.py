@@ -130,10 +130,11 @@ PotentialSpec = CouplingFunction
 
 
 def monotone_slope(V, grid: Grid, use: str) -> np.ndarray:
-    """V' on the grid, if V' >= 0 there up to round-off; else NonmonotonePotential."""
-    vp = V.on_grid(grid, 1)
-    if np.any(vp < -1e-12 * max(1.0, np.abs(vp).max())):
-        raise NonmonotonePotential(f"V'(x) < 0 on the grid; {use} undefined")
+    """V' on the grid, if finite and >= 0 there up to round-off; else NonmonotonePotential."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vp = V.on_grid(grid, 1)
+    if not np.isfinite(vp).all() or np.any(vp < -1e-12 * max(1.0, np.abs(vp).max())):
+        raise NonmonotonePotential(f"V'(x) not finite and >= 0 on the grid; {use} undefined")
     return vp
 
 

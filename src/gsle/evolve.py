@@ -32,6 +32,7 @@ too, and every warning is formatted from them.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -43,7 +44,6 @@ from .coupling import CouplingFunction, PotentialSpec
 from .errors import (
     ConfigError,
     InsufficientData,
-    InvalidField,
     NumericalBlowup,
     StabilityWarning,
     blowup_on_overflow,
@@ -74,8 +74,8 @@ class GaussianPacket:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ConfigError(f"initial sigma must be finite and > 0, got {self.sigma}")
+        if not (0 < self.sigma < np.inf and np.isfinite([self.x0, self.p0]).all()):
+            raise ConfigError(f"initial x0, p0 and sigma > 0 must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,12 @@ class HarmonicEigenstate:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A wave run's inputs, each checked once, when built: a bad one is a ConfigError."""
+
     grid: Grid
     params: PhysicalParams = PhysicalParams()
-    potential: PotentialSpec = None
-    coupling: CouplingFunction = None
+    potential: PotentialSpec = field(default_factory=PotentialSpec.free)
+    coupling: CouplingFunction = field(default_factory=CouplingFunction.linear)
     friction: float = 0.0
     noise: NoiseSpec = NoiseSpec()
     kappa: float = 0.0
@@ -107,25 +109,28 @@ class SimConfig:
     snapshot_stride: int = 0         # 0 disables snapshots
 
     def __post_init__(self):
-        if self.potential is None:
-            object.__setattr__(self, "potential", PotentialSpec.free())
-        if self.coupling is None:
-            object.__setattr__(self, "coupling", CouplingFunction.linear())
         if not 0 < self.dt < np.inf:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be >= 1")
-        if self.snapshot_stride < 0:
-            raise ConfigError("snapshot_stride must be >= 0 (0 disables snapshots)")
+        for name, least in (("n_steps", 1), ("snapshot_stride", 0)):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {count!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.friction < np.inf:
             raise ConfigError(f"friction must be >= 0 and finite, got {self.friction}")
         if not 0 <= self.kappa < np.inf:
             raise ConfigError(f"kappa must be >= 0 and finite, got {self.kappa}")
         if self.sign not in SIGNS:
             raise ConfigError(f"sign must be one of {list(SIGNS)}, got '{self.sign}'")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, g in (("potential", self.potential), ("coupling", self.coupling)):
+                if not all(np.isfinite(g.on_grid(self.grid, k)).all() for k in (0, 1)):
+                    raise ConfigError(f"{name} value or slope not finite on the grid")
         init = self.initial_state
-        if isinstance(init, WaveFunction) and init.grid != self.grid:
-            raise ConfigError(f"initial state is on {init.grid}, the run on {self.grid}")
+        if isinstance(init, WaveFunction) and (init.grid, init.values.ndim) != (self.grid, 1):
+            shape = init.values.shape
+            raise ConfigError(f"initial state {shape} on {init.grid}, not (N,) on {self.grid}")
 
 
 @dataclass
@@ -200,10 +205,7 @@ class _Workspace:
             -1j * params.hbar * grid.k**2 * config.dt / (4.0 * params.mass)
         )
         self.ik = grid.ik
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.V = config.potential.on_grid(grid, 0)
-        if not np.isfinite(self.V).all():
-            raise InvalidField("potential has non-finite samples on the grid")
+        self.V = config.potential.on_grid(grid, 0)
         self.f = config.coupling.on_grid(grid, 0)
         # V_d's s * m * friction * f'^2, times the hbar/m of the current
         coef = SIGNS[config.sign] * config.friction * params.hbar
@@ -275,7 +277,7 @@ def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray, out=None
     spectrum = fft(psi) of a state (N,) or of a batch (B, N); xi_n is then a
     (B, 1) column. Returns the new state's spectrum, written into out when
     given (it may be spectrum itself); it shares no memory with the workspace
-    ws and is not checked for finite samples. Each row's dt*max|U|/hbar is
+    ws and is not checked: run checks it. Each row's dt*max|U|/hbar is
     written into guard, a 0-d or (B,) array, as soon as U is built: a step
     that fails later has still recorded it.
     """
@@ -295,9 +297,10 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
 
     Without `seeds`, the one RunRecord of config.seed. With `seeds`, one
     RunRecord per seed, in order: the members are stepped together as one
-    (B, N) batch, each with its own noise row. A member's last bits may
-    depend on the batch it was stepped in: numpy rounds some elementwise
-    loops by memory alignment, and a batch's bath noise is one matrix product.
+    (B, N) batch, each with its own noise row; empty or negative seeds are a
+    ConfigError. A member's last bits may depend on the batch it was stepped
+    in: numpy rounds some elementwise loops by memory alignment, and a
+    batch's bath noise is one matrix product.
 
     Each step writes its spectrum into the next of a block's m slots, m =
     RECORD_BLOCK_ELEMENTS // (B N) clipped to [1, n_steps + 1]; one inverse
@@ -317,6 +320,8 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     batch = [config.seed] if seeds is None else list(seeds)
     if not batch:
         raise ConfigError("an ensemble needs at least one seed")
+    if min(batch) < 0:
+        raise ConfigError(f"seed must be >= 0, got {min(batch)}")
     # a single run steps an (N,) state: the bits are those of a (1, N)
     # batch, and numpy's per-call overhead is lower on 1-D arrays
     lead = () if seeds is None else (len(batch),)

@@ -34,8 +34,8 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if not (self.x_max > self.x_min):
-            raise InvalidField(f"empty grid: [{self.x_min}, {self.x_max})")
+        if not 0 < self.x_max - self.x_min < np.inf:
+            raise InvalidField(f"empty or infinite grid: [{self.x_min}, {self.x_max})")
         if self.n_points < 8 or not _is_power_of_two(self.n_points):
             raise InvalidField(
                 f"n_points must be a power of two >= 8, got {self.n_points}"

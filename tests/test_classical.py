@@ -128,6 +128,19 @@ class TestLangevinStep:
 
 
 class TestGle:
+    def test_blowup_detected(self):
+        """The memory-kernel path stops at its first overflow, as the Markovian one does."""
+        cfg = LangevinConfig(
+            potential=PotentialSpec.double_well(1.0, 1.0),
+            dt=10.0,
+            n_steps=50,
+            n_particles=2,
+            initial=GaussianCloud(3.0, 0.0, 0.1, 0.1),
+            memory=discretize_ohmic(OhmicSpec(0.1, 20.0, 10, 0.0)),
+        )
+        with pytest.raises(NumericalBlowup):
+            langevin_ensemble(cfg, 1)
+
     def test_zero_kernel_conservative(self):
         bath = BathSpec(
             masses=np.array([1.0]),

@@ -220,9 +220,12 @@ class TestRunCommand:
             ),
             (
                 "[run]\nn_steps = 3\n[potential]\nkind = double_well\na = 1e306\n",
-                "[potential] kind = double_well",
+                "potential value or slope not finite on the grid",
             ),
-            ("[run]\nn_steps = 3\n[coupling]\nkind = power\nn = 400\n", "[coupling] kind = power"),
+            (
+                "[run]\nn_steps = 3\n[coupling]\nkind = power\nn = 400\n",
+                "coupling value or slope not finite on the grid",
+            ),
             ("[experiment]\nseed = -1\n[run]\nn_steps = 3\n", "seed must be >= 0"),
         ],
         ids=[

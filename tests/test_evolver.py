@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import noise_array
 from gsle import potentials
-from gsle.bath import OhmicSpec, discretize_ohmic
-from gsle.classical import LangevinConfig, langevin_step
+from gsle import classical
+from gsle.bath import BathSpec, OhmicSpec, discretize_ohmic
+from gsle.classical import LangevinConfig, langevin_ensemble, langevin_step
 from gsle.coupling import CouplingFunction
 from gsle.errors import (
     ConfigError,
@@ -40,6 +41,50 @@ from gsle.potentials import PotentialSpec, dissipative_kernel
 
 GRID = Grid(-20.0, 20.0, 512)
 GROUND_SIGMA = np.sqrt(0.5)
+EXP_CUBE = lambda x: np.exp(x**3)   # overflows on part of GRID
+# case -> (a call with one bad input, the ConfigError it raises)
+BAD_INPUTS = {
+    "coupling_value": (
+        lambda: run(SimConfig(GRID, coupling=CouplingFunction((EXP_CUBE, np.ones_like,
+                                                                np.zeros_like)), n_steps=2)),
+        "coupling value or slope not finite",
+    ),
+    "coupling_slope": (
+        lambda: run(SimConfig(GRID, coupling=CouplingFunction((np.zeros_like, EXP_CUBE,
+                                                                np.zeros_like)),
+                              friction=0.1, n_steps=2)),
+        "coupling value or slope not finite",
+    ),
+    "initial_two_states": (
+        lambda: run(SimConfig(GRID, initial_state=WaveFunction(GRID, np.ones((2, 512))))),
+        "initial state \\(2, 512\\) on",
+    ),
+    "initial_one_row": (
+        lambda: run(SimConfig(GRID, initial_state=WaveFunction(GRID, np.ones((1, 512))))),
+        "initial state \\(1, 512\\) on",
+    ),
+    **{
+        f"seed_{kind}": (
+            lambda noise=noise: run(SimConfig(GRID, noise=noise, friction=0.1, seed=-1)),
+            "seed must be >= 0, got -1",
+        )
+        for kind, noise in [("zero", NoiseSpec()), ("white", NoiseSpec("white", 0.1)),
+                            ("bath", NoiseSpec("bath", 0.1, discretize_ohmic(
+                                OhmicSpec(0.1, 20.0, 10, 0.1))))]
+    },
+    "ensemble_seeds": (
+        lambda: run(SimConfig(GRID), seeds=[-1, 2]), "seed must be >= 0, got -1",
+    ),
+    **{
+        f"classical_seed_{kind}": (
+            lambda noise=noise: langevin_ensemble(
+                LangevinConfig(friction=0.1, noise=noise, n_particles=2), -1
+            ),
+            "seed must be >= 0, got -1",
+        )
+        for kind, noise in [("zero", NoiseSpec()), ("white", NoiseSpec("white", 0.1))]
+    },
+}
 
 
 def harmonic_config(**kw):
@@ -105,16 +150,64 @@ class TestConfigValidation:
             SimConfig(Grid(-10.0, 10.0, 256), initial_state=psi)
 
     def test_non_finite_potential_fails_before_first_step(self, monkeypatch):
-        """V = exp(x^3) overflows on part of the grid: run raises InvalidField
-        before any step, and no RuntimeWarning."""
+        """V = exp(x^3) overflows on part of the grid: SimConfig raises
+        ConfigError, so no step runs, and no RuntimeWarning."""
         V = CouplingFunction((lambda x: np.exp(x**3), np.zeros_like, np.zeros_like))
         steps = []
         monkeypatch.setattr(evolve, "step", lambda *args: steps.append(args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidField, match="potential"):
+            with pytest.raises(ConfigError, match="potential value or slope not finite"):
                 run(SimConfig(GRID, potential=V, n_steps=2))
         assert steps == []
+
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_bad_input_fails_before_first_step(self, monkeypatch, case):
+        """Each entry point rejects a bad input before it draws noise or steps,
+        and no RuntimeWarning: SimConfig its profiles, initial state and seed,
+        run and langevin_ensemble a negative seed."""
+        calls = []
+        for module, name in [(evolve, "noise_rows"), (evolve, "step"), (classical, "noise_rows"),
+                             (classical, "langevin_step"), (classical.GleIntegrator, "step")]:
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=BAD_INPUTS[case][1]):
+                BAD_INPUTS[case][0]()
+        assert calls == []
+
+    @pytest.mark.parametrize("build, error, named", [
+        (lambda: Grid(-np.inf, 0.0, 8), InvalidField, "grid"),
+        (lambda: OhmicSpec(np.inf, 50.0, 10, 0.1), InvalidField, "friction"),
+        (lambda: OhmicSpec(0.1, np.inf, 10, 0.1), InvalidField, "cutoff"),
+        (lambda: OhmicSpec(0.1, 50.0, 10, np.inf), InvalidField, "temperature"),
+        (lambda: BathSpec([1.0], [1.0], [np.nan]), InvalidField, "finite"),
+        (lambda: BathSpec([1.0], [np.inf], [1.0]), InvalidField, "finite"),
+        (lambda: NoiseSpec("white", np.inf), ConfigError, "temperature"),
+        (lambda: GaussianPacket(np.nan, 0.0, 1.0), ConfigError, "x0"),
+        (lambda: GaussianPacket(0.0, np.inf, 1.0), ConfigError, "p0"),
+    ], ids=["grid_x_min", "ohmic_friction", "ohmic_cutoff", "ohmic_temperature", "bath_coupling",
+            "bath_frequency", "white_temperature", "packet_x0", "packet_p0"])
+    def test_non_finite_spec_value_rejected(self, build, error, named):
+        """A non-finite value fails at construction, with the error type of its class."""
+        with pytest.raises(error, match=named):
+            build()
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: SimConfig(GRID, n_steps=2.5), "n_steps"),
+        (lambda: SimConfig(GRID, n_steps=2.0), "n_steps"),
+        (lambda: SimConfig(GRID, snapshot_stride=1.5), "snapshot_stride"),
+        (lambda: LangevinConfig(n_steps=2.5), "n_steps"),
+        (lambda: LangevinConfig(n_particles=2.5), "n_particles"),
+    ], ids=["sim_n_steps", "sim_n_steps_float", "sim_snapshot_stride", "langevin_n_steps",
+            "langevin_n_particles"])
+    def test_count_must_be_integer(self, build, named):
+        with pytest.raises(ConfigError, match=f"{named} must be an integer"):
+            build()
+
+    def test_numpy_integer_counts_accepted(self):
+        SimConfig(GRID, n_steps=np.int64(2), snapshot_stride=np.int32(1))
+        LangevinConfig(n_steps=np.int64(2), n_particles=np.int64(3))
 
     @pytest.mark.parametrize("key", ["friction", "kappa"])
     def test_nan_rejected(self, key):
