@@ -16,6 +16,7 @@ limit); `kernel(t)` names the memory function. They are distinct objects.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -73,8 +74,8 @@ class OhmicSpec:
             raise InvalidField("cutoff must be finite and > 0")
         if not 0 <= self.temperature < np.inf:
             raise InvalidField("temperature must be finite and >= 0")
-        if self.n_oscillators < 1:
-            raise EmptyBath("n_oscillators must be >= 1")
+        if not isinstance(self.n_oscillators, numbers.Integral) or self.n_oscillators < 1:
+            raise EmptyBath(f"n_oscillators must be an integer >= 1, got {self.n_oscillators!r}")
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,7 @@ def _bath_slabs(bath: BathSpec, temperature: float, seeds, slab_times):
         xi = cos_weights @ np.cos(wt)
         xi += sin_weights @ np.sin(wt)
         yield np.negative(xi, out=xi)
+        del wt, xi   # the caller's slab is freed before the next is drawn
 
 
 def sample_bath_noise_batch(bath: BathSpec, temperature: float, times, seeds) -> np.ndarray:
@@ -158,6 +160,14 @@ def white_noise_sigma(alpha: float, temperature: float, system_mass: float, dt: 
     2 m alpha T delta(t - t').
     """
     return np.sqrt(2.0 * system_mass * alpha * temperature / dt)
+
+
+def check_seed(seed):
+    """A seed of noise rows is an integer >= 0; anything else is a ConfigError."""
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def noise_rows(

@@ -19,17 +19,15 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathSpec, NoiseSpec, memory_kernel, noise_rows
+from .bath import BathSpec, NoiseSpec, check_seed, memory_kernel, noise_rows
 from .coupling import CouplingFunction, PotentialSpec
 from .errors import ConfigError, NumericalBlowup, blowup_on_overflow
-from .fields import PhysicalParams
+from .fields import BlockRecorder, PhysicalParams
 
 # the per-time moments of a ClassicalEnsemble, in its CSV column order
 MOMENTS = ("mean_x", "mean_p", "var_x", "stderr_x", "stderr_p")
 # rows of w = f'(x) x' that GleIntegrator buffers before folding them into its sums
 MEMORY_BLOCK = 64
-# particle values per buffer of recorded x (256 KiB), unless one step holds more
-RECORD_BLOCK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -190,11 +188,11 @@ def langevin_ensemble(
     """Independent particles, deterministic per (config, seed).
 
     Noise and initial conditions use child streams derived from the master
-    seed (>= 0), so results do not depend on execution order or parallelism.
-    A non-finite state, or the loop's first float overflow, is NumericalBlowup.
+    seed (an integer >= 0), so results do not depend on execution order or
+    parallelism. A non-finite state, or the loop's first float overflow, is
+    NumericalBlowup at t, the time of the state that the failing step makes.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     n_steps, n_p = config.n_steps, config.n_particles
     m = config.params.mass
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1C0]))
@@ -214,42 +212,33 @@ def langevin_ensemble(
     se = lambda a: a.std(axis=1, ddof=1) / np.sqrt(n_p) if n_p > 1 else 0.0
     pos = np.empty((n_p, n_steps + 1)) if keep_particles else None
     vel = np.empty((n_p, n_steps + 1)) if keep_particles else None
-    # each step's x and v go to the next row of a block, and each block is
-    # reduced row by row in one call per moment
-    rows = max(1, min(n_steps + 1, RECORD_BLOCK_VALUES // n_p))
-    block_x, block_v = np.empty((rows, n_p)), np.empty((rows, n_p))
-    first = filled = 0   # step index of the block's first row; rows buffered
+    # x and v of a block of steps, reduced row by row in one call per moment
 
-    def flush():
-        nonlocal first, filled
-        x, v = block_x[:filled], block_v[:filled]
+    def reduce(steps, x, v):
         p = m * v
-        steps = slice(first, first + filled)
         values = (x.mean(axis=1), p.mean(axis=1), x.var(axis=1), se(x), se(p))
         for name, value in zip(MOMENTS, values):
             moments[name][steps] = value
         if keep_particles:
             pos[:, steps] = x.T
             vel[:, steps] = v.T
-        first, filled = first + filled, 0
 
-    def record(x, v):
-        nonlocal filled
-        block_x[filled], block_v[filled] = x, v
-        filled += 1
-        if filled == rows:
-            flush()
-
+    recorder = BlockRecorder(n_steps + 1, (x, v), reduce)
     gle = GleIntegrator(config, x, v) if config.memory is not None else None
-    record(x, v)
-    with blowup_on_overflow("non-finite classical force"):
-        for slab in noise:
-            for xi_n in slab.T:
-                x, v = gle.step(xi_n) if gle is not None else langevin_step(x, v, config, xi_n)
-                if not (np.isfinite(x).all() and np.isfinite(v).all()):
-                    raise NumericalBlowup("non-finite classical state")
-                record(x, v)
-            del slab, xi_n   # so only one slab is alive while the next is drawn
-    if filled:
-        flush()
+    recorder.push(x, v)
+    i = 0   # the state that the step under way makes
+    try:
+        with blowup_on_overflow("non-finite classical force"):
+            for slab in noise:
+                for xi_n in slab.T:
+                    i += 1
+                    x, v = gle.step(xi_n) if gle is not None else langevin_step(x, v, config, xi_n)
+                    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+                        raise NumericalBlowup("non-finite classical state")
+                    recorder.push(x, v)
+                del slab, xi_n   # so only one slab is alive while the next is drawn
+            recorder.flush()
+    except NumericalBlowup as exc:
+        exc.t = times[i]
+        raise
     return ClassicalEnsemble(times, **moments, positions=pos, velocities=vel, seed=seed)

@@ -23,11 +23,11 @@ the phase into a workspace buffer. `run` owns the clock, checks every new
 spectrum for finite samples and stops at the first float operation that
 overflows or turns invalid.
 
-`run` records in blocks: each step writes its spectrum into a block's next
-slot; one inverse transform makes the block's states, and one `observables`
-and one W-only `dissipative_kernel` call read them with one density. Each
-state's edge density and each step's stability guard are recorded columns
-too, and every warning is formatted from them.
+`run` records through a `fields.BlockRecorder`: each step writes its spectrum
+into the recorder's next slot, and each block of RECORD_BLOCK_ELEMENTS samples
+is read by one inverse transform and one `observables` and one W-only
+`dissipative_kernel` call with one density. Each state's edge density and each
+step's stability guard are recorded columns too; every warning reads them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bath import NoiseSpec, noise_rows
+from .bath import NoiseSpec, check_seed, noise_rows
 from .coupling import CouplingFunction, PotentialSpec
 from .errors import (
     ConfigError,
@@ -49,6 +49,8 @@ from .errors import (
     blowup_on_overflow,
 )
 from .fields import (
+    RECORD_BLOCK_ELEMENTS,  # noqa: F401 (run's block size, named here for its callers)
+    BlockRecorder,
     Grid,
     PhysicalParams,
     WaveFunction,
@@ -63,8 +65,6 @@ BOUNDARY_DENSITY_LIMIT = 1e-6
 STABILITY_LIMIT = 0.5   # of a step's guard dt*max|U|/hbar
 # the RunRecord columns that observables.csv writes after t, in its order
 RECORDED = ("norm", "mean_x", "mean_p", "var_x", "energy", "W", "xi")
-# complex samples per record buffer (512 KiB), unless one state is larger
-RECORD_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ class HarmonicEigenstate:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ConfigError(f"eigenstate index must be >= 0, got {self.index}")
+        if not isinstance(self.index, numbers.Integral) or self.index < 0:
+            raise ConfigError(f"eigenstate index must be an integer >= 0, got {self.index!r}")
         if not 0 < self.omega < np.inf:
             raise ConfigError(f"eigenstate omega must be finite and > 0, got {self.omega}")
 
@@ -115,8 +115,7 @@ class SimConfig:
             count = getattr(self, name)
             if not isinstance(count, numbers.Integral) or count < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {count!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
         if not 0 <= self.friction < np.inf:
             raise ConfigError(f"friction must be >= 0 and finite, got {self.friction}")
         if not 0 <= self.kappa < np.inf:
@@ -297,31 +296,32 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
 
     Without `seeds`, the one RunRecord of config.seed. With `seeds`, one
     RunRecord per seed, in order: the members are stepped together as one
-    (B, N) batch, each with its own noise row; empty or negative seeds are a
-    ConfigError. A member's last bits may depend on the batch it was stepped
+    (B, N) batch, each with its own noise row; empty seeds, or a seed that
+    bath.check_seed rejects, are a ConfigError. A member's last bits may depend on the batch it was stepped
     in: numpy rounds some elementwise loops by memory alignment, and a
     batch's bath noise is one matrix product.
 
-    Each step writes its spectrum into the next of a block's m slots, m =
-    RECORD_BLOCK_ELEMENTS // (B N) clipped to [1, n_steps + 1]; one inverse
-    transform per block makes its states, read by one `observables` and one
-    W-only `dissipative_kernel` call. The spectra and states buffers hold at
-    most 1 MiB, or one state each when a state is larger. Each row is reduced
-    alone, so the record is the one a read per step would give (t = 0 reads
-    ifft(fft(psi_0))); a snapshot is its own ifft. The clock adds dt once per
-    step. A non-finite spectrum, or a float operation of a step or record
-    that overflows, raises NumericalBlowup; it carries the observables of
-    the last recorded state, read from its partial block. A guard past
-    STABILITY_LIMIT raises one StabilityWarning per call, naming a batch's seeds.
+    Each step writes its spectrum into the next slot of a BlockRecorder, whose
+    states and spectra buffers hold m = RECORD_BLOCK_ELEMENTS // (B N) states
+    each, clipped to [1, n_steps + 1]: at most 1 MiB together, or one state
+    each when a state is larger. One inverse transform per block makes its
+    states, read by one `observables` and one W-only `dissipative_kernel`
+    call; a snapshot copies its state. Each row is reduced alone, so the record
+    is the one a read per step would give (t = 0 reads ifft(fft(psi_0))). A
+    non-finite spectrum, or a float operation of a step or record that
+    overflows, raises NumericalBlowup; it carries the observables of the last
+    recorded state, read from its partial block. A guard past STABILITY_LIMIT
+    raises one StabilityWarning per call, naming a batch's seeds.
 
     Deterministic for a given (config, seeds). The noise is built one slab of
-    at most NOISE_BLOCK_STEPS steps at a time, as the steps reach it.
+    at most NOISE_BLOCK_STEPS steps at a time, and a spent slab is dropped
+    before the next is drawn.
     """
     batch = [config.seed] if seeds is None else list(seeds)
     if not batch:
         raise ConfigError("an ensemble needs at least one seed")
-    if min(batch) < 0:
-        raise ConfigError(f"seed must be >= 0, got {min(batch)}")
+    for seed in batch:
+        check_seed(seed)
     # a single run steps an (N,) state: the bits are those of a (1, N)
     # batch, and numpy's per-call overhead is lower on 1-D arrays
     lead = () if seeds is None else (len(batch),)
@@ -331,68 +331,53 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     shape = lead + (config.grid.n_points,)
     psi = np.broadcast_to(build_initial_state(config).values, shape).copy()
 
-    times = np.empty(n + 1)
+    times = np.cumsum(np.r_[0.0, np.full(n, config.dt)])   # the clock adds dt once per step
     names = RECORDED + ("boundary_density", "stability_guard")
     table = {name: np.full((n + 1,) + lead, np.nan) for name in names}
     guard = table["stability_guard"]   # a step that fails before building U leaves NaN
     snapshots = []
     stride = config.snapshot_stride
-    m = max(1, min(n + 1, RECORD_BLOCK_ELEMENTS // psi.size))
-    block_vals = np.empty((m,) + psi.shape, dtype=complex)
-    block_spectra = np.empty_like(block_vals)
-    first = filled = 0   # step index of the block's first state; states buffered
 
-    def flush():
-        nonlocal first, filled
-        if not filled:
-            return
-        spectra = block_spectra[:filled]
-        vals = np.fft.ifft(spectra, out=block_vals[:filled])
+    def reduce(steps, vals, spectra):
+        np.fft.ifft(spectra, out=vals)
         density = density_terms(config.grid, vals)
         obs = observables(WaveFunction(config.grid, vals), ws.V, config.params, spectra, density[0])
-        rows = slice(first, first + filled)
         for name, col in obs.items():
-            table[name][rows] = col
-        table["W"][rows] = 0.0 if ws.vd_weight is None else dissipative_kernel(
+            table[name][steps] = col
+        table["W"][steps] = 0.0 if ws.vd_weight is None else dissipative_kernel(
             vals, ws.vd_weight, ws.ik, config.grid, spectra, density
         )[1]
-        first, filled = first + filled, 0
+        snapshots.extend((j, vals[j - steps.start].reshape(len(batch), -1).copy())
+                         for j in range(steps.start, steps.stop) if stride and j % stride == 0)
 
-    def record(i, t, spectrum):   # spectrum is block_spectra[filled]
-        nonlocal filled
-        filled += 1
-        times[i] = t
-        if stride and i % stride == 0:
-            snapshots.append((i, np.fft.ifft(spectrum).reshape(len(batch), -1)))
-        if filled == m:
-            flush()
-
-    t = 0.0
-    spectrum = np.fft.fft(psi, out=block_spectra[0])
-    record(0, t, spectrum)
+    recorder = BlockRecorder(n + 1, (psi, psi), reduce)   # states, spectra
+    spectrum = np.fft.fft(psi, out=recorder.slot(1))
+    recorder.push()
     # psi, the initial state, stays referenced to the end: freeing it after
     # step 1 raised a 32 x 512 ensemble's peak RSS by 1 MB (glibc places the
     # later arrays differently)
-    i = 0   # a slab's float error can stop the run before step 0
+    i = 0   # the last recorded state; a slab's float error can stop the run before step 0
     try:
         with blowup_on_overflow("non-finite wave step"):
-            # step i's xi: a (B,) row of a slab, or a scalar in a single run
-            for i, xi in enumerate(x for slab in noise for x in slab.T.reshape((-1,) + lead)):
-                table["xi"][i] = xi
-                t += config.dt   # the time of the state that step i + 1 makes
-                spectrum = step(spectrum, xi[..., None], ws, guard[i, ...], block_spectra[filled])
-                if not np.isfinite(spectrum).all():
-                    raise NumericalBlowup(f"non-finite wavefunction at t = {t:.6g}")
-                record(i + 1, t, spectrum)
+            for slab in noise:
+                # step i's xi: a (B,) row of the slab, or a scalar in a single run
+                for xi in slab.T.reshape((-1,) + lead):
+                    table["xi"][i] = xi
+                    spectrum = step(spectrum, xi[..., None], ws, guard[i, ...], recorder.slot(1))
+                    if not np.isfinite(spectrum).all():
+                        raise NumericalBlowup(f"non-finite wavefunction at t = {times[i + 1]:.6g}")
+                    recorder.push()
+                    i += 1
+                del slab, xi   # so only one slab is alive while the next is drawn
+            recorder.flush()
     except NumericalBlowup as exc:
-        flush()   # the partial block holds the last recorded state
-        exc.t = t
+        recorder.flush()   # the partial block holds the last recorded state
+        exc.t = times[min(i + 1, n)]   # of the state that step i makes, or the last one
         exc.last_observables = {
             "t": times[i], **{name: table[name][i] for name in ("norm", "mean_x", "energy")}
         }
         raise
     finally:
-        flush()
         _warn_stability(guard, None if seeds is None else batch)
     table["xi"][n], guard[n] = table["xi"][n - 1], guard[n - 1]   # the last step's, again
     # one contiguous (B, n + 1) block per quantity; member b reads row b

@@ -7,6 +7,7 @@ on a periodic grid, both spectrally accurate for smooth periodic data.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,10 +20,8 @@ from .errors import DegenerateState, InvalidField, UnsupportedOrder
 # Density floor used everywhere a |psi|^2 shows up in a denominator or a log,
 # relative to max|psi|^2.
 DENSITY_FLOOR_REL = 1e-12
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+# elements per buffer of a BlockRecorder (512 KiB of complex), unless one row holds more
+RECORD_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,9 @@ class Grid:
     def __post_init__(self):
         if not 0 < self.x_max - self.x_min < np.inf:
             raise InvalidField(f"empty or infinite grid: [{self.x_min}, {self.x_max})")
-        if self.n_points < 8 or not _is_power_of_two(self.n_points):
-            raise InvalidField(
-                f"n_points must be a power of two >= 8, got {self.n_points}"
-            )
+        n = self.n_points
+        if not isinstance(n, numbers.Integral) or n < 8 or n & (n - 1):
+            raise InvalidField(f"n_points must be an integer power of two >= 8, got {n!r}")
 
     @property
     def dx(self) -> float:
@@ -288,3 +286,36 @@ def density_terms(grid: Grid, vals: np.ndarray):
     at density_floor (the density of every denominator and log) and int rho."""
     rho = np.abs(vals) ** 2
     return rho, np.maximum(rho, density_floor(rho)), integrate_values(grid, rho)
+
+
+class BlockRecorder:
+    """Rows of per-step values, handed to reduce(steps, *rows) a block at a time.
+
+    One buffer per array of `like` holds m rows shaped and typed like it, m =
+    RECORD_BLOCK_ELEMENTS // like[0].size clipped to [1, n_rows]; steps is a
+    block's slice of row indices and rows the filled part of each buffer.
+    """
+
+    def __init__(self, n_rows: int, like: tuple, reduce):
+        m = max(1, min(n_rows, RECORD_BLOCK_ELEMENTS // like[0].size))
+        self.buffers = [np.empty((m,) + a.shape, a.dtype) for a in like]
+        self.reduce = reduce
+        self.first = self.filled = 0   # row index of the block's first row; rows buffered
+
+    def slot(self, k: int) -> np.ndarray:
+        """Buffer k's next row, for a caller that writes it in place before push."""
+        return self.buffers[k][self.filled]
+
+    def push(self, *values):
+        """Write values into the next row of the first buffers; reduce a full block."""
+        for buf, value in zip(self.buffers, values):
+            buf[self.filled] = value
+        self.filled += 1
+        if self.filled == len(self.buffers[0]):
+            self.flush()
+
+    def flush(self):
+        if self.filled:
+            steps = slice(self.first, self.first + self.filled)
+            self.reduce(steps, *(buf[: self.filled] for buf in self.buffers))
+            self.first, self.filled = steps.stop, 0

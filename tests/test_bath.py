@@ -1,6 +1,7 @@
 """Oscillator bath: memory kernel, Ohmic discretization, noise sampling."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gsle.bath import (
     sample_bath_noise_batch,
     white_noise_sigma,
 )
+from gsle import classical, evolve
 from gsle.classical import LangevinConfig, langevin_ensemble
 from gsle.errors import EmptyBath, InvalidField
 from gsle.evolve import SimConfig, run
@@ -276,6 +278,54 @@ class TestSlabMemory:
     def test_peak_does_not_grow_with_n_steps(self, make):
         short, long = (traced_peak(getattr(self, make)(k * NOISE_BLOCK_STEPS)) for k in (2, 8))
         assert long < 1.25 * short, f"peak {short / 1e6:.2f} MB at 2 slabs, {long / 1e6:.2f} MB at 8"
+
+    @pytest.mark.parametrize("loop", ["wave", "wave_batch", "langevin"])
+    def test_spent_slab_dropped_before_next_draw(self, monkeypatch, loop):
+        """Once a run loop has the next slab, no earlier slab is alive: neither
+        the loop nor noise_rows holds a row of it while the next is drawn."""
+        alive = []
+
+        def watched(*args):
+            refs = []
+            for slab in noise_rows(*args):
+                alive.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(slab))
+                yield slab
+
+        module = classical if loop == "langevin" else evolve
+        monkeypatch.setattr(module, "noise_rows", watched)
+        n_steps = 3 * NOISE_BLOCK_STEPS + 1
+        noise = NoiseSpec("white", 0.05)
+        if loop == "langevin":
+            langevin_ensemble(LangevinConfig(
+                potential=PotentialSpec.harmonic(1.0), friction=0.1, noise=noise,
+                n_steps=n_steps, n_particles=3,
+            ), seed=3)
+        else:
+            run(SimConfig(Grid(-10.0, 10.0, 64), potential=PotentialSpec.harmonic(1.0),
+                          friction=0.1, noise=noise, n_steps=n_steps),
+                None if loop == "wave" else [3, 4])
+        assert alive == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("kind", ["white", "bath"])
+    def test_noise_rows_drops_spent_slab(self, monkeypatch, kind):
+        """noise_rows holds no spent slab while it builds the next: whenever a
+        slab's array is made (np.zeros for white noise, np.outer for bath
+        noise), no slab the caller has dropped is alive."""
+        bath = discretize_ohmic(OhmicSpec(0.1, 20.0, 10, 0.1), 1.0)
+        noise = NoiseSpec(kind, 0.1, bath=bath if kind == "bath" else None)
+        refs, alive = [], []
+        made = np.zeros if kind == "white" else np.outer
+
+        def probe(*args, **kw):
+            alive.append(sum(ref() is not None for ref in refs))
+            return made(*args, **kw)
+
+        monkeypatch.setattr(np, made.__name__, probe)
+        for slab in noise_rows(noise, 0.1, 1.0, 0.01, 3 * NOISE_BLOCK_STEPS + 1, [1, 2]):
+            refs.append(weakref.ref(slab))
+            del slab
+        assert len(alive) >= 4 and not any(alive), alive
 
     def test_langevin_holds_one_slab_at_a_time(self):
         """langevin_ensemble drops its spent slab, and noise_rows its own

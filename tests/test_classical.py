@@ -1,5 +1,7 @@
 """Classical Langevin / memory-kernel ensemble oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from gsle.bath import (
 from gsle.classical import (
     MEMORY_BLOCK,
     MOMENTS,
-    RECORD_BLOCK_VALUES,
     GaussianCloud,
     GleIntegrator,
     LangevinConfig,
@@ -26,7 +27,7 @@ from gsle.classical import (
 )
 from gsle.coupling import CouplingFunction
 from gsle.errors import ConfigError, NumericalBlowup
-from gsle.fields import PhysicalParams
+from gsle.fields import RECORD_BLOCK_ELEMENTS, PhysicalParams
 from gsle.potentials import PotentialSpec
 
 
@@ -78,6 +79,35 @@ class TestLangevinStep:
         )
         with pytest.raises(NumericalBlowup):
             langevin_ensemble(cfg, 1)
+
+    def test_blowup_names_its_time(self):
+        """A blow-up carries t, the time of the state that the failing step
+        makes: here the 15th step's, whose force overflows."""
+        cfg = LangevinConfig(
+            potential=PotentialSpec.cubic(5.0), dt=0.1, n_steps=400, initial=GaussianCloud(-3.0)
+        )
+        x, v = np.array([-3.0]), np.array([0.0])
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+            for k in range(1, 401):
+                x, v = langevin_step(x, v, cfg, np.zeros(1))
+        assert k == 15
+        with pytest.raises(NumericalBlowup) as caught:
+            langevin_ensemble(cfg, 0)
+        assert caught.value.t == 0.1 * 15
+
+    def test_last_block_overflow_is_blowup(self):
+        """An overflow in the moments of the last, partial record block is a
+        NumericalBlowup at the last state's time, as in a full block: var_x
+        of this unstable run overflows after step 180, past the first block
+        of 2**15 // 200 = 163 rows."""
+        cfg = LangevinConfig(
+            potential=PotentialSpec.harmonic(1.0), dt=3.0, n_steps=185, n_particles=200,
+            initial=GaussianCloud(1.0, 0.0, 0.1, 0.0),
+        )
+        assert np.isfinite(langevin_ensemble(replace(cfg, n_steps=180), 0).var_x).all()
+        with pytest.raises(NumericalBlowup) as caught:
+            langevin_ensemble(cfg, 0)
+        assert caught.value.t == 3.0 * 185
 
     def test_equipartition(self):
         """Free particle with white noise thermalizes to <v^2> = T/m."""
@@ -416,7 +446,7 @@ class TestEnsemble:
         """The moments of each record block are those of a per-step read, bit
         for bit, in runs that cross a noise slab and a record block."""
         m = 1.5
-        n_steps = max(RECORD_BLOCK_VALUES // n_p, NOISE_BLOCK_STEPS) + 5
+        n_steps = max(RECORD_BLOCK_ELEMENTS // n_p, NOISE_BLOCK_STEPS) + 5
         bath = discretize_ohmic(OhmicSpec(0.2, 10.0, 8, 0.3), m)
         cfg = harmonic_cfg(
             params=PhysicalParams(mass=m),

@@ -309,6 +309,22 @@ class TestRunCommand:
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "NumericalBlowup"
 
+    def test_classical_blowup_names_its_time(self, tmp_path):
+        """A classical blow-up's error.json holds t, as a wave blow-up's does."""
+        cfg = write_cfg(
+            tmp_path,
+            "[experiment]\nmode = classical\n"
+            "[potential]\nkind = cubic\nc = 5\n"
+            "[run]\ndt = 0.1\nn_steps = 400\n"
+            "[initial]\nx0 = -3\n"
+            "[classical]\nn_particles = 4\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "NumericalBlowup"
+        assert err["t"] in (0.1 * np.arange(1, 401)).tolist()
+
     def test_wave_blowup_stops_at_first_overflow(self, tmp_path):
         """An overflowing step exits 2 at once: one short guard warning, no numpy warnings."""
         cfg = write_cfg(tmp_path, "[run]\nfriction = 1e303\nn_steps = 10\n[initial]\nx0 = 2\n")

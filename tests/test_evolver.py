@@ -16,6 +16,7 @@ from gsle.classical import LangevinConfig, langevin_ensemble, langevin_step
 from gsle.coupling import CouplingFunction
 from gsle.errors import (
     ConfigError,
+    EmptyBath,
     InsufficientData,
     InvalidField,
     NumericalBlowup,
@@ -74,6 +75,13 @@ BAD_INPUTS = {
     },
     "ensemble_seeds": (
         lambda: run(SimConfig(GRID), seeds=[-1, 2]), "seed must be >= 0, got -1",
+    ),
+    "ensemble_seed_float": (
+        lambda: run(SimConfig(GRID), seeds=[2, 1.5]), "seed must be an integer, got 1.5",
+    ),
+    "classical_seed_float": (
+        lambda: langevin_ensemble(LangevinConfig(noise=NoiseSpec("white", 0.1)), 1.5),
+        "seed must be an integer, got 1.5",
     ),
     **{
         f"classical_seed_{kind}": (
@@ -165,7 +173,7 @@ class TestConfigValidation:
     def test_bad_input_fails_before_first_step(self, monkeypatch, case):
         """Each entry point rejects a bad input before it draws noise or steps,
         and no RuntimeWarning: SimConfig its profiles, initial state and seed,
-        run and langevin_ensemble a negative seed."""
+        run and langevin_ensemble a negative or non-integer seed."""
         calls = []
         for module, name in [(evolve, "noise_rows"), (evolve, "step"), (classical, "noise_rows"),
                              (classical, "langevin_step"), (classical.GleIntegrator, "step")]:
@@ -193,21 +201,33 @@ class TestConfigValidation:
         with pytest.raises(error, match=named):
             build()
 
-    @pytest.mark.parametrize("build, named", [
-        (lambda: SimConfig(GRID, n_steps=2.5), "n_steps"),
-        (lambda: SimConfig(GRID, n_steps=2.0), "n_steps"),
-        (lambda: SimConfig(GRID, snapshot_stride=1.5), "snapshot_stride"),
-        (lambda: LangevinConfig(n_steps=2.5), "n_steps"),
-        (lambda: LangevinConfig(n_particles=2.5), "n_particles"),
+    @pytest.mark.parametrize("build, error, named", [
+        (lambda: SimConfig(GRID, n_steps=2.5), ConfigError, "n_steps"),
+        (lambda: SimConfig(GRID, n_steps=2.0), ConfigError, "n_steps"),
+        (lambda: SimConfig(GRID, snapshot_stride=1.5), ConfigError, "snapshot_stride"),
+        (lambda: LangevinConfig(n_steps=2.5), ConfigError, "n_steps"),
+        (lambda: LangevinConfig(n_particles=2.5), ConfigError, "n_particles"),
+        (lambda: SimConfig(GRID, seed=1.5), ConfigError, "seed"),
+        (lambda: HarmonicEigenstate(1.5), ConfigError, "index"),
+        (lambda: Grid(-1.0, 1.0, 8.0), InvalidField, "n_points"),
+        (lambda: OhmicSpec(0.1, 10.0, 2.5, 0.1), EmptyBath, "n_oscillators"),
     ], ids=["sim_n_steps", "sim_n_steps_float", "sim_snapshot_stride", "langevin_n_steps",
-            "langevin_n_particles"])
-    def test_count_must_be_integer(self, build, named):
-        with pytest.raises(ConfigError, match=f"{named} must be an integer"):
-            build()
+            "langevin_n_particles", "sim_seed", "eigenstate_index", "grid_n_points",
+            "ohmic_n_oscillators"])
+    def test_count_must_be_integer(self, build, error, named):
+        """A float count fails at construction, under warnings as errors, with
+        the error type of its class."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"{named} must be an integer"):
+                build()
 
     def test_numpy_integer_counts_accepted(self):
-        SimConfig(GRID, n_steps=np.int64(2), snapshot_stride=np.int32(1))
+        SimConfig(GRID, n_steps=np.int64(2), snapshot_stride=np.int32(1), seed=np.int64(1))
         LangevinConfig(n_steps=np.int64(2), n_particles=np.int64(3))
+        HarmonicEigenstate(np.int64(1))
+        OhmicSpec(0.1, 10.0, np.int32(2), 0.1)
+        Grid(-1.0, 1.0, np.int64(8))
 
     @pytest.mark.parametrize("key", ["friction", "kappa"])
     def test_nan_rejected(self, key):

@@ -1,4 +1,5 @@
-"""Static checks on the package source: every imported name is used."""
+"""Static checks on the package source: every imported name is used, and every
+private or ALL-CAPS module-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,52 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_module_names(sources: dict) -> list:
+    """Top-level private (`_x`, not dunder) or ALL-CAPS names that no line of
+    any of the sources (name -> text) reads, other than their own definition
+    line. A read is a loaded name or an attribute of that name."""
+    defined, reads = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, node.lineno, name) for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add((node.id, module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.add((node.attr, module, node.lineno))
+    read_names = {}
+    for name, module, line in reads:
+        read_names.setdefault(name, set()).add((module, line))
+    private = lambda name: name.startswith("_") and not name.startswith("__")
+    return [
+        f"{module} line {line}: {name}"
+        for module, line, name in defined
+        if (private(name) or name.isupper()) and not read_names.get(name, set()) - {(module, line)}
+    ]
+
+
+def test_finds_an_unread_module_name():
+    sources = {
+        "a.py": "import x\n_unused = 1\nUSED = 2\nDEAD = 3\n__all__ = []\n"
+                "def _helper():\n    return USED\nclass Public:\n    pass\n",
+        "b.py": "from a import _helper, DEAD\n_helper()\n_self = _self if 0 else 1\n",
+    }
+    # an import is no read, nor is a read on the name's own definition line
+    assert unread_module_names(sources) == [
+        "a.py line 2: _unused", "a.py line 4: DEAD", "b.py line 3: _self"
+    ]
+
+
+def test_every_private_and_constant_name_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_module_names(sources) == []
