@@ -130,12 +130,11 @@ def _bath_slabs(bath: BathSpec, temperature: float, seeds, slab_times):
     if temperature < 0:
         raise InvalidField("temperature must be >= 0")
     m, w, d = bath.masses, bath.frequencies, bath.couplings
-    q = np.empty((len(seeds), bath.n_oscillators))
-    p = np.empty_like(q)
-    for row, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        q[row] = rng.standard_normal(bath.n_oscillators)
-        p[row] = rng.standard_normal(bath.n_oscillators)
+    n = bath.n_oscillators
+    qp = np.empty((len(seeds), 2 * n))
+    for row, seed in enumerate(seeds):   # q, then p, from the row's own stream
+        np.random.Generator(np.random.PCG64(seed)).standard_normal(out=qp[row])
+    q, p = qp[:, :n], qp[:, n:]
     cos_weights = d * (q * np.sqrt(temperature / (m * w**2)))
     sin_weights = d * (p * np.sqrt(m * temperature)) / (m * w)
     for times in slab_times:
@@ -149,7 +148,7 @@ def _bath_slabs(bath: BathSpec, temperature: float, seeds, slab_times):
 
 
 def sample_bath_noise_batch(bath: BathSpec, temperature: float, times, seeds) -> np.ndarray:
-    """xi(t) for each seed (an int or a SeedSequence): one (len(seeds), len(times)) slab."""
+    """xi(t) for each seed (as in noise_rows): one (len(seeds), len(times)) slab."""
     return next(_bath_slabs(bath, temperature, seeds, [np.asarray(times, dtype=float)]))
 
 
@@ -160,6 +159,45 @@ def white_noise_sigma(alpha: float, temperature: float, system_mass: float, dt: 
     2 m alpha T delta(t - t').
     """
     return np.sqrt(2.0 * system_mass * alpha * temperature / dt)
+
+
+def spawn_seeds(seed: int, n: int) -> list:
+    """The seeds of np.random.SeedSequence(seed).spawn(n): PCG64 seeded from one
+    draws that child's stream, bit for bit. Child i's entropy is seed's words,
+    zero-padded to four, then i: numpy's hash (NEP 19) mixes i into the pool of
+    SeedSequence(seed), 4 hashmix calls a word in, and runs generate_state(4,
+    uint64), here in uint32 array arithmetic over all children at once."""
+    seed, mask = int(seed), 0xFFFFFFFF
+
+    def hashmix(value, h, mult):   # numpy's hashmix, or a generate_state step; and the next h
+        h_next = h * mult & mask
+        value = (value ^ h) * h_next
+        return value ^ value >> 16, h_next
+
+    h = 0x43B0D7E5 * pow(0x931E8875, 4 * max(4, -(-seed.bit_length() // 32)), 1 << 32) & mask
+    index, pool = np.arange(n, dtype=np.uint32), []
+    for word in np.random.SeedSequence(seed).pool.tolist():
+        value, h = hashmix(index, h, 0x931E8875)
+        mixed = (word * 0xCA01F9DD & mask) - value * 0x4973F715   # numpy's mix
+        pool.append(mixed ^ mixed >> 16)
+    state, h = np.empty((n, 8), np.uint64), 0x8B51F9DD
+    for k in range(8):
+        state[:, k], h = hashmix(pool[k % 4], h, 0x58F38DED)
+    table = state[:, 0::2] | state[:, 1::2] << 32   # two uint32 words per uint64, low first
+    table.flags.writeable = False
+
+    class Child(np.random.bit_generator.ISeedSequence):   # here, so gsle loads numpy.random lazily
+        """Child `row`: PCG64 seeds itself from row `row` of the table."""
+
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a spawned seed holds four uint64 words, the PCG64 seed")
+            return table[self.row]
+
+    return [Child(row) for row in range(n)]
 
 
 def check_seed(seed):
@@ -173,14 +211,14 @@ def check_seed(seed):
 def noise_rows(
     spec: NoiseSpec, friction: float, mass: float, dt: float, n_steps: int, seeds: Sequence
 ) -> Iterator[np.ndarray]:
-    """Yield xi at t = 0, dt, ... for each seed (an int or a SeedSequence).
+    """Yield xi at t = 0, dt, ... for each seed: an int, SeedSequence or spawn_seeds seed.
 
     Slabs (len(seeds), k) of the next k <= NOISE_BLOCK_STEPS steps, built
     when asked for, so the noise's memory does not grow with n_steps. Row b
-    is zero, or white noise drawn slab by slab from one default_rng(seeds[b]),
-    or the bath noise of sample_bath_noise_batch for that seed, its q and p
-    drawn once: the one seed-to-row layout of the wave ensemble and the
-    classical particles.
+    is zero, or white noise drawn slab by slab from one Generator(PCG64(seeds[b])),
+    built at the first slab (the stream of default_rng(seeds[b])), or the bath noise of
+    sample_bath_noise_batch for that seed, its q and p drawn once: the one
+    seed-to-row layout of the wave ensemble and the classical particles.
     """
     starts = range(0, n_steps, NOISE_BLOCK_STEPS)
     if spec.kind == "bath":
@@ -194,8 +232,9 @@ def noise_rows(
         out = np.zeros((len(streams), k))
         if spec.kind == "white":
             for row, stream in enumerate(streams):
-                rng = np.random.default_rng(stream)   # a Generator is passed through
-                out[row] = sigma * rng.standard_normal(k)
+                rng = stream if start else np.random.Generator(np.random.PCG64(stream))
+                rng.standard_normal(out=out[row])
                 streams[row] = rng if start + k < n_steps else None
+            out *= sigma
         yield out
         del out   # the caller's slab is freed before the next is drawn

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathSpec, NoiseSpec, check_seed, memory_kernel, noise_rows
+from .bath import BathSpec, NoiseSpec, check_seed, memory_kernel, noise_rows, spawn_seeds
 from .coupling import CouplingFunction, PotentialSpec
 from .errors import ConfigError, NumericalBlowup, blowup_on_overflow
 from .fields import BlockRecorder, PhysicalParams
@@ -189,8 +189,8 @@ def langevin_ensemble(
 
     Noise and initial conditions use child streams derived from the master
     seed (an integer >= 0), so results do not depend on execution order or
-    parallelism. A non-finite state, or the loop's first float overflow, is
-    NumericalBlowup at t, the time of the state that the failing step makes.
+    parallelism; particle p's noise is child p of SeedSequence(seed) (bath.spawn_seeds).
+    A non-finite state or float overflow is NumericalBlowup at t, the first state that fails.
     """
     check_seed(seed)
     n_steps, n_p = config.n_steps, config.n_particles
@@ -200,11 +200,11 @@ def langevin_ensemble(
     v = (
         config.initial.p0 + config.initial.sigma_p * init_rng.standard_normal(n_p)
     ) / m
-    # row p drives particle p from child stream p, and none is spawned for zero
-    # noise; a slab's .T gives one step per row
+    # row p drives particle p from child stream p, and zero noise builds no
+    # seed; a slab's .T gives one step per row
     noise = noise_rows(
         config.noise, config.friction, m, config.dt, n_steps,
-        range(n_p) if config.noise.kind == "zero" else np.random.SeedSequence(seed).spawn(n_p),
+        range(n_p) if config.noise.kind == "zero" else spawn_seeds(seed, n_p),
     )
 
     times = config.dt * np.arange(n_steps + 1)
@@ -228,7 +228,7 @@ def langevin_ensemble(
     recorder.push(x, v)
     i = 0   # the state that the step under way makes
     try:
-        with blowup_on_overflow("non-finite classical force"):
+        with blowup_on_overflow("non-finite classical force"), recorder:   # flushed however it ends
             for slab in noise:
                 for xi_n in slab.T:
                     i += 1
@@ -237,8 +237,7 @@ def langevin_ensemble(
                         raise NumericalBlowup("non-finite classical state")
                     recorder.push(x, v)
                 del slab, xi_n   # so only one slab is alive while the next is drawn
-            recorder.flush()
     except NumericalBlowup as exc:
-        exc.t = times[i]
+        exc.t = times[i if recorder.failed is None else recorder.failed]
         raise
     return ClassicalEnsemble(times, **moments, positions=pos, velocities=vel, seed=seed)

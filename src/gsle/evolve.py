@@ -309,8 +309,8 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     call; a snapshot copies its state. Each row is reduced alone, so the record
     is the one a read per step would give (t = 0 reads ifft(fft(psi_0))). A
     non-finite spectrum, or a float operation of a step or record that
-    overflows, raises NumericalBlowup; it carries the observables of the last
-    recorded state, read from its partial block. A guard past STABILITY_LIMIT
+    overflows, raises NumericalBlowup at the first state that fails its step or record,
+    with the observables of the last state recorded cleanly, if any. A guard past STABILITY_LIMIT
     raises one StabilityWarning per call, naming a batch's seeds.
 
     Deterministic for a given (config, seeds). The noise is built one slab of
@@ -358,7 +358,7 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     # later arrays differently)
     i = 0   # the last recorded state; a slab's float error can stop the run before step 0
     try:
-        with blowup_on_overflow("non-finite wave step"):
+        with blowup_on_overflow("non-finite wave step"), recorder:   # flushed however it ends
             for slab in noise:
                 # step i's xi: a (B,) row of the slab, or a scalar in a single run
                 for xi in slab.T.reshape((-1,) + lead):
@@ -369,13 +369,14 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
                     recorder.push()
                     i += 1
                 del slab, xi   # so only one slab is alive while the next is drawn
-            recorder.flush()
     except NumericalBlowup as exc:
-        recorder.flush()   # the partial block holds the last recorded state
-        exc.t = times[min(i + 1, n)]   # of the state that step i makes, or the last one
-        exc.last_observables = {
-            "t": times[i], **{name: table[name][i] for name in ("norm", "mean_x", "energy")}
-        }
+        # the first state that fails its step or its record; the last recorded cleanly
+        exc.t = times[min(i + 1, n) if recorder.failed is None else recorder.failed]
+        last = recorder.first - 1
+        if last >= 0:
+            exc.last_observables = {
+                "t": times[last], **{k: table[k][last] for k in ("norm", "mean_x", "energy")}
+            }
         raise
     finally:
         _warn_stability(guard, None if seeds is None else batch)

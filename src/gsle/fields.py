@@ -300,7 +300,8 @@ class BlockRecorder:
         m = max(1, min(n_rows, RECORD_BLOCK_ELEMENTS // like[0].size))
         self.buffers = [np.empty((m,) + a.shape, a.dtype) for a in like]
         self.reduce = reduce
-        self.first = self.filled = 0   # row index of the block's first row; rows buffered
+        self.first = self.filled = 0   # rows reduced, so the block's first row; rows buffered
+        self.failed = None
 
     def slot(self, k: int) -> np.ndarray:
         """Buffer k's next row, for a caller that writes it in place before push."""
@@ -314,8 +315,23 @@ class BlockRecorder:
         if self.filled == len(self.buffers[0]):
             self.flush()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):   # a with block leaves no row unreduced
+        self.flush()
+
     def flush(self):
-        if self.filled:
-            steps = slice(self.first, self.first + self.filled)
-            self.reduce(steps, *(buf[: self.filled] for buf in self.buffers))
-            self.first, self.filled = steps.stop, 0
+        """Reduce the buffered rows and empty the block; if that raises, reduce them one
+        at a time (reduce treats each row alone) and raise with `failed` at the first bad one."""
+        start, n = self.first, self.filled
+        rows, self.filled = [buf[:n] for buf in self.buffers], 0
+        try:
+            if n:
+                self.reduce(slice(start, start + n), *rows)
+        except (FloatingPointError, DegenerateState):
+            for j in range(start, start + n):   # rows before j are reduced
+                self.first = self.failed = j
+                self.reduce(slice(j, j + 1), *(r[j - start : j - start + 1] for r in rows))
+            raise
+        self.first = start + n

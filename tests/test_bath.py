@@ -16,6 +16,7 @@ from gsle.bath import (
     memory_kernel,
     noise_rows,
     sample_bath_noise_batch,
+    spawn_seeds,
     white_noise_sigma,
 )
 from gsle import classical, evolve
@@ -235,6 +236,33 @@ class TestWhiteNoise:
         assert np.array_equal(a, b)
 
 
+class TestSpawnSeeds:
+    """spawn_seeds(seed, n) is numpy's SeedSequence(seed).spawn(n), hashed for
+    all children in one pass; these tests fail if numpy's hash ever changes."""
+
+    @pytest.mark.parametrize("n", [1, 3, 257])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
+    def test_streams_equal_numpy_children(self, seed, n):
+        ours = spawn_seeds(seed, n)
+        children = np.random.SeedSequence(seed).spawn(n)
+        assert len(ours) == n
+        for mine, child in zip(ours, children):
+            a, b = np.random.default_rng(mine), np.random.default_rng(child)
+            assert a.bit_generator.state == b.bit_generator.state
+            assert np.array_equal(a.bit_generator.random_raw(8), b.bit_generator.random_raw(8))
+
+    def test_seed_holds_four_uint64_words_only(self):
+        (seed,) = spawn_seeds(5, 1)
+        words = seed.generate_state(4, np.uint64)
+        assert words.dtype == np.uint64 and words.shape == (4,) and not words.flags.writeable
+        for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64),
+                               (4, np.int64), (4, np.float64)):
+            with pytest.raises(ValueError):
+                seed.generate_state(n_words, dtype)
+        with pytest.raises(ValueError):
+            seed.generate_state(4)   # uint32 words, numpy's default
+
+
 def traced_peak(call) -> int:
     """Peak bytes that tracemalloc sees allocated while call() runs."""
     tracemalloc.start()
@@ -273,6 +301,18 @@ class TestSlabMemory:
             noise=NoiseSpec("bath", 0.1, bath=bath), dt=0.005, n_steps=n_steps, seed=3,
         )
         return lambda: run(cfg)
+
+    def test_oracle_keeps_no_sequence_per_particle(self):
+        """The seeds of 10**4 particles are one table, not 10**4 SeedSequences:
+        this 100-step white-noise oracle peaks at 12.2 MB with numpy's spawn
+        (3.7 MB of SeedSequences beside the 8 MB slab) and at 10.2 MB with
+        spawn_seeds, each row's Generator dropped after its one slab."""
+        cfg = LangevinConfig(
+            potential=PotentialSpec.harmonic(1.0), friction=0.5, noise=NoiseSpec("white", 0.3),
+            dt=0.01, n_steps=100, n_particles=10**4,
+        )
+        peak = traced_peak(lambda: langevin_ensemble(cfg, seed=1))
+        assert peak < 11.2e6, f"peak {peak / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("make", ["langevin", "gle", "wave"])
     def test_peak_does_not_grow_with_n_steps(self, make):

@@ -1,5 +1,6 @@
 """Classical Langevin / memory-kernel ensemble oracle."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from gsle.bath import (
     OhmicSpec,
     discretize_ohmic,
     memory_kernel,
+    spawn_seeds,
 )
 from gsle.classical import (
     MEMORY_BLOCK,
@@ -97,9 +99,9 @@ class TestLangevinStep:
 
     def test_last_block_overflow_is_blowup(self):
         """An overflow in the moments of the last, partial record block is a
-        NumericalBlowup at the last state's time, as in a full block: var_x
-        of this unstable run overflows after step 180, past the first block
-        of 2**15 // 200 = 163 rows."""
+        NumericalBlowup, as in a full block, at the first state whose moments
+        overflow: var_x of this unstable run first overflows at step 185, past
+        the first block of 2**15 // 200 = 163 rows."""
         cfg = LangevinConfig(
             potential=PotentialSpec.harmonic(1.0), dt=3.0, n_steps=185, n_particles=200,
             initial=GaussianCloud(1.0, 0.0, 0.1, 0.0),
@@ -108,6 +110,22 @@ class TestLangevinStep:
         with pytest.raises(NumericalBlowup) as caught:
             langevin_ensemble(cfg, 0)
         assert caught.value.t == 3.0 * 185
+
+    def test_block_overflow_names_first_failing_state(self):
+        """A block whose moments overflow is reduced row by row, so the blow-up
+        names the first state whose moments overflow, not the block's last,
+        and leaks no numpy warning: var_x of this run first overflows at step
+        186 (n_steps = 185 runs clean), inside one 201-row block."""
+        cfg = LangevinConfig(
+            potential=PotentialSpec.harmonic(1.0), dt=3.0, n_steps=200, n_particles=2,
+            initial=GaussianCloud(1.0, 0.0, 0.1, 0.0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(langevin_ensemble(replace(cfg, n_steps=185), 0).var_x).all()
+            with pytest.raises(NumericalBlowup) as caught:
+                langevin_ensemble(cfg, 0)
+        assert caught.value.t == 3.0 * 186
 
     def test_equipartition(self):
         """Free particle with white noise thermalizes to <v^2> = T/m."""
@@ -418,22 +436,24 @@ class TestEnsemble:
             assert np.array_equal(ens.velocities[:, i + 1], v)
 
     def test_zero_noise_spawns_no_streams(self, monkeypatch):
-        """Zero noise reads no stream, so no child SeedSequence is spawned, and
-        the particles follow langevin_step with xi = 0 bit for bit."""
+        """Zero noise reads no stream, so no child seed is built, and the
+        particles follow langevin_step with xi = 0 bit for bit."""
+        calls = []
 
-        class NoSpawn(np.random.SeedSequence):
-            def spawn(self, n_children):
-                raise AssertionError("spawned noise streams")
+        def counted(seed, n):
+            calls.append((seed, n))
+            return spawn_seeds(seed, n)
 
-        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        monkeypatch.setattr("gsle.classical.spawn_seeds", counted)
         white = harmonic_cfg(friction=0.3, noise=NoiseSpec(kind="white", temperature=0.2))
-        with pytest.raises(AssertionError, match="spawned"):
-            langevin_ensemble(white, 3)    # the patch reaches the spawn of a noisy run
+        langevin_ensemble(white, 3)
+        assert calls == [(3, 1)]    # the patch reaches the seeding of a noisy run
         n, n_p = 40, 6
         cfg = harmonic_cfg(
             friction=0.3, n_steps=n, n_particles=n_p, initial=GaussianCloud(1.0, 0.0, 0.1, 0.1)
         )
         ens = langevin_ensemble(cfg, 3, keep_particles=True)
+        assert calls == [(3, 1)]
         x, v = ens.positions[:, 0], ens.velocities[:, 0]
         for i in range(n):
             x, v = langevin_step(x, v, cfg, np.zeros(n_p))

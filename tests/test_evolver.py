@@ -440,6 +440,22 @@ class TestDeterminismAndDiagnostics:
             for name in ("t", "norm", "mean_x", "energy"):
                 assert np.array_equal(last[name], ref[name][-1]), name
 
+    def test_record_overflow_is_quiet_blowup(self):
+        """A potential of 1.5e308 overflows the energy of every state: the run
+        stops at t = 0, the first state whose record fails, without a numpy
+        warning, and carries no observables, since no state was recorded
+        cleanly (none with an inf)."""
+        cfg = SimConfig(
+            Grid(-10.0, 10.0, 64), potential=PotentialSpec.constant(1.5e308), n_steps=600
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", StabilityWarning)
+            with pytest.raises(NumericalBlowup) as info:
+                run(cfg)
+        assert info.value.t == 0.0
+        assert info.value.last_observables is None
+
 
 COUPLINGS = {
     "linear": CouplingFunction.linear(),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import gaussian_state, plane_wave
 from gsle.errors import DegenerateState, InvalidField, UnsupportedOrder
 from gsle.fields import (
+    BlockRecorder,
     CubicSpline,
     Grid,
     PhysicalParams,
@@ -370,3 +371,37 @@ def test_normalize_zero_state(grid):
 def test_integrate_values_matches_integrate(grid):
     vals = np.sin(grid.x)
     assert integrate_values(grid, vals) == pytest.approx(integrate(grid, vals))
+
+
+class TestBlockRecorder:
+    def test_failed_block_is_reduced_up_to_its_first_failing_row(self):
+        """A block whose reduce raises is reduced a row at a time: the rows
+        before the first failing one are reduced, `failed` and `first` name
+        that row, and the emptied block is not reduced again."""
+        seen = []
+
+        def reduce(steps, rows):
+            if (rows > 5).any():
+                raise FloatingPointError("a row past 5")
+            seen.append((steps.start, steps.stop, rows[:, 0].tolist()))
+
+        rec = BlockRecorder(10, (np.zeros(1),), reduce)   # one block of 10 rows
+        for j in range(9):
+            rec.push(float(j))
+        with pytest.raises(FloatingPointError):
+            rec.push(9.0)
+        assert seen == [(j, j + 1, [float(j)]) for j in range(6)]
+        assert (rec.failed, rec.first, rec.filled) == (6, 6, 0)
+        rec.flush()
+        assert len(seen) == 6
+
+    def test_with_block_reduces_the_partial_block(self):
+        """Clean blocks are reduced whole; leaving a with block reduces the
+        partial last one."""
+        seen = []
+        with BlockRecorder(10, (np.zeros(4000),), lambda steps, rows: seen.append(steps)) as rec:
+            for _ in range(10):
+                rec.push(0.0)
+            assert seen == [slice(0, 8)]
+        assert seen == [slice(0, 8), slice(8, 10)]   # 2**15 // 4000 = 8 rows a block
+        assert (rec.failed, rec.first) == (None, 10)
