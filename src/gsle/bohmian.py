@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import CouplingFunction
-from .errors import DegenerateState, InsufficientData
+from .errors import DegenerateState, InsufficientData, InvalidField
 from .fields import (
     CubicSpline,
     PhysicalParams,
@@ -186,7 +186,8 @@ def propagate_trajectories(
 ) -> TrajectoryEnsemble:
     """Bohmian trajectories through a stored wavefunction history.
 
-    `history` is a sequence of snapshots at the uniform `times`. Initial
+    `history` is a sequence of snapshots at the uniform `times`, all on
+    history[0]'s grid (a state on another is an InvalidField). Initial
     positions are sampled from |psi(.,0)|^2; advance is RK4 on
     v(x,t) = dS/dx / m, periodically wrapped: linear in t, and in x the numpy
     cubic spline with periodic ends, `fields.CubicSpline.periodic`. Half-step
@@ -203,7 +204,9 @@ def propagate_trajectories(
     x = sample_from_density(history[0], n_traj, rng)
 
     splines = []
-    for psi in history:
+    for k, psi in enumerate(history):
+        if psi.grid != grid:
+            raise InvalidField(f"history[{k}] is on {psi.grid}, not on history[0]'s {grid}")
         polar = polar_decompose(psi, hbar=params.hbar)
         v = weak_value(polar).real_part / params.mass
         splines.append(CubicSpline.periodic(grid, v))

@@ -35,12 +35,14 @@ comparison.csv, resolved_config.txt, error.json.
 Every CSV carries the master seed and the sha256 digest of the resolved
 config as leading comment lines, so reruns are byte-identical.
 Usage: gsle run|compare CONFIG, or gsle post RUN_DIR; each takes [--seed N] [--out DIR].
+gsle post reads every snapshot of RUN_DIR on the grid of its resolved_config.txt.
 Exit codes: 0 success, 2 numerical failure (such as the first overflow of a
 run), 3 config error. Config errors (a value not of its key's type, such as
 dt = nan; an unknown kind; a value its config type rejects, such as sigma <= 0,
 seed < 0 or a potential or coupling whose value or slope is not finite on the
-grid; or snapshots, trajectories or weak_values asked of anything but a gsle
-run of one seed with snapshot_stride > 0) exit before any output.
+grid; snapshots, trajectories or weak_values asked of anything but a gsle
+run of one seed with snapshot_stride > 0; or a malformed snapshot) exit before
+any output.
 """
 
 from __future__ import annotations
@@ -349,13 +351,7 @@ def _write_observables(path: Path, spec: ExperimentSpec, rec: RunRecord):
 
 
 def _write_snapshot(path: Path, spec: ExperimentSpec, psi: WaveFunction):
-    grid = psi.grid
-    meta = (
-        f"# grid x_min = {_FLOAT % grid.x_min} x_max = {_FLOAT % grid.x_max} "
-        f"n_points = {grid.n_points}",
-    )
-    columns = {"x": grid.x, "re": psi.values.real, "im": psi.values.imag}
-    _write_csv(path, spec, columns, extra_comments=meta)
+    _write_csv(path, spec, {"x": psi.grid.x, "re": psi.values.real, "im": psi.values.imag})
 
 
 def _write_weak_values(path: Path, spec: ExperimentSpec, psi: WaveFunction):
@@ -466,26 +462,26 @@ def _run_compare(spec: ExperimentSpec, out: Path) -> int:
     return 0
 
 
-def _load_snapshot(path: Path) -> WaveFunction:
-    """Read a snapshot written by _write_snapshot; malformed files are ConfigError."""
+def _load_snapshot(path: Path, grid: Grid) -> WaveFunction:
+    """Read a snapshot written by _write_snapshot, on the run's config grid.
+
+    Comments (an older run's '# grid' line too) and the x,re,im header are skipped.
+    No rows, rows other than grid.n_points of x,re,im, an x column other than grid.x
+    bit for bit, or a cell that is not a finite number is a ConfigError naming the file.
+    """
     lines = path.read_text().splitlines()
-    meta = [ln for ln in lines if ln.startswith("# grid")]
-    if not meta:
-        raise ConfigError(f"{path} has no grid metadata line")
-    body = [
-        ln.split(",") for ln in lines if ln.strip() and not ln.startswith(("#", "x,"))
-    ]
+    body = [ln for ln in lines if ln.strip() and not ln.startswith(("#", "x,"))]
     try:
-        parts = meta[0].replace("=", " ").split()
-        grid = Grid(float(parts[3]), float(parts[5]), int(parts[7]))
-        table = np.array(body, dtype=float)
+        if not body:   # checked here, as np.loadtxt only warns on no rows
+            raise ValueError("no rows of x,re,im")
+        table = np.loadtxt(body, delimiter=",", ndmin=2)
         if table.shape != (grid.n_points, 3):
-            raise ConfigError(
-                f"{path} holds a {table.shape} table, expected {grid.n_points} rows of x,re,im"
-            )
+            raise ValueError(f"a {table.shape} table, not {grid.n_points} rows of x,re,im")
+        if table[:, 0].tobytes() != grid.x.tobytes():
+            raise ValueError("an x column other than the config grid's")
         # re and im side by side, viewed as complex: the exact doubles, signed zeros kept
         return WaveFunction(grid, np.ascontiguousarray(table[:, 1:]).view(complex)[:, 0])
-    except (ValueError, IndexError, InvalidField) as exc:   # a non-finite sample or grid
+    except (ValueError, InvalidField) as exc:   # a bad table or cell, or a non-finite sample
         raise ConfigError(f"{path} is malformed: {exc}")
 
 
@@ -504,7 +500,7 @@ def _run_post(run_dir: Path, out: Path, seed_override: Optional[int]) -> int:
     paths.sort()
     if not paths:
         raise ConfigError(f"no snapshots found under {snap_dir}")
-    snapshots = [(step, _load_snapshot(p)) for step, p in paths]
+    snapshots = [(step, _load_snapshot(p, spec.sim.grid)) for step, p in paths]
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectories(out / "trajectories.csv", spec, snapshots)
     for step, psi in snapshots:

@@ -49,7 +49,6 @@ from .errors import (
     blowup_on_overflow,
 )
 from .fields import (
-    RECORD_BLOCK_ELEMENTS,  # noqa: F401 (run's block size, named here for its callers)
     BlockRecorder,
     Grid,
     PhysicalParams,
@@ -127,6 +126,8 @@ class SimConfig:
                 if not all(np.isfinite(g.on_grid(self.grid, k)).all() for k in (0, 1)):
                     raise ConfigError(f"{name} value or slope not finite on the grid")
         init = self.initial_state
+        if not isinstance(init, (GaussianPacket, HarmonicEigenstate, WaveFunction)):
+            raise ConfigError(f"unsupported initial state {init!r}")
         if isinstance(init, WaveFunction) and (init.grid, init.values.ndim) != (self.grid, 1):
             shape = init.values.shape
             raise ConfigError(f"initial state {shape} on {init.grid}, not (N,) on {self.grid}")
@@ -186,10 +187,8 @@ def build_initial_state(config: SimConfig) -> WaveFunction:
         xi = np.sqrt(a) * x
         herm = np.polynomial.hermite.Hermite.basis(init.index)(xi)
         vals = herm * np.exp(-0.5 * xi**2)
-    elif isinstance(init, WaveFunction):
+    else:   # a WaveFunction, as SimConfig checks
         return normalize(init)
-    else:
-        raise ConfigError(f"unsupported initial state {init!r}")
     return normalize(WaveFunction(grid, vals))
 
 

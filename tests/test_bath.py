@@ -91,6 +91,16 @@ class TestDiscretizeOhmic:
         with pytest.raises(InvalidField, match=named):
             OhmicSpec(*args)
 
+    @pytest.mark.parametrize(
+        "args, error, named",
+        [(([], [], []), EmptyBath, "at least one oscillator"),
+         (([1.0, 1.0], [1.0], [1.0]), InvalidField, "equal lengths")],
+        ids=["empty", "unequal_lengths"],
+    )
+    def test_bath_spec_rejects(self, args, error, named):
+        with pytest.raises(error, match=named):
+            BathSpec(*args)
+
     def test_spec_rejects_no_oscillators(self):
         """The Ohmic spectrum itself is invalid, before any discretization."""
         with pytest.raises(InvalidField, match="n_oscillators"):
@@ -107,6 +117,10 @@ class TestSampleBathNoise:
         times = 0.1 * np.arange(50)
         xi = sample_bath_noise_batch(single_oscillator(), 0.0, times, [3])
         assert np.all(xi == 0.0)
+
+    def test_negative_temperature(self):
+        with pytest.raises(InvalidField, match="temperature"):
+            sample_bath_noise_batch(single_oscillator(), -1.0, 0.1 * np.arange(5), [3])
 
     def test_single_oscillator_is_sinusoid(self):
         """A one-oscillator bath yields a pure sinusoid at its frequency."""

@@ -16,7 +16,7 @@ from gsle.bohmian import (
     weak_value,
 )
 from gsle.coupling import CouplingFunction
-from gsle.errors import DegenerateState, InsufficientData
+from gsle.errors import DegenerateState, InsufficientData, InvalidField
 from gsle.evolve import (
     GaussianPacket,
     HarmonicEigenstate,
@@ -298,6 +298,20 @@ class TestTrajectories:
     def test_empty_history(self, params):
         with pytest.raises(InsufficientData):
             propagate_trajectories([], np.array([]), 10, 0, params)
+
+    def test_history_and_times_lengths_differ(self, grid, params):
+        with pytest.raises(InsufficientData, match="lengths differ"):
+            propagate_trajectories([gaussian_state(grid)] * 2, [0.0, 0.1, 0.2], 10, 0, params)
+
+    @pytest.mark.parametrize(
+        "other", [Grid(-20.0, 20.0, 256), Grid(-22.0, 18.0, 512)], ids=["n_points", "box"]
+    )
+    def test_history_off_first_grid(self, grid, params, other):
+        """A state on a grid other than history[0]'s is an InvalidField that
+        names it, whether its n_points or its box differs."""
+        history = [gaussian_state(grid), gaussian_state(grid), gaussian_state(other)]
+        with pytest.raises(InvalidField, match=r"history\[2\] is on"):
+            propagate_trajectories(history, [0.0, 0.1, 0.2], 10, 0, params)
 
 
 class TestEquivariance:

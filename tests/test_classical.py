@@ -304,6 +304,10 @@ class TestGle:
         with pytest.raises(ConfigError, match="zero or bath noise and no friction"):
             harmonic_cfg(memory=bath, **kw)
 
+    def test_needs_a_memory_kernel(self):
+        with pytest.raises(ConfigError, match="needs config.memory"):
+            GleIntegrator(LangevinConfig(), 0.0, 0.0)
+
 
 def assert_matches_history_trapezoid(
     oscillators, mass, n_particles, n_steps, dt, coupling, seed

@@ -4,16 +4,21 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsle
 from conftest import gaussian_state
 from gsle.cli import _load_snapshot, _write_csv, _write_snapshot, main, parse_config
 from gsle.errors import ConfigError, StabilityWarning
+from gsle.fields import Grid
 
 KOSTIN_CFG = """
 [experiment]
@@ -36,6 +41,37 @@ weak_values = true
 trajectories = true
 n_trajectories = 40
 """
+
+SMALL_RUN_CFG = """
+[grid]
+x_min = -10
+x_max = 10
+n_points = 64
+
+[run]
+n_steps = 20
+snapshot_stride = 10
+
+[initial]
+x0 = 1
+p0 = 0.5
+
+[output]
+snapshots = true
+n_trajectories = 10
+"""
+
+
+@lru_cache(maxsize=None)
+def small_run_files():
+    """(relative path, text) of the resolved config and the three snapshots of
+    a gsle run of SMALL_RUN_CFG."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, run_dir = Path(tmp) / "run.cfg", Path(tmp) / "run"
+        cfg.write_text(SMALL_RUN_CFG)
+        assert main(["run", str(cfg), "--out", str(run_dir)]) == 0
+        paths = [run_dir / "resolved_config.txt", *sorted(run_dir.glob("snapshots/psi_*.csv"))]
+        return tuple((str(p.relative_to(run_dir)), p.read_text()) for p in paths)
 
 
 class TestParseConfig:
@@ -227,6 +263,13 @@ class TestRunCommand:
                 "coupling value or slope not finite on the grid",
             ),
             ("[experiment]\nseed = -1\n[run]\nn_steps = 3\n", "seed must be >= 0"),
+            ("key = 1\n", "malformed config"),
+            ("[potential]\nkind = quartic\n", "unknown potential kind 'quartic'"),
+            ("[experiment]\nensemble_seeds = 0\n", "ensemble_seeds must be >= 1"),
+            (
+                "[experiment]\nmode = classical\n[initial]\nkind = eigenstate\n",
+                "classical runs need a gaussian initial state",
+            ),
         ],
         ids=[
             "negative_dt",
@@ -268,6 +311,10 @@ class TestRunCommand:
             "potential_overflows_on_grid",
             "coupling_overflows_on_grid",
             "negative_seed",
+            "key_without_section",
+            "unknown_potential_kind",
+            "zero_ensemble_seeds",
+            "classical_eigenstate",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, text, named):
@@ -429,7 +476,7 @@ class TestCsvFormat:
         psi = gaussian_state(grid, x0=0.5, p0=0.9, sigma=1.2)
         path = tmp_path / "psi_0.csv"
         _write_snapshot(path, parse_config(""), psi)
-        back = _load_snapshot(path)
+        back = _load_snapshot(path, grid)
         assert back.grid == grid
         assert np.array_equal(back.values, psi.values)
 
@@ -522,16 +569,31 @@ class TestPostCommand:
         out = tmp_path / "post"
         assert main(["post", str(run_dir), "--out", str(out)]) == 3
 
+    def test_post_without_resolved_config(self, tmp_path):
+        run_dir = tmp_path / "run"
+        (run_dir / "snapshots").mkdir(parents=True)
+        out = tmp_path / "post"
+        assert main(["post", str(run_dir), "--out", str(out)]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigError"
+        assert "no resolved_config.txt" in err["message"]
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "defect", ["short_row", "non_numeric", "missing_row", "stray_name", "non_finite", "empty_grid"]
+        "defect",
+        ["short_row", "non_numeric", "missing_row", "stray_name", "non_finite", "no_rows",
+         "shifted_box", "other_n_points"],
     )
     def test_malformed_snapshot_is_config_error(self, tmp_path, grid, defect):
+        """A snapshot that is not grid.n_points rows of x,re,im on the config's grid
+        (the default [-20, 20) with 512 points) exits 3 and names the file."""
         run_dir = tmp_path / "run"
         (run_dir / "snapshots").mkdir(parents=True)
         spec = parse_config("[output]\nn_trajectories = 10\n")
         (run_dir / "resolved_config.txt").write_text(spec.resolved_text)
         snap = run_dir / "snapshots" / "psi_0.csv"
-        _write_snapshot(snap, spec, gaussian_state(grid))
+        foreign = {"shifted_box": Grid(-22.0, 18.0, 512), "other_n_points": Grid(-20.0, 20.0, 256)}
+        _write_snapshot(snap, spec, gaussian_state(foreign.get(defect, grid)))
         lines = snap.read_text().splitlines()
         row = len(lines) // 2
         if defect == "short_row":
@@ -542,9 +604,9 @@ class TestPostCommand:
             del lines[row]
         elif defect == "non_finite":
             lines[row] = lines[row].rsplit(",", 1)[0] + ",nan"
-        elif defect == "empty_grid":
-            lines = [ln.replace("x_max = ", "x_max = -") for ln in lines]
-        else:
+        elif defect == "no_rows":
+            lines = [ln for ln in lines if ln.startswith(("#", "x,"))]
+        elif defect == "stray_name":
             snap = snap.rename(snap.with_name("psi_final.csv"))
         snap.write_text("\n".join(lines) + "\n")
         out = tmp_path / "post"
@@ -552,6 +614,62 @@ class TestPostCommand:
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "ConfigError"
         assert snap.name in err["message"]
+        assert not (out / "trajectories.csv").exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_damaged_snapshot_never_raises(self, data):
+        """One snapshot of a valid run, damaged: gsle post exits 0 or 3, and a 3
+        writes an error.json of type ConfigError. Nothing is raised past main."""
+        files = dict(small_run_files())
+        name = data.draw(st.sampled_from(sorted(n for n in files if n.startswith("snapshots"))))
+        lines = files[name].splitlines()
+        i = lines.index("x,re,im") + 1 + data.draw(st.integers(0, 63), label="row")
+        cells = lines[i].split(",")
+        damage = data.draw(st.sampled_from(["drop", "duplicate", "cut", "text", "perturb_x"]))
+        if damage == "drop":
+            del lines[i]
+        elif damage == "duplicate":
+            lines.insert(i, lines[i])
+        elif damage == "cut":
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i]) - 1), label="cut")]
+        elif damage == "text":
+            column = data.draw(st.integers(0, 2), label="column")
+            cells[column] = data.draw(st.text(st.characters(exclude_categories=["Cs"]), max_size=4))
+            lines[i] = ",".join(cells)
+        else:
+            delta = data.draw(st.floats(-1.0, 1.0).filter(bool), label="delta")
+            lines[i] = ",".join(["%.17g" % (float(cells[0]) + delta), *cells[1:]])
+        files[name] = "\n".join(lines) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            run_dir, out = Path(tmp) / "run", Path(tmp) / "post"
+            (run_dir / "snapshots").mkdir(parents=True)
+            for rel, text in files.items():
+                (run_dir / rel).write_text(text)
+            code = main(["post", str(run_dir), "--out", str(out)])
+            assert code in (0, 3)
+            if code == 3:
+                assert json.loads((out / "error.json").read_text())["type"] == "ConfigError"
+
+    def test_snapshot_grid_line_of_older_runs_is_skipped(self, tmp_path):
+        """A run directory whose snapshots carry the '# grid' line that older
+        runs wrote posts to the same bytes as one without it."""
+        cfg = write_cfg(tmp_path, KOSTIN_CFG)
+        run_dir = tmp_path / "run"
+        assert main(["run", cfg, "--out", str(run_dir)]) == 0
+        posts = []
+        for name in ("new", "old"):
+            if name == "old":
+                grid = parse_config(KOSTIN_CFG).sim.grid
+                meta = (f"# grid x_min = {grid.x_min:.17g} x_max = {grid.x_max:.17g} "
+                        f"n_points = {grid.n_points}")
+                for snap in (run_dir / "snapshots").glob("psi_*.csv"):
+                    lines = snap.read_text().splitlines()
+                    snap.write_text("\n".join(lines[:2] + [meta] + lines[2:]) + "\n")
+            post_dir = tmp_path / name
+            assert main(["post", str(run_dir), "--out", str(post_dir)]) == 0
+            posts.append({p.name: p.read_bytes() for p in sorted(post_dir.iterdir())})
+        assert posts[0] == posts[1]
 
 
 ALL_TERMS_CFG = """

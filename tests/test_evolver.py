@@ -25,7 +25,6 @@ from gsle.errors import (
 from gsle import evolve
 from gsle.evolve import (
     BOUNDARY_DENSITY_LIMIT,
-    RECORD_BLOCK_ELEMENTS,
     STABILITY_LIMIT,
     GaussianPacket,
     HarmonicEigenstate,
@@ -37,7 +36,7 @@ from gsle.evolve import (
     run,
     step,
 )
-from gsle.fields import Grid, PhysicalParams, WaveFunction, observables
+from gsle.fields import RECORD_BLOCK_ELEMENTS, Grid, PhysicalParams, WaveFunction, observables
 from gsle.potentials import PotentialSpec, dissipative_kernel
 
 GRID = Grid(-20.0, 20.0, 512)
@@ -63,6 +62,9 @@ BAD_INPUTS = {
     "initial_one_row": (
         lambda: run(SimConfig(GRID, initial_state=WaveFunction(GRID, np.ones((1, 512))))),
         "initial state \\(1, 512\\) on",
+    ),
+    "initial_unknown": (
+        lambda: run(SimConfig(GRID, initial_state="x")), "unsupported initial state 'x'",
     ),
     **{
         f"seed_{kind}": (
