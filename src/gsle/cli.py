@@ -33,16 +33,19 @@ Outputs: observables.csv, snapshots/psi_<step>.csv, trajectories.csv,
 weak_values_<step>.csv, members/seed_<s>/observables.csv, ensemble_summary.csv,
 comparison.csv, resolved_config.txt, error.json.
 Every CSV carries the master seed and the sha256 digest of the resolved
-config as leading comment lines, so reruns are byte-identical.
+config as leading comment lines, so reruns are byte-identical. One writer,
+_write_csv, spells every table: '%.17g' per cell, '' for NaN, formatted in
+bounded blocks of rows.
 Usage: gsle run|compare CONFIG, or gsle post RUN_DIR; each takes [--seed N] [--out DIR].
-gsle post reads every snapshot of RUN_DIR on the grid of its resolved_config.txt.
+gsle post reads every snapshot of RUN_DIR on the grid of its resolved_config.txt,
+and only a snapshot whose config_sha256 is the digest of that file's text.
 Exit codes: 0 success, 2 numerical failure (such as the first overflow of a
 run), 3 config error. Config errors (a value not of its key's type, such as
 dt = nan; an unknown kind; a value its config type rejects, such as sigma <= 0,
 seed < 0 or a potential or coupling whose value or slope is not finite on the
 grid; snapshots, trajectories or weak_values asked of anything but a gsle
-run of one seed with snapshot_stride > 0; or a malformed snapshot) exit before
-any output.
+run of one seed with snapshot_stride > 0; or a malformed snapshot, one from
+another run too) exit before any output.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Optional
 
@@ -69,6 +72,7 @@ from .fields import Grid, PhysicalParams, WaveFunction
 from .potentials import PotentialSpec
 
 _FLOAT = "%.17g"
+_BLOCK_CELLS = 2**12   # cells formatted per '%': bounds the text held at once
 
 # (section, key) -> (default as config text, type). The parser fills in the
 # defaults, rejects anything not listed here and converts every value to its
@@ -336,14 +340,35 @@ def _header_lines(spec: ExperimentSpec):
 
 
 def _write_csv(path: Path, spec: ExperimentSpec, columns: dict, extra_comments=()):
-    """Deterministic CSV of named equal-length float columns: '%.17g', '' for NaN."""
-    lines = _header_lines(spec) + list(extra_comments) + [",".join(columns)]
-    table = np.column_stack(list(columns.values()))
-    row_format = ",".join([_FLOAT] * table.shape[1]) + "\n"
+    """Deterministic CSV of named equal-length float columns: '%.17g', '' for NaN.
+
+    A key names its column, or comma-joined names the columns of a 2-D block; a Grid
+    as the first column stands for grid.x, spelled once per grid by _x_templates.
+    Rows are formatted in blocks of at most _BLOCK_CELLS cells (at least one row),
+    one '%' over one template each, so the text held at once stays small.
+    """
+    header = ",".join(columns)
+    values = list(columns.values())
+    grid = values.pop(0) if isinstance(values[0], Grid) else None
+    table = np.column_stack(values)
+    rows = max(1, _BLOCK_CELLS // (header.count(",") + 1))   # cells per row: the names
+    row = ",".join([_FLOAT] * table.shape[1]) + "\n"
     with path.open("w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        # '%.17g' spells NaN 'nan', and no other number it writes holds those letters
-        fh.writelines((row_format % tuple(row.tolist())).replace("nan", "") for row in table)
+        fh.write("\n".join(_header_lines(spec) + list(extra_comments) + [header]) + "\n")
+        for i, start in enumerate(range(0, len(table), rows)):
+            block = table[start:start + rows]
+            template = row * len(block) if grid is None else _x_templates(grid, row, rows)[i]
+            # '%.17g' spells NaN 'nan', and no other number it writes holds those letters
+            fh.write((template % tuple(block.ravel().tolist())).replace("nan", ""))
+
+
+@lru_cache(maxsize=4)
+def _x_templates(grid: Grid, row: str, rows: int) -> tuple:
+    """Block templates of a table on grid: each row its grid.x cell (finite: no 'nan'
+    or '%' in its text), then row."""
+    x = grid.x.tolist()
+    blocks = (x[i:i + rows] for i in range(0, len(x), rows))
+    return tuple("".join(_FLOAT % v + "," + row for v in block) for block in blocks)
 
 
 def _write_observables(path: Path, spec: ExperimentSpec, rec: RunRecord):
@@ -351,13 +376,13 @@ def _write_observables(path: Path, spec: ExperimentSpec, rec: RunRecord):
 
 
 def _write_snapshot(path: Path, spec: ExperimentSpec, psi: WaveFunction):
-    _write_csv(path, spec, {"x": psi.grid.x, "re": psi.values.real, "im": psi.values.imag})
+    _write_csv(path, spec, {"x": psi.grid, "re": psi.values.real, "im": psi.values.imag})
 
 
 def _write_weak_values(path: Path, spec: ExperimentSpec, psi: WaveFunction):
     wv = weak_value(polar_decompose(psi, hbar=spec.sim.params.hbar))
     masked = lambda part: np.where(wv.node_mask, np.nan, part)
-    columns = {"x": psi.grid.x, "re_p": masked(wv.real_part), "im_p": masked(wv.imag_part)}
+    columns = {"x": psi.grid, "re_p": masked(wv.real_part), "im_p": masked(wv.imag_part)}
     _write_csv(path, spec, columns)
 
 
@@ -368,8 +393,8 @@ def _write_trajectories(path: Path, spec: ExperimentSpec, snapshots):
     ens = propagate_trajectories(
         history, times, spec.n_trajectories, spec.sim.seed, spec.sim.params
     )
-    paths = {f"x_{i + 1}": x for i, x in enumerate(ens.positions)}
-    _write_csv(path, spec, {"t": ens.times, **paths})
+    names = ",".join(f"x_{i}" for i in range(1, len(ens.positions) + 1))
+    _write_csv(path, spec, {"t": ens.times, names: ens.positions.T})
 
 
 def _run_ensemble(spec: ExperimentSpec, out: Path):
@@ -462,16 +487,21 @@ def _run_compare(spec: ExperimentSpec, out: Path) -> int:
     return 0
 
 
-def _load_snapshot(path: Path, grid: Grid) -> WaveFunction:
+def _load_snapshot(path: Path, grid: Grid, digest: str) -> WaveFunction:
     """Read a snapshot written by _write_snapshot, on the run's config grid.
 
-    Comments (an older run's '# grid' line too) and the x,re,im header are skipped.
-    No rows, rows other than grid.n_points of x,re,im, an x column other than grid.x
-    bit for bit, or a cell that is not a finite number is a ConfigError naming the file.
+    digest is the sha256 of the run's resolved_config.txt text, which the run wrote
+    into every table. Other comments (an older run's '# grid' line too) and the x,re,im
+    header are skipped. No '# config_sha256 = <digest>' line, no rows, rows other than
+    grid.n_points of x,re,im, an x column other than grid.x bit for bit, or a cell that
+    is not a finite number is a ConfigError naming the file.
     """
     lines = path.read_text().splitlines()
     body = [ln for ln in lines if ln.strip() and not ln.startswith(("#", "x,"))]
     try:
+        if f"# config_sha256 = {digest}" not in lines:
+            raise ValueError("not a snapshot of this run: its config_sha256 is not "
+                             "the digest of resolved_config.txt")
         if not body:   # checked here, as np.loadtxt only warns on no rows
             raise ValueError("no rows of x,re,im")
         table = np.loadtxt(body, delimiter=",", ndmin=2)
@@ -489,7 +519,9 @@ def _run_post(run_dir: Path, out: Path, seed_override: Optional[int]) -> int:
     cfg_path = run_dir / "resolved_config.txt"
     if not cfg_path.exists():
         raise ConfigError(f"no resolved_config.txt in {run_dir}")
-    spec = parse_config(cfg_path.read_text(), seed_override=seed_override)
+    cfg_text = cfg_path.read_text()
+    spec = parse_config(cfg_text, seed_override=seed_override)
+    digest = hashlib.sha256(cfg_text.encode()).hexdigest()   # spec.digest moves with --seed
     snap_dir = run_dir / "snapshots"
     paths = []
     for p in snap_dir.glob("psi_*.csv"):
@@ -500,7 +532,7 @@ def _run_post(run_dir: Path, out: Path, seed_override: Optional[int]) -> int:
     paths.sort()
     if not paths:
         raise ConfigError(f"no snapshots found under {snap_dir}")
-    snapshots = [(step, _load_snapshot(p, spec.sim.grid)) for step, p in paths]
+    snapshots = [(step, _load_snapshot(p, spec.sim.grid, digest)) for step, p in paths]
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectories(out / "trajectories.csv", spec, snapshots)
     for step, psi in snapshots:

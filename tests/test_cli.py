@@ -2,9 +2,11 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from functools import lru_cache
 from pathlib import Path
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 
 import gsle
 from conftest import gaussian_state
-from gsle.cli import _load_snapshot, _write_csv, _write_snapshot, main, parse_config
+from gsle.cli import (
+    _BLOCK_CELLS, _load_snapshot, _write_csv, _write_snapshot, main, parse_config,
+)
 from gsle.errors import ConfigError, StabilityWarning
 from gsle.fields import Grid
 
@@ -475,10 +479,91 @@ class TestCsvFormat:
     def test_snapshot_round_trip_is_exact(self, tmp_path, grid):
         psi = gaussian_state(grid, x0=0.5, p0=0.9, sigma=1.2)
         path = tmp_path / "psi_0.csv"
-        _write_snapshot(path, parse_config(""), psi)
-        back = _load_snapshot(path, grid)
+        spec = parse_config("")
+        _write_snapshot(path, spec, psi)
+        back = _load_snapshot(path, grid, spec.digest)
         assert back.grid == grid
         assert np.array_equal(back.values, psi.values)
+
+    @staticmethod
+    def per_row_reference(spec, columns, extra_comments=()):
+        """The lines _write_csv must write, spelled row by row: '%.17g' per cell,
+        joined by ',', with 'nan' removed; a Grid column is its x. Compared as lists
+        of lines, so that a failure reports the first line that differs."""
+        cells = [c.x if isinstance(c, Grid) else c for c in columns.values()]
+        lines = [f"# seed = {spec.sim.seed}", f"# config_sha256 = {spec.digest}",
+                 *extra_comments, ",".join(columns)]
+        for row in np.column_stack(cells).tolist():
+            lines.append(",".join(("%.17g" % v).replace("nan", "") for v in row))
+        return [line + "\n" for line in lines]
+
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+
+    @pytest.mark.parametrize("width", [1, 4, 5000])
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+    def test_blocks_match_per_row_reference(self, tmp_path, width, extra_rows):
+        """Row counts of one block - 1, one block and one block + 1, and a table
+        wider than one block, with every special cell among random ones."""
+        spec = parse_config("")
+        n_rows = max(1, _BLOCK_CELLS // width) + extra_rows
+        table = np.random.default_rng(width).normal(size=(n_rows, width)) * 1e3
+        table.flat[: len(self.SPECIAL)] = self.SPECIAL
+        table.flat[-len(self.SPECIAL):] = self.SPECIAL
+        columns = {f"c{j}": table[:, j] for j in range(width)}
+        path = tmp_path / "t.csv"
+        _write_csv(path, spec, columns, extra_comments=("# note",))
+        reference = self.per_row_reference(spec, columns, ("# note",))
+        assert path.read_text().splitlines(True) == reference
+
+    def test_block_of_named_columns_matches_per_row_reference(self, tmp_path):
+        """A key of comma-joined names over a 2-D block, as trajectories.csv is written,
+        spells the same bytes as one key per column."""
+        spec = parse_config("")
+        times = np.linspace(0.0, 1.0, 17)
+        positions = np.random.default_rng(1).normal(size=(300, 17))
+        positions[3, :6] = self.SPECIAL
+        names = ",".join(f"x_{i}" for i in range(1, 301))
+        path = tmp_path / "t.csv"
+        _write_csv(path, spec, {"t": times, names: positions.T})
+        per_column = {"t": times, **{f"x_{i + 1}": x for i, x in enumerate(positions)}}
+        assert path.read_text().splitlines(True) == self.per_row_reference(spec, per_column)
+
+    def test_grid_tables_match_per_row_reference(self, tmp_path):
+        """Snapshot and weak-value tables on grids that share n_points or not, written
+        in turn in one process: a stale x cell fails."""
+        spec = parse_config("")
+        grids = [Grid(-20.0, 20.0, 4096), Grid(-22.0, 18.0, 4096), Grid(-20.0, 20.0, 8),
+                 Grid(-20.0, 20.0, 4096)]
+        rng = np.random.default_rng(2)
+        for k, grid in enumerate(grids):
+            a, b = rng.normal(size=(2, grid.n_points))
+            a[: len(self.SPECIAL)] = self.SPECIAL
+            for names in (("re", "im"), ("re_p", "im_p")):
+                columns = {"x": grid, names[0]: a, names[1]: b}
+                path = tmp_path / f"{k}_{names[0]}.csv"
+                _write_csv(path, spec, columns)
+                assert path.read_text().splitlines(True) == self.per_row_reference(spec, columns)
+
+    def test_writer_memory_is_bounded(self, tmp_path):
+        """Peak traced memory while writing post's 17 x 10001 trajectories table and a
+        4096 x 3 snapshot: 2.04 MB and 0.24 MB formatted per block, 11.85 MB and 0.57 MB
+        formatted as one string per table, 3.04 MB and 0.13 MB row by row."""
+        spec = parse_config("")
+        rng = np.random.default_rng(3)
+        names = ",".join(f"x_{i}" for i in range(1, 10_001))
+        positions = rng.normal(size=(10_000, 17))
+        trajectories = {"t": np.linspace(0.0, 1.0, 17), names: positions.T}
+        re, im = rng.normal(size=(2, 4096))
+        snapshot = {"x": Grid(-20.0, 20.0, 4096), "re": re, "im": im}
+        for columns, bound in ((trajectories, 4e6), (snapshot, 4e5)):
+            _write_csv(tmp_path / "warm.csv", spec, columns)   # a grid's x cells are spelled once
+            tracemalloc.start()
+            try:
+                _write_csv(tmp_path / "t.csv", spec, columns)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
 
 class TestCompareCommand:
@@ -559,6 +644,41 @@ class TestPostCommand:
         assert (post_dir / "trajectories.csv").read_bytes() == (
             run_dir / "trajectories.csv"
         ).read_bytes()
+
+    def test_post_weak_values_match_run(self, tmp_path):
+        """The run writes weak values from its in-memory states, post from the states
+        it parses back from the snapshot files: the bytes are the same."""
+        cfg = write_cfg(tmp_path, KOSTIN_CFG)
+        run_dir, post_dir = tmp_path / "run", tmp_path / "post"
+        assert main(["run", cfg, "--out", str(run_dir)]) == 0
+        assert main(["post", str(run_dir), "--out", str(post_dir)]) == 0
+        names = sorted(p.name for p in run_dir.glob("weak_values_*.csv"))
+        assert names == [f"weak_values_{s}.csv" for s in ("0", "100", "200", "300", "400")]
+        assert sorted(p.name for p in post_dir.glob("weak_values_*.csv")) == names
+        for name in names:
+            assert (post_dir / name).read_bytes() == (run_dir / name).read_bytes()
+
+    def test_snapshot_of_another_run_is_config_error(self, tmp_path):
+        """post --seed 5 on an intact run exits 0. A snapshot copied in from a run whose
+        config differs only in [initial] x0 and p0 exits 3 and names the file, before any
+        output: its config_sha256 is not the digest of resolved_config.txt."""
+        run_dirs = []
+        for name, initial in (("a", "x0 = 1\np0 = 0.5"), ("b", "x0 = -1\np0 = -0.5")):
+            text = ("[grid]\nn_points = 128\n[run]\nn_steps = 20\nsnapshot_stride = 10\n"
+                    f"[initial]\n{initial}\n[output]\nsnapshots = true\nn_trajectories = 10\n")
+            run_dirs.append(tmp_path / name)
+            assert main(["run", write_cfg(tmp_path, text, f"{name}.cfg"),
+                         "--out", str(run_dirs[-1])]) == 0
+        intact = tmp_path / "intact"
+        assert main(["post", str(run_dirs[0]), "--seed", "5", "--out", str(intact)]) == 0
+        assert (intact / "trajectories.csv").exists()
+        shutil.copy(run_dirs[1] / "snapshots" / "psi_10.csv", run_dirs[0] / "snapshots")
+        out = tmp_path / "post"
+        assert main(["post", str(run_dirs[0]), "--out", str(out)]) == 3
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ConfigError"
+        assert "psi_10.csv" in err["message"]
+        assert [p.name for p in out.iterdir()] == ["error.json"]
 
     def test_post_without_snapshots(self, tmp_path):
         run_dir = tmp_path / "empty"
