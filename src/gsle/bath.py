@@ -208,6 +208,17 @@ def check_seed(seed):
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
+def check_bath(noise: NoiseSpec, mass: float, memory: Optional[BathSpec] = None):
+    """The fluctuation-dissipation pairing, else a ConfigError: `memory` and the bath
+    that bath noise draws from are each for the system mass `mass`, and a memory-kernel
+    run's bath noise draws from `memory`: the same object, or one equal field by field."""
+    baths = [b for b in (memory, noise.bath if noise.kind == "bath" else None) if b is not None]
+    if any(b.system_mass != mass for b in baths):
+        raise ConfigError(f"a bath's system_mass is not the system mass {mass}")
+    if len(baths) == 2 and not all(map(np.array_equal, *(vars(b).values() for b in baths))):
+        raise ConfigError("a memory-kernel run's bath noise must draw from its memory bath")
+
+
 def noise_rows(
     spec: NoiseSpec, friction: float, mass: float, dt: float, n_steps: int, seeds: Sequence
 ) -> Iterator[np.ndarray]:

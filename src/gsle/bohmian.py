@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingFunction
 from .errors import DegenerateState, InsufficientData, InvalidField
 from .fields import (
     CubicSpline,
@@ -26,7 +25,6 @@ from .fields import (
     integrate_values,
     spectral_derivative,
 )
-from .potentials import dissipative_kernel
 
 
 @dataclass(frozen=True)
@@ -58,9 +56,12 @@ class TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class WeakValueField:
+    """The momentum weak value of `psi`, its source state; built by weak_value."""
+
     real_part: np.ndarray = field(repr=False)   # Bohmian momentum dS/dx
     imag_part: np.ndarray = field(repr=False)   # osmotic momentum -hbar (A^2)'/(2 A^2)
     node_mask: np.ndarray = field(repr=False)
+    psi: WaveFunction = field(repr=False)
 
 
 def _anchored_unwrap(theta: np.ndarray, anchor: int) -> np.ndarray:
@@ -129,23 +130,6 @@ def _log_derivative(polar: PolarField) -> np.ndarray:
     return polar.hbar * np.conj(psi) * dpsi / density_terms(grid, psi)[1]
 
 
-def tilde_phase_forms(polar: PolarField, f: CouplingFunction):
-    """(integration-by-parts form, current form) of the coupling phase.
-
-    Form 1: f'^2 S - 2 int S f' f'' dx (cumulative from x_min).
-    Form 2: m int Jt / max(|psi|^2, eps) dx on the source psi, by the
-    propagator's dissipative_kernel with weight hbar f'^2. The two agree up to
-    an additive constant.
-    """
-    grid = polar.grid
-    s = polar.S
-    fp = f.on_grid(grid, 1)
-    fpp = f.on_grid(grid, 2)
-    form1 = fp**2 * s - 2.0 * cumulative_integral(grid, s * fp * fpp)
-    form2, _ = dissipative_kernel(polar.psi.values, polar.hbar * fp**2, grid.ik, grid)
-    return form1, form2
-
-
 def weak_value(polar: PolarField) -> WeakValueField:
     """Momentum weak value <x|p|psi>/<x|psi> after a position post-selection.
 
@@ -161,6 +145,7 @@ def weak_value(polar: PolarField) -> WeakValueField:
         real_part=np.where(polar.node_mask, slope, w.imag),
         imag_part=-w.real,
         node_mask=polar.node_mask,
+        psi=polar.psi,
     )
 
 
@@ -178,20 +163,17 @@ def sample_from_density(psi: WaveFunction, n: int, rng) -> np.ndarray:
 
 
 def propagate_trajectories(
-    history,
-    times,
-    n_traj: int,
-    seed: int,
-    params: PhysicalParams,
+    history, times, n_traj: int, seed: int, params: PhysicalParams
 ) -> TrajectoryEnsemble:
-    """Bohmian trajectories through a stored wavefunction history.
+    """Bohmian trajectories through a stored history of weak values.
 
-    `history` is a sequence of snapshots at the uniform `times`, all on
-    history[0]'s grid (a state on another is an InvalidField). Initial
-    positions are sampled from |psi(.,0)|^2; advance is RK4 on
-    v(x,t) = dS/dx / m, periodically wrapped: linear in t, and in x the numpy
-    cubic spline with periodic ends, `fields.CubicSpline.periodic`. Half-step
-    stages read the spline of the averaged (v, m): one cell lookup per stage.
+    `history` is the weak_value of each state at the uniform `times`, all on
+    history[0]'s grid (a field on another is an InvalidField). Initial
+    positions are sampled from |psi|^2 of history[0].psi; advance is RK4 on
+    v(x,t) = dS/dx / m, the real parts over m, periodically wrapped: linear
+    in t, and in x the numpy cubic spline with periodic ends,
+    `fields.CubicSpline.periodic`. Half-step stages read the spline of the
+    averaged (v, m): one cell lookup per stage.
     """
     history = list(history)
     times = np.asarray(times, dtype=float)
@@ -199,25 +181,23 @@ def propagate_trajectories(
         raise InsufficientData("empty wavefunction history")
     if len(history) != times.size:
         raise InsufficientData("history and times lengths differ")
-    grid = history[0].grid
+    grid = history[0].psi.grid
     rng = np.random.default_rng(seed)
-    x = sample_from_density(history[0], n_traj, rng)
+    x = sample_from_density(history[0].psi, n_traj, rng)
 
-    splines = []
-    for k, psi in enumerate(history):
-        if psi.grid != grid:
-            raise InvalidField(f"history[{k}] is on {psi.grid}, not on history[0]'s {grid}")
-        polar = polar_decompose(psi, hbar=params.hbar)
-        v = weak_value(polar).real_part / params.mass
-        splines.append(CubicSpline.periodic(grid, v))
+    for k, wv in enumerate(history):
+        if wv.psi.grid != grid:
+            raise InvalidField(f"history[{k}] is on {wv.psi.grid}, not on history[0]'s {grid}")
 
     wrap = lambda pos: grid.x_min + np.mod(pos - grid.x_min, grid.length)
+    velocity = lambda wv: CubicSpline.periodic(grid, wv.real_part / params.mass)
 
     positions = np.empty((n_traj, times.size))
     positions[:, 0] = x
+    s1 = velocity(history[0])
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
-        s0, s1 = splines[k], splines[k + 1]
+        s0, s1 = s1, velocity(history[k + 1])   # one interval's splines: memory flat in k
         mid = CubicSpline(s0.x, 0.5 * (s0.y + s1.y), 0.5 * (s0.m + s1.m), grid.dx)
         k1 = s0(wrap(x))
         k2 = mid(wrap(x + 0.5 * dt * k1))

@@ -19,7 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathSpec, NoiseSpec, check_seed, memory_kernel, noise_rows, spawn_seeds
+from .bath import (
+    BathSpec, NoiseSpec, check_bath, check_seed, memory_kernel, noise_rows, spawn_seeds,
+)
 from .coupling import CouplingFunction, PotentialSpec
 from .errors import ConfigError, NumericalBlowup, blowup_on_overflow
 from .fields import BlockRecorder, PhysicalParams
@@ -69,6 +71,7 @@ class LangevinConfig:
         # GleIntegrator reads no friction, and white noise is scaled by it
         if self.memory is not None and (self.friction or self.noise.kind == "white"):
             raise ConfigError("memory-kernel runs take zero or bath noise and no friction")
+        check_bath(self.noise, self.params.mass, self.memory)
 
 
 @dataclass

@@ -53,6 +53,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import io
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -335,10 +336,6 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
     )
 
 
-def _header_lines(spec: ExperimentSpec):
-    return [f"# seed = {spec.sim.seed}", f"# config_sha256 = {spec.digest}"]
-
-
 def _write_csv(path: Path, spec: ExperimentSpec, columns: dict, extra_comments=()):
     """Deterministic CSV of named equal-length float columns: '%.17g', '' for NaN.
 
@@ -354,7 +351,8 @@ def _write_csv(path: Path, spec: ExperimentSpec, columns: dict, extra_comments=(
     rows = max(1, _BLOCK_CELLS // (header.count(",") + 1))   # cells per row: the names
     row = ",".join([_FLOAT] * table.shape[1]) + "\n"
     with path.open("w") as fh:
-        fh.write("\n".join(_header_lines(spec) + list(extra_comments) + [header]) + "\n")
+        head = [f"# seed = {spec.sim.seed}", f"# config_sha256 = {spec.digest}", *extra_comments]
+        fh.write("\n".join(head + [header]) + "\n")
         for i, start in enumerate(range(0, len(table), rows)):
             block = table[start:start + rows]
             template = row * len(block) if grid is None else _x_templates(grid, row, rows)[i]
@@ -379,22 +377,32 @@ def _write_snapshot(path: Path, spec: ExperimentSpec, psi: WaveFunction):
     _write_csv(path, spec, {"x": psi.grid, "re": psi.values.real, "im": psi.values.imag})
 
 
-def _write_weak_values(path: Path, spec: ExperimentSpec, psi: WaveFunction):
-    wv = weak_value(polar_decompose(psi, hbar=spec.sim.params.hbar))
-    masked = lambda part: np.where(wv.node_mask, np.nan, part)
-    columns = {"x": psi.grid, "re_p": masked(wv.real_part), "im_p": masked(wv.imag_part)}
-    _write_csv(path, spec, columns)
+def _write_states(out: Path, spec: ExperimentSpec, snapshots):
+    """The per-state tables that [output] asks of the (step, psi) snapshots:
+    snapshots/psi_<step>.csv, weak_values_<step>.csv and trajectories.csv.
 
-
-def _write_trajectories(path: Path, spec: ExperimentSpec, snapshots):
-    """Bohmian trajectories through the (step, psi) snapshots."""
-    steps, history = zip(*snapshots)
-    times = spec.sim.dt * np.array(steps, dtype=float)
-    ens = propagate_trajectories(
-        history, times, spec.n_trajectories, spec.sim.seed, spec.sim.params
-    )
-    names = ",".join(f"x_{i}" for i in range(1, len(ens.positions) + 1))
-    _write_csv(path, spec, {"t": ens.times, names: ens.positions.T})
+    Each state is decomposed once, and only for a weak-value or trajectory table.
+    """
+    if spec.emit_snapshots:
+        (out / "snapshots").mkdir(exist_ok=True)
+        for step, psi in snapshots:
+            _write_snapshot(out / "snapshots" / f"psi_{step}.csv", spec, psi)
+    if not (spec.emit_weak_values or spec.emit_trajectories):
+        return
+    steps = [step for step, _ in snapshots]
+    history = [weak_value(polar_decompose(psi, spec.sim.params.hbar)) for _, psi in snapshots]
+    if spec.emit_weak_values:
+        for step, wv in zip(steps, history):
+            masked = lambda part: np.where(wv.node_mask, np.nan, part)
+            columns = {"re_p": masked(wv.real_part), "im_p": masked(wv.imag_part)}
+            _write_csv(out / f"weak_values_{step}.csv", spec, {"x": wv.psi.grid, **columns})
+    if spec.emit_trajectories:
+        times = spec.sim.dt * np.array(steps, dtype=float)
+        ens = propagate_trajectories(
+            history, times, spec.n_trajectories, spec.sim.seed, spec.sim.params
+        )
+        names = ",".join(f"x_{i}" for i in range(1, len(ens.positions) + 1))
+        _write_csv(out / "trajectories.csv", spec, {"t": ens.times, names: ens.positions.T})
 
 
 def _run_ensemble(spec: ExperimentSpec, out: Path):
@@ -430,27 +438,14 @@ def _ensemble_stats(records):
 
 def _run_gsle(spec: ExperimentSpec, out: Path) -> int:
     if spec.ensemble_seeds > 1:
-        _write_csv(
-            out / "ensemble_summary.csv",
-            spec,
-            _ensemble_stats(_run_ensemble(spec, out)),
-            extra_comments=(f"# ensemble_seeds = {spec.ensemble_seeds}",),
-        )
+        stats = _ensemble_stats(_run_ensemble(spec, out))
+        comments = (f"# ensemble_seeds = {spec.ensemble_seeds}",)
+        _write_csv(out / "ensemble_summary.csv", spec, stats, extra_comments=comments)
         return 0
     rec = run(spec.sim)
     if spec.emit_observables:
         _write_observables(out / "observables.csv", spec, rec)
-    if rec.snapshots:
-        if spec.emit_snapshots:
-            snap_dir = out / "snapshots"
-            snap_dir.mkdir(exist_ok=True)
-            for step, psi in rec.snapshots:
-                _write_snapshot(snap_dir / f"psi_{step}.csv", spec, psi)
-        if spec.emit_weak_values:
-            for step, psi in rec.snapshots:
-                _write_weak_values(out / f"weak_values_{step}.csv", spec, psi)
-        if spec.emit_trajectories:
-            _write_trajectories(out / "trajectories.csv", spec, rec.snapshots)
+    _write_states(out, spec, rec.snapshots)
     return 0
 
 
@@ -491,20 +486,20 @@ def _load_snapshot(path: Path, grid: Grid, digest: str) -> WaveFunction:
     """Read a snapshot written by _write_snapshot, on the run's config grid.
 
     digest is the sha256 of the run's resolved_config.txt text, which the run wrote
-    into every table. Other comments (an older run's '# grid' line too) and the x,re,im
-    header are skipped. No '# config_sha256 = <digest>' line, no rows, rows other than
-    grid.n_points of x,re,im, an x column other than grid.x bit for bit, or a cell that
-    is not a finite number is a ConfigError naming the file.
+    into every table. The text is split once at its x,re,im header; the rows below
+    it are parsed by one np.loadtxt, and the head's other comments (an older run's
+    '# grid' line too) are skipped. No '# config_sha256 = <digest>' line in the head,
+    no rows, rows other than grid.n_points of x,re,im, an x column other than grid.x
+    bit for bit, or a cell that is not a finite number is a ConfigError naming the file.
     """
-    lines = path.read_text().splitlines()
-    body = [ln for ln in lines if ln.strip() and not ln.startswith(("#", "x,"))]
+    head, _, body = path.read_text().partition("\nx,re,im\n")
     try:
-        if f"# config_sha256 = {digest}" not in lines:
+        if f"# config_sha256 = {digest}" not in head.splitlines():
             raise ValueError("not a snapshot of this run: its config_sha256 is not "
                              "the digest of resolved_config.txt")
-        if not body:   # checked here, as np.loadtxt only warns on no rows
+        if not body.strip():   # checked here, as np.loadtxt only warns on no rows
             raise ValueError("no rows of x,re,im")
-        table = np.loadtxt(body, delimiter=",", ndmin=2)
+        table = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
         if table.shape != (grid.n_points, 3):
             raise ValueError(f"a {table.shape} table, not {grid.n_points} rows of x,re,im")
         if table[:, 0].tobytes() != grid.x.tobytes():
@@ -534,9 +529,8 @@ def _run_post(run_dir: Path, out: Path, seed_override: Optional[int]) -> int:
         raise ConfigError(f"no snapshots found under {snap_dir}")
     snapshots = [(step, _load_snapshot(p, spec.sim.grid, digest)) for step, p in paths]
     out.mkdir(parents=True, exist_ok=True)
-    _write_trajectories(out / "trajectories.csv", spec, snapshots)
-    for step, psi in snapshots:
-        _write_weak_values(out / f"weak_values_{step}.csv", spec, psi)
+    spec = replace(spec, emit_snapshots=False, emit_weak_values=True, emit_trajectories=True)
+    _write_states(out, spec, snapshots)
     return 0
 
 

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bath import NoiseSpec, check_seed, noise_rows
+from .bath import NoiseSpec, check_bath, check_seed, noise_rows
 from .coupling import CouplingFunction, PotentialSpec
 from .errors import (
     ConfigError,
@@ -115,6 +115,7 @@ class SimConfig:
             if not isinstance(count, numbers.Integral) or count < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {count!r}")
         check_seed(self.seed)
+        check_bath(self.noise, self.params.mass)
         if not 0 <= self.friction < np.inf:
             raise ConfigError(f"friction must be >= 0 and finite, got {self.friction}")
         if not 0 <= self.kappa < np.inf:

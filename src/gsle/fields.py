@@ -75,16 +75,6 @@ class PhysicalParams:
             raise InvalidField("hbar and mass must be positive and finite")
 
 
-def _check_values(grid: Grid, values: np.ndarray):
-    """Finite samples of shape (..., N)."""
-    if values.shape[-1:] != (grid.n_points,):
-        raise InvalidField(
-            f"field has {values.shape} samples, grid has {grid.n_points} points"
-        )
-    if not np.all(np.isfinite(values)):
-        raise InvalidField("field contains non-finite samples")
-
-
 @dataclass(frozen=True)
 class WaveFunction:
     """Complex samples psi(x) of shape (N,), or (..., N) for a batch of states."""
@@ -93,10 +83,12 @@ class WaveFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=complex)
-        )
-        _check_values(self.grid, self.values)
+        values, n = np.asarray(self.values, dtype=complex), self.grid.n_points
+        if values.shape[-1:] != (n,):
+            raise InvalidField(f"field has {values.shape} samples, grid has {n} points")
+        if not np.all(np.isfinite(values)):
+            raise InvalidField("field contains non-finite samples")
+        object.__setattr__(self, "values", values)
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2

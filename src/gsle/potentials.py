@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bohmian import PolarField, polar_decompose, weak_value
 from .coupling import CouplingFunction, PotentialSpec, gup_coupling, monotone_slope
 from .errors import ConfigError
 from .fields import (
@@ -59,7 +60,7 @@ def dissipative_kernel(
     V_d(x) = int_{x_min}^{x} weight Im(psi* dpsi/dx') / max(|psi|^2, eps) dx' and
     W = <V_d> for psi samples `vals`, ik = Grid.ik and weight = s friction hbar f'^2
     (s m friction f'^2 times the current's hbar/m). The propagator,
-    dissipative_potential below and the Bohmian current-form phase all call it. A batch `vals`
+    dissipative_potential and tilde_phase_forms below all call it. A batch `vals`
     of shape (..., N) gives V_d of that shape and one W per row, each row with
     its own density floor. spectrum = fft(vals) and density = density_terms(grid,
     vals), or a tuple that starts with its three items, may be passed in.
@@ -108,6 +109,23 @@ def dissipative_potential(
     return vd, float(w)
 
 
+def tilde_phase_forms(polar: PolarField, f: CouplingFunction):
+    """(integration-by-parts form, current form) of the coupling phase.
+
+    Form 1: f'^2 S - 2 int S f' f'' dx (cumulative from x_min).
+    Form 2: m int Jt / max(|psi|^2, eps) dx on the source psi, by the
+    propagator's dissipative_kernel with weight hbar f'^2. The two agree up to
+    an additive constant.
+    """
+    grid = polar.grid
+    s = polar.S
+    fp = f.on_grid(grid, 1)
+    fpp = f.on_grid(grid, 2)
+    form1 = fp**2 * s - 2.0 * cumulative_integral(grid, s * fp * fpp)
+    form2, _ = dissipative_kernel(polar.psi.values, polar.hbar * fp**2, grid.ik, grid)
+    return form1, form2
+
+
 def gup_damping_closed_form(
     psi: WaveFunction,
     V: PotentialSpec,
@@ -120,8 +138,6 @@ def gup_damping_closed_form(
     integrates the full coupling-dependent phase; this closed form drops a
     boundary term. Compare the two with gup_discrepancy_report.
     """
-    from .bohmian import polar_decompose, weak_value
-
     monotone_slope(V, psi.grid, "GUP closed form")
     p = weak_value(polar_decompose(psi, hbar=params.hbar)).real_part
     return -2.0 * gup_alpha * p * V.on_grid(psi.grid, 0)

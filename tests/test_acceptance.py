@@ -209,7 +209,8 @@ def test_criterion_07_trajectory_equivariance():
     rec = run(cfg)
     times = cfg.dt * np.array([s for s, _ in rec.snapshots])
     history = [p for _, p in rec.snapshots]
-    ens = propagate_trajectories(history, times, 10_000, 21, PARAMS)
+    wvs = [weak_value(polar_decompose(psi, PARAMS.hbar)) for psi in history]
+    ens = propagate_trajectories(wvs, times, 10_000, 21, PARAMS)
     ds = [equivariance_distance(ens, history[k], k) for k in range(3)]
     worst = max(ds)
     report(7, worst < 0.05, f"worst KS distance at t=0,1,2 is {worst:.4f} < 0.05")

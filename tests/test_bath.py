@@ -21,9 +21,9 @@ from gsle.bath import (
 )
 from gsle import classical, evolve
 from gsle.classical import LangevinConfig, langevin_ensemble
-from gsle.errors import EmptyBath, InvalidField
+from gsle.errors import ConfigError, EmptyBath, InvalidField
 from gsle.evolve import SimConfig, run
-from gsle.fields import Grid
+from gsle.fields import Grid, PhysicalParams
 from gsle.potentials import PotentialSpec
 
 
@@ -110,6 +110,39 @@ class TestDiscretizeOhmic:
         bath = discretize_ohmic(OhmicSpec(0.5, 10.0, 10, 0.0), 1.0)
         assert bath.frequencies[0] == pytest.approx(1.0)
         assert bath.frequencies[-1] == pytest.approx(10.0)
+
+
+class TestBathPairing:
+    """A config's baths keep the fluctuation-dissipation pairing that the classical
+    oracle and the wave noise assume, or it is a ConfigError when it is built."""
+
+    @staticmethod
+    def ohmic(friction=0.1, mass=1.0):
+        return discretize_ohmic(OhmicSpec(friction, 20.0, 10, 0.1), mass)
+
+    def test_bath_noise_draws_from_memory(self):
+        """The same bath, or one equal field by field, pairs; another does not."""
+        memory = self.ohmic()
+        for bath in (memory, self.ohmic()):
+            LangevinConfig(memory=memory, noise=NoiseSpec("bath", 0.1, bath=bath))
+        with pytest.raises(ConfigError, match="must draw from its memory bath"):
+            LangevinConfig(memory=memory, noise=NoiseSpec("bath", 0.1, bath=self.ohmic(0.2)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda params, bath: LangevinConfig(params=params, memory=bath),
+         lambda params, bath: LangevinConfig(params=params, noise=NoiseSpec("bath", 0.1, bath=bath)),
+         lambda params, bath: SimConfig(
+             Grid(-10.0, 10.0, 64), params, noise=NoiseSpec("bath", 0.1, bath=bath))],
+        ids=["memory", "classical_noise", "wave_noise"],
+    )
+    def test_bath_for_another_mass(self, build):
+        """A bath discretized for the default mass 1 does not pair with mass 3, in
+        LangevinConfig and SimConfig alike; the bath for mass 3 does."""
+        params = PhysicalParams(mass=3.0)
+        build(params, self.ohmic(mass=3.0))
+        with pytest.raises(ConfigError, match="system_mass is not the system mass 3"):
+            build(params, self.ohmic())
 
 
 class TestSampleBathNoise:

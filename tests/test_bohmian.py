@@ -12,7 +12,6 @@ from gsle.bohmian import (
     polar_decompose,
     propagate_trajectories,
     sample_from_density,
-    tilde_phase_forms,
     weak_value,
 )
 from gsle.coupling import CouplingFunction
@@ -25,7 +24,12 @@ from gsle.evolve import (
     run,
 )
 from gsle.fields import Grid, WaveFunction, spectral_derivative
-from gsle.potentials import PotentialSpec, current, dissipative_potential
+from gsle.potentials import PotentialSpec, current, dissipative_potential, tilde_phase_forms
+
+
+def weak_values(history, hbar=1.0):
+    """The weak value of each state: the history that propagate_trajectories takes."""
+    return [weak_value(polar_decompose(psi, hbar)) for psi in history]
 
 
 def _sequential_unwrap(theta, anchor):
@@ -241,7 +245,7 @@ class TestTrajectories:
         )
         psi = build_initial_state(cfg)
         times = np.linspace(0.0, 1.0, 11)
-        ens = propagate_trajectories([psi] * 11, times, 200, 4, params)
+        ens = propagate_trajectories(weak_values([psi] * 11), times, 200, 4, params)
         drift = np.abs(ens.positions - ens.positions[:, :1]).max()
         assert drift < 1e-8
 
@@ -249,7 +253,7 @@ class TestTrajectories:
         g = Grid(-40.0, 40.0, 1024)
         psi = gaussian_state(g, p0=2.0, sigma=6.0)
         times = np.linspace(0.0, 0.5, 6)
-        ens = propagate_trajectories([psi] * 6, times, 500, 5, params)
+        ens = propagate_trajectories(weak_values([psi] * 6), times, 500, 5, params)
         v = (ens.positions[:, -1] - ens.positions[:, 0]) / 0.5
         assert np.abs(v - 2.0).max() < 0.02
 
@@ -265,7 +269,7 @@ class TestTrajectories:
         rec = run(cfg)
         times = cfg.dt * np.array([s for s, _ in rec.snapshots])
         ens = propagate_trajectories(
-            [p for _, p in rec.snapshots], times, 10_000, 6, params
+            weak_values(p for _, p in rec.snapshots), times, 10_000, 6, params
         )
         sim_var = ens.positions[:, -1].var()
         assert sim_var == pytest.approx(rec.var_x[-1], rel=0.03)
@@ -285,7 +289,7 @@ class TestTrajectories:
                 xc = xc0 + p0 * t
                 psi = np.exp(-((grid.x - xc) ** 2) / (4.0 * sigma0**2 * z) + 1j * p0 * grid.x)
                 history.append(WaveFunction(grid, psi / np.sqrt(z)))
-            ens = propagate_trajectories(history, times, 200, 3, params)
+            ens = propagate_trajectories(weak_values(history), times, 200, 3, params)
             sigma = sigma0 * np.sqrt(1.0 + (times / (2.0 * sigma0**2)) ** 2)
             x0 = ens.positions[:, :1]
             exact = xc0 + p0 * times + (x0 - xc0) * sigma / sigma0
@@ -301,7 +305,9 @@ class TestTrajectories:
 
     def test_history_and_times_lengths_differ(self, grid, params):
         with pytest.raises(InsufficientData, match="lengths differ"):
-            propagate_trajectories([gaussian_state(grid)] * 2, [0.0, 0.1, 0.2], 10, 0, params)
+            propagate_trajectories(
+                weak_values([gaussian_state(grid)] * 2), [0.0, 0.1, 0.2], 10, 0, params
+            )
 
     @pytest.mark.parametrize(
         "other", [Grid(-20.0, 20.0, 256), Grid(-22.0, 18.0, 512)], ids=["n_points", "box"]
@@ -311,7 +317,7 @@ class TestTrajectories:
         names it, whether its n_points or its box differs."""
         history = [gaussian_state(grid), gaussian_state(grid), gaussian_state(other)]
         with pytest.raises(InvalidField, match=r"history\[2\] is on"):
-            propagate_trajectories(history, [0.0, 0.1, 0.2], 10, 0, params)
+            propagate_trajectories(weak_values(history), [0.0, 0.1, 0.2], 10, 0, params)
 
 
 class TestEquivariance:
@@ -346,8 +352,8 @@ class TestEquivariance:
             for p in history
         ]
         n = 4000
-        good = propagate_trajectories(history, times, n, 9, params)
-        bad = propagate_trajectories(doubled, times, n, 9, params)
+        good = propagate_trajectories(weak_values(history), times, n, 9, params)
+        bad = propagate_trajectories(weak_values(doubled), times, n, 9, params)
         bound = 1.63 / np.sqrt(n)
         assert equivariance_distance(good, history[-1], len(times) - 1) < 0.05
         assert equivariance_distance(bad, history[-1], len(times) - 1) > 0.05

@@ -658,6 +658,24 @@ class TestPostCommand:
         for name in names:
             assert (post_dir / name).read_bytes() == (run_dir / name).read_bytes()
 
+    def test_each_state_is_decomposed_once(self, tmp_path, monkeypatch):
+        """post of a run with 5 snapshots makes 5 weak_value calls, one per state for
+        both its tables; a run whose [output] asks only for snapshots makes none."""
+        calls = []
+        weak_value = gsle.bohmian.weak_value
+        counted = lambda polar: calls.append(polar) or weak_value(polar)
+        for name, module in list(sys.modules.items()):   # every gsle module bound to it
+            if name.startswith("gsle") and getattr(module, "weak_value", None) is weak_value:
+                monkeypatch.setattr(module, "weak_value", counted)
+        text = ("[grid]\nn_points = 128\n[run]\nn_steps = 20\nsnapshot_stride = 5\n"
+                "[output]\nsnapshots = true\nn_trajectories = 10\n")
+        run_dir, post_dir = tmp_path / "run", tmp_path / "post"
+        assert main(["run", write_cfg(tmp_path, text), "--out", str(run_dir)]) == 0
+        assert len(list((run_dir / "snapshots").iterdir())) == 5
+        assert calls == []
+        assert main(["post", str(run_dir), "--out", str(post_dir)]) == 0
+        assert len(calls) == 5
+
     def test_snapshot_of_another_run_is_config_error(self, tmp_path):
         """post --seed 5 on an intact run exits 0. A snapshot copied in from a run whose
         config differs only in [initial] x0 and p0 exits 3 and names the file, before any

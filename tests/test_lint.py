@@ -1,5 +1,6 @@
-"""Static checks on the package source: every imported name is used, and every
-private or ALL-CAPS module-level name is read somewhere in the package."""
+"""Static checks on the package source: every imported name is used, every import
+is at module level, and every private or ALL-CAPS module-level name is read
+somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,31 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def nested_imports(source: str) -> list:
+    """Imports inside a function or class body, which hide a module's dependencies
+    (an import cycle among them) from its top."""
+    bodies = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    nested = {   # keyed by line: an import in nested bodies is found once per body
+        node.lineno: ast.unparse(node)
+        for scope in ast.walk(ast.parse(source)) if isinstance(scope, bodies)
+        for node in ast.walk(scope) if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return [f"line {line}: {text}" for line, text in sorted(nested.items())]
+
+
+def test_finds_a_nested_import():
+    source = (
+        "import os\nif os:\n    import sys\ndef f():\n    from .a import b\n    return b\n"
+        "class C:\n    def g(self):\n        def h():\n            import json\n"
+    )
+    assert nested_imports(source) == ["line 5: from .a import b", "line 10: import json"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_nested_imports(path):
+    assert nested_imports(path.read_text()) == []
 
 
 def unread_module_names(sources: dict) -> list:
