@@ -35,6 +35,7 @@ class BathSpec:
     frequencies: np.ndarray
     couplings: np.ndarray
     system_mass: float = 1.0
+    friction: Optional[float] = None   # the Ohmic friction discretize_ohmic built it for
 
     def __post_init__(self):
         m = np.atleast_1d(np.asarray(self.masses, dtype=float))
@@ -113,7 +114,7 @@ def discretize_ohmic(spec: OhmicSpec, system_mass: float = 1.0) -> BathSpec:
     omega = dw * np.arange(1, n + 1)
     masses = np.ones(n)
     d = omega * np.sqrt(2.0 * system_mass * spec.friction * masses * dw / np.pi)
-    return BathSpec(masses, omega, d, system_mass=system_mass)
+    return BathSpec(masses, omega, d, system_mass=system_mass, friction=spec.friction)
 
 
 def _bath_slabs(bath: BathSpec, temperature: float, seeds, slab_times):
@@ -208,15 +209,20 @@ def check_seed(seed):
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-def check_bath(noise: NoiseSpec, mass: float, memory: Optional[BathSpec] = None):
+def check_bath(noise: NoiseSpec, mass: float, memory: Optional[BathSpec] = None, *, friction):
     """The fluctuation-dissipation pairing, else a ConfigError: `memory` and the bath
-    that bath noise draws from are each for the system mass `mass`, and a memory-kernel
-    run's bath noise draws from `memory`: the same object, or one equal field by field."""
-    baths = [b for b in (memory, noise.bath if noise.kind == "bath" else None) if b is not None]
+    that bath noise draws from are each for the system mass `mass`, a memory-kernel
+    run's bath noise draws from `memory` (the same object, or one equal field by
+    field), and a Markovian run's bath noise from a bath discretized for its own
+    `friction`, if the bath records one."""
+    bath = noise.bath if noise.kind == "bath" else None
+    baths = [b for b in (memory, bath) if b is not None]
     if any(b.system_mass != mass for b in baths):
         raise ConfigError(f"a bath's system_mass is not the system mass {mass}")
     if len(baths) == 2 and not all(map(np.array_equal, *(vars(b).values() for b in baths))):
         raise ConfigError("a memory-kernel run's bath noise must draw from its memory bath")
+    if memory is None and bath is not None and bath.friction not in (None, friction):
+        raise ConfigError(f"bath noise discretized for friction {bath.friction}, not {friction}")
 
 
 def noise_rows(

@@ -71,7 +71,7 @@ class LangevinConfig:
         # GleIntegrator reads no friction, and white noise is scaled by it
         if self.memory is not None and (self.friction or self.noise.kind == "white"):
             raise ConfigError("memory-kernel runs take zero or bath noise and no friction")
-        check_bath(self.noise, self.params.mass, self.memory)
+        check_bath(self.noise, self.params.mass, self.memory, friction=self.friction)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Strang-split propagation of the nonlinear stochastic wave equation.
 
 One step is: half kinetic kick (spectral), full potential kick with the
-state-dependent terms recomputed at a predictor midpoint, half kinetic
+state-dependent terms predicted at the midpoint of that kick, half kinetic
 kick. The gauge term W(t) = <V_d> is subtracted explicitly every step
 instead of tracking the global-phase transformation.
 
@@ -18,8 +18,10 @@ the split-step operators are the same for every row.
 
 `step` maps a state's spectrum to the next state's spectrum. One density
 of the half-kicked state, with its floor, norm and (kappa > 0) the step's
-one log, serves the first V_d/W and both kicks, which write cos and sin of
-the phase into a workspace buffer. `run` owns the clock, checks every new
+one log, and one current transform serve both V_d/W evaluations and the
+kick, which writes cos and sin of the phase into a workspace buffer. The
+midpoint's U is predicted from the half-kicked state's current: the
+midpoint state itself is never built. `run` owns the clock, checks every new
 spectrum for finite samples and stops at the first float operation that
 overflows or turns invalid.
 
@@ -53,12 +55,13 @@ from .fields import (
     Grid,
     PhysicalParams,
     WaveFunction,
+    density_floor,
     density_terms,
     integrate_values,
     normalize,
     observables,
 )
-from .potentials import SIGNS, dissipative_kernel, tilde_current
+from .potentials import SIGNS, dissipative_kernel, dissipative_slope, gauged_integral, tilde_current
 
 BOUNDARY_DENSITY_LIMIT = 1e-6
 STABILITY_LIMIT = 0.5   # of a step's guard dt*max|U|/hbar
@@ -115,9 +118,9 @@ class SimConfig:
             if not isinstance(count, numbers.Integral) or count < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {count!r}")
         check_seed(self.seed)
-        check_bath(self.noise, self.params.mass)
         if not 0 <= self.friction < np.inf:
             raise ConfigError(f"friction must be >= 0 and finite, got {self.friction}")
+        check_bath(self.noise, self.params.mass, friction=self.friction)
         if not 0 <= self.kappa < np.inf:
             raise ConfigError(f"kappa must be >= 0 and finite, got {self.kappa}")
         if self.sign not in SIGNS:
@@ -204,11 +207,11 @@ class _Workspace:
             -1j * params.hbar * grid.k**2 * config.dt / (4.0 * params.mass)
         )
         self.ik = grid.ik
-        self.V = config.potential.on_grid(grid, 0)
-        self.f = config.coupling.on_grid(grid, 0)
+        self.V, self.dV = (config.potential.on_grid(grid, k) for k in (0, 1))
+        self.f, self.df = (config.coupling.on_grid(grid, k) for k in (0, 1))
         # V_d's s * m * friction * f'^2, times the hbar/m of the current
         coef = SIGNS[config.sign] * config.friction * params.hbar
-        self.vd_weight = coef * config.coupling.on_grid(grid, 1) ** 2 if coef else None
+        self.vd_weight = coef * self.df**2 if coef else None
         self.kappa = config.kappa
         self.dt = config.dt
         self._buffers = {}
@@ -220,20 +223,65 @@ class _Workspace:
         return buf
 
     def density(self, vals: np.ndarray):
-        """density_terms of vals plus ln(floored rho) if kappa > 0: what a step's kicks read."""
+        """density_terms of vals plus ln(floored rho) if kappa > 0: what a step's
+        predictor and kick read."""
         rho, floored, norm = density_terms(self.grid, vals)
         return rho, floored, norm, np.log(floored) if self.kappa else None
 
-    def real_potential(self, vals: np.ndarray, xi_n, spectrum=None, density=None):
+    def vd_slope(self, vals: np.ndarray, spectrum, density):
+        """dV_d/dx of vals (dissipative_slope), or None without friction."""
+        if self.vd_weight is not None:
+            return dissipative_slope(vals, self.vd_weight, self.ik, density[1], spectrum)
+
+    def real_potential(self, vals: np.ndarray, xi_n, spectrum=None, density=None, slope=None):
         """Real potential U = V - f xi + V_d - W, with the gauge constant W = <V_d>.
 
-        For a batch vals (B, N), xi_n is a (B, 1) column. spectrum = fft(vals)
-        and density = self.density(vals), when the caller has them, save their
-        recomputation. U is a new array, built in place.
+        For a batch vals (B, N), xi_n is a (B, 1) column. spectrum = fft(vals),
+        density = self.density(vals) and slope = self.vd_slope(...), when the caller
+        has them, save their recomputation. U is a new array, built in place.
         """
         if self.vd_weight is None:
             return self.V - self.f * xi_n
-        vd, w = dissipative_kernel(vals, self.vd_weight, self.ik, self.grid, spectrum, density)
+        vd_w = dissipative_kernel(vals, self.vd_weight, self.ik, self.grid, spectrum, density, slope)
+        return self._potential(*vd_w, xi_n)
+
+    def predicted_potential(self, xi_n, density, slope, tau: float):
+        """U of the state that apply_potential(vals, U, tau, density) makes from
+        vals, with U, density and slope those of vals, without making that state.
+
+        A phase kick exp(i theta) changes only j = Im(psi* dpsi/dx) by rho theta',
+        with theta' = -(tau/hbar) dU/dx = -(tau/hbar)(V' - f' xi + slope); the
+        measurement factor scales rho by g^2 = rho_floored^(2 kappa tau) and j
+        with it. A factor per row, such as the kick's norm-restoring scalar,
+        cancels in V_d's ratio, its floor and W, so g^2 is taken with peak 1,
+        which cannot underflow everywhere. The new slope is weight g^2 (j + rho
+        theta') / max(g^2 rho, density_floor), with weight j = slope * floored, and
+        W is its V_d's g^2 rho mean. Without friction U does not depend on the state.
+        """
+        if slope is None:
+            return self.V - self.f * xi_n
+        rho, floored, norm, log_rho = density
+        new_slope = np.multiply(self.df, xi_n, out=self._buffer("real", rho.shape))
+        np.subtract(self.dV, new_slope, out=new_slope)
+        new_slope += slope
+        new_slope *= (-tau / self.params.hbar) * self.vd_weight
+        new_slope *= rho   # weight rho theta'
+        if self.kappa:
+            g2 = np.subtract(log_rho, log_rho.max(axis=-1, keepdims=True))
+            g2 *= 2.0 * self.kappa * tau
+            np.exp(g2, out=g2)
+            new_slope += slope * floored
+            new_slope *= g2
+            rho = np.multiply(g2, rho, out=g2)
+            new_slope /= np.maximum(rho, density_floor(rho))
+            norm = integrate_values(self.grid, rho)
+        else:
+            new_slope /= floored
+            new_slope += slope
+        return self._potential(*gauged_integral(self.grid, new_slope, rho, norm), xi_n)
+
+    def _potential(self, vd: np.ndarray, w, xi_n):
+        """U = V - f xi + V_d - W, built in vd."""
         u = np.multiply(self.f, xi_n, out=self._buffer("real", vd.shape))
         vd += np.subtract(self.V, u, out=u)
         vd -= w[..., None]
@@ -242,8 +290,8 @@ class _Workspace:
     def apply_potential(self, vals: np.ndarray, u: np.ndarray, tau: float, density):
         """Unitary kick for the real potential plus the measurement kick.
 
-        density = self.density(vals); the phase kick leaves rho unchanged, so
-        both kicks of a step read the measurement factor and norms from it.
+        density = self.density(vals), the density before the kick: the phase
+        kick leaves rho unchanged, so the measurement factor and norms read it.
         Returns a workspace buffer (cos + i sin of the phase, times the real
         measurement factor, times vals), overwritten by the next kick.
         """
@@ -271,7 +319,7 @@ class _Workspace:
 
 
 def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray, out=None):
-    """One Strang step with a midpoint predictor for the nonlinear terms.
+    """One Strang step, its nonlinear terms predicted at the kick's midpoint.
 
     spectrum = fft(psi) of a state (N,) or of a batch (B, N); xi_n is then a
     (B, 1) column. Returns the new state's spectrum, written into out when
@@ -279,15 +327,19 @@ def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray, out=None
     ws and is not checked: run checks it. Each row's dt*max|U|/hbar is
     written into guard, a 0-d or (B,) array, as soon as U is built: a step
     that fails later has still recorded it.
+
+    U is built at the half-kicked state, which sets the guard, and then
+    predicted for the state that a kick of dt/2 by that U makes
+    (_Workspace.predicted_potential); the full kick applies the predicted U.
     """
     spectrum = ws.kin_half * spectrum
     vals = np.fft.ifft(spectrum)
     density = ws.density(vals)
-    u1 = ws.real_potential(vals, xi_n, spectrum, density)
-    guard[...] = ws.dt * np.abs(u1).max(axis=-1) / ws.params.hbar
-    mid = ws.apply_potential(vals, u1, 0.5 * ws.dt, density)
-    u2 = ws.real_potential(mid, xi_n)
-    out = np.fft.fft(ws.apply_potential(vals, u2, ws.dt, density), out=out)
+    slope = ws.vd_slope(vals, spectrum, density)
+    u = ws.real_potential(vals, xi_n, spectrum, density, slope)
+    guard[...] = ws.dt * np.abs(u).max(axis=-1) / ws.params.hbar
+    u = ws.predicted_potential(xi_n, density, slope, 0.5 * ws.dt)
+    out = np.fft.fft(ws.apply_potential(vals, u, ws.dt, density), out=out)
     return np.multiply(out, ws.kin_half, out=out)
 
 

@@ -8,6 +8,10 @@ Terms computed here, each a float array on grid.x but the float W
   V_d      dissipative functional  s * m * friction * int Jt/|psi|^2 dx'
   W        <V_d>, the gauge constant subtracted during propagation
 
+`dissipative_kernel` is `gauged_integral` (V_d and W from V_d's slope and a
+density) of `dissipative_slope` (that slope from a state). The propagator's
+predicted midpoint V_d and W are `gauged_integral` of a slope it forms.
+
 The other terms have their one implementation in the propagator,
 `evolve._Workspace`: the random potential -f(x) xi(t) in `real_potential`
 and the anti-Hermitian measurement term +i hbar kappa (ln|psi|^2 - <ln|psi|^2>)
@@ -52,8 +56,29 @@ def _current_values(vals: np.ndarray, ik: np.ndarray, spectrum=None):
     return j
 
 
+def dissipative_slope(vals: np.ndarray, weight: np.ndarray, ik: np.ndarray, floored, spectrum=None):
+    """dV_d/dx = weight Im(psi* dpsi/dx) / floored, a new array: the integrand of V_d.
+
+    floored is the floored density of vals (density_terms); spectrum = fft(vals)
+    may be passed in.
+    """
+    slope = _current_values(vals, ik, spectrum)
+    slope *= weight
+    slope /= floored
+    return slope
+
+
+def gauged_integral(grid: Grid, slope: np.ndarray, rho: np.ndarray, norm):
+    """(V_d, W) from V_d's integrand `slope` (..., N) and the density `rho` it is
+    averaged over, norm = int rho: V_d is the cumulative integral of slope from
+    x_min and W = <V_d>, one per row."""
+    vd = cumulative_integral(grid, slope)
+    return vd, integrate_values(grid, vd * rho) / norm
+
+
 def dissipative_kernel(
-    vals: np.ndarray, weight: np.ndarray, ik: np.ndarray, grid: Grid, spectrum=None, density=None
+    vals: np.ndarray, weight: np.ndarray, ik: np.ndarray, grid: Grid, spectrum=None, density=None,
+    slope=None,
 ):
     """(V_d, W) as arrays: the one implementation of the dissipative term.
 
@@ -62,15 +87,14 @@ def dissipative_kernel(
     (s m friction f'^2 times the current's hbar/m). The propagator,
     dissipative_potential and tilde_phase_forms below all call it. A batch `vals`
     of shape (..., N) gives V_d of that shape and one W per row, each row with
-    its own density floor. spectrum = fft(vals) and density = density_terms(grid,
-    vals), or a tuple that starts with its three items, may be passed in.
+    its own density floor. spectrum = fft(vals), density = density_terms(grid,
+    vals), or a tuple that starts with its three items, and slope =
+    dissipative_slope of vals may be passed in.
     """
     rho, floored, norm = density_terms(grid, vals) if density is None else density[:3]
-    integrand = _current_values(vals, ik, spectrum)
-    integrand *= weight
-    integrand /= floored
-    vd = cumulative_integral(grid, integrand)
-    return vd, integrate_values(grid, np.multiply(vd, rho, out=integrand)) / norm
+    if slope is None:
+        slope = dissipative_slope(vals, weight, ik, floored, spectrum)
+    return gauged_integral(grid, slope, rho, norm)
 
 
 def current(psi: WaveFunction, params: PhysicalParams) -> np.ndarray:

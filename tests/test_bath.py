@@ -131,9 +131,10 @@ class TestBathPairing:
     @pytest.mark.parametrize(
         "build",
         [lambda params, bath: LangevinConfig(params=params, memory=bath),
-         lambda params, bath: LangevinConfig(params=params, noise=NoiseSpec("bath", 0.1, bath=bath)),
+         lambda params, bath: LangevinConfig(
+             params=params, friction=0.1, noise=NoiseSpec("bath", 0.1, bath=bath)),
          lambda params, bath: SimConfig(
-             Grid(-10.0, 10.0, 64), params, noise=NoiseSpec("bath", 0.1, bath=bath))],
+             Grid(-10.0, 10.0, 64), params, friction=0.1, noise=NoiseSpec("bath", 0.1, bath=bath))],
         ids=["memory", "classical_noise", "wave_noise"],
     )
     def test_bath_for_another_mass(self, build):
@@ -143,6 +144,23 @@ class TestBathPairing:
         build(params, self.ohmic(mass=3.0))
         with pytest.raises(ConfigError, match="system_mass is not the system mass 3"):
             build(params, self.ohmic())
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda friction, bath: LangevinConfig(friction=friction, noise=NoiseSpec("bath", 0.1, bath=bath)),
+         lambda friction, bath: SimConfig(
+             Grid(-10.0, 10.0, 64), friction=friction, noise=NoiseSpec("bath", 0.1, bath=bath))],
+        ids=["classical", "wave"],
+    )
+    def test_bath_for_another_friction(self, build):
+        """A Markovian run's bath noise draws from a bath discretized for its own
+        friction; a bath built by hand records none and pairs with any."""
+        build(0.1, self.ohmic(0.1))
+        hand_built = self.ohmic(0.5)
+        build(0.1, BathSpec(hand_built.masses, hand_built.frequencies, hand_built.couplings))
+        for friction in (0.0, 0.1):
+            with pytest.raises(ConfigError, match=f"discretized for friction 0.5, not {friction}"):
+                build(friction, hand_built)
 
 
 class TestSampleBathNoise:

@@ -471,7 +471,7 @@ class TestEnsemble:
         for bit, in runs that cross a noise slab and a record block."""
         m = 1.5
         n_steps = max(RECORD_BLOCK_ELEMENTS // n_p, NOISE_BLOCK_STEPS) + 5
-        bath = discretize_ohmic(OhmicSpec(0.2, 10.0, 8, 0.3), m)
+        bath = discretize_ohmic(OhmicSpec(0.3, 10.0, 8, 0.3), m)
         cfg = harmonic_cfg(
             params=PhysicalParams(mass=m),
             friction=0.3,

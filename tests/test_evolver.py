@@ -314,6 +314,26 @@ class TestSelfConvergence:
         e2 = abs(final_x(0.005, 400) - ref)
         assert e2 < e1 / 3.0
 
+    def test_sinusoidal_coupling_second_order_in_dt(self):
+        """Successive differences of the final <x>, <p> and var_x shrink about
+        fourfold as dt halves: the predicted midpoint U keeps the step second
+        order under a nonlinear coupling."""
+        def final(dt):
+            cfg = SimConfig(
+                grid=Grid(-12.0, 12.0, 256),
+                potential=PotentialSpec.harmonic(1.0),
+                coupling=CouplingFunction.sinusoidal(1.0, 1.0),
+                friction=0.3,
+                dt=dt,
+                n_steps=round(4.0 / dt),
+                initial_state=GaussianPacket(1.0, 0.5, 0.8),
+            )
+            rec = run(cfg)
+            return np.array([rec.mean_x[-1], rec.mean_p[-1], rec.var_x[-1]])
+
+        coarse, mid, fine = (final(dt) for dt in (0.02, 0.01, 0.005))
+        assert (np.abs(coarse - mid) > 3.5 * np.abs(mid - fine)).all()
+
 
 class TestPathwiseClassical:
     """With f = x and a harmonic V the packet's centre obeys the classical
@@ -442,6 +462,16 @@ class TestDeterminismAndDiagnostics:
             for name in ("t", "norm", "mean_x", "energy"):
                 assert np.array_equal(last[name], ref[name][-1]), name
 
+    def test_measurement_underflow_with_friction_is_the_kicks_blowup(self):
+        """With friction the step predicts U before its kick; a measurement
+        factor that underflows every sample still stops the run with the
+        kick's message, at the state of the failing step."""
+        cfg = SimConfig(Grid(-40.0, 40.0, 512), friction=0.1, kappa=3000.0, dt=0.1, n_steps=5,
+                        initial_state=GaussianPacket(sigma=5.0))
+        with pytest.raises(NumericalBlowup, match="measurement kick underflowed") as info:
+            run(cfg)
+        assert info.value.t == 0.1
+
     def test_record_overflow_is_quiet_blowup(self):
         """A potential of 1.5e308 overflows the energy of every state: the run
         stops at t = 0, the first state whose record fails, without a numpy
@@ -517,6 +547,47 @@ class TestRealPotentialProperties:
         for (v, xi), u0 in zip(states, before):
             u = ws.real_potential(v, xi)
             assert np.abs(u - u0).max() <= 1e-14 * (abs(c) + np.abs(u0).max())
+
+
+class TestPredictedPotential:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        coupling=st.sampled_from(sorted(COUPLINGS)),
+        kappa=st.floats(0.0, 0.2),
+        xi=st.floats(-1.0, 1.0),
+        friction=st.floats(0.01, 1.0),
+        packet=st.tuples(st.floats(-1.5, 1.5), st.floats(-2.0, 2.0), st.floats(0.5, 1.0)),
+        batched=st.booleans(),
+    )
+    def test_matches_kicked_state(self, coupling, kappa, xi, friction, packet, batched):
+        """The step's predicted U is the U of the half-kicked state's midpoint
+        state, apply_potential(vals, U, dt/2), to 1e-8 of max|V_d - W| where
+        rho > 1e-6 max rho, alone and in a batch. Each packet lies well inside
+        the box: where a state's density at the periodic seam is above the
+        density floor, the two routes part at O(dx^2)."""
+        cfg = harmonic_config(
+            grid=Grid(-12.0, 12.0, 512),
+            coupling=COUPLINGS[coupling],
+            friction=friction,
+            kappa=kappa,
+            dt=0.005,
+            initial_state=GaussianPacket(*packet),
+        )
+        ws = _Workspace(cfg)
+        vals, xi_n = build_initial_state(cfg).values, xi
+        if batched:
+            vals = np.stack([vals, np.conj(vals) * np.exp(0.5j * cfg.grid.x)])
+            xi_n = np.array([[xi], [0.5 - xi]])
+        spectrum = np.fft.fft(vals)
+        density = ws.density(vals)
+        slope = ws.vd_slope(vals, spectrum, density)
+        u = ws.real_potential(vals, xi_n, spectrum, density, slope)
+        predicted = ws.predicted_potential(xi_n, density, slope, 0.5 * cfg.dt).copy()
+        reference = ws.real_potential(ws.apply_potential(vals, u, 0.5 * cfg.dt, density), xi_n)
+        nonlinear = reference - (ws.V - ws.f * xi_n)   # V_d - W at the midpoint
+        support = density[0] > 1e-6 * density[0].max(axis=-1, keepdims=True)
+        scale = np.abs(nonlinear[support]).max()
+        assert np.abs(predicted - reference)[support].max() <= 1e-8 * scale
 
 
 PROPERTY_COUPLINGS = {**COUPLINGS, "constant": CouplingFunction.constant(1.0)}
@@ -811,7 +882,9 @@ class TestRecordBlocks:
 
     def test_members_warn_at_own_step_inside_one_block(self):
         """Members that first pass the boundary limit at different steps of
-        one block each name their own first step, as when run alone."""
+        one block each name their own first step, as when run alone. Once a
+        packet has crossed the periodic seam its guard may pass its limit too,
+        but never before its boundary step."""
         cfg = SimConfig(
             grid=Grid(-10.0, 10.0, 256),
             potential=PotentialSpec.free(),
@@ -829,25 +902,28 @@ class TestRecordBlocks:
         assert first[0] != first[1] and first[0] // m == first[1] // m, first
         for b, rec in enumerate(run(cfg, seeds=seeds)):
             i = first[b]
-            assert rec.warnings == run(replace(cfg, seed=seeds[b])).warnings == [
+            assert rec.warnings == run(replace(cfg, seed=seeds[b])).warnings
+            *stability, boundary = rec.warnings
+            assert boundary == (
                 f"BoundaryContamination: boundary density {ref['boundary_density'][i, b]:.2e} > "
                 f"{BOUNDARY_DENSITY_LIMIT:g} at t = {ref['t'][i]:.6g}"
-            ]
+            )
+            assert all(line.startswith("StabilityWarning:") for line in stability)
+            assert (np.flatnonzero(rec.stability_guard >= STABILITY_LIMIT) > i).all()
 
-    def test_real_potential_twice_per_step(self, monkeypatch):
-        """The record reads W alone: U is built only by the step's two kicks."""
+    def test_real_potential_once_per_step(self, monkeypatch):
+        """The record reads W alone: U is built once at the half-kicked state
+        and predicted once at the midpoint, with one current transform a step."""
         calls = []
-        original = _Workspace.real_potential
-
-        def counted(self, *args, **kw):
-            calls.append(1)
-            return original(self, *args, **kw)
-
-        monkeypatch.setattr(_Workspace, "real_potential", counted)
+        for name in ("real_potential", "predicted_potential", "vd_slope"):
+            def counted(self, *args, _name=name, _fn=getattr(_Workspace, name), **kw):
+                calls.append(_name)
+                return _fn(self, *args, **kw)
+            monkeypatch.setattr(_Workspace, name, counted)
         for n_steps in (1, 7):
             calls.clear()
             run(SimConfig(**self.CFG, n_steps=n_steps))
-            assert len(calls) == 2 * n_steps
+            assert calls == ["vd_slope", "real_potential", "predicted_potential"] * n_steps
 
     @pytest.mark.parametrize(
         "n_members, n_points",
@@ -896,8 +972,8 @@ class TestCarriedSpectrum:
     )
 
     def test_fft_calls_per_step(self, monkeypatch):
-        """After the first, every step and its record transform 2 rows forward
-        and 5 inverse, in 2 forward and 3 inverse calls: the record's inverse
+        """After the first, every step and its record transform 1 row forward
+        and 4 inverse, in 1 forward and 2 inverse calls: the record's inverse
         transforms (its states and its W's current) are one call per block."""
         rows = {"fft": 0, "ifft": 0}
         calls = dict(rows)
@@ -916,8 +992,8 @@ class TestCarriedSpectrum:
             return dict(rows), dict(calls)
 
         (short_rows, short_calls), (long_rows, long_calls) = count(2), count(6)
-        assert {name: (long_rows[name] - short_rows[name]) / 4 for name in rows} == {"fft": 2, "ifft": 5}
-        assert {name: (long_calls[name] - short_calls[name]) / 4 for name in calls} == {"fft": 2, "ifft": 3}
+        assert {name: (long_rows[name] - short_rows[name]) / 4 for name in rows} == {"fft": 1, "ifft": 4}
+        assert {name: (long_calls[name] - short_calls[name]) / 4 for name in calls} == {"fft": 1, "ifft": 2}
 
 
 def workspace_arrays(ws):

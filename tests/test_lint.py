@@ -1,6 +1,6 @@
 """Static checks on the package source: every imported name is used, every import
-is at module level, and every private or ALL-CAPS module-level name is read
-somewhere in the package."""
+is at module level and imports no private name, and every private or ALL-CAPS
+module-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gsle"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
 
 
 def unused_imports(source: str) -> list:
@@ -63,6 +67,36 @@ def test_no_nested_imports(path):
     assert nested_imports(path.read_text()) == []
 
 
+def private_imports(source: str) -> list:
+    """Private names (`_x`, not dunder) that an import reads from another module,
+    or a private module it names: each is its own module's implementation."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names if private(name)]
+    return found
+
+
+def test_finds_a_private_import():
+    source = (
+        "from __future__ import annotations\nfrom .a import b, _c\nimport x._y as y\n"
+        "from ._z import w\nfrom . import _v\ndef f():\n    from .a import _u\n"
+    )
+    assert private_imports(source) == [
+        "line 2: _c", "line 3: _y", "line 4: _z", "line 5: _v", "line 7: _u"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
 def unread_module_names(sources: dict) -> list:
     """Top-level private (`_x`, not dunder) or ALL-CAPS names that no line of
     any of the sources (name -> text) reads, other than their own definition
@@ -87,7 +121,6 @@ def unread_module_names(sources: dict) -> list:
     read_names = {}
     for name, module, line in reads:
         read_names.setdefault(name, set()).add((module, line))
-    private = lambda name: name.startswith("_") and not name.startswith("__")
     return [
         f"{module} line {line}: {name}"
         for module, line, name in defined
