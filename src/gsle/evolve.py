@@ -6,7 +6,7 @@ kick. The gauge term W(t) = <V_d> is subtracted explicitly every step
 instead of tracking the global-phase transformation.
 
 The anti-Hermitian measurement kick multiplies the density-shape factor
-rho^(kappa*tau), rho floored, and then restores the pre-kick norm. The restoring scalar
+rho^(kappa*dt), rho floored, and then restores the pre-kick norm. The restoring scalar
 is exactly the mean-subtraction constant evaluated as a step average
 (the continuous equation conserves the norm; a frozen <ln rho> would not,
 discretely). The state is never renormalized beyond this: norm drift from
@@ -16,20 +16,22 @@ Every operation acts along the last axis, so a (B, N) array of member
 states with a (B, 1) column of noise values takes one step in one call:
 the split-step operators are the same for every row.
 
-`step` maps a state's spectrum to the next state's spectrum. One density
-of the half-kicked state, with its floor, norm and (kappa > 0) the step's
-one log, and one current transform serve both V_d/W evaluations and the
-kick, which writes cos and sin of the phase into a workspace buffer. The
-midpoint's U is predicted from the half-kicked state's current: the
-midpoint state itself is never built. `run` owns the clock, checks every new
-spectrum for finite samples and stops at the first float operation that
-overflows or turns invalid.
+`step` maps a state's spectrum to the next state's spectrum. One density of
+the half-kicked state, one current transform and one measurement factor
+(`_Workspace.measurement_factor`, the step's one log and exp of rho) serve
+both U builds (`_Workspace.real_potential`) and the kick, which writes cos
+and sin of the phase into a workspace buffer. The midpoint's U is predicted
+from the half-kicked state's current and that factor: the midpoint state
+itself is never built. `run` owns the clock, checks every new spectrum for
+finite samples and stops at the first float operation that overflows or
+turns invalid.
 
 `run` records through a `fields.BlockRecorder`: each step writes its spectrum
 into the recorder's next slot, and each block of RECORD_BLOCK_ELEMENTS samples
-is read by one inverse transform and one `observables` and one W-only
-`dissipative_kernel` call with one density. Each state's edge density and each
-step's stability guard are recorded columns too; every warning reads them.
+is read by one inverse transform, one `observables` call and one W, the
+`gauged_integral` of the block's `vd_slope`, with one density. Each state's
+edge density and each step's stability guard are recorded columns too; every
+warning reads them.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .fields import (
     normalize,
     observables,
 )
-from .potentials import SIGNS, dissipative_kernel, dissipative_slope, gauged_integral, tilde_current
+from .potentials import SIGNS, dissipative_slope, gauged_integral, tilde_current
 
 BOUNDARY_DENSITY_LIMIT = 1e-6
 STABILITY_LIMIT = 0.5   # of a step's guard dt*max|U|/hbar
@@ -222,99 +224,90 @@ class _Workspace:
             buf = self._buffers[name] = np.empty(shape, dtype)
         return buf
 
-    def density(self, vals: np.ndarray):
-        """density_terms of vals plus ln(floored rho) if kappa > 0: what a step's
-        predictor and kick read."""
-        rho, floored, norm = density_terms(self.grid, vals)
-        return rho, floored, norm, np.log(floored) if self.kappa else None
-
-    def vd_slope(self, vals: np.ndarray, spectrum, density):
+    def vd_slope(self, vals: np.ndarray, spectrum, floored):
         """dV_d/dx of vals (dissipative_slope), or None without friction."""
         if self.vd_weight is not None:
-            return dissipative_slope(vals, self.vd_weight, self.ik, density[1], spectrum)
+            return dissipative_slope(vals, self.vd_weight, self.ik, floored, spectrum)
 
-    def real_potential(self, vals: np.ndarray, xi_n, spectrum=None, density=None, slope=None):
+    def real_potential(self, xi_n, slope, rho, norm):
         """Real potential U = V - f xi + V_d - W, with the gauge constant W = <V_d>.
 
-        For a batch vals (B, N), xi_n is a (B, 1) column. spectrum = fft(vals),
-        density = self.density(vals) and slope = self.vd_slope(...), when the caller
-        has them, save their recomputation. U is a new array, built in place.
-        """
-        if self.vd_weight is None:
-            return self.V - self.f * xi_n
-        vd_w = dissipative_kernel(vals, self.vd_weight, self.ik, self.grid, spectrum, density, slope)
-        return self._potential(*vd_w, xi_n)
-
-    def predicted_potential(self, xi_n, density, slope, tau: float):
-        """U of the state that apply_potential(vals, U, tau, density) makes from
-        vals, with U, density and slope those of vals, without making that state.
-
-        A phase kick exp(i theta) changes only j = Im(psi* dpsi/dx) by rho theta',
-        with theta' = -(tau/hbar) dU/dx = -(tau/hbar)(V' - f' xi + slope); the
-        measurement factor scales rho by g^2 = rho_floored^(2 kappa tau) and j
-        with it. A factor per row, such as the kick's norm-restoring scalar,
-        cancels in V_d's ratio, its floor and W, so g^2 is taken with peak 1,
-        which cannot underflow everywhere. The new slope is weight g^2 (j + rho
-        theta') / max(g^2 rho, density_floor), with weight j = slope * floored, and
-        W is its V_d's g^2 rho mean. Without friction U does not depend on the state.
+        V_d is the cumulative integral of its slope (vd_slope, or predicted_slope)
+        and W its mean over the density rho with int rho = norm; without friction
+        slope is None and U = V - f xi. For a batch (B, N), xi_n is a (B, 1)
+        column. U is a new array, built in place.
         """
         if slope is None:
             return self.V - self.f * xi_n
-        rho, floored, norm, log_rho = density
-        new_slope = np.multiply(self.df, xi_n, out=self._buffer("real", rho.shape))
-        np.subtract(self.dV, new_slope, out=new_slope)
-        new_slope += slope
-        new_slope *= (-tau / self.params.hbar) * self.vd_weight
-        new_slope *= rho   # weight rho theta'
-        if self.kappa:
-            g2 = np.subtract(log_rho, log_rho.max(axis=-1, keepdims=True))
-            g2 *= 2.0 * self.kappa * tau
-            np.exp(g2, out=g2)
-            new_slope += slope * floored
-            new_slope *= g2
-            rho = np.multiply(g2, rho, out=g2)
-            new_slope /= np.maximum(rho, density_floor(rho))
-            norm = integrate_values(self.grid, rho)
-        else:
-            new_slope /= floored
-            new_slope += slope
-        return self._potential(*gauged_integral(self.grid, new_slope, rho, norm), xi_n)
-
-    def _potential(self, vd: np.ndarray, w, xi_n):
-        """U = V - f xi + V_d - W, built in vd."""
+        vd, w = gauged_integral(self.grid, slope, rho, norm)
         u = np.multiply(self.f, xi_n, out=self._buffer("real", vd.shape))
         vd += np.subtract(self.V, u, out=u)
         vd -= w[..., None]
         return vd
 
-    def apply_potential(self, vals: np.ndarray, u: np.ndarray, tau: float, density):
-        """Unitary kick for the real potential plus the measurement kick.
+    def measurement_factor(self, rho, floored, norm):
+        """The measurement kick's real factor, a new array, or None when kappa = 0:
+        rho_floored^(kappa dt) times the scalar per row that restores the norm of
+        the state with these density_terms, which the phase kick leaves unchanged.
+        The scalar is the mean-subtraction constant of +kappa (ln rho - <ln rho>)
+        as a step average, so the term stays exactly traceless over the kick."""
+        if not self.kappa:
+            return None
+        gain = np.log(floored)
+        gain *= self.kappa * self.dt
+        np.exp(gain, out=gain)
+        n_after = integrate_values(self.grid, rho * gain * gain)
+        if not n_after.all():
+            raise NumericalBlowup(
+                f"measurement kick underflowed every density sample "
+                f"(kappa*dt = {self.kappa * self.dt:.3g} too large)"
+            )
+        gain *= np.sqrt(norm / n_after)[..., None]
+        return gain
 
-        density = self.density(vals), the density before the kick: the phase
-        kick leaves rho unchanged, so the measurement factor and norms read it.
+    def predicted_slope(self, xi_n, slope, rho, floored, norm, factor):
+        """(slope, rho, norm) of the state that a kick of dt/2 by U =
+        real_potential(xi_n, slope, rho, norm) makes, without making it, from a
+        state with that slope, density_terms and measurement_factor.
+
+        A phase kick exp(i theta) changes only j = Im(psi* dpsi/dx) by rho theta',
+        with theta' = -(dt/2hbar)(V' - f' xi + slope). A measurement kick of dt/2
+        scales rho, and j with it, by rho_floored^(kappa dt): factor up to its
+        scalar per row, which cancels in V_d's ratio, its floor and W. The new
+        slope is weight factor (j + rho theta') / max(factor rho, density_floor),
+        with weight j = slope floored. Without friction slope stays None.
+        """
+        if slope is None:
+            return None, rho, norm
+        new_slope = np.multiply(self.df, xi_n, out=self._buffer("real", rho.shape))
+        np.subtract(self.dV, new_slope, out=new_slope)
+        new_slope += slope
+        new_slope *= (-0.5 * self.dt / self.params.hbar) * self.vd_weight
+        new_slope *= rho   # weight rho theta'
+        if factor is None:
+            new_slope /= floored
+            new_slope += slope
+            return new_slope, rho, norm
+        new_slope += slope * floored
+        new_slope *= factor
+        rho = factor * rho
+        new_slope /= np.maximum(rho, density_floor(rho))
+        return new_slope, rho, integrate_values(self.grid, rho)
+
+    def apply_potential(self, vals: np.ndarray, u: np.ndarray, factor):
+        """Unitary kick of length dt for the real potential u, times the
+        measurement factor (measurement_factor of vals) when it is not None.
+
         Returns a workspace buffer (cos + i sin of the phase, times the real
         measurement factor, times vals), overwritten by the next kick.
         """
-        phi = np.multiply(u, -tau / self.params.hbar, out=self._buffer("real", vals.shape))
+        phi = np.multiply(u, -self.dt / self.params.hbar, out=self._buffer("real", vals.shape))
         kick = self._buffer("kick", vals.shape, complex)
         np.cos(phi, out=kick.real)
         np.sin(phi, out=kick.imag)
-        if self.kappa != 0.0:
-            # localizing sign: d psi/dt gains +kappa (ln rho - <ln rho>) psi
-            rho, _, n_before, log_rho = density
-            gain = np.multiply(log_rho, self.kappa * tau, out=phi)
-            np.exp(gain, out=gain)
-            n_after = integrate_values(self.grid, rho * gain * gain)
-            if not n_after.all():
-                raise NumericalBlowup(
-                    f"measurement kick underflowed every density sample "
-                    f"(kappa*tau = {self.kappa * tau:.3g} too large)"
-                )
-            # mean-subtraction constant, evaluated as a step average so the
-            # anti-Hermitian term stays exactly traceless over the kick
-            gain *= np.sqrt(n_before / n_after)[..., None]
-            np.multiply(kick.real, gain, out=kick.real)
-            np.multiply(kick.imag, gain, out=kick.imag)
+        if factor is not None:
+            np.multiply(kick.real, factor, out=kick.real)
+            np.multiply(kick.imag, factor, out=kick.imag)
         return np.multiply(kick, vals, out=kick)
 
 
@@ -330,16 +323,18 @@ def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray, out=None
 
     U is built at the half-kicked state, which sets the guard, and then
     predicted for the state that a kick of dt/2 by that U makes
-    (_Workspace.predicted_potential); the full kick applies the predicted U.
+    (_Workspace.predicted_slope); the full kick applies the predicted U. The
+    step's one measurement factor serves both the prediction and the kick.
     """
     spectrum = ws.kin_half * spectrum
     vals = np.fft.ifft(spectrum)
-    density = ws.density(vals)
-    slope = ws.vd_slope(vals, spectrum, density)
-    u = ws.real_potential(vals, xi_n, spectrum, density, slope)
+    rho, floored, norm = density_terms(ws.grid, vals)
+    slope = ws.vd_slope(vals, spectrum, floored)
+    u = ws.real_potential(xi_n, slope, rho, norm)
     guard[...] = ws.dt * np.abs(u).max(axis=-1) / ws.params.hbar
-    u = ws.predicted_potential(xi_n, density, slope, 0.5 * ws.dt)
-    out = np.fft.fft(ws.apply_potential(vals, u, ws.dt, density), out=out)
+    factor = ws.measurement_factor(rho, floored, norm)
+    u = ws.real_potential(xi_n, *ws.predicted_slope(xi_n, slope, rho, floored, norm, factor))
+    out = np.fft.fft(ws.apply_potential(vals, u, factor), out=out)
     return np.multiply(out, ws.kin_half, out=out)
 
 
@@ -357,8 +352,8 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     states and spectra buffers hold m = RECORD_BLOCK_ELEMENTS // (B N) states
     each, clipped to [1, n_steps + 1]: at most 1 MiB together, or one state
     each when a state is larger. One inverse transform per block makes its
-    states, read by one `observables` and one W-only `dissipative_kernel`
-    call; a snapshot copies its state. Each row is reduced alone, so the record
+    states, read by one `observables` call and one W (`gauged_integral` of
+    their `vd_slope`); a snapshot copies its state. Each row is reduced alone, so the record
     is the one a read per step would give (t = 0 reads ifft(fft(psi_0))). A
     non-finite spectrum, or a float operation of a step or record that
     overflows, raises NumericalBlowup at the first state that fails its step or record,
@@ -392,12 +387,12 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
 
     def reduce(steps, vals, spectra):
         np.fft.ifft(spectra, out=vals)
-        density = density_terms(config.grid, vals)
-        obs = observables(WaveFunction(config.grid, vals), ws.V, config.params, spectra, density[0])
+        rho, floored, norm = density_terms(config.grid, vals)
+        obs = observables(WaveFunction(config.grid, vals), ws.V, config.params, spectra, rho)
         for name, col in obs.items():
             table[name][steps] = col
-        table["W"][steps] = 0.0 if ws.vd_weight is None else dissipative_kernel(
-            vals, ws.vd_weight, ws.ik, config.grid, spectra, density
+        table["W"][steps] = 0.0 if ws.vd_weight is None else gauged_integral(
+            config.grid, ws.vd_slope(vals, spectra, floored), rho, norm
         )[1]
         snapshots.extend((j, vals[j - steps.start].reshape(len(batch), -1).copy())
                          for j in range(steps.start, steps.stop) if stride and j % stride == 0)
@@ -452,8 +447,9 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
 def ehrenfest_residual(record: RunRecord, config: SimConfig) -> np.ndarray:
     """Residual of the averaged equation of motion on the snapshot stride.
 
-    r(t) = m d2<x>/dt2 + m*friction*int Jt dx + <V'> - <f'> xi(t),
-    with the acceleration from central differences of the recorded <x>.
+    r(t) = m d2<x>/dt2 + s*m*friction*int Jt dx + <V'> - <f'> xi(t),
+    with s = SIGNS[config.sign] (V_d's sign) and the acceleration from
+    central differences of the recorded <x>.
     Returned at interior snapshot indices.
     """
     snaps = [(i, psi) for i, psi in record.snapshots if 0 < i < len(record.times) - 1]
@@ -464,6 +460,7 @@ def ehrenfest_residual(record: RunRecord, config: SimConfig) -> np.ndarray:
     grid = config.grid
     vp = config.potential.on_grid(grid, 1)
     fp = config.coupling.on_grid(grid, 1)
+    damping = SIGNS[config.sign] * m * config.friction
     out = np.empty(len(snaps))
     for j, (i, psi) in enumerate(snaps):
         acc = (record.mean_x[i + 1] - 2 * record.mean_x[i] + record.mean_x[i - 1]) / dt**2
@@ -472,7 +469,5 @@ def ehrenfest_residual(record: RunRecord, config: SimConfig) -> np.ndarray:
         jt_int = integrate_values(grid, tilde_current(psi, config.coupling, config.params))
         mean_vp = integrate_values(grid, vp * rho) / n2
         mean_fp = integrate_values(grid, fp * rho) / n2
-        out[j] = (
-            m * acc + m * config.friction * jt_int + mean_vp - mean_fp * record.xi[i]
-        )
+        out[j] = m * acc + damping * jt_int + mean_vp - mean_fp * record.xi[i]
     return out

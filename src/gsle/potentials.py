@@ -9,13 +9,16 @@ Terms computed here, each a float array on grid.x but the float W
   W        <V_d>, the gauge constant subtracted during propagation
 
 `dissipative_kernel` is `gauged_integral` (V_d and W from V_d's slope and a
-density) of `dissipative_slope` (that slope from a state). The propagator's
-predicted midpoint V_d and W are `gauged_integral` of a slope it forms.
+density) of `dissipative_slope` (that slope from a state). The propagator,
+`evolve._Workspace`, calls these two parts itself: its `real_potential` takes
+`gauged_integral` of the half-kicked state's slope and of the midpoint slope
+that it predicts, and its record's W is `gauged_integral` of each recorded
+state's slope.
 
-The other terms have their one implementation in the propagator,
-`evolve._Workspace`: the random potential -f(x) xi(t) in `real_potential`
-and the anti-Hermitian measurement term +i hbar kappa (ln|psi|^2 - <ln|psi|^2>)
-in `apply_potential`.
+The other terms have their one implementation in the propagator: the random
+potential -f(x) xi(t) in `real_potential` and the anti-Hermitian measurement
+term +i hbar kappa (ln|psi|^2 - <ln|psi|^2>) in `measurement_factor`, whose
+factor `apply_potential` multiplies in.
 
 Sign convention (SIGNS): `damping` (s=+1) makes V_d act as friction in the
 averaged equation of motion; `paper` (s=-1) is the literal printed sign,
@@ -76,25 +79,18 @@ def gauged_integral(grid: Grid, slope: np.ndarray, rho: np.ndarray, norm):
     return vd, integrate_values(grid, vd * rho) / norm
 
 
-def dissipative_kernel(
-    vals: np.ndarray, weight: np.ndarray, ik: np.ndarray, grid: Grid, spectrum=None, density=None,
-    slope=None,
-):
+def dissipative_kernel(vals: np.ndarray, weight: np.ndarray, ik: np.ndarray, grid: Grid):
     """(V_d, W) as arrays: the one implementation of the dissipative term.
 
     V_d(x) = int_{x_min}^{x} weight Im(psi* dpsi/dx') / max(|psi|^2, eps) dx' and
     W = <V_d> for psi samples `vals`, ik = Grid.ik and weight = s friction hbar f'^2
-    (s m friction f'^2 times the current's hbar/m). The propagator,
-    dissipative_potential and tilde_phase_forms below all call it. A batch `vals`
-    of shape (..., N) gives V_d of that shape and one W per row, each row with
-    its own density floor. spectrum = fft(vals), density = density_terms(grid,
-    vals), or a tuple that starts with its three items, and slope =
-    dissipative_slope of vals may be passed in.
+    (s m friction f'^2 times the current's hbar/m): `gauged_integral` of
+    `dissipative_slope`, as the propagator forms them. dissipative_potential
+    and tilde_phase_forms below call it. A batch `vals` of shape (..., N) gives
+    V_d of that shape and one W per row, each row with its own density floor.
     """
-    rho, floored, norm = density_terms(grid, vals) if density is None else density[:3]
-    if slope is None:
-        slope = dissipative_slope(vals, weight, ik, floored, spectrum)
-    return gauged_integral(grid, slope, rho, norm)
+    rho, floored, norm = density_terms(grid, vals)
+    return gauged_integral(grid, dissipative_slope(vals, weight, ik, floored), rho, norm)
 
 
 def current(psi: WaveFunction, params: PhysicalParams) -> np.ndarray:

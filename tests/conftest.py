@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsle.bath import noise_rows
-from gsle.fields import Grid, PhysicalParams, WaveFunction, normalize
+from gsle.fields import Grid, PhysicalParams, WaveFunction, density_terms, normalize
 
 
 @pytest.fixture
@@ -32,3 +32,10 @@ def plane_wave(grid, n_modes):
 def noise_array(*args):
     """The slabs of bath.noise_rows(*args) joined along time: (len(seeds), n_steps)."""
     return np.concatenate(list(noise_rows(*args)), axis=1)
+
+
+def real_potential_of(ws, vals, xi_n):
+    """U of the states vals as the wave step builds it at its half-kicked state:
+    the workspace's real_potential of their vd_slope and density_terms."""
+    rho, floored, norm = density_terms(ws.grid, vals)
+    return ws.real_potential(xi_n, ws.vd_slope(vals, None, floored), rho, norm)

@@ -84,6 +84,41 @@ def test_tracer_hooks_resolve():
     assert not missing, f"perfbench/tracer.py wraps targets gsle no longer has: {missing}"
 
 
+# spans of bath functions that the noise builder replaced; the tracer records
+# them as missing (ROADMAP item 3)
+UNRESOLVED_SPANS = {"bath.sample_bath_noise", "bath.white_noise"}
+
+
+def tracer_tables():
+    """PHASES, STEPS, LAYER_SPANS and LAYER_COUNTS of perfbench/tracer.py, read
+    from its syntax tree: {table: {metric name: (module, dotted path, ...)}}."""
+    tables = {}
+    for node in ast.parse((PERFBENCH / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            name = node.targets[0].id
+            if name in ("PHASES", "STEPS", "LAYER_SPANS", "LAYER_COUNTS"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_every_tracer_target_resolves():
+    """Every function the tracer wraps or counts exists, so a renamed gsle
+    function or _Workspace method cannot turn its per-layer metric into missing."""
+    tables = tracer_tables()
+    assert set(tables) == {"PHASES", "STEPS", "LAYER_SPANS", "LAYER_COUNTS"}
+    assert tables["LAYER_SPANS"]["evolve.real_potential"] == ("gsle.evolve", "_Workspace.real_potential")
+    missing = set()
+    for table in tables.values():
+        for name, (module, path, *_) in table.items():
+            owner = importlib.import_module(module)
+            for part in path.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.add(name)
+    unexpected = sorted(missing - UNRESOLVED_SPANS)
+    assert not unexpected, f"perfbench/tracer.py wraps targets gsle no longer has: {unexpected}"
+
+
 def test_tracer_counts_only_boundary_lines():
     """A record's warnings hold its StabilityWarning line beside its
     BoundaryContamination line; the tracer's contamination count takes only

@@ -7,7 +7,7 @@ propagator's own kernel, `evolve._Workspace`.
 import numpy as np
 import pytest
 
-from conftest import gaussian_state, plane_wave
+from conftest import gaussian_state, plane_wave, real_potential_of
 from gsle.coupling import CouplingFunction
 from gsle.errors import ConfigError, NonmonotonePotential
 from gsle.evolve import SimConfig, _Workspace, run
@@ -28,6 +28,8 @@ from gsle.potentials import (
     current,
     dissipative_kernel,
     dissipative_potential,
+    dissipative_slope,
+    gauged_integral,
     gup_damping_closed_form,
     gup_discrepancy_report,
     tilde_current,
@@ -85,7 +87,7 @@ class TestDissipativePotential:
         """A (B, N) batch, or the (m, B, N) block of a run's record, gives each
         row's own V_d, W and observables bit for bit, each row with its own
         density floor (the rows' peaks differ up to 1600-fold). The batch
-        call shares one spectrum and one density, as the record does."""
+        shares one spectrum and one density, as the record does."""
         states = np.array([
             scale * gaussian_state(grid, x0=x0, p0=p0, sigma=sigma).values
             for scale, x0, p0, sigma in [
@@ -98,8 +100,9 @@ class TestDissipativePotential:
         for lead in [(2,), (3, 2)]:
             rows = states[:np.prod(lead)].reshape(lead + (grid.n_points,))
             spectra, density = np.fft.fft(rows), density_terms(grid, rows)
-            vd, w = dissipative_kernel(rows, weight, grid.ik, grid, spectra, density)
-            obs = observables(WaveFunction(grid, rows), V, params, spectra, density[0])
+            rho, floored, norm = density
+            vd, w = gauged_integral(grid, dissipative_slope(rows, weight, grid.ik, floored, spectra), rho, norm)
+            obs = observables(WaveFunction(grid, rows), V, params, spectra, rho)
             for b in np.ndindex(lead):
                 vals = rows[b]
                 vd_b, w_b = dissipative_kernel(vals, weight, grid.ik, grid)
@@ -179,14 +182,14 @@ class TestRandomPotential:
 
     def test_zero_noise(self, grid):
         ws = workspace(grid, potential=PotentialSpec.harmonic(1.0))
-        u = ws.real_potential(gaussian_state(grid).values, 0.0)
+        u = real_potential_of(ws, gaussian_state(grid).values, 0.0)
         assert np.array_equal(u, ws.V)
         cfg = SimConfig(grid=grid, potential=PotentialSpec.harmonic(1.0), n_steps=3)
         assert np.all(run(cfg).W == 0.0)
 
     def test_linear_coupling_uniform_force(self, grid):
         ws = workspace(grid)
-        u = ws.real_potential(gaussian_state(grid).values, 2.0)
+        u = real_potential_of(ws, gaussian_state(grid).values, 2.0)
         assert np.array_equal(u, -2.0 * grid.x)
 
     def test_force_is_fprime_xi(self):
@@ -194,26 +197,30 @@ class TestRandomPotential:
         # spectral gradient is exact
         g = Grid(-8 * np.pi, 8 * np.pi, 512)
         ws = workspace(g, coupling=CouplingFunction.sinusoidal(1.0, 1.0))
-        u = ws.real_potential(gaussian_state(g).values, 1.0)
+        u = real_potential_of(ws, gaussian_state(g).values, 1.0)
         force = -np.real(spectral_derivative(g, u.astype(complex), 1))
         assert np.abs(force - np.cos(g.x)).max() < 1e-10
 
 
 class TestMeasurementPotential:
-    """The measurement kick of _Workspace.apply_potential: the localizing
-    term +i hbar kappa (ln rho - <ln rho>) over a kick of length tau."""
+    """The measurement kick of _Workspace.apply_potential with its
+    measurement_factor: the localizing term +i hbar kappa (ln rho - <ln rho>)
+    over a kick of length tau, the workspace's dt."""
 
     TAU = 0.5
 
-    def kick(self, psi, kappa, u=None):
-        ws = workspace(psi.grid, potential=PotentialSpec.harmonic(1.0), kappa=kappa)
+    def kick(self, vals, ws, u):
+        """ws's kick of the states vals by u, measurement factor included."""
+        return ws.apply_potential(vals, u, ws.measurement_factor(*density_terms(ws.grid, vals)))
+
+    def kicked(self, psi, kappa, u=None):
+        ws = workspace(psi.grid, potential=PotentialSpec.harmonic(1.0), kappa=kappa, dt=self.TAU)
         u = ws.V if u is None else u
-        out = ws.apply_potential(psi.values, u, self.TAU, ws.density(psi.values))
-        return out, psi.values * np.exp(-1j * u * self.TAU)
+        return self.kick(psi.values, ws, u), psi.values * np.exp(-1j * u * self.TAU)
 
     def test_zero_kappa(self, grid):
         """kappa = 0: a pure phase kick."""
-        out, phase_kicked = self.kick(gaussian_state(grid, x0=0.7), 0.0)
+        out, phase_kicked = self.kicked(gaussian_state(grid, x0=0.7), 0.0)
         assert np.abs(out - phase_kicked).max() < 1e-15
 
     def test_negative_kappa(self, grid):
@@ -223,14 +230,14 @@ class TestMeasurementPotential:
     def test_uniform_density_vanishes(self, grid):
         """ln rho is constant, so the kick leaves the state unchanged up to the phase."""
         psi = normalize(WaveFunction(grid, np.ones(512, dtype=complex)))
-        out, phase_kicked = self.kick(psi, 0.4)
+        out, phase_kicked = self.kicked(psi, 0.4)
         assert np.abs(out - phase_kicked).max() < 1e-12
 
     def test_purely_imaginary_and_mean_free(self, grid):
         """The term is imaginary, so it multiplies psi by a real positive factor;
         it is mean-free, so the kick keeps the norm."""
         psi = gaussian_state(grid, x0=0.7)
-        out, phase_kicked = self.kick(psi, 0.4)
+        out, phase_kicked = self.kicked(psi, 0.4)
         support = psi.density() > 1e-8 * psi.density().max()
         factor = out[support] / phase_kicked[support]
         assert np.abs(factor.imag).max() < 1e-10 and factor.real.min() > 0
@@ -246,14 +253,14 @@ class TestMeasurementPotential:
         phase u tau/hbar; otherwise the phases differ by an ulp, which the
         bound would have to scale by max|u tau/hbar|."""
         params = PhysicalParams()
-        ws = workspace(grid, potential=PotentialSpec.harmonic(1.0), kappa=kappa)
+        ws = workspace(grid, potential=PotentialSpec.harmonic(1.0), kappa=kappa, dt=self.TAU)
         rows = [(1.0, -1.0, 0.4, 0.8), (0.05, 2.0, -1.0, 1.5), (3.0, 0.5, 0.0, 0.6)]
         vals = np.array([
             scale * gaussian_state(grid, x0, p0, sigma, params.hbar).values
             for scale, x0, p0, sigma in rows[:int(np.prod(lead))]
         ]).reshape(lead + (grid.n_points,))
         u = ws.V + 0.3 * np.sin(grid.x)
-        out = ws.apply_potential(vals, u, self.TAU, ws.density(vals)).copy()
+        out = self.kick(vals, ws, u).copy()
         rho = np.abs(vals) ** 2
         log_rho = np.log(np.maximum(rho, density_floor(rho)))
         ref = vals * np.exp(-1j * u * self.TAU / params.hbar + kappa * self.TAU * log_rho)
@@ -269,7 +276,7 @@ class TestMeasurementPotential:
         has the variance 1/(1 + 2 kappa tau)."""
         kappa = 0.4
         psi = gaussian_state(grid, sigma=1.0)
-        out, _ = self.kick(psi, kappa, u=np.zeros(grid.n_points))
+        out, _ = self.kicked(psi, kappa, u=np.zeros(grid.n_points))
         gain = np.log(np.abs(out)) - np.log(np.abs(psi.values))
         mid = slice(512 * 3 // 8, 512 * 5 // 8)
         resid = (gain + kappa * self.TAU * grid.x**2 / 2.0)[mid]
