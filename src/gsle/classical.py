@@ -5,10 +5,12 @@ Ground truth for Ehrenfest-level validation of the wave-equation engine:
     m x'' + m*friction*f'(x)^2 x' + V'(x) = f'(x) xi(t)      (Markovian)
     m x'' + V'(x) + m f'(x) int_0^t K(t-t') f'(x') x'(t') dt' = f'(x) xi(t)
 
-The noise force f'(x) xi uses the position at the start of each step with
-xi held piecewise-constant over dt (smooth-noise, Stratonovich-consistent
-convention, matching the wave-equation side). The f'^2 friction term is
-treated semi-implicitly inside velocity Verlet.
+xi is held piecewise-constant over dt (smooth-noise, Stratonovich-consistent
+convention, matching the wave-equation side). `langevin_step` freezes the
+noise force f'(x_n) xi at the step start over both half kicks;
+`GleIntegrator.step` takes f'(x_n) xi in its first half kick and f'(x_{n+1}) xi
+in its second. The f'^2 friction term is treated semi-implicitly inside
+velocity Verlet.
 """
 
 from __future__ import annotations

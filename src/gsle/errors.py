@@ -65,4 +65,5 @@ class ConfigError(GsleError):
 
 
 class StabilityWarning(UserWarning):
-    """A step's guard dt * max|U| / hbar reached evolve.STABILITY_LIMIT; one per run call."""
+    """A step's guard dt * max|U| / hbar, of the U its kick applies, reached
+    evolve.STABILITY_LIMIT; one per run call."""

@@ -19,12 +19,12 @@ the split-step operators are the same for every row.
 `step` maps a state's spectrum to the next state's spectrum. One density of
 the half-kicked state, one current transform and one measurement factor
 (`_Workspace.measurement_factor`, the step's one log and exp of rho) serve
-both U builds (`_Workspace.real_potential`) and the kick, which writes cos
-and sin of the phase into a workspace buffer. The midpoint's U is predicted
-from the half-kicked state's current and that factor: the midpoint state
-itself is never built. `run` owns the clock, checks every new spectrum for
-finite samples and stops at the first float operation that overflows or
-turns invalid.
+the step's one U (`_Workspace.real_potential`) and the kick, which writes cos
+and sin of the phase into a workspace buffer. That U is predicted at the
+kick's midpoint from the half-kicked state's current and that factor: the
+midpoint state itself is never built. `run` owns the clock, checks every new
+spectrum for finite samples and stops at the first float operation that
+overflows or turns invalid.
 
 `run` records through a `fields.BlockRecorder`: each step writes its spectrum
 into the recorder's next slot, and each block of RECORD_BLOCK_ELEMENTS samples
@@ -232,10 +232,10 @@ class _Workspace:
     def real_potential(self, xi_n, slope, rho, norm):
         """Real potential U = V - f xi + V_d - W, with the gauge constant W = <V_d>.
 
-        V_d is the cumulative integral of its slope (vd_slope, or predicted_slope)
-        and W its mean over the density rho with int rho = norm; without friction
-        slope is None and U = V - f xi. For a batch (B, N), xi_n is a (B, 1)
-        column. U is a new array, built in place.
+        V_d is the cumulative integral of its slope (predicted_slope in a
+        step) and W its mean over the density rho with int rho = norm; without
+        friction slope is None and U = V - f xi. For a batch (B, N), xi_n is a
+        (B, 1) column. U is a new array, built in place.
         """
         if slope is None:
             return self.V - self.f * xi_n
@@ -317,23 +317,23 @@ def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray, out=None
     spectrum = fft(psi) of a state (N,) or of a batch (B, N); xi_n is then a
     (B, 1) column. Returns the new state's spectrum, written into out when
     given (it may be spectrum itself); it shares no memory with the workspace
-    ws and is not checked: run checks it. Each row's dt*max|U|/hbar is
-    written into guard, a 0-d or (B,) array, as soon as U is built: a step
-    that fails later has still recorded it.
+    ws and is not checked: run checks it. Each row's dt*max|U|/hbar, the
+    largest phase that the kick applies, is written into guard, a 0-d or (B,)
+    array, as soon as U is built: a step that fails later has still recorded
+    it, and one that fails before leaves guard as it was.
 
-    U is built at the half-kicked state, which sets the guard, and then
-    predicted for the state that a kick of dt/2 by that U makes
-    (_Workspace.predicted_slope); the full kick applies the predicted U. The
-    step's one measurement factor serves both the prediction and the kick.
+    U is built once, for the state that a kick of dt/2 makes from the
+    half-kicked state (_Workspace.predicted_slope), and the full kick applies
+    it. The step's one measurement factor serves both the prediction and the
+    kick.
     """
     spectrum = ws.kin_half * spectrum
     vals = np.fft.ifft(spectrum)
     rho, floored, norm = density_terms(ws.grid, vals)
     slope = ws.vd_slope(vals, spectrum, floored)
-    u = ws.real_potential(xi_n, slope, rho, norm)
-    guard[...] = ws.dt * np.abs(u).max(axis=-1) / ws.params.hbar
     factor = ws.measurement_factor(rho, floored, norm)
     u = ws.real_potential(xi_n, *ws.predicted_slope(xi_n, slope, rho, floored, norm, factor))
+    guard[...] = ws.dt * np.abs(u).max(axis=-1) / ws.params.hbar
     out = np.fft.fft(ws.apply_potential(vals, u, factor), out=out)
     return np.multiply(out, ws.kin_half, out=out)
 

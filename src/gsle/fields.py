@@ -187,6 +187,8 @@ class CubicSpline:
         return cls(x, y, np.array(ends[:1] + rhs + ends[1:]))
 
     def __call__(self, p, order=0):
+        if order not in (0, 1, 2):
+            raise UnsupportedOrder(f"derivative order must be 0, 1 or 2, got {order}")
         p = np.asarray(p, dtype=float)
         if self._dx is None:
             i = np.searchsorted(self.x, p, side="right") - 1

@@ -1,19 +1,19 @@
 """The state-dependent dissipative term of the nonlinear wave equation.
 
-Terms computed here, each a float array on grid.x but the float W
-(`dissipative_kernel` computes V_d and W for a batch of states too):
+Terms computed here, each a float array on grid.x but the float W:
 
   J        probability current (hbar/m) Im(psi* dpsi/dx)
   Jt       coupling-weighted current f'(x)^2 J
   V_d      dissipative functional  s * m * friction * int Jt/|psi|^2 dx'
   W        <V_d>, the gauge constant subtracted during propagation
 
-`dissipative_kernel` is `gauged_integral` (V_d and W from V_d's slope and a
-density) of `dissipative_slope` (that slope from a state). The propagator,
-`evolve._Workspace`, calls these two parts itself: its `real_potential` takes
-`gauged_integral` of the half-kicked state's slope and of the midpoint slope
-that it predicts, and its record's W is `gauged_integral` of each recorded
-state's slope.
+V_d and W are `gauged_integral` (V_d and W from V_d's slope and a density,
+one per row of a batch) of `dissipative_slope` (that slope from a state).
+Every caller composes the two itself: `dissipative_potential`,
+`tilde_phase_forms` (which keeps only the cumulative integral), and the
+propagator, `evolve._Workspace`, whose `real_potential` takes
+`gauged_integral` of the midpoint slope that it predicts, and whose record's
+W is `gauged_integral` of each recorded state's slope.
 
 The other terms have their one implementation in the propagator: the random
 potential -f(x) xi(t) in `real_potential` and the anti-Hermitian measurement
@@ -79,20 +79,6 @@ def gauged_integral(grid: Grid, slope: np.ndarray, rho: np.ndarray, norm):
     return vd, integrate_values(grid, vd * rho) / norm
 
 
-def dissipative_kernel(vals: np.ndarray, weight: np.ndarray, ik: np.ndarray, grid: Grid):
-    """(V_d, W) as arrays: the one implementation of the dissipative term.
-
-    V_d(x) = int_{x_min}^{x} weight Im(psi* dpsi/dx') / max(|psi|^2, eps) dx' and
-    W = <V_d> for psi samples `vals`, ik = Grid.ik and weight = s friction hbar f'^2
-    (s m friction f'^2 times the current's hbar/m): `gauged_integral` of
-    `dissipative_slope`, as the propagator forms them. dissipative_potential
-    and tilde_phase_forms below call it. A batch `vals` of shape (..., N) gives
-    V_d of that shape and one W per row, each row with its own density floor.
-    """
-    rho, floored, norm = density_terms(grid, vals)
-    return gauged_integral(grid, dissipative_slope(vals, weight, ik, floored), rho, norm)
-
-
 def current(psi: WaveFunction, params: PhysicalParams) -> np.ndarray:
     """J = (hbar/m) Im(psi* dpsi/dx); integrates to <p>/m for normalized psi."""
     return (params.hbar / params.mass) * _current_values(psi.values, psi.grid.ik)
@@ -124,8 +110,11 @@ def dissipative_potential(
     grid = psi.grid
     if friction == 0.0:
         return np.zeros(grid.n_points), 0.0
+    # s m friction f'^2 times the current's hbar/m
     weight = (s * friction * params.hbar) * f.on_grid(grid, 1) ** 2
-    vd, w = dissipative_kernel(psi.values, weight, grid.ik, grid)
+    rho, floored, norm = density_terms(grid, psi.values)
+    slope = dissipative_slope(psi.values, weight, grid.ik, floored)
+    vd, w = gauged_integral(grid, slope, rho, norm)
     return vd, float(w)
 
 
@@ -133,8 +122,8 @@ def tilde_phase_forms(polar: PolarField, f: CouplingFunction):
     """(integration-by-parts form, current form) of the coupling phase.
 
     Form 1: f'^2 S - 2 int S f' f'' dx (cumulative from x_min).
-    Form 2: m int Jt / max(|psi|^2, eps) dx on the source psi, by the
-    propagator's dissipative_kernel with weight hbar f'^2. The two agree up to
+    Form 2: m int Jt / max(|psi|^2, eps) dx on the source psi, the cumulative
+    integral of dissipative_slope with weight hbar f'^2. The two agree up to
     an additive constant.
     """
     grid = polar.grid
@@ -142,8 +131,9 @@ def tilde_phase_forms(polar: PolarField, f: CouplingFunction):
     fp = f.on_grid(grid, 1)
     fpp = f.on_grid(grid, 2)
     form1 = fp**2 * s - 2.0 * cumulative_integral(grid, s * fp * fpp)
-    form2, _ = dissipative_kernel(polar.psi.values, polar.hbar * fp**2, grid.ik, grid)
-    return form1, form2
+    _, floored, _ = density_terms(grid, polar.psi.values)
+    slope = dissipative_slope(polar.psi.values, polar.hbar * fp**2, grid.ik, floored)
+    return form1, cumulative_integral(grid, slope)
 
 
 def gup_damping_closed_form(

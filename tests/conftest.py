@@ -35,7 +35,7 @@ def noise_array(*args):
 
 
 def real_potential_of(ws, vals, xi_n):
-    """U of the states vals as the wave step builds it at its half-kicked state:
-    the workspace's real_potential of their vd_slope and density_terms."""
+    """U of the states vals themselves: the workspace's real_potential of their
+    vd_slope and density_terms (a wave step builds U of its predicted slope)."""
     rho, floored, norm = density_terms(ws.grid, vals)
     return ws.real_potential(xi_n, ws.vd_slope(vals, None, floored), rho, norm)

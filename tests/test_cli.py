@@ -377,7 +377,9 @@ class TestRunCommand:
         assert err["t"] in (0.1 * np.arange(1, 401)).tolist()
 
     def test_wave_blowup_stops_at_first_overflow(self, tmp_path):
-        """An overflowing step exits 2 at once: one short guard warning, no numpy warnings."""
+        """An overflowing step exits 2 at once, with no numpy warnings. Its
+        predictor overflows before U is built, so no guard is recorded and
+        none warns."""
         cfg = write_cfg(tmp_path, "[run]\nfriction = 1e303\nn_steps = 10\n[initial]\nx0 = 2\n")
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
@@ -387,8 +389,7 @@ class TestRunCommand:
         assert err["type"] == "NumericalBlowup"
         assert err["t"] == 0.005
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        (guard,) = [w for w in caught if issubclass(w.category, StabilityWarning)]
-        assert len(str(guard.message)) < 60
+        assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
 
     def test_ensemble_warning_reaches_caller(self, tmp_path):
         """The default harmonic box trips the guard; a two-member batch warns once."""

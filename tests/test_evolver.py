@@ -45,7 +45,7 @@ from gsle.fields import (
     integrate_values,
     observables,
 )
-from gsle.potentials import PotentialSpec, dissipative_kernel, gauged_integral
+from gsle.potentials import PotentialSpec, dissipative_slope, gauged_integral
 
 GRID = Grid(-20.0, 20.0, 512)
 GROUND_SIGMA = np.sqrt(0.5)
@@ -435,6 +435,19 @@ class TestDeterminismAndDiagnostics:
             f"StabilityWarning: dt*max|U|/hbar = {guard:.3g} >= 0.5 at t = {alone.times[first]:.6g}"
         ]
 
+    def test_huge_guard_warns_in_one_short_line(self):
+        """A huge but finite U warns once, in a line short enough for a terminal,
+        with no numpy warning."""
+        cfg = SimConfig(Grid(-10.0, 10.0, 64), potential=PotentialSpec.constant(1e300),
+                        friction=0.1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(cfg)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        (guard,) = [str(w.message) for w in caught if w.category is StabilityWarning]
+        assert guard == "dt*max|U|/hbar = 5e+297 >= 0.5; reduce dt"
+        assert len(guard) < 60
+
     def test_boundary_contamination_recorded(self):
         cfg = SimConfig(
             grid=Grid(-10.0, 10.0, 256),
@@ -526,8 +539,9 @@ class TestRealPotentialProperties:
         u0 = real_potential_of(ws, vals, 0.0)
         u1 = real_potential_of(ws, np.exp(1j * theta) * vals, 0.0)
         w0, w1 = (
-            dissipative_kernel(v, ws.vd_weight, ws.ik, cfg.grid)[1]
+            gauged_integral(cfg.grid, dissipative_slope(v, ws.vd_weight, ws.ik, floored), rho, norm)[1]
             for v in (vals, np.exp(1j * theta) * vals)
+            for rho, floored, norm in [density_terms(cfg.grid, v)]
         )
         scale = np.abs(u0).max()
         assert np.abs(u1 - u0).max() <= 1e-10 * scale
@@ -963,11 +977,11 @@ class TestRecordBlocks:
             assert all(line.startswith("StabilityWarning:") for line in stability)
             assert (np.flatnonzero(rec.stability_guard >= STABILITY_LIMIT) > i).all()
 
-    def test_one_factor_and_two_potentials_per_step(self, monkeypatch):
+    def test_one_factor_and_one_potential_per_step(self, monkeypatch):
         """A step makes one current transform and one measurement factor, builds
-        U at the half-kicked state and at the predicted midpoint, and kicks once;
-        the predictor and the kick read the one factor. The record adds one
-        current transform per block, for its W (one block here)."""
+        U once, at the predicted midpoint, and kicks once; the predictor and
+        the kick read the one factor. The record adds one current transform
+        per block, for its W (one block here)."""
         calls, factors = [], []
         for name in ("vd_slope", "real_potential", "measurement_factor", "predicted_slope",
                      "apply_potential"):
@@ -983,9 +997,26 @@ class TestRecordBlocks:
         for n_steps in (1, 7):
             calls.clear()
             run(SimConfig(**self.CFG, n_steps=n_steps))
-            assert calls == ["vd_slope", "real_potential", "measurement_factor", "predicted_slope",
-                             "real_potential", "apply_potential"] * n_steps + ["vd_slope"]
+            assert calls == ["vd_slope", "measurement_factor", "predicted_slope", "real_potential",
+                             "apply_potential"] * n_steps + ["vd_slope"]
             assert all(isinstance(f, np.ndarray) for f in factors)
+
+    @pytest.mark.parametrize("seeds", [None, [3, 4]], ids=["single", "batch"])
+    def test_guard_reads_the_kicked_potential(self, monkeypatch, seeds):
+        """Each step's recorded guard is dt*max|u|/hbar of the u that its kick
+        applies, row by row; the last state repeats the last step's."""
+        kicked = []
+
+        def spy(ws, vals, u, factor, _fn=_Workspace.apply_potential):
+            kicked.append(ws.dt * np.abs(u).max(axis=-1) / ws.params.hbar)
+            return _fn(ws, vals, u, factor)
+
+        monkeypatch.setattr(_Workspace, "apply_potential", spy)
+        n_steps = 7
+        recs = run(SimConfig(**self.CFG, n_steps=n_steps), seeds)
+        guard = np.array([rec.stability_guard for rec in ([recs] if seeds is None else recs)]).T
+        expected = np.reshape(kicked, (n_steps, -1))
+        assert np.array_equal(guard, np.vstack([expected, expected[-1:]]))
 
     @pytest.mark.parametrize(
         "n_members, n_points",

@@ -210,6 +210,15 @@ class TestCubicSpline:
         with pytest.raises(InvalidField, match="4 knots"):
             CubicSpline.not_a_knot(np.arange(n, dtype=float), np.ones(n))
 
+    @pytest.mark.parametrize("order", [-1, 3, 1.5])
+    def test_unsupported_order_rejected(self, order):
+        """Orders 0-2 only: any other is rejected, not read as S''."""
+        grid = Grid(-np.pi, np.pi, 16)
+        spline = CubicSpline.periodic(grid, np.sin(grid.x))
+        assert spline(0.3, 2) == pytest.approx(-np.sin(0.3), abs=0.05)
+        with pytest.raises(UnsupportedOrder, match="0, 1 or 2"):
+            spline(0.3, order)
+
     @pytest.mark.parametrize("x0", [0.0, 2.0, np.nan], ids=["repeated", "decreasing", "nan"])
     def test_knots_must_increase(self, x0):
         with pytest.raises(InvalidField, match="increasing"):

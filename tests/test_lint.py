@@ -1,13 +1,15 @@
 """Static checks on the package source: every imported name is used, every import
-is at module level and imports no private name, and every private or ALL-CAPS
-module-level name is read somewhere in the package."""
+is at module level and imports no private name, every private or ALL-CAPS
+module-level name is read somewhere in the package, and every public one is
+read somewhere in the package, its tests or its benchmark."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gsle"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gsle"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -97,14 +99,14 @@ def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
 
 
-def unread_module_names(sources: dict) -> list:
-    """Top-level private (`_x`, not dunder) or ALL-CAPS names that no line of
-    any of the sources (name -> text) reads, other than their own definition
-    line. A read is a loaded name or an attribute of that name."""
+def unread_names(defining: dict, reading: dict, wanted) -> list:
+    """Top-level names of the defining sources (name -> text), each a def, class
+    or assignment for which wanted(name) holds, that no line of the reading
+    sources reads, other than their own definition line. A read is a loaded
+    name or an attribute of that name; an import is none."""
     defined, reads = [], set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -112,8 +114,9 @@ def unread_module_names(sources: dict) -> list:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 names = []
-            defined += [(module, node.lineno, name) for name in names]
-        for node in ast.walk(tree):
+            defined += [(module, node.lineno, name) for name in names if wanted(name)]
+    for module, source in reading.items():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads.add((node.id, module, node.lineno))
             elif isinstance(node, ast.Attribute):
@@ -124,8 +127,21 @@ def unread_module_names(sources: dict) -> list:
     return [
         f"{module} line {line}: {name}"
         for module, line, name in defined
-        if (private(name) or name.isupper()) and not read_names.get(name, set()) - {(module, line)}
+        if not read_names.get(name, set()) - {(module, line)}
     ]
+
+
+def unread_module_names(sources: dict) -> list:
+    """Top-level private (`_x`, not dunder) or ALL-CAPS names that no line of
+    any of the sources reads, other than their own definition line."""
+    return unread_names(sources, sources, lambda name: private(name) or name.isupper())
+
+
+def unread_public_names(sources: dict, readers: dict) -> list:
+    """Top-level public names (not `_x`, not dunder) of the sources that no line
+    of the sources or the readers (name -> text) reads: a public name that
+    nothing calls is an alias or dead code."""
+    return unread_names(sources, {**sources, **readers}, lambda name: not name.startswith("_"))
 
 
 def test_finds_an_unread_module_name():
@@ -143,3 +159,25 @@ def test_finds_an_unread_module_name():
 def test_every_private_and_constant_name_is_read():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_module_names(sources) == []
+
+
+def test_finds_an_unread_public_name():
+    sources = {
+        "a.py": "__all__ = []\n_private = 1\ndef used():\n    pass\ndef alias():\n    pass\n"
+                "class Tested:\n    pass\nCOUNT = 2\nx: int = 3\ny = y if 0 else 1\n",
+        "b.py": "from a import alias\nused()\n",
+    }
+    readers = {"tests/t.py": "import a\na.Tested()\nprint(a.x)\n"}
+    # an import is no read, nor is a read on the name's own definition line
+    assert unread_public_names(sources, readers) == [
+        "a.py line 5: alias", "a.py line 9: COUNT", "a.py line 11: y"
+    ]
+
+
+def test_every_public_name_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = {
+        str(path.relative_to(ROOT)): path.read_text()
+        for folder in ("tests", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))
+    }
+    assert unread_public_names(sources, readers) == []

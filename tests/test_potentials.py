@@ -26,7 +26,6 @@ from gsle.fields import (
 from gsle.potentials import (
     PotentialSpec,
     current,
-    dissipative_kernel,
     dissipative_potential,
     dissipative_slope,
     gauged_integral,
@@ -105,7 +104,9 @@ class TestDissipativePotential:
             obs = observables(WaveFunction(grid, rows), V, params, spectra, rho)
             for b in np.ndindex(lead):
                 vals = rows[b]
-                vd_b, w_b = dissipative_kernel(vals, weight, grid.ik, grid)
+                rho_b, floored_b, norm_b = density_terms(grid, vals)
+                slope_b = dissipative_slope(vals, weight, grid.ik, floored_b)
+                vd_b, w_b = gauged_integral(grid, slope_b, rho_b, norm_b)
                 assert np.array_equal(vd[b], vd_b) and w[b] == w_b
                 one = observables(WaveFunction(grid, vals), V, params)
                 for name in ("norm", "mean_x", "mean_p", "var_x", "energy", "boundary_density"):
