@@ -16,13 +16,12 @@ limit); `kernel(t)` names the memory function. They are distinct objects.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyBath, InvalidField
+from .errors import ConfigError, EmptyBath, InvalidField, check_count, check_number
 
 # steps per noise_rows slab: a fixed power of two, because BLAS sums a bath slab's
 # product in an order set by its width (262-step slabs changed the bits, 512 did not)
@@ -47,6 +46,9 @@ class BathSpec:
             raise InvalidField("bath arrays must have equal lengths")
         if not (np.isfinite([m, w, d]).all() and (m > 0).all() and (w > 0).all()):
             raise InvalidField("bath values must be finite, masses and frequencies positive")
+        check_number("system_mass", self.system_mass, 0, above=True)
+        if self.friction is not None:
+            check_number("friction", self.friction, 0)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "frequencies", w)
         object.__setattr__(self, "couplings", d)
@@ -69,14 +71,10 @@ class OhmicSpec:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.friction < np.inf:
-            raise InvalidField("friction must be finite and >= 0")
-        if not 0 < self.cutoff < np.inf:
-            raise InvalidField("cutoff must be finite and > 0")
-        if not 0 <= self.temperature < np.inf:
-            raise InvalidField("temperature must be finite and >= 0")
-        if not isinstance(self.n_oscillators, numbers.Integral) or self.n_oscillators < 1:
-            raise EmptyBath(f"n_oscillators must be an integer >= 1, got {self.n_oscillators!r}")
+        check_number("friction", self.friction, 0)
+        check_number("cutoff", self.cutoff, 0, above=True)
+        check_number("temperature", self.temperature, 0)
+        check_count("n_oscillators", self.n_oscillators, 1)
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("zero", "white", "bath"):
             raise ConfigError(f"unknown noise kind '{self.kind}'")
-        if not 0 <= self.temperature < np.inf:
-            raise ConfigError("noise temperature must be finite and >= 0")
+        check_number("noise temperature", self.temperature, 0)
         if self.kind == "bath" and self.bath is None:
             raise ConfigError("bath noise requires a BathSpec")
 
@@ -128,8 +125,7 @@ def _bath_slabs(bath: BathSpec, temperature: float, seeds, slab_times):
 
     with one cos/sin(omega_i t) table per slab, shared by every row.
     """
-    if temperature < 0:
-        raise InvalidField("temperature must be >= 0")
+    check_number("temperature", temperature, 0)
     m, w, d = bath.masses, bath.frequencies, bath.couplings
     n = bath.n_oscillators
     qp = np.empty((len(seeds), 2 * n))
@@ -199,14 +195,6 @@ def spawn_seeds(seed: int, n: int) -> list:
             return table[self.row]
 
     return [Child(row) for row in range(n)]
-
-
-def check_seed(seed):
-    """A seed of noise rows is an integer >= 0; anything else is a ConfigError."""
-    if not isinstance(seed, numbers.Integral):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def check_bath(noise: NoiseSpec, mass: float, memory: Optional[BathSpec] = None, *, friction):

@@ -15,17 +15,14 @@ velocity Verlet.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .bath import (
-    BathSpec, NoiseSpec, check_bath, check_seed, memory_kernel, noise_rows, spawn_seeds,
-)
+from .bath import BathSpec, NoiseSpec, check_bath, memory_kernel, noise_rows, spawn_seeds
 from .coupling import CouplingFunction, PotentialSpec
-from .errors import ConfigError, NumericalBlowup, blowup_on_overflow
+from .errors import ConfigError, NumericalBlowup, blowup_on_overflow, check_count, check_number
 from .fields import BlockRecorder, PhysicalParams
 
 # the per-time moments of a ClassicalEnsemble, in its CSV column order
@@ -42,10 +39,8 @@ class GaussianCloud:
     sigma_p: float = 0.0
 
     def __post_init__(self):
-        for name in ("x0", "p0", "sigma_x", "sigma_p"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or (name.startswith("sigma") and value < 0):
-                raise ConfigError(f"cloud {name} must be finite (a spread >= 0), got {value}")
+        for name, low in (("x0", None), ("p0", None), ("sigma_x", 0), ("sigma_p", 0)):
+            check_number(f"cloud {name}", getattr(self, name), low)
 
 
 @dataclass(frozen=True)
@@ -62,14 +57,10 @@ class LangevinConfig:
     memory: Optional[BathSpec] = None     # None -> Markovian
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if not 0 <= self.friction < np.inf:
-            raise ConfigError(f"friction must be finite and >= 0, got {self.friction}")
-        for name in ("n_steps", "n_particles"):
-            count = getattr(self, name)
-            if not isinstance(count, numbers.Integral) or count < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {count!r}")
+        check_number("dt", self.dt, 0, above=True)
+        check_number("friction", self.friction, 0)
+        check_count("n_steps", self.n_steps, 1)
+        check_count("n_particles", self.n_particles, 1)
         # GleIntegrator reads no friction, and white noise is scaled by it
         if self.memory is not None and (self.friction or self.noise.kind == "white"):
             raise ConfigError("memory-kernel runs take zero or bath noise and no friction")
@@ -197,7 +188,7 @@ def langevin_ensemble(
     parallelism; particle p's noise is child p of SeedSequence(seed) (bath.spawn_seeds).
     A non-finite state or float overflow is NumericalBlowup at t, the first state that fails.
     """
-    check_seed(seed)
+    check_count("seed", seed, 0)
     n_steps, n_p = config.n_steps, config.n_particles
     m = config.params.mass
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1C0]))

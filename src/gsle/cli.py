@@ -67,7 +67,7 @@ from .bath import NoiseSpec, OhmicSpec, discretize_ohmic
 from .bohmian import polar_decompose, propagate_trajectories, weak_value
 from .classical import MOMENTS, GaussianCloud, LangevinConfig, langevin_ensemble
 from .coupling import CouplingFunction, gup_coupling
-from .errors import ConfigError, GsleError, InvalidField, NonmonotonePotential
+from .errors import ConfigError, GsleError, InvalidField, NonmonotonePotential, check_count
 from .evolve import RECORDED, GaussianPacket, HarmonicEigenstate, RunRecord, SimConfig, run
 from .fields import Grid, PhysicalParams, WaveFunction
 from .potentials import PotentialSpec
@@ -243,7 +243,7 @@ def _build(section: str, scope: dict):
     factory, keys = _KINDS[section][kind]
     try:
         return factory(*(scope[key] for key in keys))
-    except (InvalidField, NonmonotonePotential) as exc:
+    except (ConfigError, InvalidField, NonmonotonePotential) as exc:
         raise ConfigError(f"[{section}] kind = {kind}: {exc}") from exc
 
 
@@ -268,19 +268,14 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
     mode = experiment["mode"]
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got '{mode}'")
-    if experiment["ensemble_seeds"] < 1:
-        raise ConfigError("ensemble_seeds must be >= 1")
+    check_count("[experiment] ensemble_seeds", experiment["ensemble_seeds"], 1)
     if experiment["workers"] != 1:
         raise ConfigError("workers must be 1: an ensemble is stepped in-process as one batch")
-    if output["n_trajectories"] < 1:
-        raise ConfigError("n_trajectories must be >= 1")
+    check_count("[output] n_trajectories", output["n_trajectories"], 1)
 
     scope = {f"{sec}.{key}": v for sec, table in values.items() for key, v in table.items()}
-    try:
-        grid = scope["grid"] = Grid(**values["grid"])
-        params = PhysicalParams(**values["physics"])
-    except InvalidField as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = scope["grid"] = Grid(**values["grid"])
+    params = PhysicalParams(**values["physics"])
     potential = scope["potential"] = _build("potential", scope)
     coupling = _build("coupling", scope)
     noise = _build("noise", scope)

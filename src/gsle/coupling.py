@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidField, NonmonotonePotential, OutOfDomain, UnsupportedOrder
+from .errors import NonmonotonePotential, OutOfDomain, UnsupportedOrder, check_count
 from .fields import CubicSpline, Grid, cumulative_integral
 
 VPRIME_FLOOR = 1e-8   # gup_coupling takes V' <= VPRIME_FLOOR as a zero of V'
@@ -41,8 +41,7 @@ class CouplingFunction:
     def power(cls, n):
         """f = x^n for an integer n >= 0; a zero coefficient gives exact zeros
         (not 0 * x^-1, which is NaN at x = 0)."""
-        if not (n >= 0 and float(n).is_integer()):
-            raise InvalidField(f"power coupling needs an integer n >= 0, got {n}")
+        check_count("power coupling n", n, 0)
         n = float(n)
         term = lambda c, p: np.zeros_like if c == 0 else (lambda x: c * x**p)
         return cls((lambda x: x**n, term(n, n - 1), term(n * (n - 1), n - 2)))

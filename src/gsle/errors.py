@@ -1,5 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one rule for a
+scalar input: check_count for a count or seed, check_number for a real value. Any
+other value, a bool, None or a string included, is a ConfigError naming its field."""
 
+import numbers
 from contextlib import contextmanager
 
 import numpy as np
@@ -62,6 +65,22 @@ class InsufficientData(GsleError):
 
 class ConfigError(GsleError):
     """Invalid or unknown configuration content."""
+
+
+def check_count(name: str, value, least: int):
+    """value is an integer (not a bool) >= least, else a ConfigError naming name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_number(name: str, value, low=None, *, above=False):
+    """value is a finite real (not a bool), >= low or, when above, > low; else a
+    ConfigError naming name."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and -np.inf < value < np.inf
+            and (low is None or (value > low if above else value >= low))):
+        bound = "" if low is None else f" {'>' if above else '>='} {low}"
+        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
 class StabilityWarning(UserWarning):

@@ -36,21 +36,17 @@ warning reads them.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bath import NoiseSpec, check_bath, check_seed, noise_rows
+from .bath import NoiseSpec, check_bath, noise_rows
 from .coupling import CouplingFunction, PotentialSpec
 from .errors import (
-    ConfigError,
-    InsufficientData,
-    NumericalBlowup,
-    StabilityWarning,
-    blowup_on_overflow,
+    ConfigError, DegenerateState, InsufficientData, InvalidField, NumericalBlowup,
+    StabilityWarning, blowup_on_overflow, check_count, check_number,
 )
 from .fields import (
     BlockRecorder,
@@ -78,8 +74,9 @@ class GaussianPacket:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.sigma < np.inf and np.isfinite([self.x0, self.p0]).all()):
-            raise ConfigError(f"initial x0, p0 and sigma > 0 must be finite, got {self}")
+        check_number("initial x0", self.x0)
+        check_number("initial p0", self.p0)
+        check_number("initial sigma", self.sigma, 0, above=True)
 
 
 @dataclass(frozen=True)
@@ -88,10 +85,8 @@ class HarmonicEigenstate:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.index, numbers.Integral) or self.index < 0:
-            raise ConfigError(f"eigenstate index must be an integer >= 0, got {self.index!r}")
-        if not 0 < self.omega < np.inf:
-            raise ConfigError(f"eigenstate omega must be finite and > 0, got {self.omega}")
+        check_count("eigenstate index", self.index, 0)
+        check_number("eigenstate omega", self.omega, 0, above=True)
 
 
 @dataclass(frozen=True)
@@ -113,18 +108,13 @@ class SimConfig:
     snapshot_stride: int = 0         # 0 disables snapshots
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        for name, least in (("n_steps", 1), ("snapshot_stride", 0)):
-            count = getattr(self, name)
-            if not isinstance(count, numbers.Integral) or count < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {count!r}")
-        check_seed(self.seed)
-        if not 0 <= self.friction < np.inf:
-            raise ConfigError(f"friction must be >= 0 and finite, got {self.friction}")
+        check_number("dt", self.dt, 0, above=True)
+        check_count("n_steps", self.n_steps, 1)
+        check_count("snapshot_stride", self.snapshot_stride, 0)
+        check_count("seed", self.seed, 0)
+        check_number("friction", self.friction, 0)
         check_bath(self.noise, self.params.mass, friction=self.friction)
-        if not 0 <= self.kappa < np.inf:
-            raise ConfigError(f"kappa must be >= 0 and finite, got {self.kappa}")
+        check_number("kappa", self.kappa, 0)
         if self.sign not in SIGNS:
             raise ConfigError(f"sign must be one of {list(SIGNS)}, got '{self.sign}'")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -137,6 +127,7 @@ class SimConfig:
         if isinstance(init, WaveFunction) and (init.grid, init.values.ndim) != (self.grid, 1):
             shape = init.values.shape
             raise ConfigError(f"initial state {shape} on {init.grid}, not (N,) on {self.grid}")
+        build_initial_state(self)
 
 
 @dataclass
@@ -180,22 +171,31 @@ def _warn_stability(guard: np.ndarray, seeds: Optional[list]):
 
 
 def build_initial_state(config: SimConfig) -> WaveFunction:
+    """The normalized initial state, built with float warnings off; one that builds
+    to zero or to non-finite samples is a ConfigError. An eigenstate is the Hermite
+    function psi_n(xi), xi = sqrt(m omega/hbar) x, of the normalized recurrence
+    from psi_0 = pi^(-1/4) exp(-xi^2/2): finite at any n, where H_n(xi) exp(-xi^2/2)
+    overflows."""
     grid, params = config.grid, config.params
     x = grid.x
     init = config.initial_state
-    if isinstance(init, GaussianPacket):
-        vals = np.exp(
-            -((x - init.x0) ** 2) / (4.0 * init.sigma**2)
-            + 1j * init.p0 * x / params.hbar
-        )
-    elif isinstance(init, HarmonicEigenstate):
-        a = params.mass * init.omega / params.hbar
-        xi = np.sqrt(a) * x
-        herm = np.polynomial.hermite.Hermite.basis(init.index)(xi)
-        vals = herm * np.exp(-0.5 * xi**2)
-    else:   # a WaveFunction, as SimConfig checks
-        return normalize(init)
-    return normalize(WaveFunction(grid, vals))
+    with np.errstate(all="ignore"):
+        if isinstance(init, GaussianPacket):
+            vals = np.exp(
+                -((x - init.x0) ** 2) / (4.0 * init.sigma**2)
+                + 1j * init.p0 * x / params.hbar
+            )
+        elif isinstance(init, HarmonicEigenstate):
+            xi = np.sqrt(params.mass * init.omega / params.hbar) * x
+            prev, vals = 0.0, np.pi**-0.25 * np.exp(-0.5 * xi**2)
+            for k in range(init.index):   # psi_{k+1} from psi_k and psi_{k-1}
+                prev, vals = vals, np.sqrt(2 / (k + 1)) * xi * vals - np.sqrt(k / (k + 1)) * prev
+        else:   # a WaveFunction, as SimConfig checks
+            vals = init.values
+        try:
+            return normalize(WaveFunction(grid, vals))
+        except (DegenerateState, InvalidField) as exc:
+            raise ConfigError(f"initial state {init!r} builds no state: {exc}") from None
 
 
 class _Workspace:
@@ -343,10 +343,10 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
 
     Without `seeds`, the one RunRecord of config.seed. With `seeds`, one
     RunRecord per seed, in order: the members are stepped together as one
-    (B, N) batch, each with its own noise row; empty seeds, or a seed that
-    bath.check_seed rejects, are a ConfigError. A member's last bits may depend on the batch it was stepped
-    in: numpy rounds some elementwise loops by memory alignment, and a
-    batch's bath noise is one matrix product.
+    (B, N) batch, each with its own noise row; empty seeds, or a seed that is
+    not an integer >= 0 (errors.check_count), are a ConfigError. A member's last
+    bits may depend on the batch it was stepped in: numpy rounds some elementwise
+    loops by memory alignment, and a batch's bath noise is one matrix product.
 
     Each step writes its spectrum into the next slot of a BlockRecorder, whose
     states and spectra buffers hold m = RECORD_BLOCK_ELEMENTS // (B N) states
@@ -368,7 +368,7 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     if not batch:
         raise ConfigError("an ensemble needs at least one seed")
     for seed in batch:
-        check_seed(seed)
+        check_count("seed", seed, 0)
     # a single run steps an (N,) state: the bits are those of a (1, N)
     # batch, and numpy's per-call overhead is lower on 1-D arrays
     lead = () if seeds is None else (len(batch),)

@@ -7,7 +7,6 @@ on a periodic grid, both spectrally accurate for smooth periodic data.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +14,9 @@ import numpy as np
 # wrappers of numpy.fft.fft (perfbench's FFT count) find it loaded
 import numpy.fft  # noqa: F401
 
-from .errors import DegenerateState, InvalidField, UnsupportedOrder
+from .errors import (
+    ConfigError, DegenerateState, InvalidField, UnsupportedOrder, check_count, check_number,
+)
 
 # Density floor used everywhere a |psi|^2 shows up in a denominator or a log,
 # relative to max|psi|^2.
@@ -33,11 +34,12 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if not 0 < self.x_max - self.x_min < np.inf:
-            raise InvalidField(f"empty or infinite grid: [{self.x_min}, {self.x_max})")
-        n = self.n_points
-        if not isinstance(n, numbers.Integral) or n < 8 or n & (n - 1):
-            raise InvalidField(f"n_points must be an integer power of two >= 8, got {n!r}")
+        check_number("grid x_min", self.x_min)
+        check_number("grid x_max", self.x_max)
+        check_number("grid length x_max - x_min", self.x_max - self.x_min, 0, above=True)
+        check_count("n_points", self.n_points, 8)
+        if self.n_points & (self.n_points - 1):
+            raise ConfigError(f"n_points must be an integer power of two, got {self.n_points}")
 
     @property
     def dx(self) -> float:
@@ -71,8 +73,8 @@ class PhysicalParams:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.hbar < np.inf and 0 < self.mass < np.inf):
-            raise InvalidField("hbar and mass must be positive and finite")
+        check_number("hbar", self.hbar, 0, above=True)
+        check_number("mass", self.mass, 0, above=True)
 
 
 @dataclass(frozen=True)

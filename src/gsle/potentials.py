@@ -31,7 +31,7 @@ import numpy as np
 
 from .bohmian import PolarField, polar_decompose, weak_value
 from .coupling import CouplingFunction, PotentialSpec, gup_coupling, monotone_slope
-from .errors import ConfigError
+from .errors import check_number
 from .fields import (
     Grid,
     PhysicalParams,
@@ -104,8 +104,7 @@ def dissipative_potential(
     with s=+1 for sign='damping' and s=-1 for sign='paper'. The arbitrary
     lower limit is immaterial: W = <V_d> is always subtracted downstream.
     """
-    if not 0 <= friction < np.inf:
-        raise ConfigError(f"friction must be >= 0 and finite, got {friction}")
+    check_number("friction", friction, 0)
     s = SIGNS[sign]
     grid = psi.grid
     if friction == 0.0:

@@ -79,7 +79,7 @@ class TestDiscretizeOhmic:
         assert np.all(bath.couplings == 0.0)
 
     def test_empty_bath(self):
-        with pytest.raises(EmptyBath):
+        with pytest.raises(ConfigError, match="n_oscillators"):
             discretize_ohmic(OhmicSpec(0.5, 50.0, 0, 0.0), 1.0)
 
     @pytest.mark.parametrize(
@@ -88,7 +88,7 @@ class TestDiscretizeOhmic:
          ((0.5, 50.0, 10, np.nan), "temperature")],
     )
     def test_spec_rejects_nan(self, args, named):
-        with pytest.raises(InvalidField, match=named):
+        with pytest.raises(ConfigError, match=named):
             OhmicSpec(*args)
 
     @pytest.mark.parametrize(
@@ -103,7 +103,7 @@ class TestDiscretizeOhmic:
 
     def test_spec_rejects_no_oscillators(self):
         """The Ohmic spectrum itself is invalid, before any discretization."""
-        with pytest.raises(InvalidField, match="n_oscillators"):
+        with pytest.raises(ConfigError, match="n_oscillators"):
             OhmicSpec(0.5, 50.0, 0, 0.0)
 
     def test_frequency_ladder(self):
@@ -170,7 +170,7 @@ class TestSampleBathNoise:
         assert np.all(xi == 0.0)
 
     def test_negative_temperature(self):
-        with pytest.raises(InvalidField, match="temperature"):
+        with pytest.raises(ConfigError, match="temperature"):
             sample_bath_noise_batch(single_oscillator(), -1.0, 0.1 * np.arange(5), [3])
 
     def test_single_oscillator_is_sinusoid(self):

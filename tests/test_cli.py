@@ -91,7 +91,7 @@ class TestParseConfig:
         assert spec.sim.noise.kind == "zero"
 
     def test_negative_dt(self):
-        with pytest.raises(ConfigError, match="dt must be positive"):
+        with pytest.raises(ConfigError, match="dt must be a finite number > 0"):
             parse_config("[run]\ndt = -1\n")
 
     def test_unknown_key_named(self):
@@ -234,7 +234,7 @@ class TestRunCommand:
                 "[classical]\nn_particles = 4\nsigma_x = nan\n",
                 "sigma_x",
             ),
-            ("[run]\nn_steps = 3\n[coupling]\nkind = power\nn = -1\n", "integer n >= 0"),
+            ("[run]\nn_steps = 3\n[coupling]\nkind = power\nn = -1\n", "n must be an integer >= 0"),
             ("[experiment]\nensemble_seeds = 2\nworkers = 2\n[run]\nn_steps = 3\n", "workers"),
             ("[experiment]\nensemble_seeds = 2\nworkers = 0\n[run]\nn_steps = 3\n", "workers"),
             (
@@ -266,14 +266,17 @@ class TestRunCommand:
                 "[run]\nn_steps = 3\n[coupling]\nkind = power\nn = 400\n",
                 "coupling value or slope not finite on the grid",
             ),
-            ("[experiment]\nseed = -1\n[run]\nn_steps = 3\n", "seed must be >= 0"),
+            ("[experiment]\nseed = -1\n[run]\nn_steps = 3\n", "seed must be an integer >= 0"),
             ("key = 1\n", "malformed config"),
             ("[potential]\nkind = quartic\n", "unknown potential kind 'quartic'"),
-            ("[experiment]\nensemble_seeds = 0\n", "ensemble_seeds must be >= 1"),
+            ("[experiment]\nensemble_seeds = 0\n", "ensemble_seeds must be an integer >= 1"),
             (
                 "[experiment]\nmode = classical\n[initial]\nkind = eigenstate\n",
                 "classical runs need a gaussian initial state",
             ),
+            # 4 sigma^2 underflows to 0, and x0 is no grid point: a packet of zeros,
+            # built with no RuntimeWarning (an error under this suite's filters)
+            ("[run]\nn_steps = 3\n[initial]\nsigma = 1e-200\nx0 = 0.03\n", "builds no state"),
         ],
         ids=[
             "negative_dt",
@@ -319,6 +322,7 @@ class TestRunCommand:
             "unknown_potential_kind",
             "zero_ensemble_seeds",
             "classical_eigenstate",
+            "initial_state_of_zeros",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, text, named):
@@ -343,7 +347,7 @@ class TestRunCommand:
         assert main([command, cfg, "--seed", "-1", "--out", str(out)]) == 3
         err = json.loads((out / "error.json").read_text())
         assert err["type"] == "ConfigError"
-        assert "seed must be >= 0, got -1" in err["message"]
+        assert "seed must be an integer >= 0, got -1" in err["message"]
         assert [p.name for p in out.iterdir()] == ["error.json"]
 
     def test_blowup_exit_code(self, tmp_path):
@@ -390,6 +394,15 @@ class TestRunCommand:
         assert err["t"] == 0.005
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
+
+    def test_high_eigenstate_runs(self, tmp_path):
+        """Eigenstate 160 on the default grid is finite, where H_n(xi) exp(-xi^2/2)
+        overflows: the run exits 0 with no numpy warning."""
+        cfg = write_cfg(tmp_path, "[run]\nn_steps = 2\n[initial]\nkind = eigenstate\nindex = 160\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_ensemble_warning_reaches_caller(self, tmp_path):
         """The default harmonic box trips the guard; a two-member batch warns once."""

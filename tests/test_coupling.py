@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsle.coupling import CouplingFunction, gup_coupling
-from gsle.errors import InvalidField, NonmonotonePotential, OutOfDomain, UnsupportedOrder
+from gsle.errors import ConfigError, NonmonotonePotential, OutOfDomain, UnsupportedOrder
 from gsle.fields import Grid
 from gsle.potentials import PotentialSpec
 
@@ -37,7 +37,7 @@ class TestEval:
 
     @pytest.mark.parametrize("n", [-1, 1.5, np.nan])
     def test_power_needs_integer_n(self, n):
-        with pytest.raises(InvalidField):
+        with pytest.raises(ConfigError, match="power coupling n"):
             CouplingFunction.power(n)
 
     def test_sinusoidal(self):

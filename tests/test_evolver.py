@@ -16,7 +16,6 @@ from gsle.classical import LangevinConfig, langevin_ensemble, langevin_step
 from gsle.coupling import CouplingFunction
 from gsle.errors import (
     ConfigError,
-    EmptyBath,
     InsufficientData,
     InvalidField,
     NumericalBlowup,
@@ -77,28 +76,28 @@ BAD_INPUTS = {
     **{
         f"seed_{kind}": (
             lambda noise=noise: run(SimConfig(GRID, noise=noise, friction=0.1, seed=-1)),
-            "seed must be >= 0, got -1",
+            "seed must be an integer >= 0, got -1",
         )
         for kind, noise in [("zero", NoiseSpec()), ("white", NoiseSpec("white", 0.1)),
                             ("bath", NoiseSpec("bath", 0.1, discretize_ohmic(
                                 OhmicSpec(0.1, 20.0, 10, 0.1))))]
     },
     "ensemble_seeds": (
-        lambda: run(SimConfig(GRID), seeds=[-1, 2]), "seed must be >= 0, got -1",
+        lambda: run(SimConfig(GRID), seeds=[-1, 2]), "seed must be an integer >= 0, got -1",
     ),
     "ensemble_seed_float": (
-        lambda: run(SimConfig(GRID), seeds=[2, 1.5]), "seed must be an integer, got 1.5",
+        lambda: run(SimConfig(GRID), seeds=[2, 1.5]), "seed must be an integer >= 0, got 1.5",
     ),
     "classical_seed_float": (
         lambda: langevin_ensemble(LangevinConfig(noise=NoiseSpec("white", 0.1)), 1.5),
-        "seed must be an integer, got 1.5",
+        "seed must be an integer >= 0, got 1.5",
     ),
     **{
         f"classical_seed_{kind}": (
             lambda noise=noise: langevin_ensemble(
                 LangevinConfig(friction=0.1, noise=noise, n_particles=2), -1
             ),
-            "seed must be >= 0, got -1",
+            "seed must be an integer >= 0, got -1",
         )
         for kind, noise in [("zero", NoiseSpec()), ("white", NoiseSpec("white", 0.1))]
     },
@@ -122,6 +121,17 @@ class TestInitialStates:
     def test_gaussian_normalized(self):
         psi = build_initial_state(harmonic_config())
         assert integrate_values(GRID, psi.density()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_eigenstate_is_hermite_polynomial_form(self):
+        """The recurrence's eigenstate is H_n(xi) exp(-xi^2/2), normalized on the
+        grid, to round-off for n <= 20."""
+        omega = 1.3
+        xi = np.sqrt(omega) * GRID.x
+        for n in range(21):
+            ref = np.polynomial.hermite.Hermite.basis(n)(xi) * np.exp(-0.5 * xi**2)
+            ref /= np.sqrt(integrate_values(GRID, ref**2))
+            psi = build_initial_state(harmonic_config(initial_state=HarmonicEigenstate(n, omega)))
+            assert np.abs(psi.values - ref).max() < 1e-12, n
 
     def test_eigenstate_energy(self):
         from gsle.fields import observables
@@ -193,10 +203,10 @@ class TestConfigValidation:
         assert calls == []
 
     @pytest.mark.parametrize("build, error, named", [
-        (lambda: Grid(-np.inf, 0.0, 8), InvalidField, "grid"),
-        (lambda: OhmicSpec(np.inf, 50.0, 10, 0.1), InvalidField, "friction"),
-        (lambda: OhmicSpec(0.1, np.inf, 10, 0.1), InvalidField, "cutoff"),
-        (lambda: OhmicSpec(0.1, 50.0, 10, np.inf), InvalidField, "temperature"),
+        (lambda: Grid(-np.inf, 0.0, 8), ConfigError, "grid"),
+        (lambda: OhmicSpec(np.inf, 50.0, 10, 0.1), ConfigError, "friction"),
+        (lambda: OhmicSpec(0.1, np.inf, 10, 0.1), ConfigError, "cutoff"),
+        (lambda: OhmicSpec(0.1, 50.0, 10, np.inf), ConfigError, "temperature"),
         (lambda: BathSpec([1.0], [1.0], [np.nan]), InvalidField, "finite"),
         (lambda: BathSpec([1.0], [np.inf], [1.0]), InvalidField, "finite"),
         (lambda: NoiseSpec("white", np.inf), ConfigError, "temperature"),
@@ -205,29 +215,30 @@ class TestConfigValidation:
     ], ids=["grid_x_min", "ohmic_friction", "ohmic_cutoff", "ohmic_temperature", "bath_coupling",
             "bath_frequency", "white_temperature", "packet_x0", "packet_p0"])
     def test_non_finite_spec_value_rejected(self, build, error, named):
-        """A non-finite value fails at construction, with the error type of its class."""
+        """A non-finite value fails at construction: a scalar with a ConfigError, a
+        bath array with an InvalidField."""
         with pytest.raises(error, match=named):
             build()
 
-    @pytest.mark.parametrize("build, error, named", [
-        (lambda: SimConfig(GRID, n_steps=2.5), ConfigError, "n_steps"),
-        (lambda: SimConfig(GRID, n_steps=2.0), ConfigError, "n_steps"),
-        (lambda: SimConfig(GRID, snapshot_stride=1.5), ConfigError, "snapshot_stride"),
-        (lambda: LangevinConfig(n_steps=2.5), ConfigError, "n_steps"),
-        (lambda: LangevinConfig(n_particles=2.5), ConfigError, "n_particles"),
-        (lambda: SimConfig(GRID, seed=1.5), ConfigError, "seed"),
-        (lambda: HarmonicEigenstate(1.5), ConfigError, "index"),
-        (lambda: Grid(-1.0, 1.0, 8.0), InvalidField, "n_points"),
-        (lambda: OhmicSpec(0.1, 10.0, 2.5, 0.1), EmptyBath, "n_oscillators"),
+    @pytest.mark.parametrize("build, named", [
+        (lambda: SimConfig(GRID, n_steps=2.5), "n_steps"),
+        (lambda: SimConfig(GRID, n_steps=2.0), "n_steps"),
+        (lambda: SimConfig(GRID, snapshot_stride=1.5), "snapshot_stride"),
+        (lambda: LangevinConfig(n_steps=2.5), "n_steps"),
+        (lambda: LangevinConfig(n_particles=2.5), "n_particles"),
+        (lambda: SimConfig(GRID, seed=1.5), "seed"),
+        (lambda: HarmonicEigenstate(1.5), "index"),
+        (lambda: Grid(-1.0, 1.0, 8.0), "n_points"),
+        (lambda: OhmicSpec(0.1, 10.0, 2.5, 0.1), "n_oscillators"),
     ], ids=["sim_n_steps", "sim_n_steps_float", "sim_snapshot_stride", "langevin_n_steps",
             "langevin_n_particles", "sim_seed", "eigenstate_index", "grid_n_points",
             "ohmic_n_oscillators"])
-    def test_count_must_be_integer(self, build, error, named):
-        """A float count fails at construction, under warnings as errors, with
-        the error type of its class."""
+    def test_count_must_be_integer(self, build, named):
+        """A float count fails at construction with a ConfigError, under warnings
+        as errors."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error, match=f"{named} must be an integer"):
+            with pytest.raises(ConfigError, match=f"{named} must be an integer"):
                 build()
 
     def test_numpy_integer_counts_accepted(self):

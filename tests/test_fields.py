@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_state, plane_wave
-from gsle.errors import DegenerateState, InvalidField, UnsupportedOrder
+from gsle.errors import ConfigError, DegenerateState, InvalidField, UnsupportedOrder
 from gsle.fields import (
     BlockRecorder,
     CubicSpline,
@@ -32,15 +32,15 @@ class TestGrid:
         assert g.length == 10.0
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(InvalidField):
+        with pytest.raises(ConfigError, match="n_points must be an integer power of two"):
             Grid(0.0, 1.0, 100)
 
     def test_rejects_too_few_points(self):
-        with pytest.raises(InvalidField):
+        with pytest.raises(ConfigError, match="n_points must be an integer >= 8"):
             Grid(0.0, 1.0, 4)
 
     def test_rejects_empty_interval(self):
-        with pytest.raises(InvalidField):
+        with pytest.raises(ConfigError, match="grid length"):
             Grid(1.0, 1.0, 16)
 
 
@@ -58,10 +58,10 @@ class TestFieldValidation:
             WaveFunction(g, vals)
 
     def test_params_positive(self):
-        with pytest.raises(InvalidField):
+        with pytest.raises(ConfigError, match="hbar"):
             PhysicalParams(hbar=-1.0)
         for bad in (np.nan, np.inf):
-            with pytest.raises(InvalidField):
+            with pytest.raises(ConfigError, match="mass"):
                 PhysicalParams(mass=bad)
 
 

@@ -1,7 +1,8 @@
 """Static checks on the package source: every imported name is used, every import
 is at module level and imports no private name, every private or ALL-CAPS
-module-level name is read somewhere in the package, and every public one is
-read somewhere in the package, its tests or its benchmark."""
+module-level name is read somewhere in the package, every public one is
+read somewhere in the package, its tests or its benchmark, and no module but
+errors.py writes its own rule for a valid scalar."""
 
 import ast
 from pathlib import Path
@@ -181,3 +182,40 @@ def test_every_public_name_is_read():
         for folder in ("tests", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))
     }
     assert unread_public_names(sources, readers) == []
+
+
+def scalar_rule_copies(source: str) -> list:
+    """An `import numbers`, or a comparison with np.inf (or -np.inf) as an operand:
+    each a hand-written copy of errors.check_count or check_number."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name == "numbers" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "numbers"
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            operands = [op.operand if isinstance(op, ast.UnaryOp) else op for op in operands]
+            hit = any(ast.unparse(op) in ("np.inf", "numpy.inf") for op in operands)
+        else:
+            hit = False
+        if hit:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_finds_a_scalar_rule_copy():
+    source = (
+        "import numbers\nimport numpy as np\nfrom numbers import Real\n"
+        "if 0 < x < np.inf:\n    y = x == -numpy.inf\nz = np.inf\nw = np.isinf(x) and x < 1\n"
+    )
+    assert scalar_rule_copies(source) == [
+        "line 1: import numbers", "line 3: from numbers import Real",
+        "line 4: 0 < x < np.inf", "line 5: x == -numpy.inf",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.name)
+def test_no_scalar_rule_copies(path):
+    """Only errors.py decides what a valid scalar is."""
+    assert scalar_rule_copies(path.read_text()) == []

@@ -120,7 +120,7 @@ class TestDissipativePotential:
     def test_negative_friction(self, grid, params):
         psi = gaussian_state(grid)
         for friction in (-0.1, np.nan, np.inf):
-            with pytest.raises(ConfigError, match="friction must be >= 0 and finite"):
+            with pytest.raises(ConfigError, match="friction must be a finite number >= 0"):
                 dissipative_potential(psi, CouplingFunction.linear(), friction, params)
 
     def test_plane_wave_linear_growth(self, grid, params):
