@@ -16,6 +16,7 @@ limit); `kernel(t)` names the memory function. They are distinct objects.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -164,7 +165,7 @@ def spawn_seeds(seed: int, n: int) -> list:
     zero-padded to four, then i: numpy's hash (NEP 19) mixes i into the pool of
     SeedSequence(seed), 4 hashmix calls a word in, and runs generate_state(4,
     uint64), here in uint32 array arithmetic over all children at once."""
-    seed, mask = int(seed), 0xFFFFFFFF
+    seed, mask = operator.index(seed), 0xFFFFFFFF
 
     def hashmix(value, h, mult):   # numpy's hashmix, or a generate_state step; and the next h
         h_next = h * mult & mask

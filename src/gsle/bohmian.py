@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateState, InsufficientData, InvalidField
+from .errors import DegenerateState, InsufficientData, InvalidField, check_count
 from .fields import (
     CubicSpline,
     PhysicalParams,
@@ -51,7 +51,6 @@ class PolarField:
 class TrajectoryEnsemble:
     times: np.ndarray = field(repr=False)
     positions: np.ndarray = field(repr=False)  # (n_trajectories, n_times)
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -173,8 +172,11 @@ def propagate_trajectories(
     v(x,t) = dS/dx / m, the real parts over m, periodically wrapped: linear
     in t, and in x the numpy cubic spline with periodic ends,
     `fields.CubicSpline.periodic`. Half-step stages read the spline of the
-    averaged (v, m): one cell lookup per stage.
+    averaged (v, m): one cell lookup per stage. n_traj is an integer >= 1 and
+    seed one >= 0 (errors.check_count).
     """
+    check_count("n_traj", n_traj, 1)
+    check_count("seed", seed, 0)
     history = list(history)
     times = np.asarray(times, dtype=float)
     if len(history) == 0:
@@ -205,7 +207,7 @@ def propagate_trajectories(
         k4 = s1(wrap(x + dt * k3))
         x = wrap(x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
         positions[:, k + 1] = x
-    return TrajectoryEnsemble(times=times, positions=positions, seed=seed)
+    return TrajectoryEnsemble(times=times, positions=positions)
 
 
 def equivariance_distance(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bath import BathSpec, NoiseSpec, check_bath, memory_kernel, noise_rows, spawn_seeds
 from .coupling import CouplingFunction, PotentialSpec
-from .errors import ConfigError, NumericalBlowup, blowup_on_overflow, check_count, check_number
+from .errors import ConfigError, NumericalBlowup, check_count, check_number
 from .fields import BlockRecorder, PhysicalParams
 
 # the per-time moments of a ClassicalEnsemble, in its CSV column order
@@ -77,7 +77,6 @@ class ClassicalEnsemble:
     stderr_p: np.ndarray
     positions: Optional[np.ndarray] = None   # (n_particles, n_times) if kept
     velocities: Optional[np.ndarray] = None
-    seed: int = 0
 
 
 def langevin_step(x, v, config: LangevinConfig, xi_n):
@@ -219,21 +218,15 @@ def langevin_ensemble(
             pos[:, steps] = x.T
             vel[:, steps] = v.T
 
-    recorder = BlockRecorder(n_steps + 1, (x, v), reduce)
+    recorder = BlockRecorder(times, (x, v), reduce, "non-finite classical force")
     gle = GleIntegrator(config, x, v) if config.memory is not None else None
-    recorder.push(x, v)
-    i = 0   # the state that the step under way makes
-    try:
-        with blowup_on_overflow("non-finite classical force"), recorder:   # flushed however it ends
-            for slab in noise:
-                for xi_n in slab.T:
-                    i += 1
-                    x, v = gle.step(xi_n) if gle is not None else langevin_step(x, v, config, xi_n)
-                    if not (np.isfinite(x).all() and np.isfinite(v).all()):
-                        raise NumericalBlowup("non-finite classical state")
-                    recorder.push(x, v)
-                del slab, xi_n   # so only one slab is alive while the next is drawn
-    except NumericalBlowup as exc:
-        exc.t = times[i if recorder.failed is None else recorder.failed]
-        raise
-    return ClassicalEnsemble(times, **moments, positions=pos, velocities=vel, seed=seed)
+    with recorder:
+        recorder.push(x, v)
+        for slab in noise:
+            for xi_n in slab.T:
+                x, v = gle.step(xi_n) if gle is not None else langevin_step(x, v, config, xi_n)
+                if not (np.isfinite(x).all() and np.isfinite(v).all()):
+                    raise NumericalBlowup("non-finite classical state")
+                recorder.push(x, v)
+            del slab, xi_n   # so only one slab is alive while the next is drawn
+    return ClassicalEnsemble(times, **moments, positions=pos, velocities=vel)

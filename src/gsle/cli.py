@@ -135,8 +135,6 @@ _KEY_TABLE = {
 }
 
 _MODES = ("gsle", "classical", "compare")
-_BOOLS = {"true": True, "yes": True, "1": True, "on": True}
-_BOOLS.update({"false": False, "no": False, "0": False, "off": False})
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean"}
 
 
@@ -225,8 +223,10 @@ def _convert(resolved) -> dict:
             try:
                 if raw == default == "":
                     typed[key] = None
+                elif cast is bool:
+                    typed[key] = configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
                 else:
-                    typed[key] = _BOOLS[raw.lower()] if cast is bool else cast(raw)
+                    typed[key] = cast(raw)
                     if cast is float and not np.isfinite(typed[key]):
                         raise ValueError
             except (KeyError, ValueError):
@@ -261,7 +261,8 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
     """Validate a config document and resolve it into an ExperimentSpec."""
     resolved = _resolve(text)
     if seed_override is not None:
-        resolved["experiment"]["seed"] = str(int(seed_override))
+        check_count("--seed", seed_override, 0)
+        resolved["experiment"]["seed"] = str(seed_override)
     values = _convert(resolved)
     experiment, output = values["experiment"], values["output"]
 

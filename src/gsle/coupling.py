@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonmonotonePotential, OutOfDomain, UnsupportedOrder, check_count
+from .errors import NonmonotonePotential, OutOfDomain, UnsupportedOrder, check_count, check_number
 from .fields import CubicSpline, Grid, cumulative_integral
 
 VPRIME_FLOOR = 1e-8   # gup_coupling takes V' <= VPRIME_FLOOR as a zero of V'
+
+
+def _finite(kind: str, **values):
+    """Each of values is a finite number (errors.check_number), named "<kind> <name>"."""
+    for name, value in values.items():
+        check_number(f"{kind} {name}", value)
 
 
 class CouplingFunction:
@@ -35,6 +41,7 @@ class CouplingFunction:
 
     @classmethod
     def constant(cls, c=1.0):
+        _finite("constant coupling", c=c)
         return cls((lambda x: np.full_like(x, c), np.zeros_like, np.zeros_like))
 
     @classmethod
@@ -42,13 +49,12 @@ class CouplingFunction:
         """f = x^n for an integer n >= 0; a zero coefficient gives exact zeros
         (not 0 * x^-1, which is NaN at x = 0)."""
         check_count("power coupling n", n, 0)
-        n = float(n)
         term = lambda c, p: np.zeros_like if c == 0 else (lambda x: c * x**p)
         return cls((lambda x: x**n, term(n, n - 1), term(n * (n - 1), n - 2)))
 
     @classmethod
     def sinusoidal(cls, a=1.0, k=1.0):
-        a, k = float(a), float(k)
+        _finite("sinusoidal coupling", a=a, k=k)
         return cls((
             lambda x: a * np.sin(k * x),
             lambda x: a * k * np.cos(k * x),
@@ -63,7 +69,7 @@ class CouplingFunction:
 
     @classmethod
     def harmonic(cls, omega=1.0, mass=1.0, center=0.0):
-        omega, mass, center = float(omega), float(mass), float(center)
+        _finite("harmonic potential", omega=omega, mass=mass, center=center)
         k = mass * omega**2
         return cls((
             lambda x: 0.5 * k * (x - center) ** 2,
@@ -73,13 +79,13 @@ class CouplingFunction:
 
     @classmethod
     def linear_ramp(cls, b=1.0):
-        b = float(b)
+        _finite("linear_ramp potential", b=b)
         return cls((lambda x: b * x, lambda x: np.full_like(x, b), np.zeros_like))
 
     @classmethod
     def double_well(cls, a=1.0, b=1.0):
         # V = a x^4 - b x^2
-        a, b = float(a), float(b)
+        _finite("double_well potential", a=a, b=b)
         return cls((
             lambda x: a * x**4 - b * x**2,
             lambda x: 4 * a * x**3 - 2 * b * x,
@@ -89,7 +95,7 @@ class CouplingFunction:
     @classmethod
     def cubic(cls, c=1.0):
         # V = c x^3 / 3, so V' = c x^2 >= 0 for c > 0
-        c = float(c)
+        _finite("cubic potential", c=c)
         return cls((lambda x: c * x**3 / 3.0, lambda x: c * x**2, lambda x: 2 * c * x))
 
     @classmethod

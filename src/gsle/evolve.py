@@ -23,15 +23,8 @@ the step's one U (`_Workspace.real_potential`) and the kick, which writes cos
 and sin of the phase into a workspace buffer. That U is predicted at the
 kick's midpoint from the half-kicked state's current and that factor: the
 midpoint state itself is never built. `run` owns the clock, checks every new
-spectrum for finite samples and stops at the first float operation that
-overflows or turns invalid.
-
-`run` records through a `fields.BlockRecorder`: each step writes its spectrum
-into the recorder's next slot, and each block of RECORD_BLOCK_ELEMENTS samples
-is read by one inverse transform, one `observables` call and one W, the
-`gauged_integral` of the block's `vd_slope`, with one density. Each state's
-edge density and each step's stability guard are recorded columns too; every
-warning reads them.
+spectrum for finite samples and records through a `fields.BlockRecorder`, the
+overflow gate of its loop.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ from .bath import NoiseSpec, check_bath, noise_rows
 from .coupling import CouplingFunction, PotentialSpec
 from .errors import (
     ConfigError, DegenerateState, InsufficientData, InvalidField, NumericalBlowup,
-    StabilityWarning, blowup_on_overflow, check_count, check_number,
+    StabilityWarning, check_count, check_number,
 )
 from .fields import (
     BlockRecorder,
@@ -354,11 +347,10 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     each when a state is larger. One inverse transform per block makes its
     states, read by one `observables` call and one W (`gauged_integral` of
     their `vd_slope`); a snapshot copies its state. Each row is reduced alone, so the record
-    is the one a read per step would give (t = 0 reads ifft(fft(psi_0))). A
-    non-finite spectrum, or a float operation of a step or record that
-    overflows, raises NumericalBlowup at the first state that fails its step or record,
-    with the observables of the last state recorded cleanly, if any. A guard past STABILITY_LIMIT
-    raises one StabilityWarning per call, naming a batch's seeds.
+    is the one a read per step would give (t = 0 reads ifft(fft(psi_0))). A non-finite
+    spectrum, or a float overflow, is the recorder's NumericalBlowup at the first state
+    that fails, with the observables of the last state recorded cleanly, if any. A
+    guard past STABILITY_LIMIT raises one StabilityWarning per call, naming a batch's seeds.
 
     Deterministic for a given (config, seeds). The noise is built one slab of
     at most NOISE_BLOCK_STEPS steps at a time, and a spent slab is dropped
@@ -397,15 +389,15 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
         snapshots.extend((j, vals[j - steps.start].reshape(len(batch), -1).copy())
                          for j in range(steps.start, steps.stop) if stride and j % stride == 0)
 
-    recorder = BlockRecorder(n + 1, (psi, psi), reduce)   # states, spectra
-    spectrum = np.fft.fft(psi, out=recorder.slot(1))
-    recorder.push()
+    recorder = BlockRecorder(times, (psi, psi), reduce, "non-finite wave step")   # states, spectra
     # psi, the initial state, stays referenced to the end: freeing it after
     # step 1 raised a 32 x 512 ensemble's peak RSS by 1 MB (glibc places the
     # later arrays differently)
-    i = 0   # the last recorded state; a slab's float error can stop the run before step 0
     try:
-        with blowup_on_overflow("non-finite wave step"), recorder:   # flushed however it ends
+        with recorder:
+            spectrum = np.fft.fft(psi, out=recorder.slot(1))
+            recorder.push()
+            i = 0   # the step under way, from state i to state i + 1
             for slab in noise:
                 # step i's xi: a (B,) row of the slab, or a scalar in a single run
                 for xi in slab.T.reshape((-1,) + lead):
@@ -417,9 +409,7 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
                     i += 1
                 del slab, xi   # so only one slab is alive while the next is drawn
     except NumericalBlowup as exc:
-        # the first state that fails its step or its record; the last recorded cleanly
-        exc.t = times[min(i + 1, n) if recorder.failed is None else recorder.failed]
-        last = recorder.first - 1
+        last = recorder.first - 1   # the last state recorded cleanly
         if last >= 0:
             exc.last_observables = {
                 "t": times[last], **{k: table[k][last] for k in ("norm", "mean_x", "energy")}

@@ -7,6 +7,7 @@ on a periodic grid, both spectrally accurate for smooth periodic data.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,8 @@ import numpy as np
 import numpy.fft  # noqa: F401
 
 from .errors import (
-    ConfigError, DegenerateState, InvalidField, UnsupportedOrder, check_count, check_number,
+    ConfigError, DegenerateState, InvalidField, NumericalBlowup, UnsupportedOrder,
+    blowup_on_overflow, check_count, check_number,
 )
 
 # Density floor used everywhere a |psi|^2 shows up in a denominator or a log,
@@ -128,7 +130,7 @@ def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
     np.add.accumulate(body, axis=-1, out=body)
     body *= 0.5 * dx   # = cumsum(0.5 (h[i] + h[i+1])) dx: the halving is exact
     # h' as np.gradient(h, dx, axis=-1, edge_order=2) computes it, without
-    # its per-call set-up (this runs twice per step and once per record block)
+    # its per-call set-up (this runs once per step and once per record block)
     hp = np.empty_like(h)
     np.subtract(h[..., 2:], h[..., :-2], out=hp[..., 1:-1])
     hp[..., 1:-1] /= 2.0 * dx
@@ -288,14 +290,15 @@ class BlockRecorder:
     """Rows of per-step values, handed to reduce(steps, *rows) a block at a time.
 
     One buffer per array of `like` holds m rows shaped and typed like it, m =
-    RECORD_BLOCK_ELEMENTS // like[0].size clipped to [1, n_rows]; steps is a
-    block's slice of row indices and rows the filled part of each buffer.
+    RECORD_BLOCK_ELEMENTS // like[0].size clipped to [1, len(times)]; steps is a
+    block's slice of row indices and rows the filled part of each buffer. A with
+    block is its loop's overflow gate, errors.blowup_on_overflow(what).
     """
 
-    def __init__(self, n_rows: int, like: tuple, reduce):
-        m = max(1, min(n_rows, RECORD_BLOCK_ELEMENTS // like[0].size))
+    def __init__(self, times, like: tuple, reduce, what: str):
+        m = max(1, min(len(times), RECORD_BLOCK_ELEMENTS // like[0].size))
         self.buffers = [np.empty((m,) + a.shape, a.dtype) for a in like]
-        self.reduce = reduce
+        self.times, self.reduce, self.what = times, reduce, what
         self.first = self.filled = 0   # rows reduced, so the block's first row; rows buffered
         self.failed = None
 
@@ -312,10 +315,23 @@ class BlockRecorder:
             self.flush()
 
     def __enter__(self):
-        return self
+        self._gate = self._gated()
+        return self._gate.__enter__()
 
-    def __exit__(self, *exc_info):   # a with block leaves no row unreduced
-        self.flush()
+    def __exit__(self, *exc_info):
+        return self._gate.__exit__(*exc_info)
+
+    @contextmanager
+    def _gated(self):   # any NumericalBlowup that leaves names the state that failed
+        try:
+            with blowup_on_overflow(self.what):
+                try:
+                    yield self
+                finally:   # a with block leaves no row unreduced
+                    self.flush()
+        except NumericalBlowup as exc:   # a failed flush's first bad row, else the row under way
+            exc.t = self.times[self.first + self.filled]
+            raise
 
     def flush(self):
         """Reduce the buffered rows and empty the block; if that raises, reduce them one

@@ -328,9 +328,7 @@ class TestEquivariance:
         samples = sample_from_density(psi, n, rng)
         from gsle.bohmian import TrajectoryEnsemble
 
-        ens = TrajectoryEnsemble(
-            times=np.array([0.0]), positions=samples[:, None], seed=8
-        )
+        ens = TrajectoryEnsemble(times=np.array([0.0]), positions=samples[:, None])
         d = equivariance_distance(ens, psi, 0)
         assert d < 1.63 / np.sqrt(n)    # 99% KS critical value
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_state, plane_wave
-from gsle.errors import ConfigError, DegenerateState, InvalidField, UnsupportedOrder
+from gsle.errors import (
+    ConfigError, DegenerateState, InvalidField, NumericalBlowup, UnsupportedOrder,
+)
 from gsle.fields import (
     BlockRecorder,
     CubicSpline,
@@ -394,7 +396,7 @@ class TestBlockRecorder:
                 raise FloatingPointError("a row past 5")
             seen.append((steps.start, steps.stop, rows[:, 0].tolist()))
 
-        rec = BlockRecorder(10, (np.zeros(1),), reduce)   # one block of 10 rows
+        rec = BlockRecorder(np.arange(10.0), (np.zeros(1),), reduce, "test")   # a 10-row block
         for j in range(9):
             rec.push(float(j))
         with pytest.raises(FloatingPointError):
@@ -408,9 +410,37 @@ class TestBlockRecorder:
         """Clean blocks are reduced whole; leaving a with block reduces the
         partial last one."""
         seen = []
-        with BlockRecorder(10, (np.zeros(4000),), lambda steps, rows: seen.append(steps)) as rec:
+        reduce = lambda steps, rows: seen.append(steps)
+        with BlockRecorder(np.arange(10.0), (np.zeros(4000),), reduce, "test") as rec:
             for _ in range(10):
                 rec.push(0.0)
             assert seen == [slice(0, 8)]
         assert seen == [slice(0, 8), slice(8, 10)]   # 2**15 // 4000 = 8 rows a block
         assert (rec.failed, rec.first) == (None, 10)
+
+    def test_with_block_is_the_overflow_gate(self):
+        """Inside a with block a float overflow, of a push's reduction or of the
+        loop, is a NumericalBlowup with the recorder's message; any blow-up that
+        leaves the block names times[row], row the first whose reduction failed,
+        else the row under way."""
+        times = 0.5 * np.arange(10.0)
+
+        def reduce(steps, rows):
+            np.exp(rows)   # overflows on a row past 710
+
+        with pytest.raises(NumericalBlowup, match="^test: overflow") as info:
+            with BlockRecorder(times, (np.zeros(1),), reduce, "test") as rec:
+                for value in (0.0, 1.0, 2e3, 3.0):
+                    rec.push(value)
+        assert (info.value.t, rec.failed) == (1.0, 2)   # the partial block's row 2
+
+        def non_finite():
+            raise NumericalBlowup("non-finite state")
+
+        for raising in (lambda: np.exp(np.array([2e3])), non_finite):
+            with pytest.raises(NumericalBlowup) as info:
+                with BlockRecorder(times, (np.zeros(1),), reduce, "test") as rec:
+                    rec.push(0.0)
+                    rec.push(1.0)
+                    raising()
+            assert (info.value.t, rec.failed, rec.first) == (1.0, None, 2)   # the row under way

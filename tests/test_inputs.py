@@ -9,7 +9,9 @@ import pytest
 
 from gsle import classical, evolve
 from gsle.bath import BathSpec, NoiseSpec, OhmicSpec, sample_bath_noise_batch
+from gsle.bohmian import polar_decompose, propagate_trajectories, weak_value
 from gsle.classical import GaussianCloud, LangevinConfig, langevin_ensemble
+from gsle.cli import parse_config
 from gsle.coupling import CouplingFunction
 from gsle.errors import ConfigError
 from gsle.evolve import GaussianPacket, HarmonicEigenstate, SimConfig, run
@@ -19,6 +21,7 @@ from gsle.potentials import dissipative_potential
 GRID = Grid(-10.0, 10.0, 64)
 PSI = normalize(WaveFunction(GRID, np.exp(-GRID.x**2 + 1j * GRID.x)))
 BATH = BathSpec([1.0], [1.0], [0.5])
+HISTORY = [weak_value(polar_decompose(PSI, 1.0))] * 2   # two states at t = 0 and 0.1
 # the rules: a real number, >= 0 (its edge 0), > 0 (its edge 1e-300), an integer >= n
 REAL, NONNEG, POSITIVE = "real", "nonneg", "positive"
 # case -> (a call with one scalar input v, the name its error gives, its rule)
@@ -57,6 +60,16 @@ SCALARS = {
     "langevin_n_steps": (lambda v: LangevinConfig(n_steps=v), "n_steps", 1),
     "langevin_n_particles": (lambda v: LangevinConfig(n_particles=v), "n_particles", 1),
     "power_n": (lambda v: CouplingFunction.power(v), "n", 0),
+    "constant_c": (lambda v: CouplingFunction.constant(v), "c", REAL),
+    "sinusoidal_a": (lambda v: CouplingFunction.sinusoidal(a=v), "a", REAL),
+    "sinusoidal_k": (lambda v: CouplingFunction.sinusoidal(k=v), "k", REAL),
+    "harmonic_omega": (lambda v: CouplingFunction.harmonic(omega=v), "omega", REAL),
+    "harmonic_mass": (lambda v: CouplingFunction.harmonic(mass=v), "mass", REAL),
+    "harmonic_center": (lambda v: CouplingFunction.harmonic(center=v), "center", REAL),
+    "linear_ramp_b": (lambda v: CouplingFunction.linear_ramp(v), "b", REAL),
+    "double_well_a": (lambda v: CouplingFunction.double_well(a=v), "a", REAL),
+    "double_well_b": (lambda v: CouplingFunction.double_well(b=v), "b", REAL),
+    "cubic_c": (lambda v: CouplingFunction.cubic(v), "c", REAL),
     "bath_noise_temperature": (
         lambda v: sample_bath_noise_batch(BATH, v, 0.1 * np.arange(4), [1]), "temperature",
         NONNEG,
@@ -67,16 +80,24 @@ SCALARS = {
     ),
     "run_seed": (lambda v: run(SimConfig(GRID), seeds=[v]), "seed", 0),
     "langevin_seed": (lambda v: langevin_ensemble(LangevinConfig(n_particles=2), v), "seed", 0),
+    "trajectories_n_traj": (
+        lambda v: propagate_trajectories(HISTORY, [0.0, 0.1], v, 0, PhysicalParams()), "n_traj", 1
+    ),
+    "trajectories_seed": (
+        lambda v: propagate_trajectories(HISTORY, [0.0, 0.1], 4, v, PhysicalParams()), "seed", 0
+    ),
+    "cli_seed_override": (lambda v: parse_config("", seed_override=v), "--seed", 0),
 }
 
 
 def bad_values(case):
     """The values that the rule of case rejects: non-finite reals, a bool, None (but
-    for a bath's friction, where None records none), a string, a complex number, a
-    count's non-integers, and one value below the range."""
+    for a bath's friction, where None records none, and a seed override, where None
+    overrides none), a string, a complex number, a count's non-integers, and one
+    value below the range."""
     rule = SCALARS[case][2]
     values = [np.nan, np.inf, -np.inf, True, None, "1", 1j]
-    if case == "bath_friction":   # None: a bath built for no particular friction
+    if case in ("bath_friction", "cli_seed_override"):
         values.remove(None)
     if isinstance(rule, int):
         values += [2.5, 2.0, rule - 1]

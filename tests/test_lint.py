@@ -2,7 +2,8 @@
 is at module level and imports no private name, every private or ALL-CAPS
 module-level name is read somewhere in the package, every public one is
 read somewhere in the package, its tests or its benchmark, and no module but
-errors.py writes its own rule for a valid scalar."""
+errors.py writes its own rule for a valid scalar, nor coerces a parameter with
+float() or int()."""
 
 import ast
 from pathlib import Path
@@ -185,10 +186,12 @@ def test_every_public_name_is_read():
 
 
 def scalar_rule_copies(source: str) -> list:
-    """An `import numbers`, or a comparison with np.inf (or -np.inf) as an operand:
-    each a hand-written copy of errors.check_count or check_number."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
+    """An `import numbers`, a comparison with np.inf (or -np.inf) as an operand, or
+    float(p) or int(p) of a parameter p of an enclosing function or lambda: each a
+    hand-written copy of errors.check_count or check_number."""
+    tree = ast.parse(source)
+    found = {}   # keyed by position: a call in nested functions is found once
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             hit = any(alias.name == "numbers" for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -200,18 +203,30 @@ def scalar_rule_copies(source: str) -> list:
         else:
             hit = False
         if hit:
-            found.append(f"line {node.lineno}: {ast.unparse(node)}")
-    return found
+            found[node.lineno, node.col_offset] = ast.unparse(node)
+    for scope in ast.walk(tree):
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            params = {arg.arg for arg in ast.walk(scope.args) if isinstance(arg, ast.arg)}
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Call) and ast.unparse(node.func) in ("float", "int")
+                        and len(node.args) == 1 and not node.keywords
+                        and ast.unparse(node.args[0]) in params):
+                    found[node.lineno, node.col_offset] = ast.unparse(node)
+    return [f"line {line}: {text}" for (line, _), text in sorted(found.items())]
 
 
 def test_finds_a_scalar_rule_copy():
     source = (
         "import numbers\nimport numpy as np\nfrom numbers import Real\n"
         "if 0 < x < np.inf:\n    y = x == -numpy.inf\nz = np.inf\nw = np.isinf(x) and x < 1\n"
+        "def f(a, *, b=1, **c):\n    d = 2\n    def g():\n        return int(a)\n"
+        "    return float(b), int(d), float(a.x), int(a, 16), lambda e: float(e)\n"
+        "h = int(x)\n"
     )
     assert scalar_rule_copies(source) == [
         "line 1: import numbers", "line 3: from numbers import Real",
         "line 4: 0 < x < np.inf", "line 5: x == -numpy.inf",
+        "line 11: int(a)", "line 12: float(b)", "line 12: float(e)",
     ]
 
 
