@@ -134,7 +134,6 @@ _KEY_TABLE = {
     },
 }
 
-_MODES = ("gsle", "classical", "compare")
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean"}
 
 
@@ -267,8 +266,8 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentSp
     experiment, output = values["experiment"], values["output"]
 
     mode = experiment["mode"]
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got '{mode}'")
+    if mode not in _RUNS:
+        raise ConfigError(f"mode must be one of {tuple(_RUNS)}, got '{mode}'")
     check_count("[experiment] ensemble_seeds", experiment["ensemble_seeds"], 1)
     if experiment["workers"] != 1:
         raise ConfigError("workers must be 1: an ensemble is stepped in-process as one batch")
@@ -432,28 +431,26 @@ def _ensemble_stats(records):
     }
 
 
-def _run_gsle(spec: ExperimentSpec, out: Path) -> int:
+def _run_gsle(spec: ExperimentSpec, out: Path):
     if spec.ensemble_seeds > 1:
         stats = _ensemble_stats(_run_ensemble(spec, out))
         comments = (f"# ensemble_seeds = {spec.ensemble_seeds}",)
         _write_csv(out / "ensemble_summary.csv", spec, stats, extra_comments=comments)
-        return 0
+        return
     rec = run(spec.sim)
     if spec.emit_observables:
         _write_observables(out / "observables.csv", spec, rec)
     _write_states(out, spec, rec.snapshots)
-    return 0
 
 
-def _run_classical(spec: ExperimentSpec, out: Path) -> int:
+def _run_classical(spec: ExperimentSpec, out: Path):
     ens = langevin_ensemble(spec.classical, spec.sim.seed)
     if spec.emit_observables:
         columns = {"t": ens.times, **{name: getattr(ens, name) for name in MOMENTS}}
         _write_csv(out / "observables.csv", spec, columns)
-    return 0
 
 
-def _run_compare(spec: ExperimentSpec, out: Path) -> int:
+def _run_compare(spec: ExperimentSpec, out: Path):
     q = _ensemble_stats(_run_ensemble(spec, out))
     cl = langevin_ensemble(spec.classical, spec.sim.seed)
     columns = {"t": q["t"]}
@@ -475,7 +472,9 @@ def _run_compare(spec: ExperimentSpec, out: Path) -> int:
         })
     columns.update(var_x_q=q["var_x"], var_x_cl=cl.var_x)
     _write_csv(out / "comparison.csv", spec, columns, extra_comments=comments)
-    return 0
+
+
+_RUNS = {"gsle": _run_gsle, "classical": _run_classical, "compare": _run_compare}
 
 
 def _load_snapshot(path: Path, grid: Grid, digest: str) -> WaveFunction:
@@ -534,13 +533,8 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.txt").write_text(spec.resolved_text)
-    if spec.mode == "gsle":
-        return _run_gsle(spec, out)
-    if spec.mode == "classical":
-        return _run_classical(spec, out)
-    if spec.mode == "compare":
-        return _run_compare(spec, out)
-    raise ConfigError(f"mode '{spec.mode}' cannot be launched from run_experiment")
+    _RUNS[spec.mode](spec, out)
+    return 0
 
 
 def _write_error(out_dir, exc: Exception, code: int):

@@ -3,9 +3,7 @@ scalar input: check_count for a count or seed, check_number for a real value. An
 other value, a bool, None or a string included, is a ConfigError naming its field."""
 
 import numbers
-from contextlib import contextmanager
-
-import numpy as np
+import sys
 
 
 class GsleError(Exception):
@@ -39,24 +37,12 @@ class EmptyBath(InvalidField):
 class NumericalBlowup(GsleError):
     """NaN/Inf appeared during propagation.
 
-    Carries the time of failure and the last stable observables when
-    available.
+    The state gate (fields.BlockRecorder) sets t, the time of the state that
+    failed; a wave run sets last_observables, those of the last stable state.
     """
 
-    def __init__(self, message, t=None, last_observables=None):
-        super().__init__(message)
-        self.t = t
-        self.last_observables = last_observables
-
-
-@contextmanager
-def blowup_on_overflow(what: str):
-    """Raise NumericalBlowup(f"{what}: ...") at the first overflowing or invalid float op."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise NumericalBlowup(f"{what}: {exc}") from exc
+    t = None
+    last_observables = None
 
 
 class InsufficientData(GsleError):
@@ -77,7 +63,7 @@ def check_number(name: str, value, low=None, *, above=False):
     """value is a finite real (not a bool), >= low or, when above, > low; else a
     ConfigError naming name."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and -np.inf < value < np.inf
+    if not (real and abs(value) <= sys.float_info.max   # not nan, inf nor an int such as 10**400
             and (low is None or (value > low if above else value >= low))):
         bound = "" if low is None else f" {'>' if above else '>='} {low}"
         raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")

@@ -17,14 +17,14 @@ states with a (B, 1) column of noise values takes one step in one call:
 the split-step operators are the same for every row.
 
 `step` maps a state's spectrum to the next state's spectrum. One density of
-the half-kicked state, one current transform and one measurement factor
-(`_Workspace.measurement_factor`, the step's one log and exp of rho) serve
-the step's one U (`_Workspace.real_potential`) and the kick, which writes cos
-and sin of the phase into a workspace buffer. That U is predicted at the
-kick's midpoint from the half-kicked state's current and that factor: the
-midpoint state itself is never built. `run` owns the clock, checks every new
-spectrum for finite samples and records through a `fields.BlockRecorder`, the
-overflow gate of its loop.
+the half-kicked state and one measurement factor (`_Workspace.measurement_factor`,
+the step's one log and exp of rho) serve the step's one U and the kick, which
+writes cos and sin of the phase into a workspace buffer. With friction, U
+(`_Workspace.real_potential`) is predicted at the kick's midpoint from one
+current transform of the half-kicked state and that factor: the midpoint state
+itself is never built. `run` owns the clock, checks every new spectrum for
+finite samples and records through a `fields.BlockRecorder`, the overflow gate
+of its loop.
 """
 
 from __future__ import annotations
@@ -136,7 +136,6 @@ class RunRecord:
     boundary_density: np.ndarray   # edge density over peak density, per state
     stability_guard: np.ndarray    # dt*max|U|/hbar of the step from each state
     snapshots: list = field(default_factory=list)   # (step_index, WaveFunction)
-    seed: int = 0
 
     @property
     def warnings(self) -> list:
@@ -204,7 +203,7 @@ class _Workspace:
         self.ik = grid.ik
         self.V, self.dV = (config.potential.on_grid(grid, k) for k in (0, 1))
         self.f, self.df = (config.coupling.on_grid(grid, k) for k in (0, 1))
-        # V_d's s * m * friction * f'^2, times the hbar/m of the current
+        # V_d's s * m * friction * f'^2, times the hbar/m of the current; None without friction
         coef = SIGNS[config.sign] * config.friction * params.hbar
         self.vd_weight = coef * self.df**2 if coef else None
         self.kappa = config.kappa
@@ -217,21 +216,13 @@ class _Workspace:
             buf = self._buffers[name] = np.empty(shape, dtype)
         return buf
 
-    def vd_slope(self, vals: np.ndarray, spectrum, floored):
-        """dV_d/dx of vals (dissipative_slope), or None without friction."""
-        if self.vd_weight is not None:
-            return dissipative_slope(vals, self.vd_weight, self.ik, floored, spectrum)
-
     def real_potential(self, xi_n, slope, rho, norm):
         """Real potential U = V - f xi + V_d - W, with the gauge constant W = <V_d>.
 
         V_d is the cumulative integral of its slope (predicted_slope in a
-        step) and W its mean over the density rho with int rho = norm; without
-        friction slope is None and U = V - f xi. For a batch (B, N), xi_n is a
-        (B, 1) column. U is a new array, built in place.
+        step) and W its mean over the density rho with int rho = norm. For a
+        batch (B, N), xi_n is a (B, 1) column. U is a new array, built in place.
         """
-        if slope is None:
-            return self.V - self.f * xi_n
         vd, w = gauged_integral(self.grid, slope, rho, norm)
         u = np.multiply(self.f, xi_n, out=self._buffer("real", vd.shape))
         vd += np.subtract(self.V, u, out=u)
@@ -268,10 +259,8 @@ class _Workspace:
         scales rho, and j with it, by rho_floored^(kappa dt): factor up to its
         scalar per row, which cancels in V_d's ratio, its floor and W. The new
         slope is weight factor (j + rho theta') / max(factor rho, density_floor),
-        with weight j = slope floored. Without friction slope stays None.
+        with weight j = slope floored.
         """
-        if slope is None:
-            return None, rho, norm
         new_slope = np.multiply(self.df, xi_n, out=self._buffer("real", rho.shape))
         np.subtract(self.dV, new_slope, out=new_slope)
         new_slope += slope
@@ -315,17 +304,20 @@ def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray, out=None
     array, as soon as U is built: a step that fails later has still recorded
     it, and one that fails before leaves guard as it was.
 
-    U is built once, for the state that a kick of dt/2 makes from the
-    half-kicked state (_Workspace.predicted_slope), and the full kick applies
-    it. The step's one measurement factor serves both the prediction and the
-    kick.
+    U is built once, and the full kick applies it. Without friction it is
+    V - f xi. With friction it is the U of the state that a kick of dt/2 makes
+    from the half-kicked state (_Workspace.predicted_slope). The step's one
+    measurement factor serves both the prediction and the kick.
     """
     spectrum = ws.kin_half * spectrum
     vals = np.fft.ifft(spectrum)
     rho, floored, norm = density_terms(ws.grid, vals)
-    slope = ws.vd_slope(vals, spectrum, floored)
     factor = ws.measurement_factor(rho, floored, norm)
-    u = ws.real_potential(xi_n, *ws.predicted_slope(xi_n, slope, rho, floored, norm, factor))
+    if ws.vd_weight is None:
+        u = ws.V - ws.f * xi_n
+    else:
+        slope = dissipative_slope(vals, ws.vd_weight, ws.ik, floored, spectrum)
+        u = ws.real_potential(xi_n, *ws.predicted_slope(xi_n, slope, rho, floored, norm, factor))
     guard[...] = ws.dt * np.abs(u).max(axis=-1) / ws.params.hbar
     out = np.fft.fft(ws.apply_potential(vals, u, factor), out=out)
     return np.multiply(out, ws.kin_half, out=out)
@@ -345,8 +337,8 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
     states and spectra buffers hold m = RECORD_BLOCK_ELEMENTS // (B N) states
     each, clipped to [1, n_steps + 1]: at most 1 MiB together, or one state
     each when a state is larger. One inverse transform per block makes its
-    states, read by one `observables` call and one W (`gauged_integral` of
-    their `vd_slope`); a snapshot copies its state. Each row is reduced alone, so the record
+    states, read by one `observables` call and one W (`gauged_integral` of their
+    `dissipative_slope`); a snapshot copies its state. Each row is reduced alone, so the record
     is the one a read per step would give (t = 0 reads ifft(fft(psi_0))). A non-finite
     spectrum, or a float overflow, is the recorder's NumericalBlowup at the first state
     that fails, with the observables of the last state recorded cleanly, if any. A
@@ -384,7 +376,7 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
         for name, col in obs.items():
             table[name][steps] = col
         table["W"][steps] = 0.0 if ws.vd_weight is None else gauged_integral(
-            config.grid, ws.vd_slope(vals, spectra, floored), rho, norm
+            config.grid, dissipative_slope(vals, ws.vd_weight, ws.ik, floored, spectra), rho, norm
         )[1]
         snapshots.extend((j, vals[j - steps.start].reshape(len(batch), -1).copy())
                          for j in range(steps.start, steps.stop) if stride and j % stride == 0)
@@ -427,9 +419,8 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
             snapshots=[
                 (i, WaveFunction(config.grid, vals[b])) for i, vals in snapshots
             ],
-            seed=seed,
         )
-        for b, seed in enumerate(batch)
+        for b in range(len(batch))
     ]
     return records if seeds is not None else records[0]
 

@@ -17,7 +17,7 @@ import numpy.fft  # noqa: F401
 
 from .errors import (
     ConfigError, DegenerateState, InvalidField, NumericalBlowup, UnsupportedOrder,
-    blowup_on_overflow, check_count, check_number,
+    check_count, check_number,
 )
 
 # Density floor used everywhere a |psi|^2 shows up in a denominator or a log,
@@ -292,7 +292,8 @@ class BlockRecorder:
     One buffer per array of `like` holds m rows shaped and typed like it, m =
     RECORD_BLOCK_ELEMENTS // like[0].size clipped to [1, len(times)]; steps is a
     block's slice of row indices and rows the filled part of each buffer. A with
-    block is its loop's overflow gate, errors.blowup_on_overflow(what).
+    block is its loop's overflow gate: the first overflowing or invalid float op in
+    it is a NumericalBlowup(f"{what}: ...").
     """
 
     def __init__(self, times, like: tuple, reduce, what: str):
@@ -300,7 +301,6 @@ class BlockRecorder:
         self.buffers = [np.empty((m,) + a.shape, a.dtype) for a in like]
         self.times, self.reduce, self.what = times, reduce, what
         self.first = self.filled = 0   # rows reduced, so the block's first row; rows buffered
-        self.failed = None
 
     def slot(self, k: int) -> np.ndarray:
         """Buffer k's next row, for a caller that writes it in place before push."""
@@ -324,18 +324,21 @@ class BlockRecorder:
     @contextmanager
     def _gated(self):   # any NumericalBlowup that leaves names the state that failed
         try:
-            with blowup_on_overflow(self.what):
-                try:
-                    yield self
-                finally:   # a with block leaves no row unreduced
-                    self.flush()
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    try:
+                        yield self
+                    finally:   # a with block leaves no row unreduced
+                        self.flush()
+            except FloatingPointError as exc:
+                raise NumericalBlowup(f"{self.what}: {exc}") from exc
         except NumericalBlowup as exc:   # a failed flush's first bad row, else the row under way
             exc.t = self.times[self.first + self.filled]
             raise
 
     def flush(self):
         """Reduce the buffered rows and empty the block; if that raises, reduce them one
-        at a time (reduce treats each row alone) and raise with `failed` at the first bad one."""
+        at a time (reduce treats each row alone) and raise with `first` at the first bad one."""
         start, n = self.first, self.filled
         rows, self.filled = [buf[:n] for buf in self.buffers], 0
         try:
@@ -343,7 +346,7 @@ class BlockRecorder:
                 self.reduce(slice(start, start + n), *rows)
         except (FloatingPointError, DegenerateState):
             for j in range(start, start + n):   # rows before j are reduced
-                self.first = self.failed = j
+                self.first = j
                 self.reduce(slice(j, j + 1), *(r[j - start : j - start + 1] for r in rows))
             raise
         self.first = start + n

@@ -613,7 +613,7 @@ class TestPredictedPotential:
             vals = np.stack([vals, np.conj(vals) * np.exp(0.5j * cfg.grid.x)])
             xi_n = np.array([[xi], [0.5 - xi]])
         rho, floored, norm = density_terms(cfg.grid, vals)
-        slope = ws.vd_slope(vals, np.fft.fft(vals), floored)
+        slope = dissipative_slope(vals, ws.vd_weight, ws.ik, floored, np.fft.fft(vals))
         u = ws.real_potential(xi_n, slope, rho, norm)
         factor = ws.measurement_factor(rho, floored, norm)
         predicted = ws.real_potential(xi_n, *ws.predicted_slope(xi_n, slope, rho, floored, norm, factor))
@@ -813,7 +813,7 @@ def unbatched_run(cfg, seeds=None):
             out[name][i] = obs[name]
         rho, floored, norm = density_terms(cfg.grid, vals)
         out["W"][i] = 0.0 if ws.vd_weight is None else gauged_integral(
-            cfg.grid, ws.vd_slope(vals, spectrum, floored), rho, norm
+            cfg.grid, dissipative_slope(vals, ws.vd_weight, ws.ik, floored, spectrum), rho, norm
         )[1]
         out["xi"][i] = np.reshape(xi_i, lead)
         out["t"][i] = t
@@ -880,7 +880,6 @@ class TestBatchedRun:
         batch = run(cfg, seeds=seeds)
         for seed, rec in zip(seeds, batch):
             alone = run(replace(cfg, seed=seed))
-            assert rec.seed == seed
             for name in ("norm", "mean_x", "mean_p", "var_x", "energy", "xi"):
                 np.testing.assert_allclose(
                     getattr(rec, name), getattr(alone, name), rtol=1e-12, atol=1e-15,
@@ -988,29 +987,51 @@ class TestRecordBlocks:
             assert all(line.startswith("StabilityWarning:") for line in stability)
             assert (np.flatnonzero(rec.stability_guard >= STABILITY_LIMIT) > i).all()
 
-    def test_one_factor_and_one_potential_per_step(self, monkeypatch):
-        """A step makes one current transform and one measurement factor, builds
-        U once, at the predicted midpoint, and kicks once; the predictor and
-        the kick read the one factor. The record adds one current transform
-        per block, for its W (one block here)."""
-        calls, factors = [], []
-        for name in ("vd_slope", "real_potential", "measurement_factor", "predicted_slope",
-                     "apply_potential"):
-            def counted(self, *args, _name=name, _fn=getattr(_Workspace, name), **kw):
-                calls.append(_name)
-                if _name in ("predicted_slope", "apply_potential"):
+    @pytest.mark.parametrize("friction", [0.1, 0.0], ids=["friction", "frictionless"])
+    def test_one_factor_and_one_potential_per_step(self, monkeypatch, friction):
+        """A step makes one measurement factor, builds U once and kicks once; the
+        predictor and the kick read the one factor. With friction a step makes one
+        current transform (dissipative_slope) and builds U at the predicted
+        midpoint, and the record adds one current transform per block, for its W
+        (one block here). Without friction the kick applies V - f xi, bit for bit,
+        and W is 0."""
+        calls, factors, kicked = [], [], []
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls.append(name)
+                if name in ("predicted_slope", "apply_potential"):
                     assert args[-1] is factors[-1]
-                result = _fn(self, *args, **kw)
-                if _name == "measurement_factor":
+                if name == "apply_potential":
+                    kicked.append(args[2].copy())   # (ws, vals, u, factor)
+                result = fn(*args, **kw)
+                if name == "measurement_factor":
                     factors.append(result)
                 return result
-            monkeypatch.setattr(_Workspace, name, counted)
+            return wrapper
+
+        for name in ("real_potential", "measurement_factor", "predicted_slope", "apply_potential"):
+            monkeypatch.setattr(_Workspace, name, counted(name, getattr(_Workspace, name)))
+        monkeypatch.setattr(evolve, "dissipative_slope",
+                            counted("dissipative_slope", evolve.dissipative_slope))
+        # white noise vanishes without friction; bath noise that records no friction does not
+        noise = self.CFG["noise"] if friction else NoiseSpec("bath", 0.1, BathSpec([1.0], [1.0], [0.5]))
+        per_step = ["measurement_factor", "apply_potential"]
+        if friction:
+            per_step[1:1] = ["dissipative_slope", "predicted_slope", "real_potential"]
         for n_steps in (1, 7):
             calls.clear()
-            run(SimConfig(**self.CFG, n_steps=n_steps))
-            assert calls == ["vd_slope", "measurement_factor", "predicted_slope", "real_potential",
-                             "apply_potential"] * n_steps + ["vd_slope"]
+            kicked.clear()
+            cfg = SimConfig(**{**self.CFG, "friction": friction, "noise": noise}, n_steps=n_steps)
+            rec = run(cfg)
+            assert calls == per_step * n_steps + ["dissipative_slope"] * bool(friction)
             assert all(isinstance(f, np.ndarray) for f in factors)
+        if not friction:
+            ws = _Workspace(cfg)
+            assert rec.xi[:-1].all()
+            for i, u in enumerate(kicked):
+                assert np.array_equal(u, ws.V - ws.f * rec.xi[i])
+            assert np.all(rec.W == 0.0)
 
     @pytest.mark.parametrize("seeds", [None, [3, 4]], ids=["single", "batch"])
     def test_guard_reads_the_kicked_potential(self, monkeypatch, seeds):

@@ -402,7 +402,7 @@ class TestBlockRecorder:
         with pytest.raises(FloatingPointError):
             rec.push(9.0)
         assert seen == [(j, j + 1, [float(j)]) for j in range(6)]
-        assert (rec.failed, rec.first, rec.filled) == (6, 6, 0)
+        assert (rec.first, rec.filled) == (6, 0)
         rec.flush()
         assert len(seen) == 6
 
@@ -416,7 +416,7 @@ class TestBlockRecorder:
                 rec.push(0.0)
             assert seen == [slice(0, 8)]
         assert seen == [slice(0, 8), slice(8, 10)]   # 2**15 // 4000 = 8 rows a block
-        assert (rec.failed, rec.first) == (None, 10)
+        assert (rec.first, rec.filled) == (10, 0)
 
     def test_with_block_is_the_overflow_gate(self):
         """Inside a with block a float overflow, of a push's reduction or of the
@@ -432,7 +432,7 @@ class TestBlockRecorder:
             with BlockRecorder(times, (np.zeros(1),), reduce, "test") as rec:
                 for value in (0.0, 1.0, 2e3, 3.0):
                     rec.push(value)
-        assert (info.value.t, rec.failed) == (1.0, 2)   # the partial block's row 2
+        assert (info.value.t, rec.first, rec.filled) == (1.0, 2, 0)   # the partial block's row 2
 
         def non_finite():
             raise NumericalBlowup("non-finite state")
@@ -443,4 +443,4 @@ class TestBlockRecorder:
                     rec.push(0.0)
                     rec.push(1.0)
                     raising()
-            assert (info.value.t, rec.failed, rec.first) == (1.0, None, 2)   # the row under way
+            assert (info.value.t, rec.first, rec.filled) == (1.0, 2, 0)   # the row under way

@@ -24,6 +24,7 @@ BATH = BathSpec([1.0], [1.0], [0.5])
 HISTORY = [weak_value(polar_decompose(PSI, 1.0))] * 2   # two states at t = 0 and 0.1
 # the rules: a real number, >= 0 (its edge 0), > 0 (its edge 1e-300), an integer >= n
 REAL, NONNEG, POSITIVE = "real", "nonneg", "positive"
+HUGE = 10**400   # an int that float() cannot convert
 # case -> (a call with one scalar input v, the name its error gives, its rule)
 SCALARS = {
     "grid_x_min": (lambda v: Grid(v, 10.0, 64), "x_min", REAL),
@@ -93,15 +94,17 @@ SCALARS = {
 def bad_values(case):
     """The values that the rule of case rejects: non-finite reals, a bool, None (but
     for a bath's friction, where None records none, and a seed override, where None
-    overrides none), a string, a complex number, a count's non-integers, and one
-    value below the range."""
+    overrides none), a string, a complex number, a count's non-integers, a real
+    rule's ints past the float range, and one value below the range."""
     rule = SCALARS[case][2]
     values = [np.nan, np.inf, -np.inf, True, None, "1", 1j]
     if case in ("bath_friction", "cli_seed_override"):
         values.remove(None)
     if isinstance(rule, int):
         values += [2.5, 2.0, rule - 1]
-    elif rule != REAL:
+    else:
+        values += [HUGE, -HUGE]
+    if rule in (POSITIVE, NONNEG):
         values.append(0.0 if rule == POSITIVE else -1e-300)
     return values
 
@@ -109,7 +112,7 @@ def bad_values(case):
 @pytest.mark.parametrize(
     "case, value",
     [(case, value) for case in SCALARS for value in bad_values(case)],
-    ids=lambda v: v if v in SCALARS else repr(v),
+    ids=lambda v: v if v in SCALARS else {HUGE: "10**400", -HUGE: "-10**400"}.get(v, repr(v)),
 )
 def test_bad_scalar_is_config_error(monkeypatch, case, value):
     """A ConfigError naming the field, under warnings as errors, before any noise

@@ -1,9 +1,9 @@
 """Static checks on the package source: every imported name is used, every import
 is at module level and imports no private name, every private or ALL-CAPS
 module-level name is read somewhere in the package, every public one is
-read somewhere in the package, its tests or its benchmark, and no module but
+read somewhere in the package, its tests or its benchmark, no module but
 errors.py writes its own rule for a valid scalar, nor coerces a parameter with
-float() or int()."""
+float() or int(), and no module but fields.py makes float errors raise."""
 
 import ast
 from pathlib import Path
@@ -234,3 +234,33 @@ def test_finds_a_scalar_rule_copy():
 def test_no_scalar_rule_copies(path):
     """Only errors.py decides what a valid scalar is."""
     assert scalar_rule_copies(path.read_text()) == []
+
+
+def overflow_gates(source: str) -> list:
+    """np.errstate or np.seterr calls that pass "raise": each a copy of the state
+    gate, fields.BlockRecorder, which turns a float error into a NumericalBlowup."""
+    names = {f"{np}.{fn}" for np in ("np", "numpy") for fn in ("errstate", "seterr")}
+    found = sorted(
+        (node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in names
+        and any(isinstance(c, ast.Constant) and c.value == "raise" for c in ast.walk(node))
+    )
+    return [f"line {line}: {text}" for line, text in found]
+
+
+def test_finds_an_overflow_gate():
+    source = (
+        "import numpy as np\nwith np.errstate(over='raise', invalid='raise'):\n    pass\n"
+        "with np.errstate(all='ignore'):\n    x = 'raise'\nnp.seterr(**{'over': 'raise'})\n"
+        "def f():\n    with numpy.errstate(divide='raise'):\n        pass\n"
+    )
+    assert overflow_gates(source) == [
+        "line 2: np.errstate(over='raise', invalid='raise')",
+        "line 6: np.seterr(**{'over': 'raise'})", "line 8: numpy.errstate(divide='raise')",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "fields.py"], ids=lambda p: p.name)
+def test_no_second_overflow_gate(path):
+    """Only fields.BlockRecorder decides that a float error is a blow-up."""
+    assert overflow_gates(path.read_text()) == []
