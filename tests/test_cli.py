@@ -156,6 +156,22 @@ class TestRunCommand:
         lines = (out / "trajectories.csv").read_text().splitlines()
         assert lines[2] == "t," + ",".join(f"x_{i}" for i in range(1, 41))
 
+    def test_one_clock_for_every_table(self, tmp_path):
+        """trajectories.csv and observables.csv read one clock, t = n dt: at each
+        snapshot step their t cells are the same text, so the same bits."""
+        cfg = write_cfg(tmp_path, "[grid]\nx_min = -10\nx_max = 10\nn_points = 64\n"
+                        "[run]\ndt = 0.002\nn_steps = 100\nsnapshot_stride = 25\n"
+                        "[output]\ntrajectories = true\nn_trajectories = 4\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        times = {
+            name: [row.split(",")[0] for row in (out / name).read_text().splitlines()
+                   if not row.startswith(("#", "t,"))]
+            for name in ("observables.csv", "trajectories.csv")
+        }
+        assert len(times["observables.csv"]) == 101
+        assert times["trajectories.csv"] == times["observables.csv"][::25]
+
     def test_ensemble_outputs(self, tmp_path):
         """An ensemble run writes each member's observables and one summary."""
         cfg = write_cfg(tmp_path, "[experiment]\nseed = 4\nensemble_seeds = 2\n[run]\nn_steps = 3\n")

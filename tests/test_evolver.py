@@ -792,7 +792,6 @@ def unbatched_run(cfg, seeds=None):
     if seeds is not None:
         vals = np.tile(vals, (len(batch), 1))
     spectrum = np.fft.fft(vals)
-    t = 0.0
     lead = () if seeds is None else (len(batch),)
     out = {name: np.empty((n + 1,) + lead) for name in RECORDED + ("boundary_density",)}
     out["t"] = np.empty(n + 1)
@@ -805,7 +804,6 @@ def unbatched_run(cfg, seeds=None):
                     raise NumericalBlowup("non-finite wavefunction")
             except NumericalBlowup:
                 return {name: col[:i] for name, col in out.items()}
-            t += cfg.dt
         vals = np.fft.ifft(spectrum)
         xi_i = noise_at(min(i, n - 1))
         obs = observables(WaveFunction(cfg.grid, vals), ws.V, cfg.params, spectrum)
@@ -816,7 +814,7 @@ def unbatched_run(cfg, seeds=None):
             cfg.grid, dissipative_slope(vals, ws.vd_weight, ws.ik, floored, spectrum), rho, norm
         )[1]
         out["xi"][i] = np.reshape(xi_i, lead)
-        out["t"][i] = t
+        out["t"][i] = i * cfg.dt
         out["boundary_density"][i] = obs["boundary_density"]
     guard[n] = guard[n - 1]
     return out
