@@ -1013,7 +1013,8 @@ class TestRecordBlocks:
         monkeypatch.setattr(evolve, "dissipative_slope",
                             counted("dissipative_slope", evolve.dissipative_slope))
         # white noise vanishes without friction; bath noise that records no friction does not
-        noise = self.CFG["noise"] if friction else NoiseSpec("bath", 0.1, BathSpec([1.0], [1.0], [0.5]))
+        bath = NoiseSpec("bath", 0.1, BathSpec([1.0], [1.0], [0.5]))
+        noise = self.CFG["noise"] if friction else bath
         per_step = ["measurement_factor", "apply_potential"]
         if friction:
             per_step[1:1] = ["dissipative_slope", "predicted_slope", "real_potential"]
