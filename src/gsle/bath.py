@@ -136,13 +136,14 @@ def _bath_slabs(bath: BathSpec, temperature: float, seeds, slab_times):
     cos_weights = d * (q * np.sqrt(temperature / (m * w**2)))
     sin_weights = d * (p * np.sqrt(m * temperature)) / (m * w)
     for times in slab_times:
-        wt = np.outer(w, times)
-        # summed and negated in place: the same bits as -(a) - b, with two
-        # fewer (seeds x times) temporaries at the peak of memory use
-        xi = cos_weights @ np.cos(wt)
-        xi += sin_weights @ np.sin(wt)
+        # one (oscillators x times) table alive at a time: cos(omega t), then
+        # sin(omega t) in its place; summed and negated in place, the same bits
+        # as -(a) - b, with two fewer (seeds x times) temporaries
+        table = np.outer(w, times)
+        xi = cos_weights @ np.cos(table, out=table)
+        xi += sin_weights @ np.sin(np.outer(w, times, out=table), out=table)
         yield np.negative(xi, out=xi)
-        del wt, xi   # the caller's slab is freed before the next is drawn
+        del table, xi   # the caller's slab is freed before the next is drawn
 
 
 def sample_bath_noise_batch(bath: BathSpec, temperature: float, times, seeds) -> np.ndarray:

@@ -79,24 +79,31 @@ class ClassicalEnsemble:
     velocities: Optional[np.ndarray] = None
 
 
-def langevin_step(x, v, config: LangevinConfig, xi_n):
-    """One unchecked velocity-Verlet step; x, v, xi_n may be arrays over particles."""
+def langevin_step(x, v, config: LangevinConfig, xi_n, slopes=None):
+    """One unchecked velocity-Verlet step; x, v, xi_n may be arrays over particles.
+
+    slopes, a list that a caller carries from step to step, saves evaluating
+    f'(x) and V'(x): the step reads them from it when it is filled, and writes
+    those at the new x into it.
+    """
     m = config.params.mass
     dt = config.dt
     alpha = config.friction
     f = config.coupling
     vprime = config.potential
 
-    fp = f(x, 1)
+    fp, vp = slopes if slopes else (f(x, 1), vprime(x, 1))
     noise_force = fp * xi_n                       # frozen at the step start
-    a0 = (-vprime(x, 1) + noise_force) / m
+    a0 = (-vp + noise_force) / m
     # friction at the half-step velocity: implicit into the half step,
     # explicit out of it, so the full step sees midpoint-rule damping
     v_half = (v + 0.5 * dt * a0) / (1.0 + 0.5 * dt * alpha * fp**2)
     x_new = x + dt * v_half
-    fp_new = f(x_new, 1)
-    a1 = (-vprime(x_new, 1) + noise_force) / m - alpha * fp_new**2 * v_half
+    fp_new, vp_new = f(x_new, 1), vprime(x_new, 1)
+    a1 = (-vp_new + noise_force) / m - alpha * fp_new**2 * v_half
     v_new = v_half + 0.5 * dt * a1
+    if slopes is not None:
+        slopes[:] = fp_new, vp_new
     return x_new, v_new
 
 
@@ -119,6 +126,7 @@ class GleIntegrator:
     folds into z with one product, and J moves on by MEMORY_BLOCK. The
     endpoint w_{n+1} adds dt/2 K(0) w_{n+1}, taken implicitly in v_{n+1}. The
     state is (2 n_osc + MEMORY_BLOCK, n_particles) whatever the run length.
+    f'(x) and V'(x) are evaluated once per state and carried to the next step.
     step checks nothing: langevin_ensemble checks each new state.
     """
 
@@ -136,7 +144,8 @@ class GleIntegrator:
         self.lags = memory_kernel(config.memory, config.dt * np.arange(MEMORY_BLOCK, 0, -1))
         self.z = np.zeros((2, self.omega.size, self.x.size))   # the cos and the sin sums
         self.w = np.empty((MEMORY_BLOCK, self.x.size))
-        self.w[0] = 0.5 * config.coupling(self.x, 1) * self.v
+        self.fp, self.vp = config.coupling(self.x, 1), config.potential(self.x, 1)   # at x
+        self.w[0] = 0.5 * self.fp * self.v
         self.filled = 1     # rows buffered: w_{n+1-filled} .. w_n
         self.mem = np.zeros_like(self.x)    # friction sum at t_n: none at t_0
 
@@ -151,19 +160,19 @@ class GleIntegrator:
         folded = (self.weights * np.cos(wt)) @ self.z[0] + (self.weights * np.sin(wt)) @ self.z[1]
         mem_known = dt * (folded + self.lags[MEMORY_BLOCK - r:] @ self.w[:r])
 
-        fp = f(self.x, 1)
-        force = -vprime(self.x, 1) + fp * xi_n - m * fp * self.mem
+        fp = self.fp
+        force = -self.vp + fp * xi_n - m * fp * self.mem
         v_half = self.v + 0.5 * dt * force / m
         x_new = self.x + dt * v_half
 
-        fp_new = f(x_new, 1)
-        force_known = -vprime(x_new, 1) + fp_new * xi_n - m * fp_new * mem_known
+        fp_new, vp_new = f(x_new, 1), vprime(x_new, 1)
+        force_known = -vp_new + fp_new * xi_n - m * fp_new * mem_known
         # w_{n+1} = fp_new * v_new enters with trapezoid weight dt/2 * K(0)
         denom = 1.0 + 0.25 * dt**2 * self.k0 * fp_new**2
         v_new = (v_half + 0.5 * dt * force_known / m) / denom
 
         w_new = fp_new * v_new
-        self.x, self.v = x_new, v_new
+        self.x, self.v, self.fp, self.vp = x_new, v_new, fp_new, vp_new
         self.n += 1
         # the friction sum at t_{n+1} adds its endpoint term; w_{n+1} joins the buffer
         self.mem = mem_known + 0.5 * dt * self.k0 * w_new
@@ -219,12 +228,13 @@ def langevin_ensemble(
             vel[:, steps] = v.T
 
     recorder = BlockRecorder(times, (x, v), reduce, "non-finite classical force")
-    gle = GleIntegrator(config, x, v) if config.memory is not None else None
+    slopes = []   # f'(x) and V'(x) of the Markov state, carried from step to step
     with recorder:
+        gle = GleIntegrator(config, x, v) if config.memory is not None else None
         recorder.push(x, v)
         for slab in noise:
             for xi_n in slab.T:
-                x, v = gle.step(xi_n) if gle is not None else langevin_step(x, v, config, xi_n)
+                x, v = gle.step(xi_n) if gle is not None else langevin_step(x, v, config, xi_n, slopes)
                 if not (np.isfinite(x).all() and np.isfinite(v).all()):
                     raise NumericalBlowup("non-finite classical state")
                 recorder.push(x, v)

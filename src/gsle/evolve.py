@@ -20,11 +20,17 @@ the split-step operators are the same for every row.
 the half-kicked state and one measurement factor (`_Workspace.measurement_factor`,
 the step's one log and exp of rho) serve the step's one U and the kick, which
 writes cos and sin of the phase into a workspace buffer. With friction, U
-(`_Workspace.real_potential`) is predicted at the kick's midpoint from one
-current transform of the half-kicked state and that factor: the midpoint state
-itself is never built. `run` owns the clock, checks every new spectrum for
-finite samples and records through a `fields.BlockRecorder`, the overflow gate
-of its loop.
+(`_Workspace.real_potential`) is predicted at the kick's midpoint from the
+current of the half-kicked state and that factor: the midpoint state itself is
+never built. The half-kicked state and its derivative are one inverse-transform
+call, so a step makes one forward and one inverse call. `run` owns the clock,
+checks every new spectrum for finite samples and records through a
+`fields.BlockRecorder`, the overflow gate of its loop.
+
+Every other array of a step, and of a record block's reduction, is a buffer of
+the workspace's scratch arena (`_Workspace._buffer`), made at its first use and
+kept as long as the workspace, so a step allocates no array of a state's size.
+Nothing that `step` or `run` returns shares memory with the arena.
 """
 
 from __future__ import annotations
@@ -191,7 +197,12 @@ def build_initial_state(config: SimConfig) -> WaveFunction:
 
 
 class _Workspace:
-    """Per-run precomputed arrays and per-shape scratch buffers for the stepping kernel."""
+    """Per-run precomputed arrays and the scratch arena of the step and its record.
+
+    Every array that a step or a record block needs beyond its inputs and its
+    result is a named buffer of the arena (`_buffer`): it lives as long as
+    the workspace, and each call overwrites it.
+    """
 
     def __init__(self, config: SimConfig):
         grid, params = config.grid, config.params
@@ -206,41 +217,49 @@ class _Workspace:
         # V_d's s * m * friction * f'^2, times the hbar/m of the current; None without friction
         coef = SIGNS[config.sign] * config.friction * params.hbar
         self.vd_weight = coef * self.df**2 if coef else None
+        if coef:   # the predictor's weight of rho theta' (predicted_slope)
+            self.kick_weight = (-0.5 * config.dt / params.hbar) * self.vd_weight
         self.kappa = config.kappa
         self.dt = config.dt
         self._buffers = {}
 
     def _buffer(self, name, shape, dtype=float):
+        """The arena's buffer `name`, of one dtype, as an array of this shape: the
+        one kept or its leading rows, replaced only when it cannot hold them."""
         buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape:
+        if buf is not None and buf.shape == shape:
+            return buf
+        if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
             buf = self._buffers[name] = np.empty(shape, dtype)
-        return buf
+        return buf[: shape[0]]
 
     def real_potential(self, xi_n, slope, rho, norm):
         """Real potential U = V - f xi + V_d - W, with the gauge constant W = <V_d>.
 
         V_d is the cumulative integral of its slope (predicted_slope in a
         step) and W its mean over the density rho with int rho = norm. For a
-        batch (B, N), xi_n is a (B, 1) column. U is a new array, built in place.
+        batch (B, N), xi_n is a (B, 1) column. U is the workspace's "vd" buffer.
         """
-        vd, w = gauged_integral(self.grid, slope, rho, norm)
+        vd, w = gauged_integral(self.grid, slope, rho, norm, self._buffer("vd", rho.shape),
+                                self._buffer("work", rho.shape))
         u = np.multiply(self.f, xi_n, out=self._buffer("real", vd.shape))
         vd += np.subtract(self.V, u, out=u)
         vd -= w[..., None]
         return vd
 
     def measurement_factor(self, rho, floored, norm):
-        """The measurement kick's real factor, a new array, or None when kappa = 0:
+        """The measurement kick's real factor, the "factor" buffer, or None when kappa = 0:
         rho_floored^(kappa dt) times the scalar per row that restores the norm of
         the state with these density_terms, which the phase kick leaves unchanged.
         The scalar is the mean-subtraction constant of +kappa (ln rho - <ln rho>)
         as a step average, so the term stays exactly traceless over the kick."""
         if not self.kappa:
             return None
-        gain = np.log(floored)
+        gain = np.log(floored, out=self._buffer("factor", rho.shape))
         gain *= self.kappa * self.dt
         np.exp(gain, out=gain)
-        n_after = integrate_values(self.grid, rho * gain * gain)
+        after = np.multiply(rho, gain, out=self._buffer("work", rho.shape))
+        n_after = integrate_values(self.grid, np.multiply(after, gain, out=after))
         if not n_after.all():
             raise NumericalBlowup(
                 f"measurement kick underflowed every density sample "
@@ -259,21 +278,23 @@ class _Workspace:
         scales rho, and j with it, by rho_floored^(kappa dt): factor up to its
         scalar per row, which cancels in V_d's ratio, its floor and W. The new
         slope is weight factor (j + rho theta') / max(factor rho, density_floor),
-        with weight j = slope floored.
+        with weight j = slope floored. The new slope is the "real" buffer and a
+        new rho the "kicked" one.
         """
         new_slope = np.multiply(self.df, xi_n, out=self._buffer("real", rho.shape))
         np.subtract(self.dV, new_slope, out=new_slope)
         new_slope += slope
-        new_slope *= (-0.5 * self.dt / self.params.hbar) * self.vd_weight
+        new_slope *= self.kick_weight
         new_slope *= rho   # weight rho theta'
         if factor is None:
             new_slope /= floored
             new_slope += slope
             return new_slope, rho, norm
-        new_slope += slope * floored
+        work = self._buffer("work", rho.shape)
+        new_slope += np.multiply(slope, floored, out=work)
         new_slope *= factor
-        rho = factor * rho
-        new_slope /= np.maximum(rho, density_floor(rho))
+        rho = np.multiply(factor, rho, out=self._buffer("kicked", rho.shape))
+        new_slope /= np.maximum(rho, density_floor(rho), out=work)
         return new_slope, rho, integrate_values(self.grid, rho)
 
     def apply_potential(self, vals: np.ndarray, u: np.ndarray, factor):
@@ -306,19 +327,29 @@ def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray, out=None
 
     U is built once, and the full kick applies it. Without friction it is
     V - f xi. With friction it is the U of the state that a kick of dt/2 makes
-    from the half-kicked state (_Workspace.predicted_slope). The step's one
-    measurement factor serves both the prediction and the kick.
+    from the half-kicked state (_Workspace.predicted_slope), whose current
+    reads dpsi/dx = ifft(ik spectrum), made by the one inverse-transform call
+    that makes the half-kicked state. The step's one measurement factor serves
+    both the prediction and the kick. Every other array is a workspace buffer.
     """
-    spectrum = ws.kin_half * spectrum
-    vals = np.fft.ifft(spectrum)
-    rho, floored, norm = density_terms(ws.grid, vals)
+    shape = spectrum.shape
+    friction = ws.vd_weight is not None
+    pair = ws._buffer("pair", (1 + friction,) + shape, complex)   # psi and dpsi/dx
+    np.multiply(ws.kin_half, spectrum, out=pair[0])
+    if friction:
+        np.multiply(ws.ik, pair[0], out=pair[1])
+    vals = np.fft.ifft(pair, out=pair)[0]
+    rho, floored, norm = density_terms(ws.grid, vals, (ws._buffer("rho", shape),
+                                                       ws._buffer("floored", shape)))
     factor = ws.measurement_factor(rho, floored, norm)
-    if ws.vd_weight is None:
-        u = ws.V - ws.f * xi_n
+    if not friction:
+        u = np.multiply(ws.f, xi_n, out=ws._buffer("real", shape))
+        np.subtract(ws.V, u, out=u)
     else:
-        slope = dissipative_slope(vals, ws.vd_weight, ws.ik, floored, spectrum)
+        slope = dissipative_slope(vals, ws.vd_weight, ws.ik, floored, dpsi=pair[1],
+                                  out=ws._buffer("slope", shape))
         u = ws.real_potential(xi_n, *ws.predicted_slope(xi_n, slope, rho, floored, norm, factor))
-    guard[...] = ws.dt * np.abs(u).max(axis=-1) / ws.params.hbar
+    guard[...] = ws.dt * np.maximum.reduce(np.abs(u, out=ws._buffer("work", shape)), axis=-1) / ws.params.hbar
     out = np.fft.fft(ws.apply_potential(vals, u, factor), out=out)
     return np.multiply(out, ws.kin_half, out=out)
 
@@ -371,13 +402,24 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
 
     def reduce(steps, vals, spectra):
         np.fft.ifft(spectra, out=vals)
-        rho, floored, norm = density_terms(config.grid, vals)
-        obs = observables(WaveFunction(config.grid, vals), ws.V, config.params, spectra, rho)
+        # the block's scratch: three float buffers and a complex one, whose first
+        # half is the work of observables and of V_d; j goes in the power buffer
+        # and V_d in the floored one, once these are spent
+        rows = vals.shape
+        rho, floored, norm = density_terms(config.grid, vals, (ws._buffer("block_rho", rows),
+                                                               ws._buffer("block_floored", rows)))
+        power, dpsi = ws._buffer("block_power", rows), ws._buffer("block_dpsi", rows, complex)
+        work = dpsi.reshape(-1).view(float)[: vals.size].reshape(rows)
+        obs = observables(WaveFunction(config.grid, vals), ws.V, config.params, spectra, rho,
+                          (power, work))
         for name, col in obs.items():
             table[name][steps] = col
-        table["W"][steps] = 0.0 if ws.vd_weight is None else gauged_integral(
-            config.grid, dissipative_slope(vals, ws.vd_weight, ws.ik, floored, spectra), rho, norm
-        )[1]
+        if ws.vd_weight is None:
+            table["W"][steps] = 0.0
+        else:
+            np.fft.ifft(np.multiply(ws.ik, spectra, out=dpsi), out=dpsi)
+            slope = dissipative_slope(vals, ws.vd_weight, ws.ik, floored, dpsi=dpsi, out=power)
+            table["W"][steps] = gauged_integral(config.grid, slope, rho, norm, floored, work)[1]
         snapshots.extend((j, vals[j - steps.start].reshape(len(batch), -1).copy())
                          for j in range(steps.start, steps.stop) if stride and j % stride == 0)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 # numpy >= 2 imports numpy.fft on first use; import it with gsle so that
@@ -25,6 +26,9 @@ from .errors import (
 DENSITY_FLOOR_REL = 1e-12
 # elements per buffer of a BlockRecorder (512 KiB of complex), unless one row holds more
 RECORD_BLOCK_ELEMENTS = 2**15
+# np.gradient's one-sided second-order weights (times dx) of the first and the last
+# three samples, for the derivative at the first and the last point
+_EDGE_WEIGHTS = np.array([[-1.5, 2.0, -0.5], [0.5, -2.0, 1.5]])
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,7 @@ class Grid:
         if self.n_points & (self.n_points - 1):
             raise ConfigError(f"n_points must be an integer power of two, got {self.n_points}")
 
-    @property
+    @cached_property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_points
 
@@ -67,6 +71,17 @@ class Grid:
         ik = 1j * self.k
         ik[self.n_points // 2] = 0.0
         return ik
+
+    @cached_property
+    def moment_k(self):
+        """(k^2, k with its Nyquist mode zeroed), read-only: the Parseval weights
+        of <T> and <p>, built once per grid."""
+        k = self.k
+        k2 = k**2
+        k[self.n_points // 2] = 0.0
+        for a in (k2, k):
+            a.flags.writeable = False
+        return k2, k
 
 
 @dataclass(frozen=True)
@@ -111,32 +126,38 @@ def integrate(grid: Grid, values) -> float:
 
 def integrate_values(grid: Grid, values: np.ndarray):
     """Rectangle rule along the last axis: a float, or one per batch row."""
-    return values.sum(axis=-1) * grid.dx
+    return np.add.reduce(values, axis=-1) * grid.dx   # values.sum, without its Python wrapper
 
 
-def cumulative_integral(grid: Grid, values: np.ndarray) -> np.ndarray:
+def cumulative_integral(grid: Grid, values: np.ndarray, out=None, work=None) -> np.ndarray:
     """Cumulative integral of grid samples from x_min; result[0] = 0.
 
     Trapezoid with the Euler-Maclaurin endpoint correction
     (dx^2/12)(h'(a) - h'(x)), h' by local finite differences: O(dx^4) on
     smooth integrands while staying local (no global Gibbs contamination
     from floored tails). Along the last axis, so a batch (..., N) works.
+    out receives the result and work the derivative h' (float arrays shaped
+    like values, neither of them values itself); each is a new array when not given.
     """
     dx = grid.dx
     h = np.asarray(values, dtype=float)
-    out = np.zeros_like(h)
+    out = np.empty_like(h) if out is None else out
+    out[..., 0] = 0.0
     body = out[..., 1:]
     np.add(h[..., 1:], h[..., :-1], out=body)
     np.add.accumulate(body, axis=-1, out=body)
     body *= 0.5 * dx   # = cumsum(0.5 (h[i] + h[i+1])) dx: the halving is exact
     # h' as np.gradient(h, dx, axis=-1, edge_order=2) computes it, without
-    # its per-call set-up (this runs once per step and once per record block)
-    hp = np.empty_like(h)
+    # its per-call set-up (this runs once per step and once per record block);
+    # both one-sided ends are one product, summed left to right as np.gradient does
+    hp = np.empty_like(h) if work is None else work
     np.subtract(h[..., 2:], h[..., :-2], out=hp[..., 1:-1])
     hp[..., 1:-1] /= 2.0 * dx
-    hp[..., 0] = (-1.5 / dx) * h[..., 0] + (2.0 / dx) * h[..., 1] + (-0.5 / dx) * h[..., 2]
-    hp[..., -1] = (0.5 / dx) * h[..., -3] + (-2.0 / dx) * h[..., -2] + (1.5 / dx) * h[..., -1]
-    np.subtract(hp[..., :1], hp, out=hp)
+    ends = np.concatenate((h[..., :3], h[..., -3:]), axis=-1).reshape(h.shape[:-1] + (2, 3))
+    ends *= _EDGE_WEIGHTS / dx
+    hp[..., :: h.shape[-1] - 1] = np.add.reduce(ends, axis=-1)
+    # h'(a) - h', h'(a) copied first: numpy would copy the overlapping operand at full size
+    np.subtract(hp[..., :1].copy(), hp, out=hp)
     out += np.multiply(hp, dx**2 / 12.0, out=hp)
     return out
 
@@ -241,7 +262,7 @@ def boundary_density(rho: np.ndarray):
 
 
 def observables(
-    psi: WaveFunction, V: np.ndarray, params: PhysicalParams, spectrum=None, rho=None
+    psi: WaveFunction, V: np.ndarray, params: PhysicalParams, spectrum=None, rho=None, work=None
 ) -> dict:
     """Moments of each state, in the potential V(grid.x), from one density and one spectrum.
 
@@ -251,39 +272,47 @@ def observables(
     <p> and <T> by Parseval, int psi* g(-i d/dx) psi dx = (dx/N) sum_k g(k) |psi_k|^2,
     with spectral_derivative's weights: Nyquist mode zeroed for hbar k, kept for k^2.
     spectrum = fft(psi.values) and rho = psi.density(), when the caller has
-    them, save their recomputation.
+    them, save their recomputation. work, a pair of float arrays shaped like
+    psi.values, takes the |spectrum|^2 weights and every other product (a new
+    array each without it).
     """
     if spectrum is None:
         spectrum = np.fft.fft(psi.values)
     if rho is None:
         rho = psi.density()
     grid = psi.grid
+    power, prod = (None, None) if work is None else work
     n2 = integrate_values(grid, rho)
     if not ((n2 > 0) & np.isfinite(n2)).all():
         raise DegenerateState("zero-norm state")
     x = grid.x
-    mean_x = integrate_values(grid, x * rho) / n2
-    var_x = integrate_values(grid, (x - mean_x[..., None]) ** 2 * rho) / n2
-    power = np.abs(spectrum) ** 2 * (grid.dx / grid.n_points)
-    k = grid.k
-    kinetic = np.sum(k**2 * power, axis=-1) * (params.hbar**2 / (2 * params.mass))
-    k[grid.n_points // 2] = 0.0
-    mean_p = params.hbar * np.sum(k * power, axis=-1) / n2
-    energy = kinetic / n2 + integrate_values(grid, V * rho) / n2
+    mean_x = integrate_values(grid, np.multiply(x, rho, out=prod)) / n2
+    prod = np.subtract(x, mean_x[..., None], out=prod)
+    np.square(prod, out=prod)
+    var_x = integrate_values(grid, np.multiply(prod, rho, out=prod)) / n2
+    power = np.abs(spectrum, out=power)
+    np.square(power, out=power)
+    power *= grid.dx / grid.n_points
+    k2, k = grid.moment_k
+    kinetic = np.sum(np.multiply(k2, power, out=prod), axis=-1) * (params.hbar**2 / (2 * params.mass))
+    mean_p = params.hbar * np.sum(np.multiply(k, power, out=prod), axis=-1) / n2
+    energy = kinetic / n2 + integrate_values(grid, np.multiply(V, rho, out=prod)) / n2
     return {"norm": n2, "mean_x": mean_x, "mean_p": mean_p, "var_x": var_x, "energy": energy,
             "boundary_density": boundary_density(rho)}
 
 
 def density_floor(rho: np.ndarray) -> np.ndarray:
     """The floor of each row of rho (..., N), as a column (..., 1)."""
-    return DENSITY_FLOOR_REL * rho.max(axis=-1, keepdims=True)
+    return DENSITY_FLOOR_REL * np.maximum.reduce(rho, axis=-1, keepdims=True)
 
 
-def density_terms(grid: Grid, vals: np.ndarray):
+def density_terms(grid: Grid, vals: np.ndarray, out=(None, None)):
     """(rho, floored rho, norm) of samples (..., N): rho = |vals|^2, rho floored
-    at density_floor (the density of every denominator and log) and int rho."""
-    rho = np.abs(vals) ** 2
-    return rho, np.maximum(rho, density_floor(rho)), integrate_values(grid, rho)
+    at density_floor (the density of every denominator and log) and int rho.
+    out, a pair of float arrays shaped like vals, takes rho and floored rho."""
+    rho = np.abs(vals, out=out[0])
+    np.square(rho, out=rho)
+    return rho, np.maximum(rho, density_floor(rho), out=out[1]), integrate_values(grid, rho)
 
 
 class BlockRecorder:

@@ -45,38 +45,45 @@ from .fields import (
 SIGNS = {"damping": 1.0, "paper": -1.0}
 
 
-def _current_values(vals: np.ndarray, ik: np.ndarray, spectrum=None):
+def _current_values(vals: np.ndarray, ik: np.ndarray, spectrum=None, dpsi=None, out=None):
     """Im(psi* dpsi/dx) from samples of psi and Grid.ik; the current is hbar/m times it.
 
-    spectrum = fft(vals), when the caller has it, saves the forward FFT.
+    spectrum = fft(vals), when the caller has it, saves the forward FFT; dpsi,
+    the samples of dpsi/dx (ifft(ik spectrum)), save both transforms, and its
+    real part is overwritten. out, a float array shaped like vals, receives the result.
     """
-    if spectrum is None:
-        spectrum = np.fft.fft(vals)
-    dpsi = np.multiply(ik, spectrum)
-    np.fft.ifft(dpsi, out=dpsi)
-    j = vals.real * dpsi.imag
+    if dpsi is None:
+        if spectrum is None:
+            spectrum = np.fft.fft(vals)
+        dpsi = np.multiply(ik, spectrum)
+        np.fft.ifft(dpsi, out=dpsi)
+    j = np.multiply(vals.real, dpsi.imag, out=out)
     j -= np.multiply(vals.imag, dpsi.real, out=dpsi.real)
     return j
 
 
-def dissipative_slope(vals: np.ndarray, weight: np.ndarray, ik: np.ndarray, floored, spectrum=None):
-    """dV_d/dx = weight Im(psi* dpsi/dx) / floored, a new array: the integrand of V_d.
+def dissipative_slope(vals: np.ndarray, weight: np.ndarray, ik: np.ndarray, floored, spectrum=None,
+                      dpsi=None, out=None):
+    """dV_d/dx = weight Im(psi* dpsi/dx) / floored: the integrand of V_d, written into
+    out when given, else a new array.
 
     floored is the floored density of vals (density_terms); spectrum = fft(vals)
-    may be passed in.
+    or the derivative samples dpsi (whose real part this overwrites) may be
+    passed in (_current_values).
     """
-    slope = _current_values(vals, ik, spectrum)
+    slope = _current_values(vals, ik, spectrum, dpsi, out)
     slope *= weight
     slope /= floored
     return slope
 
 
-def gauged_integral(grid: Grid, slope: np.ndarray, rho: np.ndarray, norm):
+def gauged_integral(grid: Grid, slope: np.ndarray, rho: np.ndarray, norm, out=None, work=None):
     """(V_d, W) from V_d's integrand `slope` (..., N) and the density `rho` it is
     averaged over, norm = int rho: V_d is the cumulative integral of slope from
-    x_min and W = <V_d>, one per row."""
-    vd = cumulative_integral(grid, slope)
-    return vd, integrate_values(grid, vd * rho) / norm
+    x_min and W = <V_d>, one per row. out and work are cumulative_integral's;
+    work then takes V_d rho."""
+    vd = cumulative_integral(grid, slope, out, work)
+    return vd, integrate_values(grid, np.multiply(vd, rho, out=work)) / norm
 
 
 def current(psi: WaveFunction, params: PhysicalParams) -> np.ndarray:

@@ -36,10 +36,10 @@ def noise_array(*args):
 
 
 def real_potential_of(ws, vals, xi_n):
-    """U of the states vals themselves: V - f xi without friction, else the
-    workspace's real_potential of their dissipative_slope and density_terms (a
-    wave step builds U of its predicted slope)."""
+    """U of the states vals themselves, a new array: V - f xi without friction, else
+    a copy of the workspace's real_potential of their dissipative_slope and
+    density_terms (a wave step builds U of its predicted slope)."""
     if ws.vd_weight is None:
         return ws.V - ws.f * xi_n
     rho, floored, norm = density_terms(ws.grid, vals)
-    return ws.real_potential(xi_n, dissipative_slope(vals, ws.vd_weight, ws.ik, floored), rho, norm)
+    return ws.real_potential(xi_n, dissipative_slope(vals, ws.vd_weight, ws.ik, floored), rho, norm).copy()

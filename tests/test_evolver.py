@@ -1,5 +1,6 @@
 """Split-step propagation: accuracy, conservation laws, determinism."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -614,9 +615,10 @@ class TestPredictedPotential:
             xi_n = np.array([[xi], [0.5 - xi]])
         rho, floored, norm = density_terms(cfg.grid, vals)
         slope = dissipative_slope(vals, ws.vd_weight, ws.ik, floored, np.fft.fft(vals))
-        u = ws.real_potential(xi_n, slope, rho, norm)
+        # each U is the workspace's one U buffer, which the next real_potential overwrites
+        u = ws.real_potential(xi_n, slope, rho, norm).copy()
         factor = ws.measurement_factor(rho, floored, norm)
-        predicted = ws.real_potential(xi_n, *ws.predicted_slope(xi_n, slope, rho, floored, norm, factor))
+        predicted = ws.real_potential(xi_n, *ws.predicted_slope(xi_n, slope, rho, floored, norm, factor)).copy()
         midpoint = half.apply_potential(vals, u, half.measurement_factor(rho, floored, norm))
         reference = real_potential_of(ws, midpoint, xi_n)
         nonlinear = reference - (ws.V - ws.f * xi_n)   # V_d - W at the midpoint
@@ -1059,9 +1061,9 @@ class TestRecordBlocks:
         is read once, in one observables call per block."""
         calls = []
 
-        def spy(psi, v, params, spectrum, rho):
+        def spy(psi, v, params, spectrum, rho, work):
             calls.append((psi.values, spectrum))
-            return observables(psi, v, params, spectrum, rho)
+            return observables(psi, v, params, spectrum, rho, work)
 
         monkeypatch.setattr(evolve, "observables", spy)
         n_steps = 20
@@ -1097,8 +1099,9 @@ class TestCarriedSpectrum:
 
     def test_fft_calls_per_step(self, monkeypatch):
         """After the first, every step and its record transform 1 row forward
-        and 4 inverse, in 1 forward and 2 inverse calls: the record's inverse
-        transforms (its states and its W's current) are one call per block."""
+        and 4 inverse, in 1 forward and 1 inverse call: the step's two inverse
+        transforms (its half-kicked state and that state's derivative) are one
+        call, and the record's (its states and its W's current) two per block."""
         rows = {"fft": 0, "ifft": 0}
         calls = dict(rows)
         n_points = self.CFG["grid"].n_points
@@ -1117,7 +1120,7 @@ class TestCarriedSpectrum:
 
         (short_rows, short_calls), (long_rows, long_calls) = count(2), count(6)
         assert {name: (long_rows[name] - short_rows[name]) / 4 for name in rows} == {"fft": 1, "ifft": 4}
-        assert {name: (long_calls[name] - short_calls[name]) / 4 for name in calls} == {"fft": 1, "ifft": 2}
+        assert {name: (long_calls[name] - short_calls[name]) / 4 for name in calls} == {"fft": 1, "ifft": 1}
 
 
 def workspace_arrays(ws):
@@ -1131,10 +1134,10 @@ class TestStepKernel:
 
     CFG = TestCarriedSpectrum.CFG
 
-    def stepped(self, n_members, kappa=CFG["kappa"]):
+    def stepped(self, n_members, kappa=CFG["kappa"], grid=CFG["grid"]):
         """Workspace, noise value(s) and first spectrum of a single run or a
         batch of n_members."""
-        cfg = SimConfig(**{**self.CFG, "kappa": kappa})
+        cfg = SimConfig(**{**self.CFG, "kappa": kappa, "grid": grid})
         ws = _Workspace(cfg)
         vals = build_initial_state(cfg).values
         xi = 0.3
@@ -1163,6 +1166,23 @@ class TestStepKernel:
                 spectrum = step(spectrum, xi, ws, np.empty(n_members or ()))
             assert len(calls["log"]) == len(calls["exp"]) == (n_steps if kappa else 0)
             assert not any(np.issubdtype(t, np.complexfloating) for t in calls["exp"])
+
+    @pytest.mark.parametrize("n_members", [0, 64], ids=["single", "batch"])
+    def test_steps_allocate_no_state(self, n_members):
+        """After a first step, which fills the workspace's arena, five steps with
+        friction and kappa > 0 allocate no numpy array of one state's size."""
+        ws, xi, spectrum = self.stepped(n_members, grid=Grid(-12.0, 12.0, 512))
+        guard, out = np.empty(n_members or ()), np.empty_like(spectrum)
+        step(spectrum, xi, ws, guard, out)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for _ in range(5):
+                step(out, xi, ws, guard, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < spectrum.size * 8
 
     @pytest.mark.parametrize("n_members", [0, 3], ids=["single", "batch"])
     def test_step_results_own_their_memory(self, n_members):
