@@ -83,8 +83,8 @@ def langevin_step(x, v, config: LangevinConfig, xi_n, slopes=None):
     """One unchecked velocity-Verlet step; x, v, xi_n may be arrays over particles.
 
     slopes, a list that a caller carries from step to step, saves evaluating
-    f'(x) and V'(x): the step reads them from it when it is filled, and writes
-    those at the new x into it.
+    f'(x) and V'(x): the step takes the pair (f'(x), V'(x)) out of it when it
+    holds one, and puts the pair at the new x into it.
     """
     m = config.params.mass
     dt = config.dt
@@ -92,18 +92,19 @@ def langevin_step(x, v, config: LangevinConfig, xi_n, slopes=None):
     f = config.coupling
     vprime = config.potential
 
-    fp, vp = slopes if slopes else (f(x, 1), vprime(x, 1))
+    fp, vp = slopes.pop() if slopes else (f(x, 1), vprime(x, 1))
     noise_force = fp * xi_n                       # frozen at the step start
     a0 = (-vp + noise_force) / m
     # friction at the half-step velocity: implicit into the half step,
     # explicit out of it, so the full step sees midpoint-rule damping
     v_half = (v + 0.5 * dt * a0) / (1.0 + 0.5 * dt * alpha * fp**2)
+    del fp, vp, a0   # freed before the slopes at the new x are made
     x_new = x + dt * v_half
     fp_new, vp_new = f(x_new, 1), vprime(x_new, 1)
     a1 = (-vp_new + noise_force) / m - alpha * fp_new**2 * v_half
     v_new = v_half + 0.5 * dt * a1
     if slopes is not None:
-        slopes[:] = fp_new, vp_new
+        slopes.append((fp_new, vp_new))
     return x_new, v_new
 
 

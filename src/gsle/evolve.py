@@ -35,6 +35,7 @@ Nothing that `step` or `run` returns shares memory with the arena.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -201,7 +202,9 @@ class _Workspace:
 
     Every array that a step or a record block needs beyond its inputs and its
     result is a named buffer of the arena (`_buffer`): it lives as long as
-    the workspace, and each call overwrites it.
+    the workspace, and each call overwrites it. A record block is reduced
+    between two steps, so the record takes its buffers under the step's
+    names, each as large as the larger of the two needs.
     """
 
     def __init__(self, config: SimConfig):
@@ -221,17 +224,21 @@ class _Workspace:
             self.kick_weight = (-0.5 * config.dt / params.hbar) * self.vd_weight
         self.kappa = config.kappa
         self.dt = config.dt
-        self._buffers = {}
+        self._buffers = {}   # name -> one flat array, of one dtype per name
+        self._views = {}     # (name, shape) -> its leading elements in that shape
 
     def _buffer(self, name, shape, dtype=float):
-        """The arena's buffer `name`, of one dtype, as an array of this shape: the
-        one kept or its leading rows, replaced only when it cannot hold them."""
-        buf = self._buffers.get(name)
-        if buf is not None and buf.shape == shape:
-            return buf
-        if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
-            buf = self._buffers[name] = np.empty(shape, dtype)
-        return buf[: shape[0]]
+        """The arena's buffer `name` as a C-contiguous array of this shape: the
+        leading elements of one flat array, replaced only when it is too small."""
+        view = self._views.get((name, shape))
+        if view is None:
+            size = math.prod(shape)
+            flat = self._buffers.get(name)
+            if flat is None or flat.size < size:
+                flat = self._buffers[name] = np.empty(size, dtype)
+                self._views = {key: v for key, v in self._views.items() if key[0] != name}
+            view = self._views[name, shape] = flat[:size].reshape(shape)
+        return view
 
     def real_potential(self, xi_n, slope, rho, norm):
         """Real potential U = V - f xi + V_d - W, with the gauge constant W = <V_d>.
@@ -302,10 +309,11 @@ class _Workspace:
         measurement factor (measurement_factor of vals) when it is not None.
 
         Returns a workspace buffer (cos + i sin of the phase, times the real
-        measurement factor, times vals), overwritten by the next kick.
+        measurement factor, times vals), overwritten by the next kick: the
+        second row of the step's "pair", whose derivative is spent by then.
         """
         phi = np.multiply(u, -self.dt / self.params.hbar, out=self._buffer("real", vals.shape))
-        kick = self._buffer("kick", vals.shape, complex)
+        kick = self._buffer("pair", (2,) + vals.shape, complex)[1]
         np.cos(phi, out=kick.real)
         np.sin(phi, out=kick.imag)
         if factor is not None:
@@ -334,11 +342,11 @@ def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray, out=None
     """
     shape = spectrum.shape
     friction = ws.vd_weight is not None
-    pair = ws._buffer("pair", (1 + friction,) + shape, complex)   # psi and dpsi/dx
+    pair = ws._buffer("pair", (2,) + shape, complex)   # psi and dpsi/dx, then the kick
     np.multiply(ws.kin_half, spectrum, out=pair[0])
     if friction:
         np.multiply(ws.ik, pair[0], out=pair[1])
-    vals = np.fft.ifft(pair, out=pair)[0]
+    vals = np.fft.ifft(pair[: 1 + friction], out=pair[: 1 + friction])[0]
     rho, floored, norm = density_terms(ws.grid, vals, (ws._buffer("rho", shape),
                                                        ws._buffer("floored", shape)))
     factor = ws.measurement_factor(rho, floored, norm)
@@ -402,13 +410,13 @@ def run(config: SimConfig, seeds: Optional[Sequence[int]] = None):
 
     def reduce(steps, vals, spectra):
         np.fft.ifft(spectra, out=vals)
-        # the block's scratch: three float buffers and a complex one, whose first
-        # half is the work of observables and of V_d; j goes in the power buffer
-        # and V_d in the floored one, once these are spent
+        # the block's scratch, under the step's names: three float buffers and the
+        # complex "pair", whose first half is the work of observables and of V_d;
+        # j goes in the power buffer and V_d in the floored one, once these are spent
         rows = vals.shape
-        rho, floored, norm = density_terms(config.grid, vals, (ws._buffer("block_rho", rows),
-                                                               ws._buffer("block_floored", rows)))
-        power, dpsi = ws._buffer("block_power", rows), ws._buffer("block_dpsi", rows, complex)
+        rho, floored, norm = density_terms(config.grid, vals, (ws._buffer("rho", rows),
+                                                               ws._buffer("floored", rows)))
+        power, dpsi = ws._buffer("slope", rows), ws._buffer("pair", rows, complex)
         work = dpsi.reshape(-1).view(float)[: vals.size].reshape(rows)
         obs = observables(WaveFunction(config.grid, vals), ws.V, config.params, spectra, rho,
                           (power, work))
