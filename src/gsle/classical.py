@@ -235,7 +235,8 @@ def langevin_ensemble(
         recorder.push(x, v)
         for slab in noise:
             for xi_n in slab.T:
-                x, v = gle.step(xi_n) if gle is not None else langevin_step(x, v, config, xi_n, slopes)
+                x, v = (gle.step(xi_n) if gle is not None
+                        else langevin_step(x, v, config, xi_n, slopes))
                 if not (np.isfinite(x).all() and np.isfinite(v).all()):
                     raise NumericalBlowup("non-finite classical state")
                 recorder.push(x, v)

@@ -25,12 +25,9 @@ current of the half-kicked state and that factor: the midpoint state itself is
 never built. The half-kicked state and its derivative are one inverse-transform
 call, so a step makes one forward and one inverse call. `run` owns the clock,
 checks every new spectrum for finite samples and records through a
-`fields.BlockRecorder`, the overflow gate of its loop.
-
-Every other array of a step, and of a record block's reduction, is a buffer of
-the workspace's scratch arena (`_Workspace._buffer`), made at its first use and
-kept as long as the workspace, so a step allocates no array of a state's size.
-Nothing that `step` or `run` returns shares memory with the arena.
+`fields.BlockRecorder`, the overflow gate of its loop. Every other array of a
+step and of a record block is a buffer of the workspace's scratch arena, so a
+step allocates no array of a state's size.
 """
 
 from __future__ import annotations
@@ -198,14 +195,10 @@ def build_initial_state(config: SimConfig) -> WaveFunction:
 
 
 class _Workspace:
-    """Per-run precomputed arrays and the scratch arena of the step and its record.
-
-    Every array that a step or a record block needs beyond its inputs and its
-    result is a named buffer of the arena (`_buffer`): it lives as long as
-    the workspace, and each call overwrites it. A record block is reduced
-    between two steps, so the record takes its buffers under the step's
-    names, each as large as the larger of the two needs.
-    """
+    """Per-run precomputed arrays and the scratch arena of the step and its record:
+    one named buffer (`_buffer`) per temporary, kept as long as the workspace and
+    overwritten by each call. A record block is reduced between two steps, so it
+    takes its buffers under the step's names."""
 
     def __init__(self, config: SimConfig):
         grid, params = config.grid, config.params
@@ -357,7 +350,8 @@ def step(spectrum: np.ndarray, xi_n, ws: _Workspace, guard: np.ndarray, out=None
         slope = dissipative_slope(vals, ws.vd_weight, ws.ik, floored, dpsi=pair[1],
                                   out=ws._buffer("slope", shape))
         u = ws.real_potential(xi_n, *ws.predicted_slope(xi_n, slope, rho, floored, norm, factor))
-    guard[...] = ws.dt * np.maximum.reduce(np.abs(u, out=ws._buffer("work", shape)), axis=-1) / ws.params.hbar
+    peak = np.maximum.reduce(np.abs(u, out=ws._buffer("work", shape)), axis=-1)
+    guard[...] = ws.dt * peak / ws.params.hbar
     out = np.fft.fft(ws.apply_potential(vals, u, factor), out=out)
     return np.multiply(out, ws.kin_half, out=out)
 

@@ -79,8 +79,7 @@ class Grid:
         k = self.k
         k2 = k**2
         k[self.n_points // 2] = 0.0
-        for a in (k2, k):
-            a.flags.writeable = False
+        k2.flags.writeable = k.flags.writeable = False
         return k2, k
 
 
@@ -294,7 +293,8 @@ def observables(
     np.square(power, out=power)
     power *= grid.dx / grid.n_points
     k2, k = grid.moment_k
-    kinetic = np.sum(np.multiply(k2, power, out=prod), axis=-1) * (params.hbar**2 / (2 * params.mass))
+    kinetic = (np.sum(np.multiply(k2, power, out=prod), axis=-1)
+               * (params.hbar**2 / (2 * params.mass)))
     mean_p = params.hbar * np.sum(np.multiply(k, power, out=prod), axis=-1) / n2
     energy = kinetic / n2 + integrate_values(grid, np.multiply(V, rho, out=prod)) / n2
     return {"norm": n2, "mean_x": mean_x, "mean_p": mean_p, "var_x": var_x, "energy": energy,

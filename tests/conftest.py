@@ -42,4 +42,5 @@ def real_potential_of(ws, vals, xi_n):
     if ws.vd_weight is None:
         return ws.V - ws.f * xi_n
     rho, floored, norm = density_terms(ws.grid, vals)
-    return ws.real_potential(xi_n, dissipative_slope(vals, ws.vd_weight, ws.ik, floored), rho, norm).copy()
+    slope = dissipative_slope(vals, ws.vd_weight, ws.ik, floored)
+    return ws.real_potential(xi_n, slope, rho, norm).copy()

@@ -618,7 +618,8 @@ class TestPredictedPotential:
         # each U is the workspace's one U buffer, which the next real_potential overwrites
         u = ws.real_potential(xi_n, slope, rho, norm).copy()
         factor = ws.measurement_factor(rho, floored, norm)
-        predicted = ws.real_potential(xi_n, *ws.predicted_slope(xi_n, slope, rho, floored, norm, factor)).copy()
+        midpoint_terms = ws.predicted_slope(xi_n, slope, rho, floored, norm, factor)
+        predicted = ws.real_potential(xi_n, *midpoint_terms).copy()
         midpoint = half.apply_potential(vals, u, half.measurement_factor(rho, floored, norm))
         reference = real_potential_of(ws, midpoint, xi_n)
         nonlinear = reference - (ws.V - ws.f * xi_n)   # V_d - W at the midpoint
